@@ -47,6 +47,17 @@ def _add_output_flags(p: _Parser, default_format: str) -> None:
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
+def _config_number(path: str, key: str, value) -> float:
+    # JSON true/false arrive as bool, a subclass of int, and strings would be
+    # coerced by float(); a config value must already be a JSON number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"config {path}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"config {path}: {key} = {value} is too large") from exc
+
+
 def _resolve_config(args):
     values = dict(_DEFAULT_GAINS)
     from_file = set()
@@ -62,7 +73,7 @@ def _resolve_config(args):
             raise ValidationError(f"config {args.config} must be a flat JSON object")
         for key in _DEFAULT_GAINS:
             if key in file_obj:
-                values[key] = file_obj[key]
+                values[key] = _config_number(args.config, key, file_obj[key])
                 from_file.add(key)
     for key in _DEFAULT_GAINS:
         inline = getattr(args, key.replace("-", "_"))

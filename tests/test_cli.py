@@ -129,6 +129,16 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 1 and "JSON object" in err
 
 
+@pytest.mark.parametrize("entry", [{"g12": "x"}, {"power": "2"}, {"power": True}])
+def test_config_file_rejects_non_numbers(capsys, tmp_path, entry):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entry))
+    code, out, err = _run(capsys, "bounds", "--config", str(path))
+    key = next(iter(entry))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and f"{key} must be a number" in err
+
+
 def test_out_file_equals_stdout(capsys, tmp_path):
     _, stdout_text, _ = _run(capsys, "bounds", "--format", "csv")
     path = tmp_path / "report.csv"
