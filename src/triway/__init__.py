@@ -9,6 +9,7 @@ from .bounds import (
     cap,
     cutset_bounds,
     dof_estimate,
+    evaluate,
     lemma1_bound,
     lemma2_bound,
     outgoing_cutset_sum,
@@ -35,8 +36,6 @@ from .model import (
     UserPermutation,
     ValidationError,
     canonicalize,
-    config_from_json,
-    config_to_json,
     make_config,
     validate,
 )
@@ -47,7 +46,6 @@ from .region import (
     build_region,
     is_feasible,
     max_weighted_sum,
-    oracle_max_sum,
 )
 from .sim import (
     CausalEncoder,

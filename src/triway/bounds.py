@@ -1,18 +1,19 @@
 """Closed-form rate bounds for the three-user full-duplex Gaussian network.
 
-Everything here is a pure function of a validated ChannelConfig.  All rates
-are in bits per channel use; cap(x) = 0.5*log2(1+x) fixes the unit.
+Every bound is a closed form in (h1^2, h2^2, h3^2, P).  `evaluate` computes
+all of them for one ChannelConfig, each distinct cap argument once, and the
+named bound functions are views of it.  All rates are in bits per channel
+use; cap(x) = 0.5*log2(1+x) fixes the unit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 
-from .model import ChannelConfig, ChannelGains, ValidationError, validate
+from .model import ChannelConfig, ChannelGains, ValidationError
 
 _LN2 = math.log(2.0)
 
@@ -26,6 +27,18 @@ def cap(x: float) -> float:
     if math.isnan(x) or x < 0:
         raise ValidationError(f"cap argument must be >= 0, got {x!r}")
     return 0.5 * math.log1p(x) / _LN2
+
+
+def _cap_of(x: float, *factors: float) -> float:
+    """cap(x) for x >= 0 the product of finite factors, finite where x overflows.
+
+    There cap(x) = 0.5 log2(x) + 0.5 log2(1 + 1/x) and the second term is
+    below 1e-308, so half the sum of the factors' logs is the value.  Python
+    floats, not numpy: np.log1p can differ from math.log1p in the last bit.
+    """
+    if x < math.inf:
+        return 0.5 * math.log1p(x) / _LN2
+    return 0.5 * sum(map(math.log2, factors))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,10 +59,27 @@ class CutsetBounds:
         return dataclasses.asdict(self)
 
 
+# the report's scalar fields after the config echo and the cut-sets, in CSV column order
+_REPORT_FIELDS = ("lemma1", "lemma2", "theorem2_upper", "tightened_upper", "achievable_lower",
+                  "gap", "relay_lattice_rate", "relay_direct_rate", "relay_improves")
+# One-row CSV header of the `bounds` report; floats print with 6 decimals,
+# relay_improves as 0/1.
+REPORT_CSV_HEADER = ",".join(("g12", "g13", "g23", "power",
+                              *(f.name for f in dataclasses.fields(CutsetBounds)), *_REPORT_FIELDS))
+
+
 @dataclasses.dataclass(frozen=True)
 class BoundReport:
+    """Every closed-form bound of one configuration, as `evaluate` computes it.
+
+    Reciprocity makes inK == outK, so only the outgoing cut-sets are stored.
+    """
+
     config: ChannelConfig
-    cutset: CutsetBounds
+    out1: float
+    out2: float
+    out3: float
+    outgoing_cutset_sum: float
     lemma1: float
     lemma2: float
     theorem2_upper: float
@@ -60,79 +90,102 @@ class BoundReport:
     relay_direct_rate: float
     relay_improves: bool
 
+    @property
+    def cutset(self) -> CutsetBounds:
+        return CutsetBounds(self.out1, self.out1, self.out2, self.out2, self.out3, self.out3)
+
+    def as_dict(self) -> dict:
+        """The `bounds` JSON report: config echo in pair-gain names, cut-sets, the rest."""
+        g = self.config.gains
+        obj = {"config": {"g12": g.h3, "g13": g.h2, "g23": g.h1, "power": self.config.power},
+               "cutset": self.cutset.as_dict()}
+        obj.update((name, getattr(self, name)) for name in _REPORT_FIELDS)
+        return obj
+
+    def as_table(self) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+        """The `bounds` CSV report: REPORT_CSV_HEADER and one row."""
+        g = self.config.gains
+        row = (g.h3, g.h2, g.h1, self.config.power, *self.cutset.as_dict().values(),
+               *(getattr(self, name) for name in _REPORT_FIELDS))
+        return tuple(REPORT_CSV_HEADER.split(",")), (row,)
+
+
+def evaluate(cfg: ChannelConfig) -> BoundReport:
+    """Every closed-form bound of cfg, each distinct cap argument evaluated once.
+
+    Each value follows its formula's operation order, so it is bit-identical
+    to evaluating that formula alone.  h2 = 0 forces h1 = 0 by the ordering;
+    the ratio term h1^2/h2^2 is then 0 by convention.  The theorem-2
+    candidate exceeds the lower bound by exactly 2 in real arithmetic, so the
+    gap takes it as the literal 2.0; computing fl(2c+2) - 2c can overshoot 2
+    by one ulp and would falsify the gap invariant spuriously.
+    """
+    s1, s2, s3 = cfg.gains.squared()
+    P = cfg.power
+    ratio = 0.0 if s2 == 0.0 else s1 / s2
+    out1 = _cap_of((s3 + s2) * P, s3 + s2, P)
+    out2 = _cap_of((s3 + s1) * P, s3 + s1, P)
+    out3 = _cap_of((s2 + s1) * P, s2 + s1, P)
+    lemma1 = out1 + _cap_of(ratio)
+    lemma2 = _cap_of(s3 * P * (1.0 + ratio), s3, P, 1.0 + ratio) + 0.5
+    lower = 2.0 * _cap_of(s3 * P, s3, P)
+    tightened = lemma1 + lemma2
+    return BoundReport(
+        config=cfg, out1=out1, out2=out2, out3=out3, outgoing_cutset_sum=out1 + out2 + out3,
+        lemma1=lemma1, lemma2=lemma2, theorem2_upper=lower + 2.0, tightened_upper=tightened,
+        achievable_lower=lower, gap=max(0.0, min(2.0, tightened - lower)),
+        # the lattice argument is clamped at 0 where the expression goes negative
+        relay_lattice_rate=_cap_of(max(0.0, s2 * P - 0.5), s2, P),
+        relay_direct_rate=_cap_of(s1 * P, s1, P),
+        relay_improves=s2 >= s1 + 0.5 / P,
+    )
+
 
 def cutset_bounds(cfg: ChannelConfig) -> CutsetBounds:
     """out1 = in1 = cap((h3^2+h2^2)P), out2 = in2 = cap((h3^2+h1^2)P), out3 = in3 = cap((h2^2+h1^2)P)."""
-    validate(cfg)
-    s1, s2, s3 = cfg.gains.squared()
-    P = cfg.power
-    b1 = cap((s3 + s2) * P)
-    b2 = cap((s3 + s1) * P)
-    b3 = cap((s2 + s1) * P)
-    return CutsetBounds(out1=b1, in1=b1, out2=b2, in2=b2, out3=b3, in3=b3)
+    return evaluate(cfg).cutset
 
 
 def outgoing_cutset_sum(cfg: ChannelConfig) -> float:
     """Sum of the three outgoing cut-set bounds; scales like 3 degrees of freedom."""
-    cs = cutset_bounds(cfg)
-    return cs.out1 + cs.out2 + cs.out3
-
-
-def _gain_ratio(cfg: ChannelConfig) -> float:
-    # h2 = 0 forces h1 = 0 by the ordering; the ratio term is 0 by convention
-    s1, s2, _ = cfg.gains.squared()
-    if s2 == 0.0:
-        return 0.0
-    return s1 / s2
+    return evaluate(cfg).outgoing_cutset_sum
 
 
 def lemma1_bound(cfg: ChannelConfig) -> float:
     """cap(h3^2 P + h2^2 P) + cap(h1^2/h2^2); bounds r21 + r31 + r32."""
-    validate(cfg)
-    s1, s2, s3 = cfg.gains.squared()
-    return cap((s3 + s2) * cfg.power) + cap(_gain_ratio(cfg))
+    return evaluate(cfg).lemma1
 
 
 def lemma2_bound(cfg: ChannelConfig) -> float:
     """cap(h3^2 P (1 + h1^2/h2^2)) + 1/2; bounds r12 + r13 + r23."""
-    validate(cfg)
-    _, _, s3 = cfg.gains.squared()
-    return cap(s3 * cfg.power * (1.0 + _gain_ratio(cfg))) + 0.5
+    return evaluate(cfg).lemma2
 
 
 def theorem2_sum_upper(cfg: ChannelConfig) -> float:
     """2 cap(h3^2 P) + 2."""
-    validate(cfg)
-    _, _, s3 = cfg.gains.squared()
-    return 2.0 * cap(s3 * cfg.power) + 2.0
+    return evaluate(cfg).theorem2_upper
 
 
 def tightened_sum_upper(cfg: ChannelConfig) -> float:
     """lemma1_bound + lemma2_bound; always strictly below theorem2_sum_upper."""
-    return lemma1_bound(cfg) + lemma2_bound(cfg)
+    return evaluate(cfg).tightened_upper
 
 
 def achievable_sum_lower(cfg: ChannelConfig) -> float:
     """2 cap(h3^2 P): the strongest pair runs a two-way exchange, user 3 stays silent."""
-    validate(cfg)
-    _, _, s3 = cfg.gains.squared()
-    return 2.0 * cap(s3 * cfg.power)
+    return evaluate(cfg).achievable_lower
 
 
 def sum_capacity_interval(cfg: ChannelConfig, lp_upper: float | None = None) -> tuple[float, float, float]:
     """(lower, upper, gap) bracketing the sum capacity.
 
     upper is the minimum of the closed-form sum bounds (and the rate-region LP
-    value when the caller supplies one).  The theorem-2 candidate exceeds the
-    lower bound by exactly 2 in real arithmetic, so its gap contribution is
-    taken as the literal 2.0; computing fl(2c+2) - 2c can overshoot 2 by one
-    ulp and would falsify the gap invariant spuriously.
+    value when the caller supplies one); see `evaluate` for the literal 2.0.
     """
-    lower = achievable_sum_lower(cfg)
-    candidates = [2.0, tightened_sum_upper(cfg) - lower]
+    b = evaluate(cfg)
+    lower, gap = b.achievable_lower, b.gap
     if lp_upper is not None:
-        candidates.append(lp_upper - lower)
-    gap = max(0.0, min(candidates))
+        gap = max(0.0, min(2.0, b.tightened_upper - lower, lp_upper - lower))
     return lower, lower + gap, gap
 
 
@@ -141,16 +194,10 @@ def relay_rates(cfg: ChannelConfig) -> tuple[float, float, bool]:
 
     lattice = cap(max(0, h2^2 P - 1/2)) is the structured-code rate through the
     bottleneck uplink; direct = cap(h1^2 P) is the unaided rate; improves tests
-    h2^2 >= h1^2 + 1/(2P).  The lattice argument is clamped at 0 where the
-    expression goes negative.
+    h2^2 >= h1^2 + 1/(2P).
     """
-    validate(cfg)
-    s1, s2, _ = cfg.gains.squared()
-    P = cfg.power
-    lattice = cap(max(0.0, s2 * P - 0.5))
-    direct = cap(s1 * P)
-    improves = s2 >= s1 + 0.5 / P
-    return lattice, direct, improves
+    b = evaluate(cfg)
+    return b.relay_lattice_rate, b.relay_direct_rate, b.relay_improves
 
 
 def dof_estimate(gains: ChannelGains, power_grid, bound_selector) -> float:
@@ -171,7 +218,7 @@ def dof_estimate(gains: ChannelGains, power_grid, bound_selector) -> float:
         raise ValidationError("power grid must span at least 4 decades")
     xs, ys = [], []
     for P in grid:
-        cfg = validate(ChannelConfig(gains=gains, power=P))
+        cfg = ChannelConfig(gains=gains, power=P)
         xs.append(0.5 * math.log2(P))
         ys.append(float(bound_selector(cfg)))
     half = len(grid) // 2
@@ -180,66 +227,5 @@ def dof_estimate(gains: ChannelGains, power_grid, bound_selector) -> float:
 
 
 def bound_report(cfg: ChannelConfig) -> BoundReport:
-    validate(cfg)
-    lower, _, gap = sum_capacity_interval(cfg)
-    lattice, direct, improves = relay_rates(cfg)
-    return BoundReport(
-        config=cfg,
-        cutset=cutset_bounds(cfg),
-        lemma1=lemma1_bound(cfg),
-        lemma2=lemma2_bound(cfg),
-        theorem2_upper=theorem2_sum_upper(cfg),
-        tightened_upper=tightened_sum_upper(cfg),
-        achievable_lower=lower,
-        gap=gap,
-        relay_lattice_rate=lattice,
-        relay_direct_rate=direct,
-        relay_improves=improves,
-    )
-
-
-# One-row CSV header for BoundReport; floats are printed with 6 decimals,
-# relay_improves as 0/1.
-REPORT_CSV_HEADER = (
-    "g12,g13,g23,power,"
-    "out1,in1,out2,in2,out3,in3,"
-    "lemma1,lemma2,theorem2_upper,tightened_upper,achievable_lower,gap,"
-    "relay_lattice_rate,relay_direct_rate,relay_improves"
-)
-
-
-def report_to_csv(report: BoundReport) -> str:
-    cfg = report.config
-    cs = report.cutset
-    floats = [
-        cfg.gains.h3, cfg.gains.h2, cfg.gains.h1, cfg.power,
-        cs.out1, cs.in1, cs.out2, cs.in2, cs.out3, cs.in3,
-        report.lemma1, report.lemma2, report.theorem2_upper,
-        report.tightened_upper, report.achievable_lower, report.gap,
-        report.relay_lattice_rate, report.relay_direct_rate,
-    ]
-    cells = [f"{v:.6f}" for v in floats] + [str(int(report.relay_improves))]
-    return REPORT_CSV_HEADER + "\n" + ",".join(cells) + "\n"
-
-
-def report_to_json(report: BoundReport) -> str:
-    cfg = report.config
-    obj = {
-        "config": {
-            "g12": cfg.gains.h3,
-            "g13": cfg.gains.h2,
-            "g23": cfg.gains.h1,
-            "power": cfg.power,
-        },
-        "cutset": report.cutset.as_dict(),
-        "lemma1": report.lemma1,
-        "lemma2": report.lemma2,
-        "theorem2_upper": report.theorem2_upper,
-        "tightened_upper": report.tightened_upper,
-        "achievable_lower": report.achievable_lower,
-        "gap": report.gap,
-        "relay_lattice_rate": report.relay_lattice_rate,
-        "relay_direct_rate": report.relay_direct_rate,
-        "relay_improves": report.relay_improves,
-    }
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """The report the `bounds` command prints: `evaluate` under its report name."""
+    return evaluate(cfg)

@@ -96,7 +96,9 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _emit(text: str, args) -> None:
+def _emit(report, args, format: str = "json") -> None:
+    """Write a report through experiments.export_report to --out or stdout."""
+    text = experiments.export_report(report, format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -104,7 +106,7 @@ def _emit(text: str, args) -> None:
         except OSError as exc:
             raise OSError(f"cannot write to {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _cmd_bounds(args) -> int:
@@ -113,11 +115,9 @@ def _cmd_bounds(args) -> int:
     if not (0.0 <= report.gap <= 2.0):
         raise PropertyViolationError(f"sum-capacity gap {report.gap} is outside [0, 2]")
     if args.format == "csv":
-        _emit(bounds.report_to_csv(report), args)
+        _emit(report.as_table(), args, "csv")
     else:
-        obj = json.loads(bounds.report_to_json(report))
-        obj["permutation"] = list(perm.mapping)
-        _emit(json.dumps(obj, indent=2, sort_keys=True), args)
+        _emit({**report.as_dict(), "permutation": list(perm.mapping)}, args)
     return 0
 
 
@@ -127,12 +127,8 @@ def _cmd_region(args) -> int:
     cfg, perm = _resolve_config(args)
     reg = region.build_region(cfg)
     sol = region.max_weighted_sum(reg, [1.0] * 6)
-    obj = {
-        "region": json.loads(region.region_to_json(reg)),
-        "sum_rate_lp": json.loads(region.solution_to_json(sol)),
-        "permutation": list(perm.mapping),
-    }
-    _emit(json.dumps(obj, indent=2, sort_keys=True), args)
+    _emit({"region": reg.as_dict(), "sum_rate_lp": sol.as_dict(),
+           "permutation": list(perm.mapping)}, args)
     return 0
 
 
@@ -151,7 +147,7 @@ def _cmd_dof(args) -> int:
         kind="dof", header=names, rows=(tuple(slopes[k] for k in names),),
         meta={"spec": experiments.spec_echo(spec), "version": __version__},
     )
-    _emit(experiments.export_report(table, args.format, None), args)
+    _emit(table, args, args.format)
     return 0
 
 
@@ -159,7 +155,7 @@ def _cmd_genie(args) -> int:
     cfg, _ = _resolve_config(args)
     seed = _resolve_seed(args)
     verdict = sim.genie_verdict(cfg, args.variant, args.n, seed)
-    _emit(sim.verdict_to_json(verdict), args)
+    _emit(verdict, args)
     if verdict["max_rel_error"] >= _GENIE_TOL:
         raise PropertyViolationError(
             f"genie reconstruction error {verdict['max_rel_error']:.3g} >= {_GENIE_TOL}"
@@ -176,18 +172,18 @@ def _cmd_simulate(args) -> int:
         ser, throughput = sim.simulate_pnc_relay(cfg, args.pam_order, args.n, seed)
         obj = {"pam_order": args.pam_order, "n": args.n, "seed": seed,
                "ser": ser, "throughput": throughput}
-        _emit(json.dumps(obj, indent=2, sort_keys=True), args)
+        _emit(obj, args)
         return 0
     if args.samples is not None:
         estimate = sim.estimate_p2p_mi(cfg, "h3", args.samples, seed)
         obj = {"link": "h3", "samples": args.samples, "seed": seed, "estimate": estimate}
-        _emit(json.dumps(obj, indent=2, sort_keys=True), args)
+        _emit(obj, args)
         return 0
     if args.format == "json":
         raise ValidationError("trace export is CSV only")
     encoders = sim.normalize_power(sim.random_encoders(cfg, n_taps=2, seed=seed), cfg, args.n)
     trace = sim.simulate_network(encoders, cfg, args.n, seed)
-    _emit(sim.trace_to_csv(trace), args)
+    _emit(trace.as_table(), args, "csv")
     return 0
 
 
@@ -196,7 +192,7 @@ def _cmd_sweep(args) -> int:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  gains=cfg.gains, seed=_resolve_seed(args))
     table = experiments.sweep_snr(spec)
-    _emit(experiments.export_report(table, args.format, None), args)
+    _emit(table, args, args.format)
     return 0
 
 
@@ -205,7 +201,7 @@ def _cmd_gap_ensemble(args) -> int:
                                  ensemble=args.ensemble, seed=_resolve_seed(args))
     stats = experiments.gap_ensemble(spec)
     table = experiments.gap_statistics_table(stats, spec)
-    _emit(experiments.export_report(table, args.format, None), args)
+    _emit(table, args, args.format)
     if stats.violations > 0:
         raise PropertyViolationError(f"{stats.violations} gap values fell outside [0, 2]")
     return 0
@@ -215,7 +211,7 @@ def _cmd_crossover(args) -> int:
     cfg, _ = _resolve_config(args)
     result = experiments.find_crossover(cfg.gains, args.p_lo, args.p_hi)
     table = experiments.crossover_table(result, cfg.gains, args.p_lo, args.p_hi)
-    _emit(experiments.export_report(table, args.format, None), args)
+    _emit(table, args, args.format)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Batch drivers: SNR sweeps, gap statistics over random channels, the
-cut-set/genie crossover search, and byte-stable report serialization.
+cut-set/genie crossover search, and `export_report`, the one writer that turns
+every report into text.
 
 Every driver is a pure function of (spec, seed).  Ensemble trial t draws from
 its own stream default_rng([seed, t]), so statistics are identical whether
@@ -16,20 +17,11 @@ import numpy as np
 
 from . import bounds
 from ._version import __version__
-from .model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
+from .model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 
-# column registry for sweep tables, in emission order
-BOUND_COLUMNS = {
-    "out1": lambda cfg: bounds.cutset_bounds(cfg).out1,
-    "out2": lambda cfg: bounds.cutset_bounds(cfg).out2,
-    "out3": lambda cfg: bounds.cutset_bounds(cfg).out3,
-    "outgoing_cutset_sum": bounds.outgoing_cutset_sum,
-    "lemma1": bounds.lemma1_bound,
-    "lemma2": bounds.lemma2_bound,
-    "theorem2_upper": bounds.theorem2_sum_upper,
-    "tightened_upper": bounds.tightened_sum_upper,
-    "achievable_lower": bounds.achievable_sum_lower,
-}
+# sweep table columns, in emission order: fields of bounds.BoundReport
+BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma2",
+                 "theorem2_upper", "tightened_upper", "achievable_lower")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,7 +32,7 @@ class SweepSpec:
     gains: ChannelGains | None = None  # None: standard-normal ensemble, canonicalized
     ensemble: int = 1
     seed: int = 0
-    bounds: tuple[str, ...] = tuple(BOUND_COLUMNS)
+    bounds: tuple[str, ...] = BOUND_COLUMNS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,9 +94,8 @@ def sweep_snr(spec: SweepSpec) -> ReportTable:
     grid = power_grid(spec)
     rows = []
     for P in grid:
-        cfg = validate(ChannelConfig(gains=spec.gains, power=float(P)))
-        _, _, gap = bounds.sum_capacity_interval(cfg)
-        rows.append((float(P), *(float(BOUND_COLUMNS[name](cfg)) for name in spec.bounds), gap))
+        b = bounds.evaluate(ChannelConfig(gains=spec.gains, power=float(P)))
+        rows.append((float(P), *(getattr(b, name) for name in spec.bounds), b.gap))
     return ReportTable(kind="sweep", header=("P", *spec.bounds, "gap"),
                        rows=tuple(rows), meta=_meta(spec))
 
@@ -125,7 +116,7 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
             gains, _ = canonicalize(g[0], g[1], g[2])
         else:
             gains = spec.gains
-        cfg = validate(ChannelConfig(gains=gains, power=float(grid[t % len(grid)])))
+        cfg = ChannelConfig(gains=gains, power=float(grid[t % len(grid)]))
         _, _, gap = bounds.sum_capacity_interval(cfg)
         if gap < 0.0 or gap > 2.0:
             violations += 1
@@ -159,8 +150,8 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float,
         raise ValidationError(f"invalid bracket [{p_lo!r}, {p_hi!r}]")
 
     def margin(P: float) -> float:
-        cfg = validate(ChannelConfig(gains=gains, power=P))
-        return bounds.outgoing_cutset_sum(cfg) - bounds.tightened_sum_upper(cfg)
+        b = bounds.evaluate(ChannelConfig(gains=gains, power=P))
+        return b.outgoing_cutset_sum - b.tightened_upper
 
     lo, hi = float(p_lo), float(p_hi)
     if margin(lo) > 0:
@@ -186,54 +177,27 @@ def crossover_table(result: CrossoverResult, gains: ChannelGains,
     return ReportTable(kind="crossover", header=header, rows=(row,), meta=meta)
 
 
-def table_to_csv(table: ReportTable) -> str:
-    lines = [",".join(table.header)]
-    for row in table.rows:
-        lines.append(",".join(f"{v:.6f}" for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_cell(value) -> str:
+    # bools are ints: both print as integers, everything else with 6 decimals
+    return str(int(value)) if isinstance(value, int) else f"{value:.6f}"
 
 
-def table_to_json(table: ReportTable) -> str:
-    obj = {
-        "kind": table.kind,
-        "meta": table.meta,
-        "header": list(table.header),
-        "rows": [list(row) for row in table.rows],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True)
+def export_report(obj, format: str) -> str:
+    """The one report writer: returns the exact text a report is written as.
 
-
-def table_from_json(text: str) -> ReportTable:
-    obj = json.loads(text)
-    return ReportTable(kind=obj["kind"], header=tuple(obj["header"]),
-                       rows=tuple(tuple(row) for row in obj["rows"]), meta=obj["meta"])
-
-
-def export_report(table: ReportTable, format: str, path) -> str:
-    """Serialize a table and write it to path; returns the exact bytes written.
-
-    CSV is header plus 6-decimal rows; JSON carries full precision plus the
-    spec echo, seed, and toolkit version.  Identical inputs give identical
-    bytes.
+    JSON takes a dict and keeps full float precision, keys sorted.  CSV takes a
+    (header, rows) pair and prints a header line plus one line per row.  A
+    ReportTable is both: its kind, meta, header and rows as JSON, its header
+    and rows as CSV.  Identical inputs give identical bytes.
     """
+    if isinstance(obj, ReportTable):
+        obj = ({"kind": obj.kind, "meta": obj.meta, "header": obj.header, "rows": obj.rows}
+               if format == "json" else (obj.header, obj.rows))
+    if format == "json":
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if format == "csv":
-        text = table_to_csv(table)
-    elif format == "json":
-        text = table_to_json(table) + "\n"
-    else:
-        raise ValidationError(f"format must be csv or json, got {format!r}")
-    if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-    return text
-
-
-def load_report_json(path) -> ReportTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return table_from_json(fh.read())
-    except OSError as exc:
-        raise OSError(f"cannot read report from {path}: {exc}") from exc
+        header, rows = obj
+        lines = [",".join(header)]
+        lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+        return "\n".join(lines) + "\n"
+    raise ValidationError(f"format must be csv or json, got {format!r}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 
 
@@ -50,26 +49,19 @@ class UserPermutation:
     def is_identity(self) -> bool:
         return self.mapping == (1, 2, 3)
 
-    def inverse(self) -> "UserPermutation":
-        inv = [0, 0, 0]
-        for orig, new in enumerate(self.mapping, start=1):
-            inv[new - 1] = orig
-        return UserPermutation(tuple(inv))
-
-    def apply_rates(self, rates: "RateTuple") -> "RateTuple":
-        # rate from user a to user b becomes the rate from mapping[a] to mapping[b]
-        out = {}
-        for a, b in itertools.permutations((1, 2, 3), 2):
-            na, nb = self.mapping[a - 1], self.mapping[b - 1]
-            out[f"r{na}{nb}"] = getattr(rates, f"r{a}{b}")
-        return RateTuple(**out)
-
 
 @dataclasses.dataclass(frozen=True)
 class ChannelConfig:
+    """Canonical gains and a power budget; noise variance is fixed at 1 by the model.
+
+    Construction runs `validate`, so every ChannelConfig that exists is valid.
+    """
+
     gains: ChannelGains
     power: float  # symmetric per-user power budget P, linear scale
-    noise_variance: float = 1.0  # fixed by the model; validate() rejects anything else
+
+    def __post_init__(self) -> None:
+        validate(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,52 +88,32 @@ class RateTuple:
         return cls(*(float(v) for v in vals))
 
 
-def _pair_gain_table(g12: float, g13: float, g23: float) -> dict[frozenset, float]:
-    return {
-        frozenset((1, 2)): float(g12),
-        frozenset((1, 3)): float(g13),
-        frozenset((2, 3)): float(g23),
-    }
-
-
 def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, UserPermutation]:
     """Relabel users so the squared gains satisfy h3^2 >= h2^2 >= h1^2.
 
     Ties prefer the identity relabeling, then the lexicographically smallest
-    mapping, so the result is deterministic.  The squared-gain multiset is
-    preserved; signs ride along with their pair.
+    mapping, so the result is deterministic: permutations() yields mappings in
+    lexicographic order with the identity first, and the first valid one wins.
+    The squared-gain multiset is preserved; signs ride along with their pair.
     """
     for g in (g12, g13, g23):
         if not math.isfinite(g):
             raise ValidationError(f"channel gain {g!r} is not finite")
-    pair = _pair_gain_table(g12, g13, g23)
-    best = None
+    opposite = (float(g23), float(g13), float(g12))  # gain of the link that avoids user k
     for mapping in itertools.permutations((1, 2, 3)):
-        inv = {mapping[k - 1]: k for k in (1, 2, 3)}
-        # new pair {a,b} inherits the gain of original pair {inv[a], inv[b]}
-        h3 = pair[frozenset((inv[1], inv[2]))]
-        h2 = pair[frozenset((inv[1], inv[3]))]
-        h1 = pair[frozenset((inv[2], inv[3]))]
-        if not (h3 * h3 >= h2 * h2 >= h1 * h1):
-            continue
-        if best is None or _mapping_rank(mapping) < _mapping_rank(best[1]):
-            best = (ChannelGains(h1=h1, h2=h2, h3=h3), mapping)
-    assert best is not None  # some ordering of three reals always exists
-    return best[0], UserPermutation(best[1])
-
-
-def _mapping_rank(mapping: tuple[int, int, int]):
-    return (mapping != (1, 2, 3), mapping)
+        # new user k is original user mapping.index(k) + 1 and keeps its opposite link
+        h1, h2, h3 = (opposite[mapping.index(k)] for k in (1, 2, 3))
+        if h3 * h3 >= h2 * h2 >= h1 * h1:
+            return ChannelGains(h1=h1, h2=h2, h3=h3), UserPermutation(mapping)
+    raise AssertionError("three finite reals always have an order")
 
 
 def validate(config: ChannelConfig) -> ChannelConfig:
-    """Accept iff power > 0, noise variance is exactly 1, gains finite and ordered."""
+    """Accept iff power > 0, gains finite and ordered, squared gains and their sums finite."""
     if not isinstance(config.power, (int, float)) or not math.isfinite(config.power):
         raise ValidationError(f"power {config.power!r} is not finite")
     if config.power <= 0:
         raise ValidationError("power must be positive")
-    if config.noise_variance != 1.0:
-        raise ValidationError("noise variance is fixed at 1 by the model")
     for name in ("h1", "h2", "h3"):
         g = getattr(config.gains, name)
         if not math.isfinite(g):
@@ -150,35 +122,13 @@ def validate(config: ChannelConfig) -> ChannelConfig:
         raise ValidationError(
             f"gain ordering violated: need h3^2 >= h2^2 >= h1^2, got {config.gains}"
         )
+    _, s2, s3 = config.gains.squared()
+    if not math.isfinite(s3 + s2):  # the largest pairwise sum, given the ordering
+        raise ValidationError(f"squared gains overflow: h3^2 + h2^2 = {s3 + s2!r} is not finite")
     return config
 
 
 def make_config(g12: float, g13: float, g23: float, power: float) -> tuple[ChannelConfig, UserPermutation]:
     """Canonicalize raw pair gains and wrap them with a validated power budget."""
     gains, perm = canonicalize(g12, g13, g23)
-    cfg = ChannelConfig(gains=gains, power=float(power))
-    return validate(cfg), perm
-
-
-def config_to_json(config: ChannelConfig) -> str:
-    """Flat JSON object; keys are the canonical pair gains (g12 = h3 etc.)."""
-    obj = {
-        "g12": config.gains.h3,
-        "g13": config.gains.h2,
-        "g23": config.gains.h1,
-        "power": config.power,
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
-def config_from_json(text: str) -> tuple[ChannelConfig, UserPermutation]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValidationError("config JSON must be a flat object")
-    missing = {"g12", "g13", "g23", "power"} - obj.keys()
-    if missing:
-        raise ValidationError(f"config JSON missing keys: {sorted(missing)}")
-    return make_config(obj["g12"], obj["g13"], obj["g23"], obj["power"])
+    return ChannelConfig(gains=gains, power=float(power)), perm

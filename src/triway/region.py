@@ -9,13 +9,12 @@ The solver is a dense textbook simplex with Bland's anti-cycling rule; at
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
 
 from . import bounds
-from .model import ChannelConfig, RateTuple, ValidationError, validate
+from .model import ChannelConfig, RateTuple, ValidationError
 
 TOL = 1e-9
 
@@ -36,6 +35,15 @@ class RateRegion:
 
     constraints: tuple[LinearConstraint, ...]
 
+    def as_dict(self) -> dict:
+        return {
+            "rate_order": list(RATE_ORDER),
+            "constraints": [
+                {"label": c.label, "coeffs": list(c.coeffs), "rhs": c.rhs}
+                for c in self.constraints
+            ],
+        }
+
 
 @dataclasses.dataclass(frozen=True)
 class LpSolution:
@@ -43,6 +51,16 @@ class LpSolution:
     optimal_value: float
     optimizer: RateTuple | None
     tight_constraints: tuple[str, ...]
+
+    def as_dict(self) -> dict:
+        return {
+            "status": self.status,
+            "optimal_value": self.optimal_value,
+            "optimizer": None if self.optimizer is None else dict(
+                zip(RATE_ORDER, self.optimizer.as_tuple())
+            ),
+            "tight_constraints": list(self.tight_constraints),
+        }
 
 
 # supports of the constraints this module can generate, as index sets over RATE_ORDER
@@ -74,19 +92,18 @@ def build_region(cfg: ChannelConfig, include_cutset: bool = True,
     Reciprocal in/out duplicates are kept so tight-constraint labels stay
     traceable; at least one family must be included.
     """
-    validate(cfg)
     if not (include_cutset or include_lemma1 or include_lemma2):
         raise ValidationError("at least one constraint family must be included")
+    b = bounds.evaluate(cfg)
     cons: list[LinearConstraint] = []
     if include_cutset:
-        cs = bounds.cutset_bounds(cfg)
-        for name in ("out1", "in1", "out2", "in2", "out3", "in3"):
+        for name, rhs in b.cutset.as_dict().items():
             label = f"cutset.{name}"
-            cons.append(_unit_constraint(_PAIR_SUPPORTS[label], getattr(cs, name), label))
+            cons.append(_unit_constraint(_PAIR_SUPPORTS[label], rhs, label))
     if include_lemma1:
-        cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma1"], bounds.lemma1_bound(cfg), "lemma1"))
+        cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma1"], b.lemma1, "lemma1"))
     if include_lemma2:
-        cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma2"], bounds.lemma2_bound(cfg), "lemma2"))
+        cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma2"], b.lemma2, "lemma2"))
     return RateRegion(constraints=tuple(cons))
 
 
@@ -170,88 +187,3 @@ def is_feasible(region: RateRegion, rates: RateTuple, tol: float = TOL) -> bool:
         if float(np.dot(c.coeffs, r)) > c.rhs + tol:
             return False
     return True
-
-
-def _support_caps(region: RateRegion) -> dict[tuple[int, ...], float]:
-    """Min rhs per constraint support; rejects supports this oracle cannot handle."""
-    known = set(_PAIR_SUPPORTS.values()) | set(_LEMMA_SUPPORTS.values())
-    caps: dict[tuple[int, ...], float] = {}
-    for c in region.constraints:
-        support = tuple(j for j, v in enumerate(c.coeffs) if v != 0.0)
-        if support not in known or any(c.coeffs[j] != 1.0 for j in support):
-            raise ValidationError(f"constraint {c.label!r} has an unsupported pattern for the grid oracle")
-        caps[support] = min(caps.get(support, math.inf), c.rhs)
-    covered = set()
-    for support in caps:
-        covered.update(support)
-    missing = [RATE_ORDER[j] for j in range(6) if j not in covered]
-    if missing:
-        raise ValidationError(f"region is unbounded: {missing} appear in no constraint")
-    return caps
-
-
-def oracle_max_sum(region: RateRegion, grid_step: float) -> float:
-    """Best rate sum over the feasibility grid at resolution grid_step.
-
-    Exactly equals a naive exhaustive search over all six rates on the grid,
-    computed by reduction: every supported constraint couples (r13, r23) and
-    (r31, r32) only through r12 and r21, and for fixed (r12, r21) the grid
-    maximum of a pair with individual caps ca, cb and a joint cap cj is
-    min(floor(ca) + floor(cb), floor(cj)), which is attainable on the grid.
-    So a 2-D sweep over (r12, r21) reproduces the 6-D search value.
-    """
-    if not (grid_step > 0):
-        raise ValidationError(f"grid_step must be > 0, got {grid_step!r}")
-    caps = _support_caps(region)
-    s = float(grid_step)
-
-    def rhs(label: str) -> float:
-        table = _PAIR_SUPPORTS | _LEMMA_SUPPORTS
-        return caps.get(table[label], math.inf)
-
-    b_out1, b_in1 = rhs("cutset.out1"), rhs("cutset.in1")
-    b_out2, b_in2 = rhs("cutset.out2"), rhs("cutset.in2")
-    b_out3, b_in3 = rhs("cutset.out3"), rhs("cutset.in3")
-    l1, l2 = rhs("lemma1"), rhs("lemma2")
-
-    def grid_floor(v):
-        return s * np.floor((v + TOL) / s)
-
-    def axis(cap_value: float) -> np.ndarray:
-        return s * np.arange(int(np.floor((cap_value + TOL) / s)) + 1)
-
-    a = axis(min(b_out1, b_in2, l2))   # r12 values
-    c = axis(min(b_in1, b_out2, l1))   # r21 values
-    A = a[:, None]
-    C = c[None, :]
-    # pair (r13, r23): r13 <= out1 - a, r23 <= out2 - c, sum <= min(in3, l2 - a)
-    pair_x = np.minimum(grid_floor(b_out1 - A) + grid_floor(b_out2 - C),
-                        grid_floor(np.minimum(b_in3, l2 - A)))
-    # pair (r31, r32): r31 <= in1 - c, r32 <= in2 - a, sum <= min(out3, l1 - c)
-    pair_y = np.minimum(grid_floor(b_in1 - C) + grid_floor(b_in2 - A),
-                        grid_floor(np.minimum(b_out3, l1 - C)))
-    total = A + C + pair_x + pair_y
-    return float(total.max())
-
-
-def region_to_json(region: RateRegion) -> str:
-    obj = {
-        "rate_order": list(RATE_ORDER),
-        "constraints": [
-            {"label": c.label, "coeffs": list(c.coeffs), "rhs": c.rhs}
-            for c in region.constraints
-        ],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def solution_to_json(sol: LpSolution) -> str:
-    obj = {
-        "status": sol.status,
-        "optimal_value": sol.optimal_value,
-        "optimizer": None if sol.optimizer is None else dict(
-            zip(RATE_ORDER, sol.optimizer.as_tuple())
-        ),
-        "tight_constraints": list(sol.tight_constraints),
-    }
-    return json.dumps(obj, indent=2, sort_keys=True)

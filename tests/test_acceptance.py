@@ -26,7 +26,8 @@ from triway.bounds import (
 )
 from triway.experiments import find_crossover
 from triway.model import ChannelConfig, ChannelGains, canonicalize, validate
-from triway.region import build_region, is_feasible, max_weighted_sum, oracle_max_sum
+from helpers import oracle_max_sum
+from triway.region import build_region, is_feasible, max_weighted_sum
 from triway.sim import (
     estimate_p2p_mi,
     genie_reconstruct_lemma1,

@@ -18,12 +18,11 @@ from triway.bounds import (
     lemma2_bound,
     outgoing_cutset_sum,
     relay_rates,
-    report_to_csv,
-    report_to_json,
     sum_capacity_interval,
     theorem2_sum_upper,
     tightened_sum_upper,
 )
+from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
 
 mp.mp.dps = 50
@@ -286,7 +285,7 @@ def test_report_invariants_and_serialization():
     assert report.achievable_lower <= min(report.theorem2_upper, report.tightened_upper)
     assert 0.0 <= report.gap <= 2.0
 
-    csv_text = report_to_csv(report)
+    csv_text = export_report(report.as_table(), "csv")
     lines = csv_text.strip().split("\n")
     assert lines[0] == REPORT_CSV_HEADER
     cells = lines[1].split(",")
@@ -296,7 +295,7 @@ def test_report_invariants_and_serialization():
     assert all("." in c and len(c.split(".")[1]) == 6 for c in cells[:-1])
     assert float(cells[4]) == pytest.approx(report.cutset.out1, abs=5e-7)
 
-    obj = __import__("json").loads(report_to_json(report))
+    obj = __import__("json").loads(export_report(report.as_dict(), "json"))
     assert obj["gap"] == report.gap  # JSON keeps full precision
     assert obj["cutset"]["out1"] == report.cutset.out1
     assert obj["config"]["g12"] == 1.5

@@ -2,13 +2,15 @@
 seeding, and parity with the library calls each subcommand wraps."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from triway.bounds import REPORT_CSV_HEADER, bound_report, report_to_csv
+from triway.bounds import REPORT_CSV_HEADER, bound_report
 from triway.cli import main
+from triway.experiments import export_report
 from triway.model import make_config
 from triway.sim import TRACE_CSV_HEADER
 
@@ -46,7 +48,7 @@ def test_bounds_csv_matches_library(capsys):
     assert lines[0] == REPORT_CSV_HEADER
     assert len(lines) == 2
     cfg, _ = make_config(1.5, 1.0, 0.5, 2.0)
-    assert out == report_to_csv(bound_report(cfg))
+    assert out == export_report(bound_report(cfg).as_table(), "csv")
 
 
 def test_bounds_rejects_bad_power(capsys):
@@ -243,3 +245,77 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["config"]["g12"] == 1.5
+
+
+def test_config_file_canonicalizes_on_load(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"g12": 1, "g13": 2, "g23": 3, "power": 2}')
+    code, out, err = _run(capsys, "bounds", "--config", str(path))
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["config"] == {"g12": 3.0, "g13": 2.0, "g23": 1.0, "power": 2.0}
+    assert obj["permutation"] == [3, 2, 1]
+
+
+def _strict_json(text):
+    def reject(token):
+        raise AssertionError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _mp_bounds(h1, h2, h3, P):
+    """Every closed form of the bounds report at 50 digits, from the float inputs."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        s1, s2, s3, P = (mp.mpf(h1) ** 2, mp.mpf(h2) ** 2, mp.mpf(h3) ** 2, mp.mpf(P))
+
+        def C(x):
+            return mp.log(1 + x, 2) / 2
+
+        ratio = s1 / s2 if s2 else mp.mpf(0)
+        cut = {"out1": C((s3 + s2) * P), "out2": C((s3 + s1) * P), "out3": C((s2 + s1) * P)}
+        lemma1 = cut["out1"] + C(ratio)
+        lemma2 = C(s3 * P * (1 + ratio)) + mp.mpf(1) / 2
+        lower = 2 * C(s3 * P)
+        vals = {**cut, "outgoing_cutset_sum": sum(cut.values()), "lemma1": lemma1,
+                "lemma2": lemma2, "theorem2_upper": lower + 2, "tightened_upper": lemma1 + lemma2,
+                "achievable_lower": lower, "gap": min(2, lemma1 + lemma2 - lower),
+                "relay_lattice_rate": C(max(0, s2 * P - mp.mpf(1) / 2)),
+                "relay_direct_rate": C(s1 * P)}
+        return {k: float(v) for k, v in vals.items()}
+
+
+def test_bounds_stay_finite_where_h2p_overflows(capsys):
+    # h3^2 P = 1e320 overflows a double; every field must still be finite and exact
+    code, out, err = _run(capsys, "bounds", "--g12", "1e10", "--power", "1e300")
+    assert code == 0 and err == ""
+    obj = _strict_json(out)
+    want = _mp_bounds(0.5, 1.0, 1e10, 1e300)
+    got = {**obj["cutset"], **{k: v for k, v in obj.items() if k in want}}
+    for key, value in want.items():
+        if key in got:
+            assert got[key] == pytest.approx(value, rel=1e-12), key
+    assert obj["cutset"]["in1"] == obj["cutset"]["out1"]
+    assert obj["gap"] < 2.0
+
+
+def test_sweep_stays_finite_where_h2p_overflows(capsys):
+    code, out, _ = _run(capsys, "sweep", "--g12", "1e10", "--p-hi", "1e300")
+    assert code == 0
+    header, *rows = out.strip().split("\n")
+    cells = [[float(c) for c in row.split(",")] for row in rows]
+    assert all(math.isfinite(v) for row in cells for v in row)
+    code, out, _ = _run(capsys, "sweep", "--g12", "1e10", "--p-hi", "1e300", "--format", "json")
+    obj = _strict_json(out)
+    for row in obj["rows"]:
+        want = _mp_bounds(0.5, 1.0, 1e10, row[0])
+        for key, value in zip(obj["header"][1:], row[1:]):
+            assert value == pytest.approx(want[key], rel=1e-12), (row[0], key)
+
+
+@pytest.mark.parametrize("gains", [("--g12", "1e200"), ("--g12", "1.2e154", "--g13", "1.2e154")])
+def test_overflowing_squared_gains_exit_one(capsys, gains):
+    code, out, err = _run(capsys, "bounds", *gains)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "overflow" in err

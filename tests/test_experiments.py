@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import load_report_json, table_from_json
 from triway.bounds import outgoing_cutset_sum, sum_capacity_interval, tightened_sum_upper
 from triway.experiments import (
     BOUND_COLUMNS,
@@ -17,12 +18,8 @@ from triway.experiments import (
     find_crossover,
     gap_ensemble,
     gap_statistics_table,
-    load_report_json,
     power_grid,
     sweep_snr,
-    table_from_json,
-    table_to_csv,
-    table_to_json,
 )
 from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
 
@@ -83,15 +80,13 @@ def test_spec_validation():
         sweep_snr(SweepSpec(p_lo=1.0, p_hi=10.0, points=3, gains=None))
 
 
-def test_sweep_deterministic_and_export_byte_stable(tmp_path):
+def test_sweep_deterministic_and_export_byte_stable():
     spec = SweepSpec(p_lo=1.0, p_hi=100.0, points=4, gains=SYM)
     t1, t2 = sweep_snr(spec), sweep_snr(spec)
     assert t1 == t2
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    text1 = export_report(t1, "json", p1)
-    text2 = export_report(t2, "json", p2)
+    text1 = export_report(t1, "json")
+    text2 = export_report(t2, "json")
     assert text1 == text2
-    assert p1.read_bytes() == p2.read_bytes() == text1.encode()
 
 
 def test_gap_ensemble_statistics():
@@ -180,7 +175,7 @@ def test_crossover_table_encodes_status():
 def test_csv_has_six_decimal_cells():
     spec = SweepSpec(p_lo=1.0, p_hi=100.0, points=3, gains=SYM, bounds=("lemma1",))
     table = sweep_snr(spec)
-    lines = table_to_csv(table).strip().split("\n")
+    lines = export_report(table, "csv").strip().split("\n")
     assert lines[0] == "P,lemma1,gap"
     for line, row in zip(lines[1:], table.rows):
         assert line == ",".join(f"{v:.6f}" for v in row)
@@ -189,7 +184,7 @@ def test_csv_has_six_decimal_cells():
 def test_json_roundtrip_is_exact():
     spec = SweepSpec(p_lo=0.3, p_hi=77.0, points=4, gains=ChannelGains(0.5, 1.0, 1.5))
     table = sweep_snr(spec)
-    back = table_from_json(table_to_json(table))
+    back = table_from_json(export_report(table, "json"))
     assert back == table  # repr-level float fidelity survives JSON
 
 
@@ -197,22 +192,17 @@ def test_export_and_load_files(tmp_path):
     spec = SweepSpec(p_lo=1.0, p_hi=10.0, points=2, gains=SYM)
     table = sweep_snr(spec)
     path = tmp_path / "report.json"
-    text = export_report(table, "json", path)
-    assert path.read_text() == text
+    path.write_text(export_report(table, "json"))
     assert load_report_json(path) == table
-    csv_path = tmp_path / "report.csv"
-    csv_text = export_report(table, "csv", csv_path)
-    assert csv_path.read_text() == csv_text == table_to_csv(table)
-    assert export_report(table, "csv", None) == csv_text  # None leaves files alone
+    csv_text = export_report(table, "csv")
+    assert csv_text == export_report((table.header, table.rows), "csv")
 
 
 def test_export_error_paths(tmp_path):
     spec = SweepSpec(p_lo=1.0, p_hi=10.0, points=2, gains=SYM)
     table = sweep_snr(spec)
     with pytest.raises(ValidationError, match="format"):
-        export_report(table, "xml", None)
-    with pytest.raises(OSError, match="cannot write report to"):
-        export_report(table, "csv", tmp_path / "missing-dir" / "x.csv")
+        export_report(table, "xml")
     with pytest.raises(OSError, match="cannot read report from"):
         load_report_json(tmp_path / "absent.json")
 
@@ -220,7 +210,7 @@ def test_export_error_paths(tmp_path):
 def test_empty_rows_yield_header_only_csv():
     from triway.experiments import ReportTable
     table = ReportTable(kind="sweep", header=("P", "gap"), rows=(), meta={})
-    assert table_to_csv(table) == "P,gap\n"
+    assert export_report(table, "csv") == "P,gap\n"
 
 
 def test_meta_echoes_spec():
@@ -230,7 +220,7 @@ def test_meta_echoes_spec():
     assert echo["seed"] == 42 and echo["points"] == 2
     assert echo["gains"] == {"h1": 1.0, "h2": 1.0, "h3": 1.0}
     assert table.meta["seed"] == 42
-    obj = json.loads(table_to_json(table))
+    obj = json.loads(export_report(table, "json"))
     assert obj["meta"]["spec"]["p_hi"] == 10.0
 
 

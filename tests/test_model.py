@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import triway
+from helpers import apply_rates, inverse
 from triway.model import (
     ChannelConfig,
     ChannelGains,
@@ -13,9 +15,6 @@ from triway.model import (
     UserPermutation,
     ValidationError,
     canonicalize,
-    config_from_json,
-    config_to_json,
-    make_config,
     validate,
 )
 
@@ -96,15 +95,15 @@ def test_permutation_roundtrips_rates():
         g = rng.standard_normal(3)
         _, perm = canonicalize(*g)
         rates = RateTuple.from_sequence(rng.uniform(0, 3, 6))
-        assert perm.inverse().apply_rates(perm.apply_rates(rates)) == rates
-        assert perm.apply_rates(perm.inverse().apply_rates(rates)) == rates
+        assert apply_rates(inverse(perm), apply_rates(perm, rates)) == rates
+        assert apply_rates(perm, apply_rates(inverse(perm), rates)) == rates
 
 
 def test_permutation_relabels_consistently():
     # original 1->3, 2->2, 3->1: original r12 becomes r32
     perm = UserPermutation((3, 2, 1))
     rates = RateTuple(r12=1.0, r13=2.0, r21=3.0, r23=4.0, r31=5.0, r32=6.0)
-    out = perm.apply_rates(rates)
+    out = apply_rates(perm, rates)
     assert out.r32 == rates.r12
     assert out.r31 == rates.r13
     assert out.r23 == rates.r21
@@ -130,15 +129,8 @@ def test_validate_rejects_nonpositive_power():
 
 
 def test_validate_rejects_unordered_gains():
-    cfg = ChannelConfig(gains=ChannelGains(h1=3.0, h2=2.0, h3=1.0), power=1.0)
     with pytest.raises(ValidationError, match="ordering violated"):
-        validate(cfg)
-
-
-def test_validate_rejects_tampered_noise_variance():
-    cfg = ChannelConfig(gains=ChannelGains(h1=0.0, h2=0.0, h3=1.0), power=1.0,
-                        noise_variance=2.0)
-    with pytest.raises(ValidationError, match="noise variance"):
+        cfg = ChannelConfig(gains=ChannelGains(h1=3.0, h2=2.0, h3=1.0), power=1.0)
         validate(cfg)
 
 
@@ -147,32 +139,6 @@ def test_validate_rejects_nonfinite():
         validate(ChannelConfig(gains=ChannelGains(1.0, 1.0, math.inf), power=1.0))
     with pytest.raises(ValidationError):
         validate(ChannelConfig(gains=ChannelGains(0.0, 0.0, 1.0), power=math.nan))
-
-
-def test_config_json_roundtrip():
-    cfg, _ = make_config(0.5, -1.25, 2.0, 3.5)
-    text = config_to_json(cfg)
-    cfg2, perm = config_from_json(text)
-    assert perm.is_identity  # serialized form is already canonical
-    assert cfg2 == cfg
-
-
-def test_config_json_canonicalizes_on_load():
-    cfg, perm = config_from_json('{"g12": 1, "g13": 2, "g23": 3, "power": 2}')
-    assert cfg.gains == ChannelGains(h1=1.0, h2=2.0, h3=3.0)
-    assert cfg.power == 2.0
-    assert perm.mapping == (3, 2, 1)
-
-
-def test_config_json_errors():
-    with pytest.raises(ValidationError, match="missing keys"):
-        config_from_json('{"g12": 1, "g13": 2, "power": 2}')
-    with pytest.raises(ValidationError, match="not valid JSON"):
-        config_from_json("{nope")
-    with pytest.raises(ValidationError, match="flat object"):
-        config_from_json("[1, 2, 3]")
-    with pytest.raises(ValidationError, match="power must be positive"):
-        config_from_json('{"g12": 1, "g13": 1, "g23": 1, "power": 0}')
 
 
 def test_validation_error_is_value_error():
@@ -184,3 +150,39 @@ def test_rate_tuple_sequence_helpers():
     assert rates.as_tuple() == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     with pytest.raises(ValidationError):
         RateTuple.from_sequence([1, 2, 3])
+
+
+def test_canonicalize_matches_the_documented_tie_rule():
+    # reference: among relabelings that order the squared gains, the identity
+    # if it is one, else the lexicographically smallest mapping
+    rng = np.random.default_rng(10)
+    for _ in range(2000):
+        g = rng.choice([0.0, -1.0, 1.0, 2.0, -0.5], 3) if rng.random() < 0.5 else rng.standard_normal(3)
+        pair = {frozenset((1, 2)): g[0], frozenset((1, 3)): g[1], frozenset((2, 3)): g[2]}
+        valid = {}
+        for mapping in itertools.permutations((1, 2, 3)):
+            inv = {mapping[k - 1]: k for k in (1, 2, 3)}
+            h = (pair[frozenset((inv[2], inv[3]))], pair[frozenset((inv[1], inv[3]))],
+                 pair[frozenset((inv[1], inv[2]))])
+            if h[2] ** 2 >= h[1] ** 2 >= h[0] ** 2:
+                valid[mapping] = ChannelGains(*h)
+        want = (1, 2, 3) if (1, 2, 3) in valid else min(valid)
+        gains, perm = canonicalize(*g)
+        assert perm.mapping == want and gains == valid[want]
+
+
+def test_public_names_are_pinned():
+    assert triway.__all__ == [
+        "BoundReport", "CausalEncoder", "ChannelConfig", "ChannelGains", "ChannelRealization",
+        "CrossoverResult", "CutsetBounds", "GapStatistics", "GenieSideInfo", "LinearConstraint",
+        "LpSolution", "PropertyViolationError", "RateRegion", "RateTuple", "ReportTable",
+        "SweepSpec", "TransmissionTrace", "UserPermutation", "ValidationError",
+        "achievable_sum_lower", "bound_report", "bounds", "build_region", "canonicalize", "cap",
+        "cutset_bounds", "dof_estimate", "estimate_p2p_mi", "evaluate", "experiments",
+        "export_report", "find_crossover", "gap_ensemble", "genie_reconstruct_lemma1",
+        "genie_reconstruct_lemma2", "genie_verdict", "is_feasible", "lemma1_bound",
+        "lemma2_bound", "make_config", "make_genie_side_info", "max_weighted_sum", "model",
+        "normalize_power", "outgoing_cutset_sum", "random_encoders", "region", "relay_rates",
+        "sim", "simulate_network", "simulate_pnc_relay", "sum_capacity_interval", "sweep_snr",
+        "theorem2_sum_upper", "tightened_sum_upper", "validate", "verify_trace",
+    ]

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from helpers import oracle_max_sum
 from triway.bounds import cap, lemma1_bound, lemma2_bound, tightened_sum_upper
+from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, RateTuple, ValidationError, canonicalize, validate
 from triway.region import (
     LinearConstraint,
@@ -17,9 +19,6 @@ from triway.region import (
     build_region,
     is_feasible,
     max_weighted_sum,
-    oracle_max_sum,
-    region_to_json,
-    solution_to_json,
 )
 
 
@@ -300,13 +299,13 @@ def test_json_exports():
     import json
     cfg = _cfg(0.5, 1.0, 1.5, 2.0)
     reg = build_region(cfg)
-    obj = json.loads(region_to_json(reg))
+    obj = json.loads(export_report(reg.as_dict(), "json"))
     assert obj["rate_order"] == ["r12", "r13", "r21", "r23", "r31", "r32"]
     assert len(obj["constraints"]) == 8
     assert obj["constraints"][0]["label"] == "cutset.out1"
 
     sol = max_weighted_sum(reg, [1.0] * 6)
-    sobj = json.loads(solution_to_json(sol))
+    sobj = json.loads(export_report(sol.as_dict(), "json"))
     assert sobj["status"] == "optimal"
     assert set(sobj["optimizer"]) == {"r12", "r13", "r21", "r23", "r31", "r32"}
     assert sobj["optimal_value"] == sol.optimal_value
