@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from helpers import oracle_max_sum
 from triway.bounds import (
     achievable_sum_lower,
     bound_report,
@@ -26,7 +27,6 @@ from triway.bounds import (
 )
 from triway.experiments import find_crossover
 from triway.model import ChannelConfig, ChannelGains, canonicalize, validate
-from helpers import oracle_max_sum
 from triway.region import build_region, is_feasible, max_weighted_sum
 from triway.sim import (
     estimate_p2p_mi,
