@@ -13,6 +13,7 @@ the TRIWAY_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,7 @@ def _add_config_flags(p: _Parser) -> None:
     p.add_argument("--power", type=float, help="per-user power budget P")
 
 
-def _add_output_flags(p: _Parser, default_format: str) -> None:
+def _add_output_flags(p: _Parser, default_format: str | None) -> None:
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
@@ -152,6 +153,8 @@ def _cmd_dof(args) -> int:
 
 
 def _cmd_genie(args) -> int:
+    if args.format == "csv":
+        raise ValidationError("genie output is JSON only")
     cfg, _ = _resolve_config(args)
     seed = _resolve_seed(args)
     verdict = sim.genie_verdict(cfg, args.variant, args.n, seed)
@@ -168,6 +171,9 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     if args.pam_order is not None and args.samples is not None:
         raise ValidationError("--pam-order and --samples are mutually exclusive")
+    if args.format == "csv" and (args.pam_order is not None or args.samples is not None):
+        flag = "--pam-order" if args.pam_order is not None else "--samples"
+        raise ValidationError(f"simulate {flag} output is JSON only")
     if args.pam_order is not None:
         ser, throughput = sim.simulate_pnc_relay(cfg, args.pam_order, args.n, seed)
         obj = {"pam_order": args.pam_order, "n": args.n, "seed": seed,
@@ -215,7 +221,9 @@ def _cmd_crossover(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parse_args keeps no state between calls."""
     parser = _Parser(prog="triway",
                      description="Capacity bounds, rate-region LP, and simulation "
                                  "for the three-user full-duplex Gaussian network")
@@ -251,7 +259,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate",
                        help="trace CSV; with --pam-order a relay demo; with --samples an MI estimate")
     _add_config_flags(p)
-    _add_output_flags(p, "csv")
+    _add_output_flags(p, None)  # trace csv, relay and MI json
     p.add_argument("--n", type=int, default=100, help="block length / relay exchanges")
     p.add_argument("--seed", type=int)
     p.add_argument("--pam-order", type=int, help="run the two-way relay demo at this PAM order")

@@ -39,19 +39,23 @@ class CausalEncoder:
 
     The simulator accepts only this affine family: power accounting reads
     message_weights, feedback_weights and message_scale directly to build the
-    exact second-moment recursion, and the genie recursions re-run emit
-    deterministically.  An object that merely has the same emit signature is
-    not enough.
+    exact second-moment recursion, and the step loop and the genie recursions
+    redo emit's arithmetic from the same fields.  An object that merely has
+    the same emit signature is not enough.
     """
 
     message_weights: tuple[float, float]
     feedback_weights: tuple[float, ...] = ()
     message_scale: float = 1.0  # set by normalize_power
 
+    def message_term(self, messages) -> float:
+        """The constant part scale*(w . messages) of every symbol this encoder sends."""
+        w0, w1 = self.message_weights
+        return self.message_scale * (w0 * float(messages[0]) + w1 * float(messages[1]))
+
     def emit(self, messages, received) -> float:
         """Transmit symbol at time i given own messages and y(1..i-1), oldest first."""
-        w0, w1 = self.message_weights
-        x = self.message_scale * (w0 * float(messages[0]) + w1 * float(messages[1]))
+        x = self.message_term(messages)
         hist = len(received)
         for k, tap in enumerate(self.feedback_weights):
             if k < hist:
@@ -132,18 +136,18 @@ def random_encoders(cfg: ChannelConfig, n_taps: int, seed: int) -> tuple[CausalE
     return tuple(encoders)
 
 
-def _propagate_power(encoders, cfg: ChannelConfig, n: int,
-                     with_messages: bool, with_noise: bool) -> np.ndarray:
-    """Per-user sum_i E[x_j(i)^2] by a second-moment (Lyapunov) recursion.
+def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): messages, noise.
 
     The state s(i) holds the 6 unit-variance messages and the last K_j
     receptions of each user, so x_j(i) = a_j . s(i) and
     s(i+1) = F s(i) + G z(i) with unit-variance noise z.  Its covariance
     therefore moves as S <- F S F' + G G', and the block power of user j is
     a_j' (sum_i S_i) a_j: O(n) time and O(1) memory in the block length.
-    Messages alone start from S = diag(1_6, 0) with no injection, noise alone
-    from S = 0 with injection; superposition makes these exactly the two
-    parts of the full run.
+    By superposition the message-driven part starts from S = diag(1_6, 0)
+    with no injection and the noise-driven part from S = 0 with injection;
+    both go through the same F as one (2, d, d) stack, so one stacked pass
+    yields A and C, and A + C is the full expected power.
     """
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     link = ((0.0, h3, h2), (h3, 0.0, h1), (h2, h1, 0.0))  # y_j = sum_k link[j][k] x_k + z_j
@@ -152,8 +156,7 @@ def _propagate_power(encoders, cfg: ChannelConfig, n: int,
     d = 6 + sum(lags)
     a = np.zeros((3, d))
     for j, enc in enumerate(encoders):
-        if with_messages:
-            a[j, list(_MSG_INDEX[j])] = np.multiply(enc.message_scale, enc.message_weights)
+        a[j, list(_MSG_INDEX[j])] = np.multiply(enc.message_scale, enc.message_weights)
         a[j, base[j]:base[j] + lags[j]] = enc.feedback_weights
     F = np.zeros((d, d))
     F[:6, :6] = np.eye(6)
@@ -165,26 +168,27 @@ def _propagate_power(encoders, cfg: ChannelConfig, n: int,
             for k in range(1, lags[j]):
                 F[b + k, b + k - 1] = 1.0
             GG[b, b] = 1.0
-    S = np.zeros((d, d))
-    if with_messages:
-        S[:6, :6] = np.eye(6)
-    total = np.zeros((d, d))
-    FS = np.empty((d, d))
+    S = np.zeros((2, d, d))  # slice 0 message-driven, slice 1 noise-driven
+    S[0, :6, :6] = np.eye(6)
+    noise = S[1]  # a view: every update below writes S in place
+    total = np.zeros((2, d, d))
+    FS = np.empty((2, d, d))
     Ft = F.T.copy()
     for _ in range(n):  # preallocated buffers: no allocation per step
         total += S
         np.matmul(F, S, out=FS)
         np.matmul(FS, Ft, out=S)
-        if with_noise:
-            S += GG
-    return np.einsum("jd,de,je->j", a, total, a)
+        noise += GG
+    A, C = (np.einsum("jd,de,je->j", a, part, a) for part in total)
+    return A, C
 
 
 def expected_block_power(encoders, cfg: ChannelConfig, n: int) -> np.ndarray:
     """Per-user expected block power sum_i E[x_j(i)^2] for the encoders as given."""
     if n < 1:
         raise ValidationError("block length must be >= 1")
-    return _propagate_power(encoders, cfg, n, with_messages=True, with_noise=True)
+    A, C = _power_parts(encoders, cfg, n)
+    return A + C
 
 
 def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder, ...]:
@@ -192,13 +196,13 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
 
     By superposition the message response scales with s and the noise-driven
     response does not, so power_j = s^2 A_j + C_j and the largest admissible
-    common scale is sqrt(min_j (nP - C_j)/A_j).
+    common scale is sqrt(min_j (nP - C_j)/A_j); one stacked pass of
+    _power_parts at unit scale yields A and C.
     """
     if n < 1:
         raise ValidationError("block length must be >= 1")
     unit = tuple(e.with_scale(1.0) for e in encoders)
-    A = _propagate_power(unit, cfg, n, with_messages=True, with_noise=False)
-    C = _propagate_power(unit, cfg, n, with_messages=False, with_noise=True)
+    A, C = _power_parts(unit, cfg, n)
     budget = n * cfg.power
     scales = []
     for j in range(3):
@@ -216,7 +220,9 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     """Time-stepped run of the three encoders through the channel equations.
 
     Rejects encoder triples whose expected block power exceeds any user's
-    budget (apply normalize_power first).
+    budget (apply normalize_power first).  The loop computes what
+    CausalEncoder.emit computes, in the same operation order: each user's
+    message term once, then its taps over its own receptions, newest first.
     """
     if n < 1:
         raise ValidationError(f"block length must be >= 1, got {n}")
@@ -233,15 +239,21 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     xs: list[list[float]] = [[], [], []]
     ys: list[list[float]] = [[], [], []]
-    z = (real.z1, real.z2, real.z3)
-    own = [messages[list(_MSG_INDEX[j])] for j in range(3)]
-    for i in range(n):
-        step = [encoders[j].emit(own[j], ys[j]) for j in range(3)]
-        for j in range(3):
-            xs[j].append(step[j])
-        ys[0].append(h3 * step[1] + h2 * step[2] + z[0][i])
-        ys[1].append(h3 * step[0] + h1 * step[2] + z[1][i])
-        ys[2].append(h2 * step[0] + h1 * step[1] + z[2][i])
+    users = [(enc.message_term(messages[list(_MSG_INDEX[j])]), enc.feedback_weights,
+              -len(enc.feedback_weights) - 1, ys[j]) for j, enc in enumerate(encoders)]
+    for z1, z2, z3 in zip(real.z1.tolist(), real.z2.tolist(), real.z3.tolist()):
+        step = []
+        for x, taps, stop, hist in users:
+            for tap, y in zip(taps, hist[:stop:-1]):
+                x += tap * y
+            step.append(x)
+        x1, x2, x3 = step
+        xs[0].append(x1)
+        xs[1].append(x2)
+        xs[2].append(x3)
+        ys[0].append(h3 * x2 + h2 * x3 + z1)
+        ys[1].append(h3 * x1 + h1 * x3 + z2)
+        ys[2].append(h2 * x1 + h1 * x2 + z3)
     return TransmissionTrace(
         x1=np.array(xs[0]), x2=np.array(xs[1]), x3=np.array(xs[2]),
         y1=np.array(ys[0]), y2=np.array(ys[1]), y3=np.array(ys[2]),
@@ -301,6 +313,24 @@ def make_genie_side_info(trace: TransmissionTrace, cfg: ChannelConfig, variant: 
     return GenieSideInfo(variant=variant, side_messages=side_messages, noise_diff=noise_diff)
 
 
+def _rebuild_y2(enc2: CausalEncoder, side: GenieSideInfo, ratio: float,
+               heard: np.ndarray, gain: float, known: np.ndarray) -> np.ndarray:
+    """y2(i) = ratio * (heard(i) - gain * x2(i)) + gain * known(i) + noise_diff(i).
+
+    x2(i) is re-derived from user 2's encoder on the y2 rebuilt so far, as
+    CausalEncoder.emit computes it and in the same operation order.
+    """
+    taps, stop = enc2.feedback_weights, -len(enc2.feedback_weights) - 1
+    term = enc2.message_term(side.side_messages)
+    y2hat: list[float] = []
+    for h, k, nd in zip(heard.tolist(), known.tolist(), side.noise_diff.tolist()):
+        x2hat = term
+        for tap, y in zip(taps, y2hat[:stop:-1]):
+            x2hat += tap * y
+        y2hat.append(ratio * (h - gain * x2hat) + gain * k + nd)
+    return np.array(y2hat)
+
+
 def genie_reconstruct_lemma1(trace: TransmissionTrace, cfg: ChannelConfig,
                              encoders, side: GenieSideInfo) -> np.ndarray:
     """User 1 regenerates y2 from its own data plus (m21, m23) and z2 - (h1/h2) z1.
@@ -315,13 +345,7 @@ def genie_reconstruct_lemma1(trace: TransmissionTrace, cfg: ChannelConfig,
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     if h2 == 0:
         raise ValidationError("singular configuration: h2 = 0")
-    enc2 = encoders[1]
-    y2hat: list[float] = []
-    for i in range(trace.n):
-        x2hat = enc2.emit(side.side_messages, y2hat)
-        y2tilde = (h1 / h2) * (trace.y1[i] - h3 * x2hat) + h3 * trace.x1[i]
-        y2hat.append(y2tilde + side.noise_diff[i])
-    return np.array(y2hat)
+    return _rebuild_y2(encoders[1], side, h1 / h2, trace.y1, h3, trace.x1)
 
 
 def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig,
@@ -338,13 +362,7 @@ def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig,
     if h2 == 0 or h3 == 0:
         raise ValidationError("singular configuration: h2 = 0 or h3 = 0")
     enhanced_y3 = trace.y3 + (h2 / h3 - 1.0) * trace.z3
-    enc2 = encoders[1]
-    y2hat: list[float] = []
-    for i in range(trace.n):
-        x2hat = enc2.emit(side.side_messages, y2hat)
-        y2tilde = (h3 / h2) * (enhanced_y3[i] - h1 * x2hat) + h1 * trace.x3[i]
-        y2hat.append(y2tilde + side.noise_diff[i])
-    return np.array(y2hat)
+    return _rebuild_y2(encoders[1], side, h3 / h2, enhanced_y3, h1, trace.x3)
 
 
 def reconstruction_error(reconstructed: np.ndarray, trace: TransmissionTrace) -> float:

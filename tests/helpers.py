@@ -2,7 +2,8 @@
 
 The grid oracle cross-checks the simplex; the permutation helpers check that
 a relabeling is a bijection on rates; the report readers invert the JSON the
-report writer produces.
+report writer produces; the emit-driven step loop and genie rebuild are the
+references for the simulator's loops.
 """
 
 import itertools
@@ -12,8 +13,16 @@ import math
 import numpy as np
 
 from triway.experiments import ReportTable
-from triway.model import RateTuple, UserPermutation, ValidationError
+from triway.model import RateTuple, UserPermutation, ValidationError, make_config
 from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion
+from triway.sim import (
+    _MSG_INDEX,
+    CausalEncoder,
+    TransmissionTrace,
+    draw_messages,
+    draw_realization,
+    random_encoders,
+)
 
 
 def inverse(perm: UserPermutation) -> UserPermutation:
@@ -106,3 +115,65 @@ def load_report_json(path) -> ReportTable:
             return table_from_json(fh.read())
     except OSError as exc:
         raise OSError(f"cannot read report from {path}: {exc}") from exc
+
+
+PARITY_CFG, _ = make_config(1.5, -1.0, 0.5, 100.0)  # room for every triple below
+
+_MIXED = (  # tap counts (0, 1, 3) and distinct message scales
+    CausalEncoder(message_weights=(0.7, -1.2), message_scale=1.3),
+    CausalEncoder(message_weights=(-0.4, 0.9), feedback_weights=(0.21,), message_scale=0.8),
+    CausalEncoder(message_weights=(1.1, 0.3), feedback_weights=(-0.12, 0.07, 0.05)),
+)
+
+
+def _random_triple(n_taps):
+    encoders = random_encoders(PARITY_CFG, n_taps, seed=7 + n_taps)
+    return tuple(e.with_scale(0.6 + 0.3 * j) for j, e in enumerate(encoders))
+
+
+# encoder triples the loop and power oracles are checked on, by test id
+ENCODER_CASES = {**{f"taps{k}": _random_triple(k) for k in range(4)}, "taps013": _MIXED}
+
+
+def emit_trace(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
+    """The simulator's step loop with one CausalEncoder.emit call per user and symbol.
+
+    Same draws and channel equations as sim.simulate_network, without its
+    power-budget check.
+    """
+    real = draw_realization(n, seed)
+    messages = draw_messages(seed)
+    h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
+    xs: list[list[float]] = [[], [], []]
+    ys: list[list[float]] = [[], [], []]
+    z = (real.z1, real.z2, real.z3)
+    own = [messages[list(_MSG_INDEX[j])] for j in range(3)]
+    for i in range(n):
+        step = [encoders[j].emit(own[j], ys[j]) for j in range(3)]
+        for j in range(3):
+            xs[j].append(step[j])
+        ys[0].append(h3 * step[1] + h2 * step[2] + z[0][i])
+        ys[1].append(h3 * step[0] + h1 * step[2] + z[1][i])
+        ys[2].append(h2 * step[0] + h1 * step[1] + z[2][i])
+    return TransmissionTrace(
+        x1=np.array(xs[0]), x2=np.array(xs[1]), x3=np.array(xs[2]),
+        y1=np.array(ys[0]), y2=np.array(ys[1]), y3=np.array(ys[2]),
+        z1=real.z1.copy(), z2=real.z2.copy(), z3=real.z3.copy(),
+        messages=messages,
+    )
+
+
+def emit_rebuild(trace: TransmissionTrace, cfg, encoders, side) -> np.ndarray:
+    """The genie rebuild of y2 (either lemma) with one emit call per symbol."""
+    h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
+    enc2 = encoders[1]
+    enhanced_y3 = trace.y3 + (h2 / h3 - 1.0) * trace.z3 if side.variant == "lemma2" else None
+    y2hat: list[float] = []
+    for i in range(trace.n):
+        x2hat = enc2.emit(side.side_messages, y2hat)
+        if side.variant == "lemma1":
+            y2tilde = (h1 / h2) * (trace.y1[i] - h3 * x2hat) + h3 * trace.x1[i]
+        else:
+            y2tilde = (h3 / h2) * (enhanced_y3[i] - h1 * x2hat) + h1 * trace.x3[i]
+        y2hat.append(y2tilde + side.noise_diff[i])
+    return np.array(y2hat)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from triway.bounds import REPORT_CSV_HEADER, bound_report
-from triway.cli import main
+from triway.cli import build_parser, main
 from triway.experiments import export_report
 from triway.model import make_config
 from triway.sim import TRACE_CSV_HEADER
@@ -162,6 +162,48 @@ def test_simulate_trace(capsys):
 
     code, _, err = _run(capsys, "simulate", "--n", "10", "--format", "json")
     assert code == 1 and "CSV only" in err
+
+
+def _one_line_error(code, out, err, text):
+    assert code == 1 and out == ""
+    assert err == f"error: {text}\n"
+
+
+def test_genie_rejects_csv(capsys):
+    _one_line_error(*_run(capsys, "genie", "--variant", "lemma1", "--n", "20", "--format", "csv"),
+                    "genie output is JSON only")
+
+
+def test_simulate_relay_rejects_csv(capsys):
+    _one_line_error(*_run(capsys, "simulate", "--pam-order", "4", "--n", "20", "--format", "csv"),
+                    "simulate --pam-order output is JSON only")
+
+
+def test_simulate_mi_rejects_csv(capsys):
+    _one_line_error(*_run(capsys, "simulate", "--samples", "10000", "--format", "csv"),
+                    "simulate --samples output is JSON only")
+
+
+def test_back_to_back_calls_share_no_state(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("TRIWAY_SEED", raising=False)
+    _, seed0, _ = _run(capsys, "simulate", "--n", "5", "--seed", "0")
+    _, seed3, _ = _run(capsys, "simulate", "--n", "5", "--seed", "3")
+    assert seed0 != seed3
+    assert _run(capsys, "simulate", "--n", "5") == (0, seed0, "")  # not the previous --seed 3
+    monkeypatch.setenv("TRIWAY_SEED", "3")
+    _run(capsys, "simulate", "--n", "5", "--seed", "0")
+    assert _run(capsys, "simulate", "--n", "5") == (0, seed3, "")  # TRIWAY_SEED, not --seed 0
+
+    code, csv_text, _ = _run(capsys, "bounds", "--format", "csv")
+    assert code == 0 and csv_text.startswith(REPORT_CSV_HEADER)
+    code, json_text, _ = _run(capsys, "bounds")
+    assert code == 0 and json.loads(json_text)["permutation"] == [1, 2, 3]
+
+    for argv in (["bounds", "--no-such-flag"], ["genie"], ["simulate", "--n", "x"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == "" and "usage:" in err
+        assert _run(capsys, "bounds") == (0, json_text, "")
 
 
 def test_simulate_relay_and_mi_modes(capsys):

@@ -25,6 +25,10 @@ CASES = {
     "dof.json": ["dof"],
     "genie_lemma1.json": ["genie", "--variant", "lemma1", "--n", "50", "--seed", "7"],
     "genie_lemma2.json": ["genie", "--variant", "lemma2", "--n", "50", "--seed", "7"],
+    "genie_lemma1_n1000.json": ["genie", "--variant", "lemma1", "--n", "1000", "--seed", "11",
+                                *NONCANONICAL],
+    "genie_lemma2_n1000.json": ["genie", "--variant", "lemma2", "--n", "1000", "--seed", "11",
+                                *NONCANONICAL],
     "simulate_trace.csv": ["simulate", "--n", "20"],
     "simulate_pam.json": ["simulate", "--pam-order", "4"],
     "simulate_mi.json": ["simulate", "--samples", "10000"],

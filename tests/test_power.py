@@ -1,6 +1,6 @@
-"""Exact power accounting: the second-moment recursion in sim._propagate_power
-against a brute-force coefficient expansion, and its bounded memory at long
-block lengths."""
+"""Exact power accounting: the stacked second-moment recursion in
+sim._power_parts against a brute-force coefficient expansion, bit-exact pins
+of the normalization scale, and bounded memory at long block lengths."""
 
 import json
 import tracemalloc
@@ -8,11 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import ENCODER_CASES, PARITY_CFG
 from triway import cli
 from triway.model import make_config
-from triway.sim import CausalEncoder, _propagate_power, normalize_power, random_encoders
-
-_MSG_INDEX = ((0, 1), (2, 3), (4, 5))
+from triway.sim import _MSG_INDEX, _power_parts, normalize_power, random_encoders
 
 
 def expanded_power(encoders, cfg, n, with_messages, with_noise):
@@ -54,38 +53,45 @@ def expanded_power(encoders, cfg, n, with_messages, with_noise):
     return power
 
 
-_CFG, _ = make_config(1.5, -1.0, 0.5, 10.0)
+# (messages, noise) in the expansion: A alone, C alone, A + C
 _FLAGS = [(True, False), (False, True), (True, True)]
-
-
-_MIXED = (  # tap counts (0, 1, 3) and distinct message scales
-    CausalEncoder(message_weights=(0.7, -1.2), message_scale=1.3),
-    CausalEncoder(message_weights=(-0.4, 0.9), feedback_weights=(0.21,), message_scale=0.8),
-    CausalEncoder(message_weights=(1.1, 0.3), feedback_weights=(-0.12, 0.07, 0.05)),
-)
-
-
-def _random_triple(n_taps):
-    encoders = random_encoders(_CFG, n_taps, seed=7 + n_taps)
-    return tuple(e.with_scale(0.6 + 0.3 * j) for j, e in enumerate(encoders))
 
 
 @pytest.mark.parametrize("with_messages,with_noise", _FLAGS)
 @pytest.mark.parametrize("n", [1, 2, 3, 200])
-@pytest.mark.parametrize("encoders", [_random_triple(k) for k in range(4)] + [_MIXED],
-                         ids=["taps0", "taps1", "taps2", "taps3", "taps013"])
+@pytest.mark.parametrize("encoders", list(ENCODER_CASES.values()), ids=list(ENCODER_CASES))
 def test_recursion_matches_expansion(encoders, n, with_messages, with_noise):
-    got = _propagate_power(encoders, _CFG, n, with_messages, with_noise)
-    want = expanded_power(encoders, _CFG, n, with_messages, with_noise)
+    A, C = _power_parts(encoders, PARITY_CFG, n)
+    got = A + C if with_messages and with_noise else A if with_messages else C
+    want = expanded_power(encoders, PARITY_CFG, n, with_messages, with_noise)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# normalize_power(random_encoders(cfg, taps, seed), cfg, 1000)[0].message_scale,
+# captured before the message and noise passes were stacked into one
+_SCALE_PINS = [
+    ((1.5, 1.0, 0.5, 1.0), 2, 0, "0.8391262899300307"),
+    ((1.5, 1.0, 0.5, 1.0), 2, 1, "0.41770242931170737"),
+    ((1.5, 1.0, 0.5, 1.0), 2, 41, "0.6604300152906191"),
+    ((0.5, -1.25, 2, 3.5), 3, 5, "1.8132044498601128"),
+    ((0.5, -1.25, 2, 3.5), 3, 17, "1.2722865409739015"),
+    ((2.0, 0.3, 0.9, 100.0), 1, 8, "5.336178063992607"),
+]
+
+
+@pytest.mark.parametrize("config,taps,seed,scale", _SCALE_PINS)
+def test_normalization_scale_is_bit_exact(config, taps, seed, scale):
+    cfg, _ = make_config(*config)
+    scaled = normalize_power(random_encoders(cfg, taps, seed), cfg, 1000)
+    assert repr(scaled[0].message_scale) == scale
 
 
 def test_normalize_power_memory_is_bounded():
     n = 20000
-    encoders = random_encoders(_CFG, 2, seed=3)
+    encoders = random_encoders(PARITY_CFG, 2, seed=3)
     tracemalloc.start()
     try:
-        normalize_power(encoders, _CFG, n)
+        normalize_power(encoders, PARITY_CFG, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

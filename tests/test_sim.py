@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import ENCODER_CASES, PARITY_CFG, emit_rebuild, emit_trace
 from triway.bounds import cap
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
@@ -181,6 +182,20 @@ def test_genie_exact_with_feedback_encoders():
                                  ("lemma2", genie_reconstruct_lemma2)):
             side = make_genie_side_info(trace, CFG, variant)
             assert reconstruction_error(rebuild(trace, CFG, enc, side), trace) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 200])
+@pytest.mark.parametrize("encoders", list(ENCODER_CASES.values()), ids=list(ENCODER_CASES))
+def test_loops_match_emit_oracle_bit_for_bit(encoders, n):
+    trace = simulate_network(encoders, PARITY_CFG, n, seed=n)
+    want = emit_trace(encoders, PARITY_CFG, n, seed=n)
+    for field in ("x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3", "messages"):
+        assert np.array_equal(getattr(trace, field), getattr(want, field)), field
+    for variant, rebuild in (("lemma1", genie_reconstruct_lemma1),
+                             ("lemma2", genie_reconstruct_lemma2)):
+        side = make_genie_side_info(trace, PARITY_CFG, variant)
+        got = rebuild(trace, PARITY_CFG, encoders, side)
+        assert np.array_equal(got, emit_rebuild(trace, PARITY_CFG, encoders, side)), variant
 
 
 def test_genie_side_info_formulas():
