@@ -1,23 +1,7 @@
 """Capacity-analysis toolkit for the three-user full-duplex Gaussian network."""
 
 from ._version import __version__
-from .bounds import (
-    BoundReport,
-    CutsetBounds,
-    achievable_sum_lower,
-    bound_report,
-    cap,
-    cutset_bounds,
-    dof_estimate,
-    evaluate,
-    lemma1_bound,
-    lemma2_bound,
-    outgoing_cutset_sum,
-    relay_rates,
-    sum_capacity_interval,
-    theorem2_sum_upper,
-    tightened_sum_upper,
-)
+from .bounds import BoundReport, CutsetBounds, cap, dof_estimate, evaluate, sum_capacity_interval
 from .experiments import (
     CrossoverResult,
     GapStatistics,
@@ -44,7 +28,6 @@ from .region import (
     LpSolution,
     RateRegion,
     build_region,
-    is_feasible,
     max_weighted_sum,
 )
 from .sim import (
@@ -61,7 +44,6 @@ from .sim import (
     random_encoders,
     simulate_network,
     simulate_pnc_relay,
-    verify_trace,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

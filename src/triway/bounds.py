@@ -1,9 +1,11 @@
 """Closed-form rate bounds for the three-user full-duplex Gaussian network.
 
 Every bound is a closed form in (h1^2, h2^2, h3^2, P).  `evaluate` computes
-all of them for one ChannelConfig, each distinct cap argument once, and the
-named bound functions are views of it.  All rates are in bits per channel
-use; cap(x) = 0.5*log2(1+x) fixes the unit.
+all of them for one ChannelConfig, each distinct cap argument once, and
+returns them as one BoundReport; callers read its fields.  The paper's
+bounds are its fields out1..out3 (pair cut-sets), lemma1, lemma2,
+theorem2_upper = 2 cap(h3^2 P) + 2 and achievable_lower = 2 cap(h3^2 P).
+All rates are in bits per channel use; cap(x) = 0.5*log2(1+x) fixes the unit.
 """
 
 from __future__ import annotations
@@ -76,16 +78,19 @@ class BoundReport:
     """
 
     config: ChannelConfig
-    out1: float
-    out2: float
-    out3: float
-    outgoing_cutset_sum: float
-    lemma1: float
-    lemma2: float
-    theorem2_upper: float
-    tightened_upper: float
-    achievable_lower: float
+    out1: float  # cap((h3^2 + h2^2) P)
+    out2: float  # cap((h3^2 + h1^2) P)
+    out3: float  # cap((h2^2 + h1^2) P)
+    outgoing_cutset_sum: float  # scales like 3 degrees of freedom
+    lemma1: float  # cap(h3^2 P + h2^2 P) + cap(h1^2/h2^2); bounds r21 + r31 + r32
+    lemma2: float  # cap(h3^2 P (1 + h1^2/h2^2)) + 1/2; bounds r12 + r13 + r23
+    theorem2_upper: float  # 2 cap(h3^2 P) + 2
+    tightened_upper: float  # lemma1 + lemma2, strictly below theorem2_upper
+    achievable_lower: float  # 2 cap(h3^2 P): the strongest pair exchanges, user 3 is silent
     gap: float
+    # bi-directional relaying of the weak pair through user 1: the lattice rate
+    # cap(max(0, h2^2 P - 1/2)) against the direct cap(h1^2 P); improves tests
+    # h2^2 >= h1^2 + 1/(2P)
     relay_lattice_rate: float
     relay_direct_rate: float
     relay_improves: bool
@@ -141,67 +146,18 @@ def evaluate(cfg: ChannelConfig) -> BoundReport:
     )
 
 
-def cutset_bounds(cfg: ChannelConfig) -> CutsetBounds:
-    """out1 = in1 = cap((h3^2+h2^2)P), out2 = in2 = cap((h3^2+h1^2)P), out3 = in3 = cap((h2^2+h1^2)P)."""
-    return evaluate(cfg).cutset
-
-
-def outgoing_cutset_sum(cfg: ChannelConfig) -> float:
-    """Sum of the three outgoing cut-set bounds; scales like 3 degrees of freedom."""
-    return evaluate(cfg).outgoing_cutset_sum
-
-
-def lemma1_bound(cfg: ChannelConfig) -> float:
-    """cap(h3^2 P + h2^2 P) + cap(h1^2/h2^2); bounds r21 + r31 + r32."""
-    return evaluate(cfg).lemma1
-
-
-def lemma2_bound(cfg: ChannelConfig) -> float:
-    """cap(h3^2 P (1 + h1^2/h2^2)) + 1/2; bounds r12 + r13 + r23."""
-    return evaluate(cfg).lemma2
-
-
-def theorem2_sum_upper(cfg: ChannelConfig) -> float:
-    """2 cap(h3^2 P) + 2."""
-    return evaluate(cfg).theorem2_upper
-
-
-def tightened_sum_upper(cfg: ChannelConfig) -> float:
-    """lemma1_bound + lemma2_bound; always strictly below theorem2_sum_upper."""
-    return evaluate(cfg).tightened_upper
-
-
-def achievable_sum_lower(cfg: ChannelConfig) -> float:
-    """2 cap(h3^2 P): the strongest pair runs a two-way exchange, user 3 stays silent."""
-    return evaluate(cfg).achievable_lower
-
-
-def sum_capacity_interval(cfg: ChannelConfig, lp_upper: float | None = None) -> tuple[float, float, float]:
+def sum_capacity_interval(cfg: ChannelConfig) -> tuple[float, float, float]:
     """(lower, upper, gap) bracketing the sum capacity.
 
-    upper is the minimum of the closed-form sum bounds (and the rate-region LP
-    value when the caller supplies one); see `evaluate` for the literal 2.0.
+    upper is the minimum of the closed-form sum bounds; see `evaluate` for the
+    literal 2.0.
     """
     b = evaluate(cfg)
-    lower, gap = b.achievable_lower, b.gap
-    if lp_upper is not None:
-        gap = max(0.0, min(2.0, b.tightened_upper - lower, lp_upper - lower))
-    return lower, lower + gap, gap
+    return b.achievable_lower, b.achievable_lower + b.gap, b.gap
 
 
-def relay_rates(cfg: ChannelConfig) -> tuple[float, float, bool]:
-    """Bi-directional relaying of the weak pair through user 1.
-
-    lattice = cap(max(0, h2^2 P - 1/2)) is the structured-code rate through the
-    bottleneck uplink; direct = cap(h1^2 P) is the unaided rate; improves tests
-    h2^2 >= h1^2 + 1/(2P).
-    """
-    b = evaluate(cfg)
-    return b.relay_lattice_rate, b.relay_direct_rate, b.relay_improves
-
-
-def dof_estimate(gains: ChannelGains, power_grid, bound_selector) -> float:
-    """Least-squares slope of bound_selector(config) against 0.5*log2(P).
+def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
+    """Least-squares slope of the BoundReport field `field` against 0.5*log2(P).
 
     Fits only the last half of the grid: the low-SNR transient is not the
     asymptote the slope is meant to expose.  Requires >= 8 strictly increasing
@@ -218,14 +174,8 @@ def dof_estimate(gains: ChannelGains, power_grid, bound_selector) -> float:
         raise ValidationError("power grid must span at least 4 decades")
     xs, ys = [], []
     for P in grid:
-        cfg = ChannelConfig(gains=gains, power=P)
         xs.append(0.5 * math.log2(P))
-        ys.append(float(bound_selector(cfg)))
+        ys.append(float(getattr(evaluate(ChannelConfig(gains=gains, power=P)), field)))
     half = len(grid) // 2
     slope, _ = np.polyfit(xs[half:], ys[half:], 1)
     return float(slope)
-
-
-def bound_report(cfg: ChannelConfig) -> BoundReport:
-    """The report the `bounds` command prints: `evaluate` under its report name."""
-    return evaluate(cfg)

@@ -7,7 +7,7 @@ machine-visible).
 
 Gains come from --config JSON ({"g12":..., "g13":..., "g23":..., "power":...})
 or inline flags; inline wins on conflict with a warning.  --seed falls back to
-the TRIWAY_SEED environment variable, then 0.
+the TRIWAY_SEED environment variable, then 0; a seed must be >= 0.
 """
 
 from __future__ import annotations
@@ -86,15 +86,16 @@ def _resolve_config(args):
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("TRIWAY_SEED")
-    if env is not None:
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        seed, source = os.environ.get("TRIWAY_SEED", "0"), "TRIWAY_SEED"
         try:
-            return int(env)
+            seed = int(seed)
         except ValueError as exc:
-            raise ValidationError(f"TRIWAY_SEED must be an integer, got {env!r}") from exc
-    return 0
+            raise ValidationError(f"TRIWAY_SEED must be an integer, got {seed!r}") from exc
+    if seed < 0:  # numpy's seeding rejects negative entropy with a traceback
+        raise ValidationError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _emit(report, args, format: str = "json") -> None:
@@ -112,7 +113,7 @@ def _emit(report, args, format: str = "json") -> None:
 
 def _cmd_bounds(args) -> int:
     cfg, perm = _resolve_config(args)
-    report = bounds.bound_report(cfg)
+    report = bounds.evaluate(cfg)
     if not (0.0 <= report.gap <= 2.0):
         raise PropertyViolationError(f"sum-capacity gap {report.gap} is outside [0, 2]")
     if args.format == "csv":
@@ -138,14 +139,10 @@ def _cmd_dof(args) -> int:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  gains=cfg.gains)
     grid = [float(p) for p in experiments.power_grid(spec)]
-    slopes = {
-        "theorem2_upper": bounds.dof_estimate(cfg.gains, grid, bounds.theorem2_sum_upper),
-        "achievable_lower": bounds.dof_estimate(cfg.gains, grid, bounds.achievable_sum_lower),
-        "outgoing_cutset_sum": bounds.dof_estimate(cfg.gains, grid, bounds.outgoing_cutset_sum),
-    }
-    names = tuple(sorted(slopes))
+    names = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # BoundReport fields
+    slopes = tuple(bounds.dof_estimate(cfg.gains, grid, name) for name in names)
     table = experiments.ReportTable(
-        kind="dof", header=names, rows=(tuple(slopes[k] for k in names),),
+        kind="dof", header=names, rows=(slopes,),
         meta={"spec": experiments.spec_echo(spec), "version": __version__},
     )
     _emit(table, args, args.format)

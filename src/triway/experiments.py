@@ -32,7 +32,6 @@ class SweepSpec:
     gains: ChannelGains | None = None  # None: standard-normal ensemble, canonicalized
     ensemble: int = 1
     seed: int = 0
-    bounds: tuple[str, ...] = BOUND_COLUMNS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,6 +59,9 @@ class ReportTable:
 
 
 def power_grid(spec: SweepSpec) -> np.ndarray:
+    for name, value in (("p_lo", spec.p_lo), ("p_hi", spec.p_hi)):
+        if not math.isfinite(value):  # before np.logspace, which would warn
+            raise ValidationError(f"power bound {name} must be finite, got {value!r}")
     if spec.points < 1:
         raise ValidationError("points must be >= 1")
     if not (0 < spec.p_lo and 0 < spec.p_hi):
@@ -76,7 +78,7 @@ def power_grid(spec: SweepSpec) -> np.ndarray:
 def spec_echo(spec: SweepSpec) -> dict:
     echo = dataclasses.asdict(spec)
     echo["gains"] = None if spec.gains is None else dataclasses.asdict(spec.gains)
-    echo["bounds"] = list(spec.bounds)
+    echo["bounds"] = list(BOUND_COLUMNS)  # the sweep's columns
     return echo
 
 
@@ -85,18 +87,15 @@ def _meta(spec: SweepSpec) -> dict:
 
 
 def sweep_snr(spec: SweepSpec) -> ReportTable:
-    """One row per grid power: (P, selected bounds, gap)."""
+    """One row per grid power: (P, the BOUND_COLUMNS, gap)."""
     if spec.gains is None:
         raise ValidationError("sweep_snr needs a fixed gain triple")
-    unknown = [name for name in spec.bounds if name not in BOUND_COLUMNS]
-    if unknown:
-        raise ValidationError(f"unknown bound columns: {unknown}")
     grid = power_grid(spec)
     rows = []
     for P in grid:
         b = bounds.evaluate(ChannelConfig(gains=spec.gains, power=float(P)))
-        rows.append((float(P), *(getattr(b, name) for name in spec.bounds), b.gap))
-    return ReportTable(kind="sweep", header=("P", *spec.bounds, "gap"),
+        rows.append((float(P), *(getattr(b, name) for name in BOUND_COLUMNS), b.gap))
+    return ReportTable(kind="sweep", header=("P", *BOUND_COLUMNS, "gap"),
                        rows=tuple(rows), meta=_meta(spec))
 
 
@@ -138,13 +137,13 @@ def gap_statistics_table(stats: GapStatistics, spec: SweepSpec) -> ReportTable:
     return ReportTable(kind="gap-ensemble", header=header, rows=(row,), meta=_meta(spec))
 
 
-def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float,
-                   rel_tol: float = 1e-6) -> CrossoverResult:
+def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverResult:
     """Smallest P in [p_lo, p_hi] where the lemma sum beats the outgoing cut-set sum.
 
-    Bisection on d(P) = outgoing cut-set sum - tightened upper; assumes one
-    sign change inside the bracket.  d > 0 already at p_lo reports the bracket
-    as already crossed; no sign change reports none.
+    Bisection on d(P) = outgoing cut-set sum - tightened upper, down to a
+    bracket 1e-6 wide relative to its top; assumes one sign change inside the
+    bracket.  d > 0 already at p_lo reports the bracket as already crossed; no
+    sign change reports none.
     """
     if not (0 < p_lo < p_hi) or not (math.isfinite(p_lo) and math.isfinite(p_hi)):
         raise ValidationError(f"invalid bracket [{p_lo!r}, {p_hi!r}]")
@@ -158,7 +157,7 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float,
         return CrossoverResult(p_star=lo, status="already-crossed")
     if margin(hi) <= 0:
         return CrossoverResult(p_star=None, status="none")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         if margin(mid) > 0:
             hi = mid

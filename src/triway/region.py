@@ -85,25 +85,17 @@ def _unit_constraint(support: tuple[int, ...], rhs: float, label: str) -> Linear
     return LinearConstraint(coeffs=tuple(coeffs), rhs=rhs, label=label)
 
 
-def build_region(cfg: ChannelConfig, include_cutset: bool = True,
-                 include_lemma1: bool = True, include_lemma2: bool = True) -> RateRegion:
+def build_region(cfg: ChannelConfig) -> RateRegion:
     """Assemble the inequality description of the rate region.
 
-    Reciprocal in/out duplicates are kept so tight-constraint labels stay
-    traceable; at least one family must be included.
+    The six cut-sets come first, then lemma1 and lemma2.  Reciprocal in/out
+    duplicates are kept so tight-constraint labels stay traceable.
     """
-    if not (include_cutset or include_lemma1 or include_lemma2):
-        raise ValidationError("at least one constraint family must be included")
     b = bounds.evaluate(cfg)
-    cons: list[LinearConstraint] = []
-    if include_cutset:
-        for name, rhs in b.cutset.as_dict().items():
-            label = f"cutset.{name}"
-            cons.append(_unit_constraint(_PAIR_SUPPORTS[label], rhs, label))
-    if include_lemma1:
-        cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma1"], b.lemma1, "lemma1"))
-    if include_lemma2:
-        cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma2"], b.lemma2, "lemma2"))
+    cons = [_unit_constraint(_PAIR_SUPPORTS[f"cutset.{name}"], rhs, f"cutset.{name}")
+            for name, rhs in b.cutset.as_dict().items()]
+    cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma1"], b.lemma1, "lemma1"))
+    cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma2"], b.lemma2, "lemma2"))
     return RateRegion(constraints=tuple(cons))
 
 
@@ -175,15 +167,3 @@ def max_weighted_sum(region: RateRegion, weights) -> LpSolution:
     tight = tuple(c.label for c, s in zip(region.constraints, slack) if abs(s) <= TOL)
     return LpSolution(status="optimal", optimal_value=value,
                       optimizer=optimizer, tight_constraints=tight)
-
-
-def is_feasible(region: RateRegion, rates: RateTuple, tol: float = TOL) -> bool:
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
-    r = np.asarray(rates.as_tuple(), dtype=float)
-    if np.any(r < -tol):
-        return False
-    for c in region.constraints:
-        if float(np.dot(c.coeffs, r)) > c.rhs + tol:
-            return False
-    return True

@@ -268,34 +268,6 @@ def _scaled_dev(delta: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(np.abs(delta))) / scale if len(delta) else 0.0
 
 
-def verify_trace(trace: TransmissionTrace, cfg: ChannelConfig, encoders,
-                 tol: float = 1e-9) -> tuple[float, float]:
-    """Check channel-equation exactness and that every x came from its causal encoder.
-
-    Returns (channel deviation, encoder deviation), both scale-relative, and
-    rejects the trace if either exceeds tol.  A trace whose x_j(i) consults
-    y_j(i) (or anything else the encoder could not have seen) fails here.
-    """
-    h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    dev_chan = max(
-        _scaled_dev(trace.y1 - (h3 * trace.x2 + h2 * trace.x3 + trace.z1), trace.y1),
-        _scaled_dev(trace.y2 - (h3 * trace.x1 + h1 * trace.x3 + trace.z2), trace.y2),
-        _scaled_dev(trace.y3 - (h2 * trace.x1 + h1 * trace.x2 + trace.z3), trace.y3),
-    )
-    ys = (trace.y1, trace.y2, trace.y3)
-    xs = (trace.x1, trace.x2, trace.x3)
-    dev_enc = 0.0
-    for j in range(3):
-        msgs = trace.messages[list(_MSG_INDEX[j])]
-        redone = np.array([encoders[j].emit(msgs, ys[j][:i]) for i in range(trace.n)])
-        dev_enc = max(dev_enc, _scaled_dev(xs[j] - redone, xs[j]))
-    if dev_chan > tol:
-        raise ValidationError(f"trace violates the channel equations: deviation {dev_chan:.3g}")
-    if dev_enc > tol:
-        raise ValidationError(f"trace violates causal encoding: deviation {dev_enc:.3g}")
-    return dev_chan, dev_enc
-
-
 def make_genie_side_info(trace: TransmissionTrace, cfg: ChannelConfig, variant: str) -> GenieSideInfo:
     """Side information the converse proofs grant: (m21, m23) plus a noise difference."""
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
@@ -370,10 +342,9 @@ def reconstruction_error(reconstructed: np.ndarray, trace: TransmissionTrace) ->
     return _scaled_dev(np.asarray(reconstructed) - trace.y2, trace.y2)
 
 
-def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int,
-                  n_taps: int = 2) -> dict:
-    """End-to-end reconstruction check; the dict is the CLI's JSON verdict."""
-    encoders = normalize_power(random_encoders(cfg, n_taps, seed), cfg, n)
+def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int) -> dict:
+    """End-to-end reconstruction check with two-tap encoders; the dict is the CLI's verdict."""
+    encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
     trace = simulate_network(encoders, cfg, n, seed)
     side = make_genie_side_info(trace, cfg, variant)
     if variant == "lemma1":

@@ -1,9 +1,11 @@
 """Oracles and helpers that only the tests use.
 
-The grid oracle cross-checks the simplex; the permutation helpers check that
-a relabeling is a bijection on rates; the report readers invert the JSON the
-report writer produces; the emit-driven step loop and genie rebuild are the
-references for the simulator's loops.
+The grid oracle and the feasibility test cross-check the simplex, and
+`sub_region` gives them regions of one or two constraint families; the
+permutation helpers check that a relabeling is a bijection on rates; the
+report readers invert the JSON the report writer produces; the emit-driven
+step loop, trace verification and genie rebuild are the references for the
+simulator's loops.
 """
 
 import itertools
@@ -14,11 +16,12 @@ import numpy as np
 
 from triway.experiments import ReportTable
 from triway.model import RateTuple, UserPermutation, ValidationError, make_config
-from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion
+from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
 from triway.sim import (
     _MSG_INDEX,
     CausalEncoder,
     TransmissionTrace,
+    _scaled_dev,
     draw_messages,
     draw_realization,
     random_encoders,
@@ -39,6 +42,26 @@ def apply_rates(perm: UserPermutation, rates: RateTuple) -> RateTuple:
         na, nb = perm.mapping[a - 1], perm.mapping[b - 1]
         out[f"r{na}{nb}"] = getattr(rates, f"r{a}{b}")
     return RateTuple(**out)
+
+
+def sub_region(cfg, *families: str) -> RateRegion:
+    """The constraints of build_region(cfg) in the families named ("cutset",
+    "lemma1", "lemma2"), kept in build_region's order, on which the simplex's
+    pivot choice (Bland's rule) depends."""
+    return RateRegion(tuple(c for c in build_region(cfg).constraints
+                            if c.label.split(".")[0] in families))
+
+
+def is_feasible(region: RateRegion, rates: RateTuple, tol: float = TOL) -> bool:
+    if tol < 0:
+        raise ValidationError("tolerance must be >= 0")
+    r = np.asarray(rates.as_tuple(), dtype=float)
+    if np.any(r < -tol):
+        return False
+    for c in region.constraints:
+        if float(np.dot(c.coeffs, r)) > c.rhs + tol:
+            return False
+    return True
 
 
 def _support_caps(region: RateRegion) -> dict[tuple[int, ...], float]:
@@ -161,6 +184,33 @@ def emit_trace(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
         z1=real.z1.copy(), z2=real.z2.copy(), z3=real.z3.copy(),
         messages=messages,
     )
+
+
+def verify_trace(trace: TransmissionTrace, cfg, encoders, tol: float = 1e-9) -> tuple[float, float]:
+    """Check channel-equation exactness and that every x came from its causal encoder.
+
+    Returns (channel deviation, encoder deviation), both scale-relative, and
+    rejects the trace if either exceeds tol.  A trace whose x_j(i) consults
+    y_j(i) (or anything else the encoder could not have seen) fails here.
+    """
+    h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
+    dev_chan = max(
+        _scaled_dev(trace.y1 - (h3 * trace.x2 + h2 * trace.x3 + trace.z1), trace.y1),
+        _scaled_dev(trace.y2 - (h3 * trace.x1 + h1 * trace.x3 + trace.z2), trace.y2),
+        _scaled_dev(trace.y3 - (h2 * trace.x1 + h1 * trace.x2 + trace.z3), trace.y3),
+    )
+    ys = (trace.y1, trace.y2, trace.y3)
+    xs = (trace.x1, trace.x2, trace.x3)
+    dev_enc = 0.0
+    for j in range(3):
+        msgs = trace.messages[list(_MSG_INDEX[j])]
+        redone = np.array([encoders[j].emit(msgs, ys[j][:i]) for i in range(trace.n)])
+        dev_enc = max(dev_enc, _scaled_dev(xs[j] - redone, xs[j]))
+    if dev_chan > tol:
+        raise ValidationError(f"trace violates the channel equations: deviation {dev_chan:.3g}")
+    if dev_enc > tol:
+        raise ValidationError(f"trace violates causal encoding: deviation {dev_enc:.3g}")
+    return dev_chan, dev_enc
 
 
 def emit_rebuild(trace: TransmissionTrace, cfg, encoders, side) -> np.ndarray:

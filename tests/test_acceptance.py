@@ -11,23 +11,11 @@ import time
 
 import numpy as np
 
-from helpers import oracle_max_sum
-from triway.bounds import (
-    achievable_sum_lower,
-    bound_report,
-    cap,
-    dof_estimate,
-    lemma1_bound,
-    lemma2_bound,
-    outgoing_cutset_sum,
-    relay_rates,
-    sum_capacity_interval,
-    theorem2_sum_upper,
-    tightened_sum_upper,
-)
+from helpers import is_feasible, oracle_max_sum
+from triway.bounds import cap, dof_estimate, evaluate, sum_capacity_interval
 from triway.experiments import find_crossover
 from triway.model import ChannelConfig, ChannelGains, canonicalize, validate
-from triway.region import build_region, is_feasible, max_weighted_sum
+from triway.region import build_region, max_weighted_sum
 from triway.sim import (
     estimate_p2p_mi,
     genie_reconstruct_lemma1,
@@ -77,9 +65,9 @@ def test_criterion_1_interval_gap_bounded():
 def test_criterion_2_pre_log_slopes():
     start = time.perf_counter()
     grid = [float(p) for p in np.logspace(2, 8, 9)]
-    slope_lower = dof_estimate(SYM, grid, achievable_sum_lower)
-    slope_upper = dof_estimate(SYM, grid, theorem2_sum_upper)
-    slope_cut = dof_estimate(SYM, grid, outgoing_cutset_sum)
+    slope_lower = dof_estimate(SYM, grid, "achievable_lower")
+    slope_upper = dof_estimate(SYM, grid, "theorem2_upper")
+    slope_cut = dof_estimate(SYM, grid, "outgoing_cutset_sum")
     elapsed = time.perf_counter() - start
     ok = (abs(slope_lower - 2.0) <= 0.05 and abs(slope_upper - 2.0) <= 0.05
           and abs(slope_cut - 3.0) <= 0.05 and elapsed < 1.0)
@@ -93,11 +81,12 @@ def test_criterion_3_upper_bound_chain():
     for t in range(10_000):
         cfg = _random_config(103, t, p_lo=0.01, p_hi=1e4)
         ceiling = cap(2.0 * cfg.gains.h3 ** 2 * cfg.power) + 0.5
-        if lemma1_bound(cfg) > ceiling + 1e-12:
+        b = evaluate(cfg)
+        if b.lemma1 > ceiling + 1e-12:
             violations += 1
-        if lemma2_bound(cfg) > ceiling + 1e-12:
+        if b.lemma2 > ceiling + 1e-12:
             violations += 1
-        if not tightened_sum_upper(cfg) < theorem2_sum_upper(cfg):
+        if not b.tightened_upper < b.theorem2_upper:
             violations += 1
     ok = violations == 0
     _report(3, "lemma bounds below cap(2 h3^2 P) + 1/2 and tightened sum strictly "
@@ -172,10 +161,10 @@ def test_criterion_7_relay_dominance_and_noise_free_pnc():
     while qualifying < 10_000:
         cfg = _random_config(107, t)
         t += 1
-        lattice, direct, improves = relay_rates(cfg)
-        if improves:
+        b = evaluate(cfg)
+        if b.relay_improves:
             qualifying += 1
-            if lattice < direct:
+            if b.relay_lattice_rate < b.relay_direct_rate:
                 violations += 1
     pnc_ok = True
     cfg = validate(ChannelConfig(gains=ChannelGains(0.5, 1.0, 1.5), power=3.0))
@@ -209,9 +198,9 @@ def test_criterion_9_scale_invariance():
         gains, _ = canonicalize(*rng.standard_normal(3))
         power = 10.0 ** rng.uniform(-1, 2)
         alpha = 10.0 ** rng.uniform(-1, 1) * (1.0 if rng.random() < 0.5 else -1.0)
-        base = bound_report(validate(ChannelConfig(gains=gains, power=power)))
+        base = evaluate(validate(ChannelConfig(gains=gains, power=power)))
         scaled_gains = ChannelGains(alpha * gains.h1, alpha * gains.h2, alpha * gains.h3)
-        scaled = bound_report(validate(ChannelConfig(gains=scaled_gains,
+        scaled = evaluate(validate(ChannelConfig(gains=scaled_gains,
                                                      power=power / alpha ** 2)))
         same = all(
             math.isclose(getattr(base, f), getattr(scaled, f), rel_tol=1e-12, abs_tol=1e-12)

@@ -5,10 +5,11 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from triway.bounds import REPORT_CSV_HEADER, bound_report
+from triway.bounds import REPORT_CSV_HEADER, evaluate
 from triway.cli import build_parser, main
 from triway.experiments import export_report
 from triway.model import make_config
@@ -48,7 +49,7 @@ def test_bounds_csv_matches_library(capsys):
     assert lines[0] == REPORT_CSV_HEADER
     assert len(lines) == 2
     cfg, _ = make_config(1.5, 1.0, 0.5, 2.0)
-    assert out == export_report(bound_report(cfg).as_table(), "csv")
+    assert out == export_report(evaluate(cfg).as_table(), "csv")
 
 
 def test_bounds_rejects_bad_power(capsys):
@@ -103,6 +104,28 @@ def test_seed_environment_fallback(capsys, monkeypatch):
     monkeypatch.setenv("TRIWAY_SEED", "not-a-number")
     code, _, err = _run(capsys, "genie", "--variant", "lemma1")
     assert code == 1 and "TRIWAY_SEED" in err
+
+
+_SEEDED = (("genie", "--variant", "lemma1"), ("simulate",), ("gap-ensemble",))
+
+
+@pytest.mark.parametrize("argv,env", [
+    *(((*cmd, "--seed", "-1"), None) for cmd in _SEEDED),
+    *((cmd, "-1") for cmd in _SEEDED),
+    *(((cmd, "--p-lo", "1", "--p-hi", "inf"), None) for cmd in ("sweep", "dof", "gap-ensemble")),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else
+   ("TRIWAY_SEED unset" if v is None else f"TRIWAY_SEED={v}"))
+def test_bad_seed_or_power_bound_is_one_error_line(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("TRIWAY_SEED", raising=False)
+    else:
+        monkeypatch.setenv("TRIWAY_SEED", env)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err and caught == []
 
 
 def test_config_file_and_inline_override(capsys, tmp_path):

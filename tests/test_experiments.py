@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import load_report_json, table_from_json
-from triway.bounds import outgoing_cutset_sum, sum_capacity_interval, tightened_sum_upper
+from triway.bounds import evaluate, sum_capacity_interval
 from triway.experiments import (
     BOUND_COLUMNS,
     CrossoverResult,
@@ -39,7 +39,7 @@ def test_sweep_slopes_show_degrees_of_freedom():
     spec = SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM)
     table = sweep_snr(spec)
     assert table.kind == "sweep"
-    assert table.header == ("P", *spec.bounds, "gap")
+    assert table.header == ("P", *BOUND_COLUMNS, "gap")
     assert len(table.rows) == 9
     assert abs(_slope(table, "theorem2_upper") - 2.0) < 0.05
     assert abs(_slope(table, "achievable_lower") - 2.0) < 0.05
@@ -47,13 +47,12 @@ def test_sweep_slopes_show_degrees_of_freedom():
 
 
 def test_sweep_rows_match_direct_evaluation():
-    spec = SweepSpec(p_lo=0.5, p_hi=50.0, points=5, gains=ChannelGains(0.5, 1.0, 1.5),
-                     bounds=("lemma1", "tightened_upper"))
+    spec = SweepSpec(p_lo=0.5, p_hi=50.0, points=5, gains=ChannelGains(0.5, 1.0, 1.5))
     table = sweep_snr(spec)
     for row in table.rows:
         cfg = validate(ChannelConfig(gains=spec.gains, power=row[0]))
         assert row[table.header.index("tightened_upper")] == pytest.approx(
-            tightened_sum_upper(cfg), rel=1e-12)
+            evaluate(cfg).tightened_upper, rel=1e-12)
         assert row[-1] == pytest.approx(sum_capacity_interval(cfg)[2], rel=1e-12)
 
 
@@ -74,8 +73,9 @@ def test_spec_validation():
         power_grid(SweepSpec(p_lo=10.0, p_hi=1.0, points=3))
     with pytest.raises(ValidationError, match="ensemble"):
         power_grid(SweepSpec(p_lo=1.0, p_hi=10.0, points=3, ensemble=0))
-    with pytest.raises(ValidationError, match="unknown bound columns"):
-        sweep_snr(SweepSpec(p_lo=1.0, p_hi=10.0, points=3, gains=SYM, bounds=("nope",)))
+    for lo, hi in ((1.0, math.inf), (math.nan, 10.0), (-math.inf, 10.0)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            power_grid(SweepSpec(p_lo=lo, p_hi=hi, points=3))
     with pytest.raises(ValidationError, match="fixed gain"):
         sweep_snr(SweepSpec(p_lo=1.0, p_hi=10.0, points=3, gains=None))
 
@@ -150,7 +150,8 @@ def test_crossover_margin_brackets_the_root():
 
     def margin(P):
         cfg = validate(ChannelConfig(gains=SYM, power=P))
-        return outgoing_cutset_sum(cfg) - tightened_sum_upper(cfg)
+        b = evaluate(cfg)
+        return b.outgoing_cutset_sum - b.tightened_upper
 
     assert margin(res.p_star) > 0.0
     assert margin(res.p_star * (1.0 - 1e-5)) < 0.0
@@ -173,10 +174,10 @@ def test_crossover_table_encodes_status():
 
 
 def test_csv_has_six_decimal_cells():
-    spec = SweepSpec(p_lo=1.0, p_hi=100.0, points=3, gains=SYM, bounds=("lemma1",))
+    spec = SweepSpec(p_lo=1.0, p_hi=100.0, points=3, gains=SYM)
     table = sweep_snr(spec)
     lines = export_report(table, "csv").strip().split("\n")
-    assert lines[0] == "P,lemma1,gap"
+    assert lines[0] == ",".join(("P", *BOUND_COLUMNS, "gap"))
     for line, row in zip(lines[1:], table.rows):
         assert line == ",".join(f"{v:.6f}" for v in row)
 

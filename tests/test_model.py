@@ -177,12 +177,10 @@ def test_public_names_are_pinned():
         "CrossoverResult", "CutsetBounds", "GapStatistics", "GenieSideInfo", "LinearConstraint",
         "LpSolution", "PropertyViolationError", "RateRegion", "RateTuple", "ReportTable",
         "SweepSpec", "TransmissionTrace", "UserPermutation", "ValidationError",
-        "achievable_sum_lower", "bound_report", "bounds", "build_region", "canonicalize", "cap",
-        "cutset_bounds", "dof_estimate", "estimate_p2p_mi", "evaluate", "experiments",
-        "export_report", "find_crossover", "gap_ensemble", "genie_reconstruct_lemma1",
-        "genie_reconstruct_lemma2", "genie_verdict", "is_feasible", "lemma1_bound",
-        "lemma2_bound", "make_config", "make_genie_side_info", "max_weighted_sum", "model",
-        "normalize_power", "outgoing_cutset_sum", "random_encoders", "region", "relay_rates",
-        "sim", "simulate_network", "simulate_pnc_relay", "sum_capacity_interval", "sweep_snr",
-        "theorem2_sum_upper", "tightened_sum_upper", "validate", "verify_trace",
+        "bounds", "build_region", "canonicalize", "cap", "dof_estimate", "estimate_p2p_mi",
+        "evaluate", "experiments", "export_report", "find_crossover", "gap_ensemble",
+        "genie_reconstruct_lemma1", "genie_reconstruct_lemma2", "genie_verdict", "make_config",
+        "make_genie_side_info", "max_weighted_sum", "model", "normalize_power", "random_encoders",
+        "region", "sim", "simulate_network", "simulate_pnc_relay", "sum_capacity_interval",
+        "sweep_snr", "validate",
     ]

@@ -9,17 +9,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import oracle_max_sum
-from triway.bounds import cap, lemma1_bound, lemma2_bound, tightened_sum_upper
+from helpers import is_feasible, oracle_max_sum, sub_region
+from triway.bounds import cap, evaluate
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, RateTuple, ValidationError, canonicalize, validate
-from triway.region import (
-    LinearConstraint,
-    RateRegion,
-    build_region,
-    is_feasible,
-    max_weighted_sum,
-)
+from triway.region import LinearConstraint, RateRegion, build_region, max_weighted_sum
 
 
 def _cfg(h1, h2, h3, power):
@@ -85,13 +79,13 @@ def _dual_vertex_min(region, w, tol=1e-9):
 
 def test_build_region_structure():
     cfg = _cfg(1.0, 1.0, 1.0, 1.0)
-    cut = build_region(cfg, include_lemma1=False, include_lemma2=False)
+    cut = sub_region(cfg, "cutset")
     assert len(cut.constraints) == 6
     for c in cut.constraints:
         assert sum(c.coeffs) == 2 and set(c.coeffs) <= {0.0, 1.0}
         assert c.label.startswith("cutset.")
 
-    lem = build_region(cfg, include_cutset=False)
+    lem = sub_region(cfg, "lemma1", "lemma2")
     assert [c.label for c in lem.constraints] == ["lemma1", "lemma2"]
     supports = [tuple(j for j, v in enumerate(c.coeffs) if v) for c in lem.constraints]
     assert sorted(supports[0] + supports[1]) == list(range(6))  # disjoint partition
@@ -106,26 +100,21 @@ def test_build_region_structure():
     ]
 
 
-def test_build_region_requires_a_flag():
-    cfg = _cfg(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValidationError, match="at least one"):
-        build_region(cfg, include_cutset=False, include_lemma1=False, include_lemma2=False)
-
-
 def test_lemmas_only_lp_is_separable():
     rng = np.random.default_rng(20)
     for _ in range(50):
         cfg = _random_cfg(rng)
-        reg = build_region(cfg, include_cutset=False)
+        reg = sub_region(cfg, "lemma1", "lemma2")
         sol = max_weighted_sum(reg, [1.0] * 6)
         assert sol.status == "optimal"
-        expect = lemma1_bound(cfg) + lemma2_bound(cfg)
+        b = evaluate(cfg)
+        expect = b.lemma1 + b.lemma2
         assert sol.optimal_value == pytest.approx(expect, rel=1e-12)
         assert set(sol.tight_constraints) == {"lemma1", "lemma2"}
 
 
 def test_cutset_only_symmetric_value():
-    reg = build_region(_cfg(1.0, 1.0, 1.0, 1.0), include_lemma1=False, include_lemma2=False)
+    reg = sub_region(_cfg(1.0, 1.0, 1.0, 1.0), "cutset")
     sol = max_weighted_sum(reg, [1.0] * 6)
     assert sol.optimal_value == pytest.approx(2.377443751081734, rel=1e-12)  # 3 cap(2)
 
@@ -178,7 +167,7 @@ def test_weights_validation():
 
 def test_unbounded_when_rates_escape_every_constraint():
     cfg = _cfg(1.0, 1.0, 1.0, 1.0)
-    reg = build_region(cfg, include_cutset=False, include_lemma2=False)  # lemma1 only
+    reg = sub_region(cfg, "lemma1")
     sol = max_weighted_sum(reg, [1.0] * 6)
     assert sol.status == "unbounded"
     assert sol.optimizer is None
@@ -212,13 +201,11 @@ def test_degenerate_all_zero_gains():
 
 def test_simplex_matches_scipy_over_ensemble():
     rng = np.random.default_rng(23)
-    flag_sets = [(True, True, True), (True, False, False), (False, True, True),
-                 (True, True, False), (True, False, True), (False, True, False)]
+    family_sets = [("cutset", "lemma1", "lemma2"), ("cutset",), ("lemma1", "lemma2"),
+                   ("cutset", "lemma1"), ("cutset", "lemma2"), ("lemma1",)]
     for trial in range(120):
         cfg = _random_cfg(rng)
-        flags = flag_sets[trial % len(flag_sets)]
-        reg = build_region(cfg, include_cutset=flags[0],
-                           include_lemma1=flags[1], include_lemma2=flags[2])
+        reg = sub_region(cfg, *family_sets[trial % len(family_sets)])
         w = rng.uniform(0.0, 2.0, 6) * (rng.random(6) < 0.8)
         if not np.any(w > 0):
             w[rng.integers(0, 6)] = 1.0
@@ -247,7 +234,7 @@ def test_lp_below_tightened_and_above_pairing_point():
         cfg = _random_cfg(rng)
         reg = build_region(cfg)
         sol = max_weighted_sum(reg, [1.0] * 6)
-        assert sol.optimal_value <= tightened_sum_upper(cfg) + 1e-9
+        assert sol.optimal_value <= evaluate(cfg).tightened_upper + 1e-9
         c = cap(cfg.gains.h3 ** 2 * cfg.power)
         point = RateTuple(r12=c, r13=0.0, r21=c, r23=0.0, r31=0.0, r32=0.0)
         assert is_feasible(reg, point, tol=1e-9)
@@ -258,8 +245,8 @@ def test_oracle_within_six_steps_of_lp():
     rng = np.random.default_rng(26)
     for trial in range(12):
         cfg = _random_cfg(rng)
-        cutset, l1, l2 = [(True, True, True), (True, False, False), (False, True, True)][trial % 3]
-        reg = build_region(cfg, include_cutset=cutset, include_lemma1=l1, include_lemma2=l2)
+        families = [("cutset", "lemma1", "lemma2"), ("cutset",), ("lemma1", "lemma2")][trial % 3]
+        reg = sub_region(cfg, *families)
         lp = max_weighted_sum(reg, [1.0] * 6).optimal_value
         grid = oracle_max_sum(reg, 0.01)
         assert grid <= lp + 1e-9
@@ -272,17 +259,17 @@ def test_oracle_equals_naive_exhaustive_search():
     rng = np.random.default_rng(27)
     for trial in range(6):
         cfg = _random_cfg(rng, p_lo=0.3, p_hi=2.0)
-        cutset, l1, l2 = [(True, True, True), (True, False, False), (False, True, True)][trial % 3]
-        reg = build_region(cfg, include_cutset=cutset, include_lemma1=l1, include_lemma2=l2)
+        families = [("cutset", "lemma1", "lemma2"), ("cutset",), ("lemma1", "lemma2")][trial % 3]
+        reg = sub_region(cfg, *families)
         step = 0.25
         assert oracle_max_sum(reg, step) == pytest.approx(_naive_grid_max(reg, step), abs=1e-9)
 
 
 def test_oracle_spec_examples():
     cfg = _cfg(1.0, 1.0, 1.0, 1.0)
-    lem = build_region(cfg, include_cutset=False)
+    lem = sub_region(cfg, "lemma1", "lemma2")
     assert abs(oracle_max_sum(lem, 0.01) - 2.584962500721156) <= 0.06
-    cut = build_region(cfg, include_lemma1=False, include_lemma2=False)
+    cut = sub_region(cfg, "cutset")
     assert abs(oracle_max_sum(cut, 0.01) - 2.377443751081734) <= 0.06
 
 

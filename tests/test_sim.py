@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ENCODER_CASES, PARITY_CFG, emit_rebuild, emit_trace
+from helpers import ENCODER_CASES, PARITY_CFG, emit_rebuild, emit_trace, verify_trace
 from triway.bounds import cap
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
@@ -29,7 +29,6 @@ from triway.sim import (
     reconstruction_error,
     simulate_network,
     simulate_pnc_relay,
-    verify_trace,
 )
 
 
