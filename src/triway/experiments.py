@@ -72,7 +72,12 @@ def power_grid(spec: SweepSpec) -> np.ndarray:
         raise ValidationError("ensemble size must be >= 1")
     if spec.points == 1:
         return np.array([spec.p_lo])
-    return np.logspace(math.log10(spec.p_lo), math.log10(spec.p_hi), spec.points)
+    with np.errstate(over="ignore"):  # 10**log10(p_hi) can round past the largest double
+        grid = np.logspace(math.log10(spec.p_lo), math.log10(spec.p_hi), spec.points)
+    if not math.isfinite(grid[-1]):
+        raise ValidationError(f"power bound p_hi={spec.p_hi!r} is too large: "
+                              "its log-spaced grid point overflows")
+    return grid
 
 
 def spec_echo(spec: SweepSpec) -> dict:

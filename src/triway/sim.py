@@ -17,7 +17,9 @@ results are bit-reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -26,6 +28,7 @@ import numpy as np
 from .model import ChannelConfig, ValidationError
 
 _POWER_TOL = 1e-9
+_MAX_PERIOD = 4  # longest cycle of power states _power_parts detects
 
 TRACE_CSV_HEADER = "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
 
@@ -136,19 +139,8 @@ def random_encoders(cfg: ChannelConfig, n_taps: int, seed: int) -> tuple[CausalE
     return tuple(encoders)
 
 
-def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): messages, noise.
-
-    The state s(i) holds the 6 unit-variance messages and the last K_j
-    receptions of each user, so x_j(i) = a_j . s(i) and
-    s(i+1) = F s(i) + G z(i) with unit-variance noise z.  Its covariance
-    therefore moves as S <- F S F' + G G', and the block power of user j is
-    a_j' (sum_i S_i) a_j: O(n) time and O(1) memory in the block length.
-    By superposition the message-driven part starts from S = diag(1_6, 0)
-    with no injection and the noise-driven part from S = 0 with injection;
-    both go through the same F as one (2, d, d) stack, so one stacked pass
-    yields A and C, and A + C is the full expected power.
-    """
+def _power_system(encoders, cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projections a (x_j = a_j . s), transition F and noise injection G G' of the power state."""
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     link = ((0.0, h3, h2), (h3, 0.0, h1), (h2, h1, 0.0))  # y_j = sum_k link[j][k] x_k + z_j
     lags = [len(enc.feedback_weights) for enc in encoders]
@@ -168,17 +160,54 @@ def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.n
             for k in range(1, lags[j]):
                 F[b + k, b + k - 1] = 1.0
             GG[b, b] = 1.0
+    return a, F, GG
+
+
+def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): messages, noise.
+
+    The state s(i) holds the 6 unit-variance messages and the last K_j
+    receptions of each user, so x_j(i) = a_j . s(i) and
+    s(i+1) = F s(i) + G z(i) with unit-variance noise z.  Its covariance
+    therefore moves as S <- F S F' + G G', and the block power of user j is
+    a_j' (sum_i S_i) a_j: O(n) time and O(1) memory in the block length.
+    By superposition the message-driven part starts from S = diag(1_6, 0)
+    with no injection and the noise-driven part from S = 0 with injection;
+    both go through the same F as one (2, d, d) stack, so one stacked pass
+    yields A and C, and A + C is the full expected power.
+
+    Each stack depends only on the one before it, so once the stack equals,
+    bit for bit, one of the last _MAX_PERIOD stacks, the states repeat with
+    that period for the rest of the block.  The loop then stops the matmuls
+    and replays the cycle into the total one addition per remaining step,
+    in order, so the sum stays bit-identical to the full loop (m * S would
+    not be).  Most configs reach such a fixed point or short cycle within a
+    few dozen steps.  The test compares raw bytes, so 0.0 and -0.0 differ
+    and an overflowed state repeats only if its NaN and inf bits repeat.
+    """
+    a, F, GG = _power_system(encoders, cfg)
+    d = F.shape[0]
     S = np.zeros((2, d, d))  # slice 0 message-driven, slice 1 noise-driven
     S[0, :6, :6] = np.eye(6)
     noise = S[1]  # a view: every update below writes S in place
     total = np.zeros((2, d, d))
     FS = np.empty((2, d, d))
     Ft = F.T.copy()
-    for _ in range(n):  # preallocated buffers: no allocation per step
+    state = S.tobytes()
+    recent: collections.deque[bytes] = collections.deque(maxlen=_MAX_PERIOD)
+    for i in range(n):  # preallocated buffers: no matrix allocation per step
         total += S
+        recent.append(state)
         np.matmul(F, S, out=FS)
         np.matmul(FS, Ft, out=S)
         noise += GG
+        state = S.tobytes()
+        if state in recent:  # S repeats bit for bit: so does every later state
+            cycle = [np.frombuffer(b).reshape(S.shape)
+                     for b in itertools.islice(recent, recent.index(state), None)]
+            for k in range(n - 1 - i):  # the loop's own additions, in its order
+                total += cycle[k % len(cycle)]
+            break
     A, C = (np.einsum("jd,de,je->j", a, part, a) for part in total)
     return A, C
 
@@ -324,7 +353,10 @@ def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig,
                              encoders, side: GenieSideInfo) -> np.ndarray:
     """Enhanced user 3 regenerates y2; its noise is replaced by (h2/h3) z3.
 
-    The enhanced reception is y3'(i) = h2 x1(i) + h1 x2(i) + (h2/h3) z3(i).
+    The enhanced reception is y3'(i) = h2 x1(i) + h1 x2(i) + (h2/h3) z3(i),
+    formed from the channel terms.  Shifting y3 by (h2/h3 - 1) z3 instead
+    cancels y3 almost entirely when |h2/h3| is tiny, and the h3/h2 scaling
+    below then magnifies the rounding error of that cancellation.
     Stripping the re-derived h1 x2(i), scaling by h3/h2 and adding h1 x3(i)
     gives h3 x1(i) + h1 x3(i) + z3(i); adding z2 - z3 lands on y2(i).
     """
@@ -333,7 +365,7 @@ def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig,
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     if h2 == 0 or h3 == 0:
         raise ValidationError("singular configuration: h2 = 0 or h3 = 0")
-    enhanced_y3 = trace.y3 + (h2 / h3 - 1.0) * trace.z3
+    enhanced_y3 = h2 * trace.x1 + h1 * trace.x2 + (h2 / h3) * trace.z3
     return _rebuild_y2(encoders[1], side, h3 / h2, enhanced_y3, h1, trace.x3)
 
 

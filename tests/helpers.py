@@ -5,7 +5,8 @@ The grid oracle and the feasibility test cross-check the simplex, and
 permutation helpers check that a relabeling is a bijection on rates; the
 report readers invert the JSON the report writer produces; the emit-driven
 step loop, trace verification and genie rebuild are the references for the
-simulator's loops.
+simulator's loops; the full-length power recursion is the reference for the
+repeat shortcut in sim._power_parts.
 """
 
 import itertools
@@ -18,9 +19,11 @@ from triway.experiments import ReportTable
 from triway.model import RateTuple, UserPermutation, ValidationError, make_config
 from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
 from triway.sim import (
+    _MAX_PERIOD,
     _MSG_INDEX,
     CausalEncoder,
     TransmissionTrace,
+    _power_system,
     _scaled_dev,
     draw_messages,
     draw_realization,
@@ -217,7 +220,8 @@ def emit_rebuild(trace: TransmissionTrace, cfg, encoders, side) -> np.ndarray:
     """The genie rebuild of y2 (either lemma) with one emit call per symbol."""
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     enc2 = encoders[1]
-    enhanced_y3 = trace.y3 + (h2 / h3 - 1.0) * trace.z3 if side.variant == "lemma2" else None
+    enhanced_y3 = (h2 * trace.x1 + h1 * trace.x2 + (h2 / h3) * trace.z3
+                   if side.variant == "lemma2" else None)
     y2hat: list[float] = []
     for i in range(trace.n):
         x2hat = enc2.emit(side.side_messages, y2hat)
@@ -227,3 +231,46 @@ def emit_rebuild(trace: TransmissionTrace, cfg, encoders, side) -> np.ndarray:
             y2tilde = (h3 / h2) * (enhanced_y3[i] - h1 * x2hat) + h1 * trace.x3[i]
         y2hat.append(y2tilde + side.noise_diff[i])
     return np.array(y2hat)
+
+
+def _initial_state(d):
+    S = np.zeros((2, d, d))  # slice 0 message-driven, slice 1 noise-driven
+    S[0, :6, :6] = np.eye(6)
+    return S
+
+
+def reference_power_parts(encoders, cfg, n):
+    """sim._power_parts without the repeat shortcut: all n steps of S <- F S F' + G G'."""
+    a, F, GG = _power_system(encoders, cfg)
+    d = F.shape[0]
+    S = _initial_state(d)
+    noise = S[1]  # a view: every update below writes S in place
+    total = np.zeros((2, d, d))
+    FS = np.empty((2, d, d))
+    Ft = F.T.copy()
+    for _ in range(n):  # preallocated buffers: no allocation per step
+        total += S
+        np.matmul(F, S, out=FS)
+        np.matmul(FS, Ft, out=S)
+        noise += GG
+    A, C = (np.einsum("jd,de,je->j", a, part, a) for part in total)
+    return A, C
+
+
+def first_repeat(encoders, cfg, horizon):
+    """(i, p) for the first state S_i of the full recursion that equals S_(i-p)
+    bit for bit with 1 <= p <= _MAX_PERIOD, or None if none does up to S_horizon."""
+    _, F, GG = _power_system(encoders, cfg)
+    S = _initial_state(F.shape[0])
+    FS = np.empty_like(S)
+    Ft = F.T.copy()
+    states = [S.tobytes()]
+    for i in range(1, horizon + 1):  # the same in-place steps as the recursion
+        np.matmul(F, S, out=FS)
+        np.matmul(FS, Ft, out=S)
+        S[1] += GG
+        states.append(S.tobytes())
+        for p in range(1, min(_MAX_PERIOD, i) + 1):
+            if states[i] == states[i - p]:
+                return i, p
+    return None

@@ -82,6 +82,15 @@ def test_genie_verdict(capsys):
     assert verdict["max_rel_error"] < 1e-9
 
 
+def test_lemma2_is_exact_at_a_tiny_cross_gain_ratio(capsys):
+    # h2/h3 = 1e-160: an enhanced reception of y3 + (h2/h3 - 1) z3 cancels y3 almost
+    # entirely, and scaling by h3/h2 magnified the rounding (error 0.878, exit 2)
+    code, out, err = _run(capsys, "genie", "--variant", "lemma2", "--g12", "1",
+                          "--g13", "1e-160", "--g23", "0", "--n", "10")
+    assert code == 0 and err == ""
+    assert json.loads(out)["max_rel_error"] < 1e-9
+
+
 def test_genie_runs_are_reproducible(capsys):
     a = _run(capsys, "genie", "--variant", "lemma2", "--seed", "3")
     b = _run(capsys, "genie", "--variant", "lemma2", "--seed", "3")
@@ -113,6 +122,8 @@ _SEEDED = (("genie", "--variant", "lemma1"), ("simulate",), ("gap-ensemble",))
     *(((*cmd, "--seed", "-1"), None) for cmd in _SEEDED),
     *((cmd, "-1") for cmd in _SEEDED),
     *(((cmd, "--p-lo", "1", "--p-hi", "inf"), None) for cmd in ("sweep", "dof", "gap-ensemble")),
+    *(((cmd, "--p-lo", "1", "--p-hi", "1.7976931348623157e308", "--points", "3"), None)
+      for cmd in ("sweep", "dof", "gap-ensemble")),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else
    ("TRIWAY_SEED unset" if v is None else f"TRIWAY_SEED={v}"))
 def test_bad_seed_or_power_bound_is_one_error_line(capsys, monkeypatch, argv, env):

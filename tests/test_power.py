@@ -1,6 +1,7 @@
 """Exact power accounting: the stacked second-moment recursion in
-sim._power_parts against a brute-force coefficient expansion, bit-exact pins
-of the normalization scale, and bounded memory at long block lengths."""
+sim._power_parts against a brute-force coefficient expansion, its repeat
+shortcut against the full-length recursion, bit-exact pins of the
+normalization scale, and bounded memory at long block lengths."""
 
 import json
 import tracemalloc
@@ -8,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import ENCODER_CASES, PARITY_CFG
-from triway import cli
+from helpers import ENCODER_CASES, PARITY_CFG, first_repeat, reference_power_parts
+from triway import cli, sim
 from triway.model import make_config
 from triway.sim import _MSG_INDEX, _power_parts, normalize_power, random_encoders
 
@@ -65,6 +66,55 @@ def test_recursion_matches_expansion(encoders, n, with_messages, with_noise):
     got = A + C if with_messages and with_noise else A if with_messages else C
     want = expanded_power(encoders, PARITY_CFG, n, with_messages, with_noise)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# (make_config args, taps, seed) of normalize_power(random_encoders(...), cfg, 1000)
+# whose power states repeat with the period named, or never within 5000 steps
+_REPEATS = {
+    "fixed_point": ((1.5, 1.0, 0.5, 1.0), 2, 0, 1),
+    "period2": ((0.5, -1.25, 2, 3.5), 1, 9, 2),
+    "period3": ((1.5, -1.0, 0.5, 10.0), 2, 15, 3),
+    "period4": ((1.5, 1.0, 0.5, 1.0), 1, 39, 4),
+    "never": ((1.5, 1.0, 0.5, 1.0), 2, 31, None),
+}
+
+
+class _CountingNumpy:
+    """numpy with a count of matmul calls, to see where the recursion stops."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("case", list(_REPEATS))
+def test_repeat_shortcut_is_bit_exact(case, monkeypatch):
+    config, taps, seed, period = _REPEATS[case]
+    cfg, _ = make_config(*config)
+    encoders = normalize_power(random_encoders(cfg, taps, seed), cfg, 1000)
+    found = first_repeat(encoders, cfg, 5000)
+    if period is None:
+        assert found is None
+        step, ns = 1000, [1, 2, 1000, 5000]
+    else:
+        step, p = found
+        assert p == period
+        # detection at step - 1, 0 and 1 more steps, and a tail that is no multiple of p
+        ns = [1, step - 1, step, step + 1, step + 2 * p + 1, 1000]
+    for n in ns:
+        got, want = _power_parts(encoders, cfg, n), reference_power_parts(encoders, cfg, n)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), (n, g, w)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(sim, "np", counting)
+    _power_parts(encoders, cfg, 1000)
+    assert counting.matmuls == 2 * step  # the loop stops where the states repeat
 
 
 # normalize_power(random_encoders(cfg, taps, seed), cfg, 1000)[0].message_scale,
