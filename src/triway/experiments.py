@@ -181,16 +181,13 @@ def crossover_table(result: CrossoverResult, gains: ChannelGains,
     return ReportTable(kind="crossover", header=header, rows=(row,), meta=meta)
 
 
-def _csv_cell(value) -> str:
-    # bools are ints: both print as integers, everything else with 6 decimals
-    return str(int(value)) if isinstance(value, int) else f"{value:.6f}"
-
-
 def export_report(obj, format: str) -> str:
     """The one report writer: returns the exact text a report is written as.
 
     JSON takes a dict and keeps full float precision, keys sorted.  CSV takes a
-    (header, rows) pair and prints a header line plus one line per row.  A
+    (header, rows) pair and prints a header line plus one line per row: a cell
+    of type int or bool as an integer, any other cell (np.int64 included) with
+    6 decimals, through one %-format built per distinct row-type signature.  A
     ReportTable is both: its kind, meta, header and rows as JSON, its header
     and rows as CSV.  Identical inputs give identical bytes.
     """
@@ -202,6 +199,13 @@ def export_report(obj, format: str) -> str:
     if format == "csv":
         header, rows = obj
         lines = [",".join(header)]
-        lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+        formats: dict[tuple[type, ...], str] = {}  # row-type signature -> row format
+        for row in rows:
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join("%d" if kind in (int, bool) else "%.6f" for kind in kinds)
+            lines.append(fmt % row)
         return "\n".join(lines) + "\n"
     raise ValidationError(f"format must be csv or json, got {format!r}")

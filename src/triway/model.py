@@ -2,7 +2,7 @@
 
 Users are labeled so that users 1 and 2 share the strongest link:
 h3 is the 1-2 gain, h2 the 1-3 gain, h1 the 2-3 gain, with
-h3^2 >= h2^2 >= h1^2 after canonicalization.  Gains are real and signed;
+|h3| >= |h2| >= |h1| after canonicalization.  Gains are real and signed;
 every bound depends only on squared gains, the simulator consumes signs.
 """
 
@@ -31,8 +31,8 @@ class ChannelGains:
         return (self.h1 * self.h1, self.h2 * self.h2, self.h3 * self.h3)
 
     def is_canonical(self) -> bool:
-        s1, s2, s3 = self.squared()
-        return s3 >= s2 >= s1
+        # magnitudes, not squares: squares of gains below ~1e-162 all underflow to 0
+        return abs(self.h3) >= abs(self.h2) >= abs(self.h1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,7 +89,7 @@ class RateTuple:
 
 
 def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, UserPermutation]:
-    """Relabel users so the squared gains satisfy h3^2 >= h2^2 >= h1^2.
+    """Relabel users so the gain magnitudes satisfy |h3| >= |h2| >= |h1|.
 
     Ties prefer the identity relabeling, then the lexicographically smallest
     mapping, so the result is deterministic: permutations() yields mappings in
@@ -103,7 +103,7 @@ def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, User
     for mapping in itertools.permutations((1, 2, 3)):
         # new user k is original user mapping.index(k) + 1 and keeps its opposite link
         h1, h2, h3 = (opposite[mapping.index(k)] for k in (1, 2, 3))
-        if h3 * h3 >= h2 * h2 >= h1 * h1:
+        if abs(h3) >= abs(h2) >= abs(h1):
             return ChannelGains(h1=h1, h2=h2, h3=h3), UserPermutation(mapping)
     raise AssertionError("three finite reals always have an order")
 
@@ -120,7 +120,7 @@ def validate(config: ChannelConfig) -> ChannelConfig:
             raise ValidationError(f"gain {name}={g!r} is not finite")
     if not config.gains.is_canonical():
         raise ValidationError(
-            f"gain ordering violated: need h3^2 >= h2^2 >= h1^2, got {config.gains}"
+            f"gain ordering violated: need |h3| >= |h2| >= |h1|, got {config.gains}"
         )
     _, s2, s3 = config.gains.squared()
     if not math.isfinite(s3 + s2):  # the largest pairwise sum, given the ordering

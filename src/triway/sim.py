@@ -185,30 +185,35 @@ def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.n
     few dozen steps.  The test compares raw bytes, so 0.0 and -0.0 differ
     and an overflowed state repeats only if its NaN and inf bits repeat.
     """
-    a, F, GG = _power_system(encoders, cfg)
-    d = F.shape[0]
-    S = np.zeros((2, d, d))  # slice 0 message-driven, slice 1 noise-driven
-    S[0, :6, :6] = np.eye(6)
-    noise = S[1]  # a view: every update below writes S in place
-    total = np.zeros((2, d, d))
-    FS = np.empty((2, d, d))
-    Ft = F.T.copy()
-    state = S.tobytes()
-    recent: collections.deque[bytes] = collections.deque(maxlen=_MAX_PERIOD)
-    for i in range(n):  # preallocated buffers: no matrix allocation per step
-        total += S
-        recent.append(state)
-        np.matmul(F, S, out=FS)
-        np.matmul(FS, Ft, out=S)
-        noise += GG
+    # huge gains or scales overflow the state; the result is checked instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, F, GG = _power_system(encoders, cfg)
+        d = F.shape[0]
+        S = np.zeros((2, d, d))  # slice 0 message-driven, slice 1 noise-driven
+        S[0, :6, :6] = np.eye(6)
+        noise = S[1]  # a view: every update below writes S in place
+        total = np.zeros((2, d, d))
+        FS = np.empty((2, d, d))
+        Ft = F.T.copy()
         state = S.tobytes()
-        if state in recent:  # S repeats bit for bit: so does every later state
-            cycle = [np.frombuffer(b).reshape(S.shape)
-                     for b in itertools.islice(recent, recent.index(state), None)]
-            for k in range(n - 1 - i):  # the loop's own additions, in its order
-                total += cycle[k % len(cycle)]
-            break
-    A, C = (np.einsum("jd,de,je->j", a, part, a) for part in total)
+        recent: collections.deque[bytes] = collections.deque(maxlen=_MAX_PERIOD)
+        for i in range(n):  # preallocated buffers: no matrix allocation per step
+            total += S
+            recent.append(state)
+            np.matmul(F, S, out=FS)
+            np.matmul(FS, Ft, out=S)
+            noise += GG
+            state = S.tobytes()
+            if state in recent:  # S repeats bit for bit: so does every later state
+                cycle = [np.frombuffer(b).reshape(S.shape)
+                         for b in itertools.islice(recent, recent.index(state), None)]
+                for k in range(n - 1 - i):  # the loop's own additions, in its order
+                    total += cycle[k % len(cycle)]
+                break
+        A, C = (np.einsum("jd,de,je->j", a, part, a) for part in total)
+        if not np.all(np.isfinite(A + C)):  # A, C >= 0: finite iff both are
+            raise ValidationError(f"expected block power over n={n} is not finite: "
+                                  "the gains, power or message scale leave the float range")
     return A, C
 
 
@@ -239,10 +244,23 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
             raise ValidationError(
                 f"user {j + 1} feedback taps alone need expected power {C[j]:.6g} > budget {budget:.6g}"
             )
-        if A[j] > 0:
-            scales.append(math.sqrt(max(0.0, budget - C[j]) / A[j]))
+        if A[j] > 0:  # Python floats: an overflow gives inf, which simulate_network rejects
+            scales.append(math.sqrt(max(0.0, float(budget - C[j])) / float(A[j])))
     s = min(scales) if scales else 1.0
     return tuple(e.with_scale(s) for e in encoders)
+
+
+def _lag_schedule(taps: tuple[float, ...]) -> Iterator[tuple[tuple[float, int], ...]]:
+    """Per step i = 1, 2, ...: the (tap, lag) pairs an encoder applies, lag -1 first.
+
+    Lag -k reads the k-th newest reception by negative index.  In the first
+    K = len(taps) steps only i - 1 receptions exist, so the tuple is cut to
+    them: a missing lag is skipped, as CausalEncoder.emit skips it, not added
+    as tap * 0.0, which would turn a -0.0 message term into 0.0.  Taps become
+    Python floats, whose products and sums round as numpy's do.
+    """
+    lagged = tuple(zip(map(float, taps), range(-1, -len(taps) - 1, -1)))
+    return itertools.chain((lagged[:i] for i in range(len(lagged))), itertools.repeat(lagged))
 
 
 def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> TransmissionTrace:
@@ -251,7 +269,8 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     Rejects encoder triples whose expected block power exceeds any user's
     budget (apply normalize_power first).  The loop computes what
     CausalEncoder.emit computes, in the same operation order: each user's
-    message term once, then its taps over its own receptions, newest first.
+    message term once, then its taps over its own receptions, newest first,
+    each read by its lag from _lag_schedule.
     """
     if n < 1:
         raise ValidationError(f"block length must be >= 1, got {n}")
@@ -266,27 +285,34 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     real = draw_realization(n, seed)
     messages = draw_messages(seed)
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    xs: list[list[float]] = [[], [], []]
-    ys: list[list[float]] = [[], [], []]
-    users = [(enc.message_term(messages[list(_MSG_INDEX[j])]), enc.feedback_weights,
-              -len(enc.feedback_weights) - 1, ys[j]) for j, enc in enumerate(encoders)]
-    for z1, z2, z3 in zip(real.z1.tolist(), real.z2.tolist(), real.z3.tolist()):
-        step = []
-        for x, taps, stop, hist in users:
-            for tap, y in zip(taps, hist[:stop:-1]):
-                x += tap * y
-            step.append(x)
-        x1, x2, x3 = step
-        xs[0].append(x1)
-        xs[1].append(x2)
-        xs[2].append(x3)
-        ys[0].append(h3 * x2 + h2 * x3 + z1)
-        ys[1].append(h3 * x1 + h1 * x3 + z2)
-        ys[2].append(h2 * x1 + h1 * x2 + z3)
+    x1s: list[float] = []
+    x2s: list[float] = []
+    x3s: list[float] = []
+    y1s: list[float] = []
+    y2s: list[float] = []
+    y3s: list[float] = []
+    t1, t2, t3 = (enc.message_term(messages[list(_MSG_INDEX[j])]) for j, enc in enumerate(encoders))
+    schedule = zip(*(_lag_schedule(enc.feedback_weights) for enc in encoders))
+    for z1, z2, z3, (p1, p2, p3) in zip(real.z1.tolist(), real.z2.tolist(), real.z3.tolist(), schedule):
+        x1 = t1
+        for tap, lag in p1:
+            x1 += tap * y1s[lag]
+        x2 = t2
+        for tap, lag in p2:
+            x2 += tap * y2s[lag]
+        x3 = t3
+        for tap, lag in p3:
+            x3 += tap * y3s[lag]
+        x1s.append(x1)
+        x2s.append(x2)
+        x3s.append(x3)
+        y1s.append(h3 * x2 + h2 * x3 + z1)
+        y2s.append(h3 * x1 + h1 * x3 + z2)
+        y3s.append(h2 * x1 + h1 * x2 + z3)
     return TransmissionTrace(
-        x1=np.array(xs[0]), x2=np.array(xs[1]), x3=np.array(xs[2]),
-        y1=np.array(ys[0]), y2=np.array(ys[1]), y3=np.array(ys[2]),
-        z1=real.z1.copy(), z2=real.z2.copy(), z3=real.z3.copy(),
+        x1=np.array(x1s), x2=np.array(x2s), x3=np.array(x3s),
+        y1=np.array(y1s), y2=np.array(y2s), y3=np.array(y3s),
+        z1=real.z1, z2=real.z2, z3=real.z3,
         messages=messages,
     )
 
@@ -321,13 +347,13 @@ def _rebuild_y2(enc2: CausalEncoder, side: GenieSideInfo, ratio: float,
     x2(i) is re-derived from user 2's encoder on the y2 rebuilt so far, as
     CausalEncoder.emit computes it and in the same operation order.
     """
-    taps, stop = enc2.feedback_weights, -len(enc2.feedback_weights) - 1
     term = enc2.message_term(side.side_messages)
     y2hat: list[float] = []
-    for h, k, nd in zip(heard.tolist(), known.tolist(), side.noise_diff.tolist()):
+    for h, k, nd, pairs in zip(heard.tolist(), known.tolist(), side.noise_diff.tolist(),
+                               _lag_schedule(enc2.feedback_weights)):
         x2hat = term
-        for tap, y in zip(taps, y2hat[:stop:-1]):
-            x2hat += tap * y
+        for tap, lag in pairs:
+            x2hat += tap * y2hat[lag]
         y2hat.append(ratio * (h - gain * x2hat) + gain * k + nd)
     return np.array(y2hat)
 
@@ -383,8 +409,12 @@ def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int) -> dict:
         rebuilt = genie_reconstruct_lemma1(trace, cfg, encoders, side)
     else:
         rebuilt = genie_reconstruct_lemma2(trace, cfg, encoders, side)
+    error = reconstruction_error(rebuilt, trace)
+    if not math.isfinite(error):  # NaN would also slip past the caller's error < tol test
+        raise ValidationError(f"genie {variant} reconstruction is not finite: the gain "
+                              "ratio it scales by leaves the float range")
     return {
-        "max_rel_error": reconstruction_error(rebuilt, trace),
+        "max_rel_error": error,
         "n": int(n),
         "seed": int(seed),
         "variant": variant,
@@ -404,12 +434,27 @@ def estimate_p2p_mi(cfg: ChannelConfig, link: str, sample_count: int, seed: int)
     h = getattr(cfg.gains, link)
     x = np.random.default_rng([int(seed), 0]).standard_normal(int(sample_count))
     z = np.random.default_rng([int(seed), 1]).standard_normal(int(sample_count))
-    x = x * math.sqrt(cfg.power)
-    y = h * x + z
-    ns = float(sample_count)
-    sxx, syy, sxy = float(x @ x) / ns, float(y @ y) / ns, float(x @ y) / ns
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments are rejected below
+        x = x * math.sqrt(cfg.power)
+        y = h * x + z
+        ns = float(sample_count)
+        sxx, syy, sxy = float(x @ x) / ns, float(y @ y) / ns, float(x @ y) / ns
+    if not (math.isfinite(sxx * syy) and sxx * syy > 0.0):
+        raise ValidationError(f"link {link}: sample second moments at P={cfg.power!r} "
+                              "leave the float range")
     rho2 = sxy * sxy / (sxx * syy)
+    if not rho2 < 1.0:
+        raise ValidationError(f"link {link}: h^2 P = {h * h * cfg.power:.6g} is too strong for a "
+                              f"{sample_count}-sample estimate, the sample correlation rounds to 1")
     return -0.5 * math.log1p(-rho2) / math.log(2.0)
+
+
+def _pam_index(statistic: np.ndarray, q: int) -> np.ndarray:
+    """The PAM decision rint(statistic) mod q, for statistics an int64 holds exactly."""
+    if not np.all(np.abs(statistic) < 2.0 ** 53):  # also False for inf and NaN
+        raise ValidationError("relay decision statistic leaves the float range: gain h2 "
+                              "and power are too extreme for the PAM exchange")
+    return np.rint(statistic).astype(int) % q
 
 
 def simulate_pnc_relay(cfg: ChannelConfig, pam_order: int, n: int, seed: int,
@@ -454,11 +499,12 @@ def simulate_pnc_relay(cfg: ChannelConfig, pam_order: int, n: int, seed: int,
 
     alpha = math.sqrt(12.0 * cfg.power / (q * q - 1.0))  # unit-power PAM spacing
     offset = (q - 1) / 2.0
-    y_relay = h2 * (alpha * (a - offset) + alpha * (b - offset)) + z_relay
-    u = np.rint(y_relay / (h2 * alpha) + (q - 1)).astype(int) % q  # (a + b) mod q
-    s_relay = alpha * (u - offset)
-    u2 = np.rint((h2 * s_relay + z_user2) / (h2 * alpha) + offset).astype(int) % q
-    u3 = np.rint((h2 * s_relay + z_user3) / (h2 * alpha) + offset).astype(int) % q
+    with np.errstate(all="ignore"):  # _pam_index rejects statistics that left the float range
+        y_relay = h2 * (alpha * (a - offset) + alpha * (b - offset)) + z_relay
+        u = _pam_index(y_relay / (h2 * alpha) + (q - 1), q)  # (a + b) mod q
+        s_relay = alpha * (u - offset)
+        u2 = _pam_index((h2 * s_relay + z_user2) / (h2 * alpha) + offset, q)
+        u3 = _pam_index((h2 * s_relay + z_user3) / (h2 * alpha) + offset, q)
     b_hat = (u2 - a) % q  # user 2 removes its own index to get user 3's
     a_hat = (u3 - b) % q
     errors = int(np.count_nonzero(b_hat != b)) + int(np.count_nonzero(a_hat != a))

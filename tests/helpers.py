@@ -3,10 +3,11 @@
 The grid oracle and the feasibility test cross-check the simplex, and
 `sub_region` gives them regions of one or two constraint families; the
 permutation helpers check that a relabeling is a bijection on rates; the
-report readers invert the JSON the report writer produces; the emit-driven
-step loop, trace verification and genie rebuild are the references for the
-simulator's loops; the full-length power recursion is the reference for the
-repeat shortcut in sim._power_parts.
+report readers invert the JSON the report writer produces, and `csv_cell` is
+the per-cell rule its CSV must match; the emit-driven step loop, trace
+verification and genie rebuild are the references for the simulator's loops;
+the full-length power recursion is the reference for the repeat shortcut in
+sim._power_parts.
 """
 
 import itertools
@@ -129,6 +130,12 @@ def oracle_max_sum(region: RateRegion, grid_step: float) -> float:
     return float(total.max())
 
 
+def csv_cell(value) -> str:
+    """The CSV writer's per-cell rule: bools are ints, both print as integers,
+    every other value (np.int64 included, which is no int) with 6 decimals."""
+    return str(int(value)) if isinstance(value, int) else f"{value:.6f}"
+
+
 def table_from_json(text: str) -> ReportTable:
     obj = json.loads(text)
     return ReportTable(kind=obj["kind"], header=tuple(obj["header"]),
@@ -157,8 +164,17 @@ def _random_triple(n_taps):
     return tuple(e.with_scale(0.6 + 0.3 * j) for j, e in enumerate(encoders))
 
 
+# _MIXED with a user 2 whose message term is -0.0 at every seed the parity
+# test uses: m23 < 0 there, so -0.0 * m23 = +0.0, the sum is +0.0 and the
+# scale -1 flips it.  Its first symbol is then -0.0, and adding tap * 0.0 for
+# a missing lag would turn it into +0.0.
+_NEG_ZERO = (_MIXED[0],
+             CausalEncoder(message_weights=(0.0, -0.0), feedback_weights=(0.21,), message_scale=-1.0),
+             _MIXED[2])
+
 # encoder triples the loop and power oracles are checked on, by test id
-ENCODER_CASES = {**{f"taps{k}": _random_triple(k) for k in range(4)}, "taps013": _MIXED}
+ENCODER_CASES = {**{f"taps{k}": _random_triple(k) for k in range(4)}, "taps013": _MIXED,
+                 "taps013_negzero": _NEG_ZERO}
 
 
 def emit_trace(encoders, cfg, n: int, seed: int) -> TransmissionTrace:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import load_report_json, table_from_json
+from helpers import csv_cell, load_report_json, table_from_json
 from triway.bounds import evaluate, sum_capacity_interval
 from triway.experiments import (
     BOUND_COLUMNS,
@@ -206,6 +206,16 @@ def test_export_error_paths(tmp_path):
         export_report(table, "xml")
     with pytest.raises(OSError, match="cannot read report from"):
         load_report_json(tmp_path / "absent.json")
+
+
+def test_csv_rows_match_the_per_cell_rule():
+    cells = (True, False, 0, -7, 2 ** 70, np.int64(-3), 1.5, np.float64(2.0 / 3.0), -0.0,
+             math.inf, -math.inf, math.nan, 1e300, -1e-300, np.float64(-0.0))
+    rows = [cells, cells[::-1], (1, 1.0), (1.0, 1), (np.int64(1), True), [False, 1e300], (), cells]
+    header = tuple(f"c{k}" for k in range(len(cells)))
+    want = "\n".join([",".join(header), *(",".join(map(csv_cell, row)) for row in rows)]) + "\n"
+    assert export_report((header, rows), "csv") == want
+    assert export_report((header, iter(rows)), "csv") == want  # rows may be a one-pass iterator
 
 
 def test_empty_rows_yield_header_only_csv():

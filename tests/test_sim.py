@@ -183,18 +183,31 @@ def test_genie_exact_with_feedback_encoders():
             assert reconstruction_error(rebuild(trace, CFG, enc, side), trace) < 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 200])
+# every n from 1 to K + 1 = 4 for the three-tap users: each warm-up step and the first full one
+_PARITY_N = [1, 2, 3, 4, 200]
+
+
+@pytest.mark.parametrize("n", _PARITY_N)
 @pytest.mark.parametrize("encoders", list(ENCODER_CASES.values()), ids=list(ENCODER_CASES))
 def test_loops_match_emit_oracle_bit_for_bit(encoders, n):
     trace = simulate_network(encoders, PARITY_CFG, n, seed=n)
     want = emit_trace(encoders, PARITY_CFG, n, seed=n)
     for field in ("x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3", "messages"):
         assert np.array_equal(getattr(trace, field), getattr(want, field)), field
+        assert getattr(trace, field).tobytes() == getattr(want, field).tobytes(), field  # signed zeros
     for variant, rebuild in (("lemma1", genie_reconstruct_lemma1),
                              ("lemma2", genie_reconstruct_lemma2)):
         side = make_genie_side_info(trace, PARITY_CFG, variant)
         got = rebuild(trace, PARITY_CFG, encoders, side)
         assert np.array_equal(got, emit_rebuild(trace, PARITY_CFG, encoders, side)), variant
+        assert got.tobytes() == emit_rebuild(trace, PARITY_CFG, encoders, side).tobytes(), variant
+
+
+@pytest.mark.parametrize("n", _PARITY_N)
+def test_negzero_case_sends_negative_zero(n):
+    # the premise of the taps013_negzero parity case: user 2's first symbol is -0.0
+    x2 = emit_trace(ENCODER_CASES["taps013_negzero"], PARITY_CFG, n, seed=n).x2
+    assert x2[0] == 0.0 and np.signbit(x2[0])
 
 
 def test_genie_side_info_formulas():
