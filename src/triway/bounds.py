@@ -115,6 +115,16 @@ class BoundReport:
         return tuple(REPORT_CSV_HEADER.split(",")), (row,)
 
 
+def _gap_terms(s1: float, s2: float, s3: float, P: float) -> tuple[float, float, float, float, float]:
+    """(out1, lemma1, lemma2, lower, gap) from squared gains and power; see `evaluate`."""
+    ratio = 0.0 if s2 == 0.0 else s1 / s2
+    out1 = _cap_of((s3 + s2) * P, s3 + s2, P)
+    lemma1 = out1 + _cap_of(ratio)
+    lemma2 = _cap_of(s3 * P * (1.0 + ratio), s3, P, 1.0 + ratio) + 0.5
+    lower = 2.0 * _cap_of(s3 * P, s3, P)
+    return out1, lemma1, lemma2, lower, max(0.0, min(2.0, lemma1 + lemma2 - lower))
+
+
 def evaluate(cfg: ChannelConfig) -> BoundReport:
     """Every closed-form bound of cfg, each distinct cap argument evaluated once.
 
@@ -127,18 +137,13 @@ def evaluate(cfg: ChannelConfig) -> BoundReport:
     """
     s1, s2, s3 = cfg.gains.squared()
     P = cfg.power
-    ratio = 0.0 if s2 == 0.0 else s1 / s2
-    out1 = _cap_of((s3 + s2) * P, s3 + s2, P)
+    out1, lemma1, lemma2, lower, gap = _gap_terms(s1, s2, s3, P)
     out2 = _cap_of((s3 + s1) * P, s3 + s1, P)
     out3 = _cap_of((s2 + s1) * P, s2 + s1, P)
-    lemma1 = out1 + _cap_of(ratio)
-    lemma2 = _cap_of(s3 * P * (1.0 + ratio), s3, P, 1.0 + ratio) + 0.5
-    lower = 2.0 * _cap_of(s3 * P, s3, P)
-    tightened = lemma1 + lemma2
     return BoundReport(
         config=cfg, out1=out1, out2=out2, out3=out3, outgoing_cutset_sum=out1 + out2 + out3,
-        lemma1=lemma1, lemma2=lemma2, theorem2_upper=lower + 2.0, tightened_upper=tightened,
-        achievable_lower=lower, gap=max(0.0, min(2.0, tightened - lower)),
+        lemma1=lemma1, lemma2=lemma2, theorem2_upper=lower + 2.0, tightened_upper=lemma1 + lemma2,
+        achievable_lower=lower, gap=gap,
         # the lattice argument is clamped at 0 where the expression goes negative
         relay_lattice_rate=_cap_of(max(0.0, s2 * P - 0.5), s2, P),
         relay_direct_rate=_cap_of(s1 * P, s1, P),
@@ -147,13 +152,13 @@ def evaluate(cfg: ChannelConfig) -> BoundReport:
 
 
 def sum_capacity_interval(cfg: ChannelConfig) -> tuple[float, float, float]:
-    """(lower, upper, gap) bracketing the sum capacity.
+    """(lower, upper, gap) bracketing the sum capacity, bit-identical to `evaluate`'s fields.
 
-    upper is the minimum of the closed-form sum bounds; see `evaluate` for the
-    literal 2.0.
+    upper is the minimum of the closed-form sum bounds, lower + gap; see
+    `evaluate` for the literal 2.0.  Only the gap's four cap terms are computed.
     """
-    b = evaluate(cfg)
-    return b.achievable_lower, b.achievable_lower + b.gap, b.gap
+    _, _, _, lower, gap = _gap_terms(*cfg.gains.squared(), cfg.power)
+    return lower, lower + gap, gap
 
 
 def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:

@@ -194,8 +194,7 @@ def _cmd_sweep(args) -> int:
     cfg, _ = _resolve_config(args)
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  gains=cfg.gains, seed=_resolve_seed(args))
-    table = experiments.sweep_snr(spec)
-    _emit(table, args, args.format)
+    _emit(experiments.sweep_snr(spec), args, args.format)
     return 0
 
 
@@ -203,8 +202,7 @@ def _cmd_gap_ensemble(args) -> int:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  ensemble=args.ensemble, seed=_resolve_seed(args))
     stats = experiments.gap_ensemble(spec)
-    table = experiments.gap_statistics_table(stats, spec)
-    _emit(table, args, args.format)
+    _emit(experiments.gap_statistics_table(stats, spec), args, args.format)
     if stats.violations > 0:
         raise PropertyViolationError(f"{stats.violations} gap values fell outside [0, 2]")
     return 0
@@ -213,8 +211,7 @@ def _cmd_gap_ensemble(args) -> int:
 def _cmd_crossover(args) -> int:
     cfg, _ = _resolve_config(args)
     result = experiments.find_crossover(cfg.gains, args.p_lo, args.p_hi)
-    table = experiments.crossover_table(result, cfg.gains, args.p_lo, args.p_hi)
-    _emit(table, args, args.format)
+    _emit(experiments.crossover_table(result, cfg.gains, args.p_lo, args.p_hi), args, args.format)
     return 0
 
 
@@ -299,10 +296,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PropertyViolationError as exc:

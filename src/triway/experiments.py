@@ -112,15 +112,14 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
     grid power evenly.
     """
     grid = power_grid(spec)
+    powers = grid[:spec.ensemble].tolist()  # trial t < ensemble reads index t % len(grid)
     worst = None
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
     for t in range(spec.ensemble):
-        if spec.gains is None:
-            g = np.random.default_rng([spec.seed, t]).standard_normal(3)
-            gains, _ = canonicalize(g[0], g[1], g[2])
-        else:
-            gains = spec.gains
-        cfg = ChannelConfig(gains=gains, power=float(grid[t % len(grid)]))
+        gains = spec.gains
+        if gains is None:
+            gains, _ = canonicalize(*np.random.default_rng([spec.seed, t]).standard_normal(3).tolist())
+        cfg = ChannelConfig(gains=gains, power=powers[t % len(grid)])
         _, _, gap = bounds.sum_capacity_interval(cfg)
         if gap < 0.0 or gap > 2.0:
             violations += 1

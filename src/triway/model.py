@@ -9,7 +9,6 @@ every bound depends only on squared gains, the simulator consumes signs.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 
@@ -88,23 +87,26 @@ class RateTuple:
         return cls(*(float(v) for v in vals))
 
 
+# per mapping in lexicographic order: (indices into canonicalize's `opposite` of new h1, h2, h3, relabeling)
+_RELABELINGS = tuple((tuple(m.index(k) for k in (1, 2, 3)), UserPermutation(m))
+                     for m in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
+
+
 def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, UserPermutation]:
     """Relabel users so the gain magnitudes satisfy |h3| >= |h2| >= |h1|.
 
-    Ties prefer the identity relabeling, then the lexicographically smallest
-    mapping, so the result is deterministic: permutations() yields mappings in
-    lexicographic order with the identity first, and the first valid one wins.
+    The six relabelings are tried in lexicographic order of mapping, identity
+    first, and the first whose order holds wins, so ties are deterministic.
     The squared-gain multiset is preserved; signs ride along with their pair.
     """
     for g in (g12, g13, g23):
         if not math.isfinite(g):
             raise ValidationError(f"channel gain {g!r} is not finite")
     opposite = (float(g23), float(g13), float(g12))  # gain of the link that avoids user k
-    for mapping in itertools.permutations((1, 2, 3)):
-        # new user k is original user mapping.index(k) + 1 and keeps its opposite link
-        h1, h2, h3 = (opposite[mapping.index(k)] for k in (1, 2, 3))
-        if abs(h3) >= abs(h2) >= abs(h1):
-            return ChannelGains(h1=h1, h2=h2, h3=h3), UserPermutation(mapping)
+    mag = tuple(map(abs, opposite))
+    for (i1, i2, i3), perm in _RELABELINGS:
+        if mag[i3] >= mag[i2] >= mag[i1]:
+            return ChannelGains(h1=opposite[i1], h2=opposite[i2], h3=opposite[i3]), perm
     raise AssertionError("three finite reals always have an order")
 
 

@@ -7,7 +7,9 @@ report readers invert the JSON the report writer produces, and `csv_cell` is
 the per-cell rule its CSV must match; the emit-driven step loop, trace
 verification and genie rebuild are the references for the simulator's loops;
 the full-length power recursion is the reference for the repeat shortcut in
-sim._power_parts.
+sim._power_parts; the permutation loop and the per-trial ensemble loop are the
+references for model.canonicalize's relabeling table and for
+experiments.gap_ensemble.
 """
 
 import itertools
@@ -16,8 +18,9 @@ import math
 
 import numpy as np
 
-from triway.experiments import ReportTable
-from triway.model import RateTuple, UserPermutation, ValidationError, make_config
+from triway.bounds import evaluate
+from triway.experiments import GapStatistics, ReportTable, SweepSpec, power_grid
+from triway.model import ChannelConfig, ChannelGains, RateTuple, UserPermutation, ValidationError, make_config
 from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
 from triway.sim import (
     _MAX_PERIOD,
@@ -37,6 +40,46 @@ def inverse(perm: UserPermutation) -> UserPermutation:
     for orig, new in enumerate(perm.mapping, start=1):
         inv[new - 1] = orig
     return UserPermutation(tuple(inv))
+
+
+def reference_canonicalize(g12, g13, g23) -> tuple[ChannelGains, UserPermutation]:
+    """model.canonicalize as a loop over itertools.permutations: the first
+    mapping, in lexicographic order, whose relabeled magnitudes are ordered."""
+    for g in (g12, g13, g23):
+        if not math.isfinite(g):
+            raise ValidationError(f"channel gain {g!r} is not finite")
+    opposite = (float(g23), float(g13), float(g12))  # gain of the link that avoids user k
+    for mapping in itertools.permutations((1, 2, 3)):
+        # new user k is original user mapping.index(k) + 1 and keeps its opposite link
+        h1, h2, h3 = (opposite[mapping.index(k)] for k in (1, 2, 3))
+        if abs(h3) >= abs(h2) >= abs(h1):
+            return ChannelGains(h1=h1, h2=h2, h3=h3), UserPermutation(mapping)
+    raise AssertionError("three finite reals always have an order")
+
+
+def reference_gap_ensemble(spec: SweepSpec) -> GapStatistics:
+    """experiments.gap_ensemble trial by trial on numpy scalars, through
+    reference_canonicalize and the gap field of bounds.evaluate."""
+    grid = power_grid(spec)
+    worst = None
+    gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
+    for t in range(spec.ensemble):
+        if spec.gains is None:
+            g = np.random.default_rng([spec.seed, t]).standard_normal(3)
+            gains, _ = reference_canonicalize(g[0], g[1], g[2])
+        else:
+            gains = spec.gains
+        cfg = ChannelConfig(gains=gains, power=float(grid[t % len(grid)]))
+        gap = evaluate(cfg).gap
+        if gap < 0.0 or gap > 2.0:
+            violations += 1
+        total += gap
+        gaps_min = min(gaps_min, gap)
+        if gap > gaps_max:
+            gaps_max, worst = gap, cfg
+    return GapStatistics(ensemble=spec.ensemble, min_gap=gaps_min, max_gap=gaps_max,
+                         mean_gap=total / spec.ensemble, violations=violations,
+                         worst_config=worst)
 
 
 def apply_rates(perm: UserPermutation, rates: RateTuple) -> RateTuple:

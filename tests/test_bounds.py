@@ -132,6 +132,19 @@ def test_interval_upper_is_min_of_uppers():
         assert upper - lower == pytest.approx(gap, abs=1e-12)
 
 
+def test_interval_is_evaluate_bit_for_bit():
+    rng = np.random.default_rng(13)
+    cfgs = [_random_cfg(rng) for _ in range(2000)]
+    cfgs += [_cfg(1.0, 1.0, 1e154, 1e300),  # h3^2 P overflows: the log-domain branch
+             _cfg(0.0, 0.0, 1.0, 3.0)]  # h1 = h2 = 0: the ratio term is 0 by convention
+    cfgs += [_cfg(1.0, 1.0, 1.0, 10.0 ** e) for e in range(295)]  # the gap reaches the literal 2.0
+    for cfg in cfgs:
+        b = evaluate(cfg)
+        assert sum_capacity_interval(cfg) == (b.achievable_lower, b.achievable_lower + b.gap, b.gap), cfg
+    # the cases reach the branches they are named for
+    assert math.isinf(1e154 ** 2 * 1e300) and any(evaluate(c).gap == 2.0 for c in cfgs[-295:])
+
+
 def test_interval_gap_never_exceeds_two_high_snr():
     # the naive difference fl(2c+2) - 2c can round above 2; the interval must not
     for exponent in range(0, 300, 7):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import csv_cell, load_report_json, table_from_json
+from helpers import csv_cell, load_report_json, reference_gap_ensemble, table_from_json
 from triway.bounds import evaluate, sum_capacity_interval
 from triway.experiments import (
     BOUND_COLUMNS,
@@ -106,6 +106,19 @@ def test_gap_ensemble_fixed_gains_single_trial():
     gap = sum_capacity_interval(cfg)[2]
     assert stats.min_gap == stats.max_gap == stats.mean_gap == gap
     assert stats.worst_config == cfg
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=1500, seed=0),
+    SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=1500, seed=2**32 + 5),
+    SweepSpec(p_lo=0.5, p_hi=5e3, points=4, gains=ChannelGains(-0.3, 0.8, 1.2), ensemble=9, seed=3),
+    # every gap is the literal 2.0: the first trial, not a later tie, is the worst config
+    SweepSpec(p_lo=1e20, p_hi=1e200, points=5, gains=ChannelGains(-1.0, 1.0, 1.0), ensemble=12),
+    SweepSpec(p_lo=1.0, p_hi=1e6, points=40, ensemble=7, seed=1),  # points > ensemble
+    SweepSpec(p_lo=2.0, p_hi=2.0, points=1, ensemble=25, seed=4),
+], ids=["seed0", "seed2**32+5", "fixed_gains", "fixed_gains_tied_at_2", "points_gt_ensemble", "points1"])
+def test_gap_ensemble_matches_the_per_trial_reference(spec):
+    assert gap_ensemble(spec) == reference_gap_ensemble(spec)
 
 
 def test_gap_approaches_two_for_symmetric_gains():

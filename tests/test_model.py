@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import triway
-from helpers import apply_rates, inverse
+from helpers import apply_rates, inverse, reference_canonicalize
 from triway.model import (
     ChannelConfig,
     ChannelGains,
@@ -169,6 +169,21 @@ def test_canonicalize_matches_the_documented_tie_rule():
         want = (1, 2, 3) if (1, 2, 3) in valid else min(valid)
         gains, perm = canonicalize(*g)
         assert perm.mapping == want and gains == valid[want]
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_canonicalize_matches_the_permutation_loop_exactly():
+    values = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, 1e-170, -1e-170)
+    normals = np.random.default_rng(11).standard_normal((2000, 3)).tolist()
+    for g in [*itertools.product(values, repeat=3), *normals]:
+        gains, perm = canonicalize(*g)
+        want_gains, want_perm = reference_canonicalize(*g)
+        assert perm.mapping == want_perm.mapping, g
+        for name in ("h1", "h2", "h3"):  # signed zeros count
+            assert _same_float(getattr(gains, name), getattr(want_gains, name)), (g, name)
 
 
 def test_public_names_are_pinned():
