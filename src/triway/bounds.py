@@ -122,7 +122,7 @@ def _gap_terms(s1: float, s2: float, s3: float, P: float) -> tuple[float, float,
     lemma1 = out1 + _cap_of(ratio)
     lemma2 = _cap_of(s3 * P * (1.0 + ratio), s3, P, 1.0 + ratio) + 0.5
     lower = 2.0 * _cap_of(s3 * P, s3, P)
-    return out1, lemma1, lemma2, lower, max(0.0, min(2.0, lemma1 + lemma2 - lower))
+    return out1, lemma1, lemma2, lower, min(2.0, lemma1 + lemma2 - lower)
 
 
 def evaluate(cfg: ChannelConfig) -> BoundReport:

@@ -56,7 +56,7 @@ def _config_number(path: str, key: str, value) -> float:
     try:
         return float(value)
     except OverflowError as exc:
-        raise ValidationError(f"config {path}: {key} = {value} is too large") from exc
+        raise ValidationError(f"config {path}: {key} is too large for a float") from exc
 
 
 def _resolve_config(args):
@@ -68,7 +68,7 @@ def _resolve_config(args):
                 file_obj = json.load(fh)
         except OSError as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8, an integer past 4300 digits
             raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_obj, dict):
             raise ValidationError(f"config {args.config} must be a flat JSON object")
@@ -77,7 +77,7 @@ def _resolve_config(args):
                 values[key] = _config_number(args.config, key, file_obj[key])
                 from_file.add(key)
     for key in _DEFAULT_GAINS:
-        inline = getattr(args, key.replace("-", "_"))
+        inline = getattr(args, key)
         if inline is not None:
             if key in from_file:
                 print(f"warning: inline --{key} overrides config file value", file=sys.stderr)
@@ -114,12 +114,12 @@ def _emit(report, args, format: str = "json") -> None:
 def _cmd_bounds(args) -> int:
     cfg, perm = _resolve_config(args)
     report = bounds.evaluate(cfg)
-    if not (0.0 <= report.gap <= 2.0):
-        raise PropertyViolationError(f"sum-capacity gap {report.gap} is outside [0, 2]")
     if args.format == "csv":
         _emit(report.as_table(), args, "csv")
     else:
         _emit({**report.as_dict(), "permutation": list(perm.mapping)}, args)
+    if not (0.0 <= report.gap <= 2.0):
+        raise PropertyViolationError(f"sum-capacity gap {report.gap} is outside [0, 2]")
     return 0
 
 
@@ -178,7 +178,7 @@ def _cmd_simulate(args) -> int:
         _emit(obj, args)
         return 0
     if args.samples is not None:
-        estimate = sim.estimate_p2p_mi(cfg, "h3", args.samples, seed)
+        estimate = sim.estimate_p2p_mi(cfg, args.samples, seed)
         obj = {"link": "h3", "samples": args.samples, "seed": seed, "estimate": estimate}
         _emit(obj, args)
         return 0

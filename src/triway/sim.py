@@ -43,8 +43,8 @@ class CausalEncoder:
     The simulator accepts only this affine family: power accounting reads
     message_weights, feedback_weights and message_scale directly to build the
     exact second-moment recursion, and the step loop and the genie recursions
-    redo emit's arithmetic from the same fields.  An object that merely has
-    the same emit signature is not enough.
+    apply the map from the same fields: the message term, then each tap on
+    its lagged reception, newest first, skipping lags before step 1.
     """
 
     message_weights: tuple[float, float]
@@ -56,26 +56,8 @@ class CausalEncoder:
         w0, w1 = self.message_weights
         return self.message_scale * (w0 * float(messages[0]) + w1 * float(messages[1]))
 
-    def emit(self, messages, received) -> float:
-        """Transmit symbol at time i given own messages and y(1..i-1), oldest first."""
-        x = self.message_term(messages)
-        hist = len(received)
-        for k, tap in enumerate(self.feedback_weights):
-            if k < hist:
-                x += tap * float(received[hist - 1 - k])
-        return x
-
     def with_scale(self, scale: float) -> "CausalEncoder":
         return dataclasses.replace(self, message_scale=float(scale))
-
-
-@dataclasses.dataclass(frozen=True)
-class ChannelRealization:
-    n: int
-    seed: int
-    z1: np.ndarray
-    z2: np.ndarray
-    z3: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,11 +90,12 @@ class GenieSideInfo:
     noise_diff: np.ndarray  # lemma1: z2 - (h1/h2) z1 ; lemma2: z2 - z3
 
 
-def draw_realization(n: int, seed: int) -> ChannelRealization:
+def draw_realization(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three users' noise sequences (z1, z2, z3) over a block of n steps."""
     if n < 1:
         raise ValidationError(f"block length must be >= 1, got {n}")
     z1, z2, z3 = (np.random.default_rng([int(seed), k]).standard_normal(int(n)) for k in range(3))
-    return ChannelRealization(n=int(n), seed=int(seed), z1=z1, z2=z2, z3=z3)
+    return z1, z2, z3
 
 
 def draw_messages(seed: int) -> np.ndarray:
@@ -255,9 +238,9 @@ def _lag_schedule(taps: tuple[float, ...]) -> Iterator[tuple[tuple[float, int], 
 
     Lag -k reads the k-th newest reception by negative index.  In the first
     K = len(taps) steps only i - 1 receptions exist, so the tuple is cut to
-    them: a missing lag is skipped, as CausalEncoder.emit skips it, not added
-    as tap * 0.0, which would turn a -0.0 message term into 0.0.  Taps become
-    Python floats, whose products and sums round as numpy's do.
+    them: a missing lag is skipped, not added as tap * 0.0, which would turn
+    a -0.0 message term into 0.0.  Taps become Python floats, whose products
+    and sums round as numpy's do.
     """
     lagged = tuple(zip(map(float, taps), range(-1, -len(taps) - 1, -1)))
     return itertools.chain((lagged[:i] for i in range(len(lagged))), itertools.repeat(lagged))
@@ -267,10 +250,10 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     """Time-stepped run of the three encoders through the channel equations.
 
     Rejects encoder triples whose expected block power exceeds any user's
-    budget (apply normalize_power first).  The loop computes what
-    CausalEncoder.emit computes, in the same operation order: each user's
-    message term once, then its taps over its own receptions, newest first,
-    each read by its lag from _lag_schedule.
+    budget (apply normalize_power first).  The loop applies each
+    CausalEncoder map in its operation order: each user's message term once,
+    then its taps over its own receptions, newest first, each read by its
+    lag from _lag_schedule.
     """
     if n < 1:
         raise ValidationError(f"block length must be >= 1, got {n}")
@@ -282,7 +265,7 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
             f"user {worst + 1} expected block power {expected[worst]:.6g} exceeds "
             f"budget {budget:.6g}; apply normalize_power"
         )
-    real = draw_realization(n, seed)
+    z1s, z2s, z3s = draw_realization(n, seed)
     messages = draw_messages(seed)
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     x1s: list[float] = []
@@ -293,7 +276,7 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     y3s: list[float] = []
     t1, t2, t3 = (enc.message_term(messages[list(_MSG_INDEX[j])]) for j, enc in enumerate(encoders))
     schedule = zip(*(_lag_schedule(enc.feedback_weights) for enc in encoders))
-    for z1, z2, z3, (p1, p2, p3) in zip(real.z1.tolist(), real.z2.tolist(), real.z3.tolist(), schedule):
+    for z1, z2, z3, (p1, p2, p3) in zip(z1s.tolist(), z2s.tolist(), z3s.tolist(), schedule):
         x1 = t1
         for tap, lag in p1:
             x1 += tap * y1s[lag]
@@ -312,7 +295,7 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     return TransmissionTrace(
         x1=np.array(x1s), x2=np.array(x2s), x3=np.array(x3s),
         y1=np.array(y1s), y2=np.array(y2s), y3=np.array(y3s),
-        z1=real.z1, z2=real.z2, z3=real.z3,
+        z1=z1s, z2=z2s, z3=z3s,
         messages=messages,
     )
 
@@ -344,8 +327,8 @@ def _rebuild_y2(enc2: CausalEncoder, side: GenieSideInfo, ratio: float,
                heard: np.ndarray, gain: float, known: np.ndarray) -> np.ndarray:
     """y2(i) = ratio * (heard(i) - gain * x2(i)) + gain * known(i) + noise_diff(i).
 
-    x2(i) is re-derived from user 2's encoder on the y2 rebuilt so far, as
-    CausalEncoder.emit computes it and in the same operation order.
+    x2(i) is re-derived from user 2's encoder on the y2 rebuilt so far, in
+    the step loop's operation order.
     """
     term = enc2.message_term(side.side_messages)
     y2hat: list[float] = []
@@ -421,17 +404,15 @@ def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int) -> dict:
     }
 
 
-def estimate_p2p_mi(cfg: ChannelConfig, link: str, sample_count: int, seed: int) -> float:
-    """Monte Carlo mutual information of one link: Gaussian input at power P, unit noise.
+def estimate_p2p_mi(cfg: ChannelConfig, sample_count: int, seed: int) -> float:
+    """Monte Carlo mutual information of link h3: Gaussian input at power P, unit noise.
 
     Uses the Gaussian closed form on raw sample second moments,
-    -0.5 log2(1 - rho^2); converges to cap(h^2 P).
+    -0.5 log2(1 - rho^2); converges to cap(h3^2 P).
     """
-    if link not in ("h1", "h2", "h3"):
-        raise ValidationError(f"link must be one of h1, h2, h3, got {link!r}")
     if sample_count < 10 ** 4:
         raise ValidationError(f"sample_count must be >= 1e4, got {sample_count}")
-    h = getattr(cfg.gains, link)
+    h = cfg.gains.h3
     x = np.random.default_rng([int(seed), 0]).standard_normal(int(sample_count))
     z = np.random.default_rng([int(seed), 1]).standard_normal(int(sample_count))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments are rejected below
@@ -440,11 +421,11 @@ def estimate_p2p_mi(cfg: ChannelConfig, link: str, sample_count: int, seed: int)
         ns = float(sample_count)
         sxx, syy, sxy = float(x @ x) / ns, float(y @ y) / ns, float(x @ y) / ns
     if not (math.isfinite(sxx * syy) and sxx * syy > 0.0):
-        raise ValidationError(f"link {link}: sample second moments at P={cfg.power!r} "
+        raise ValidationError(f"link h3: sample second moments at P={cfg.power!r} "
                               "leave the float range")
     rho2 = sxy * sxy / (sxx * syy)
     if not rho2 < 1.0:
-        raise ValidationError(f"link {link}: h^2 P = {h * h * cfg.power:.6g} is too strong for a "
+        raise ValidationError(f"link h3: h^2 P = {h * h * cfg.power:.6g} is too strong for a "
                               f"{sample_count}-sample estimate, the sample correlation rounds to 1")
     return -0.5 * math.log1p(-rho2) / math.log(2.0)
 
@@ -457,46 +438,10 @@ def _pam_index(statistic: np.ndarray, q: int) -> np.ndarray:
     return np.rint(statistic).astype(int) % q
 
 
-def simulate_pnc_relay(cfg: ChannelConfig, pam_order: int, n: int, seed: int,
-                       noise_free: bool = False, symbol_pairs=None) -> tuple[float, float]:
-    """Scalar modulo-PAM exchange of users 2 and 3 through user 1.
-
-    A desk-scale stand-in for nested-lattice relaying: both hops run at gain
-    h2 (the bottleneck uplink that sets the closed-form lattice rate).  The
-    relay decodes the modulo-q sum of the two PAM indices, rebroadcasts it,
-    and each end subtracts its own index.  Returns (symbol error rate over
-    both directions, log2(q) * (1 - SER)).
-
-    symbol_pairs, when given as (a, b) index arrays, replaces the random
-    message draw; with noise_free this makes exhaustive checks possible.
-    """
-    q = pam_order
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 2 or q % 2 != 0:
-        raise ValidationError(f"pam_order must be an even integer >= 2, got {pam_order!r}")
-    q = int(q)
+def _pnc_exchange(cfg: ChannelConfig, q: int, a: np.ndarray, b: np.ndarray, z_relay: np.ndarray,
+                  z_user2: np.ndarray, z_user3: np.ndarray) -> tuple[float, float]:
+    """simulate_pnc_relay's exchange of indices a (user 2) and b (user 3) under the given noise."""
     h2 = cfg.gains.h2
-    if h2 == 0:
-        raise ValidationError("relay links run at gain h2, which must be nonzero")
-    if symbol_pairs is not None:
-        a = np.asarray(symbol_pairs[0], dtype=int)
-        b = np.asarray(symbol_pairs[1], dtype=int)
-        if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
-            raise ValidationError("symbol_pairs must be two equal-length 1-D index arrays")
-        if np.any((a < 0) | (a >= q)) or np.any((b < 0) | (b >= q)):
-            raise ValidationError("symbol indices must lie in [0, pam_order)")
-        n = len(a)
-    else:
-        if n < 1:
-            raise ValidationError(f"n must be >= 1, got {n}")
-        a = np.random.default_rng([int(seed), 0]).integers(0, q, int(n))
-        b = np.random.default_rng([int(seed), 1]).integers(0, q, int(n))
-    if noise_free:
-        z_relay = z_user2 = z_user3 = np.zeros(n)
-    else:
-        z_relay = np.random.default_rng([int(seed), 2]).standard_normal(n)
-        z_user2 = np.random.default_rng([int(seed), 3]).standard_normal(n)
-        z_user3 = np.random.default_rng([int(seed), 4]).standard_normal(n)
-
     alpha = math.sqrt(12.0 * cfg.power / (q * q - 1.0))  # unit-power PAM spacing
     offset = (q - 1) / 2.0
     with np.errstate(all="ignore"):  # _pam_index rejects statistics that left the float range
@@ -508,5 +453,29 @@ def simulate_pnc_relay(cfg: ChannelConfig, pam_order: int, n: int, seed: int,
     b_hat = (u2 - a) % q  # user 2 removes its own index to get user 3's
     a_hat = (u3 - b) % q
     errors = int(np.count_nonzero(b_hat != b)) + int(np.count_nonzero(a_hat != a))
-    ser = errors / (2.0 * n)
+    ser = errors / (2.0 * len(a))
     return ser, math.log2(q) * (1.0 - ser)
+
+
+def simulate_pnc_relay(cfg: ChannelConfig, pam_order: int, n: int, seed: int) -> tuple[float, float]:
+    """Scalar modulo-PAM exchange of users 2 and 3 through user 1.
+
+    A desk-scale stand-in for nested-lattice relaying: both hops run at gain
+    h2 (the bottleneck uplink that sets the closed-form lattice rate).  The
+    relay decodes the modulo-q sum of the two PAM indices, rebroadcasts it,
+    and each end subtracts its own index.  Returns (symbol error rate over
+    both directions, log2(q) * (1 - SER)).
+    """
+    q = pam_order
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 2 or q % 2 != 0:
+        raise ValidationError(f"pam_order must be an even integer >= 2, got {pam_order!r}")
+    q = int(q)
+    if cfg.gains.h2 == 0:
+        raise ValidationError("relay links run at gain h2, which must be nonzero")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    a = np.random.default_rng([int(seed), 0]).integers(0, q, int(n))
+    b = np.random.default_rng([int(seed), 1]).integers(0, q, int(n))
+    z_relay, z_user2, z_user3 = (np.random.default_rng([int(seed), k]).standard_normal(n)
+                                 for k in (2, 3, 4))
+    return _pnc_exchange(cfg, q, a, b, z_relay, z_user2, z_user3)

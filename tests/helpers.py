@@ -4,8 +4,9 @@ The grid oracle and the feasibility test cross-check the simplex, and
 `sub_region` gives them regions of one or two constraint families; the
 permutation helpers check that a relabeling is a bijection on rates; the
 report readers invert the JSON the report writer produces, and `csv_cell` is
-the per-cell rule its CSV must match; the emit-driven step loop, trace
-verification and genie rebuild are the references for the simulator's loops;
+the per-cell rule its CSV must match; `emit`, one encoder symbol at a time,
+drives the step loop, trace verification and genie rebuild that are the
+references for the simulator's loops;
 the full-length power recursion is the reference for the repeat shortcut in
 sim._power_parts; the permutation loop and the per-trial ensemble loop are the
 references for model.canonicalize's relabeling table and for
@@ -220,21 +221,30 @@ ENCODER_CASES = {**{f"taps{k}": _random_triple(k) for k in range(4)}, "taps013":
                  "taps013_negzero": _NEG_ZERO}
 
 
+def emit(encoder: CausalEncoder, messages, received) -> float:
+    """The symbol the encoder sends at time i from its own messages and y(1..i-1), oldest first."""
+    x = encoder.message_term(messages)
+    hist = len(received)
+    for k, tap in enumerate(encoder.feedback_weights):
+        if k < hist:
+            x += tap * float(received[hist - 1 - k])
+    return x
+
+
 def emit_trace(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
-    """The simulator's step loop with one CausalEncoder.emit call per user and symbol.
+    """The simulator's step loop with one emit call per user and symbol.
 
     Same draws and channel equations as sim.simulate_network, without its
     power-budget check.
     """
-    real = draw_realization(n, seed)
+    z = draw_realization(n, seed)
     messages = draw_messages(seed)
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     xs: list[list[float]] = [[], [], []]
     ys: list[list[float]] = [[], [], []]
-    z = (real.z1, real.z2, real.z3)
     own = [messages[list(_MSG_INDEX[j])] for j in range(3)]
     for i in range(n):
-        step = [encoders[j].emit(own[j], ys[j]) for j in range(3)]
+        step = [emit(encoders[j], own[j], ys[j]) for j in range(3)]
         for j in range(3):
             xs[j].append(step[j])
         ys[0].append(h3 * step[1] + h2 * step[2] + z[0][i])
@@ -243,7 +253,7 @@ def emit_trace(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
     return TransmissionTrace(
         x1=np.array(xs[0]), x2=np.array(xs[1]), x3=np.array(xs[2]),
         y1=np.array(ys[0]), y2=np.array(ys[1]), y3=np.array(ys[2]),
-        z1=real.z1.copy(), z2=real.z2.copy(), z3=real.z3.copy(),
+        z1=z[0].copy(), z2=z[1].copy(), z3=z[2].copy(),
         messages=messages,
     )
 
@@ -266,7 +276,7 @@ def verify_trace(trace: TransmissionTrace, cfg, encoders, tol: float = 1e-9) -> 
     dev_enc = 0.0
     for j in range(3):
         msgs = trace.messages[list(_MSG_INDEX[j])]
-        redone = np.array([encoders[j].emit(msgs, ys[j][:i]) for i in range(trace.n)])
+        redone = np.array([emit(encoders[j], msgs, ys[j][:i]) for i in range(trace.n)])
         dev_enc = max(dev_enc, _scaled_dev(xs[j] - redone, xs[j]))
     if dev_chan > tol:
         raise ValidationError(f"trace violates the channel equations: deviation {dev_chan:.3g}")
@@ -283,7 +293,7 @@ def emit_rebuild(trace: TransmissionTrace, cfg, encoders, side) -> np.ndarray:
                    if side.variant == "lemma2" else None)
     y2hat: list[float] = []
     for i in range(trace.n):
-        x2hat = enc2.emit(side.side_messages, y2hat)
+        x2hat = emit(enc2, side.side_messages, y2hat)
         if side.variant == "lemma1":
             y2tilde = (h1 / h2) * (trace.y1[i] - h3 * x2hat) + h3 * trace.x1[i]
         else:

@@ -17,6 +17,7 @@ from triway.experiments import find_crossover
 from triway.model import ChannelConfig, ChannelGains, canonicalize, validate
 from triway.region import build_region, max_weighted_sum
 from triway.sim import (
+    _pnc_exchange,
     estimate_p2p_mi,
     genie_reconstruct_lemma1,
     genie_verdict,
@@ -25,7 +26,6 @@ from triway.sim import (
     random_encoders,
     reconstruction_error,
     simulate_network,
-    simulate_pnc_relay,
 )
 
 SYM = ChannelGains(1.0, 1.0, 1.0)
@@ -145,7 +145,7 @@ def test_criterion_6_mi_estimates():
     worst = 0.0
     for k, snr in enumerate((0.1, 1.0, 10.0, 100.0)):
         cfg = validate(ChannelConfig(gains=gains, power=snr))
-        est = estimate_p2p_mi(cfg, "h3", 10 ** 6, seed=k)
+        est = estimate_p2p_mi(cfg, 10 ** 6, seed=k)
         worst = max(worst, abs(est - cap(snr)))
     elapsed = time.perf_counter() - start
     ok = worst < 0.02 and elapsed < 10.0
@@ -169,9 +169,9 @@ def test_criterion_7_relay_dominance_and_noise_free_pnc():
     pnc_ok = True
     cfg = validate(ChannelConfig(gains=ChannelGains(0.5, 1.0, 1.5), power=3.0))
     for q in (2, 4, 8):
-        a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-        ser, _ = simulate_pnc_relay(cfg, q, n=0, seed=0, noise_free=True,
-                                    symbol_pairs=(a.ravel(), b.ravel()))
+        a, b = (m.ravel() for m in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
+        zero = np.zeros(q * q)
+        ser, _ = _pnc_exchange(cfg, q, a, b, zero, zero, zero)
         if ser != 0.0:
             pnc_ok = False
     ok = violations == 0 and pnc_ok

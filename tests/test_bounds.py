@@ -130,6 +130,11 @@ def test_interval_upper_is_min_of_uppers():
         assert lower == b.achievable_lower
         assert 0.0 <= gap <= 2.0
         assert upper - lower == pytest.approx(gap, abs=1e-12)
+        # the gap is the difference itself, capped at 2 but not floored at 0:
+        # lemma1 + lemma2 exceeds the lower bound by at least 1/2 in exact arithmetic
+        difference = b.lemma1 + b.lemma2 - b.achievable_lower
+        assert b.gap == min(2.0, difference)
+        assert difference >= 0.5 - 1e-12
 
 
 def test_interval_is_evaluate_bit_for_bit():

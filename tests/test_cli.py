@@ -2,6 +2,7 @@
 seeding, and parity with the library calls each subcommand wraps."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triway import bounds
 from triway.bounds import REPORT_CSV_HEADER, evaluate
 from triway.cli import build_parser, main
 from triway.experiments import export_report
@@ -199,6 +201,16 @@ def test_config_file_errors(capsys, tmp_path):
     arr.write_text("[1, 2]")
     code, _, err = _run(capsys, "bounds", "--config", str(arr))
     assert code == 1 and "JSON object" in err
+    # a 401-digit integer overflows float(); a 5001-digit one and bad UTF-8
+    # make the parser raise a ValueError that is no JSONDecodeError
+    for k, (text, message) in enumerate(((b'{"power": 1' + b"0" * 400 + b"}", "power is too large"),
+                                         (b'{"power": 1' + b"0" * 5000 + b"}", "not valid JSON"),
+                                         (b'{"power": 1\xff}', "not valid JSON"))):
+        path = tmp_path / f"value{k}.json"
+        path.write_bytes(text)
+        code, out, err = _run(capsys, "bounds", "--config", str(path))
+        assert code == 1 and out == "" and message in err
+        assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 300
 
 
 @pytest.mark.parametrize("entry", [{"g12": "x"}, {"power": "2"}, {"power": True}])
@@ -319,6 +331,31 @@ def test_gap_ensemble_exit_zero(capsys):
     row = dict(zip(obj["header"], obj["rows"][0]))
     assert row["violations"] == 0.0
     assert 0.0 <= row["min_gap"] <= row["max_gap"] <= 2.0
+
+
+@pytest.mark.parametrize("argv, target, gap", [
+    (["bounds"], "evaluate", 2.5),
+    (["bounds", "--format", "csv"], "evaluate", 2.5),
+    (["gap-ensemble", "--ensemble", "5"], "sum_capacity_interval", -0.1),
+])
+def test_property_violation_prints_the_report_then_exits_two(capsys, monkeypatch, argv, target, gap):
+    if target == "evaluate":
+        monkeypatch.setattr(bounds, "evaluate", lambda cfg: dataclasses.replace(evaluate(cfg), gap=gap))
+    else:
+        monkeypatch.setattr(bounds, "sum_capacity_interval", lambda cfg: (1.0, 1.0 + gap, gap))
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    if "csv" in argv:
+        header, row = out.splitlines()
+        report = dict(zip(header.split(","), map(float, row.split(","))))
+    else:
+        obj = json.loads(out)
+        report = dict(zip(obj["header"], obj["rows"][0])) if "rows" in obj else obj
+    if target == "evaluate":
+        assert report["gap"] == gap
+    else:
+        assert report["violations"] == 5.0 and report["min_gap"] == report["max_gap"] == gap
+    assert err.count("\n") == 1 and err.startswith("property violation: ")
 
 
 def test_crossover_symmetric(capsys):
@@ -506,5 +543,5 @@ def test_every_input_prints_finite_output_or_exits_cleanly(subcommand, data):
     assert "Traceback" not in err and "warning" not in err.lower()
     if code == 1:
         assert out == "" and err
-    elif out or code == 0:  # exit 2 prints the offending report first, except bounds
+    else:  # exit 2 prints the offending report first
         assert _nonfinite_cells(subcommand, out) == []

@@ -16,6 +16,7 @@ from triway.sim import (
     CausalEncoder,
     GenieSideInfo,
     TransmissionTrace,
+    _pnc_exchange,
     draw_messages,
     draw_realization,
     estimate_p2p_mi,
@@ -92,6 +93,10 @@ def test_block_length_validation():
         simulate_network(enc, CFG, 0, 0)
     with pytest.raises(ValidationError):
         draw_realization(0, 0)
+    with pytest.raises(ValidationError, match="block length"):
+        expected_block_power(enc, CFG, 0)
+    with pytest.raises(ValidationError, match="n_taps"):
+        random_encoders(CFG, -1, 0)
 
 
 def test_normalize_power_saturates_binding_user():
@@ -137,18 +142,18 @@ def test_anticipatory_trace_is_rejected():
     # x2, so the cheating trace is constructible and channel-consistent, but
     # no causal encoder can produce it
     n = 25
-    real = draw_realization(n, 13)
+    z1, z2, z3 = draw_realization(n, 13)
     messages = draw_messages(13)
     enc = (CausalEncoder((0.4, 0.0)), CausalEncoder((0.2, 0.2)), CausalEncoder((0.0, 0.4)))
     h1, h2, h3 = CFG.gains.h1, CFG.gains.h2, CFG.gains.h3
     x1 = np.full(n, 0.4 * messages[0])
     x3 = np.full(n, 0.4 * messages[5])
-    y2 = h3 * x1 + h1 * x3 + real.z2
+    y2 = h3 * x1 + h1 * x3 + z2
     x2 = 0.5 * y2
-    y1 = h3 * x2 + h2 * x3 + real.z1
-    y3 = h2 * x1 + h1 * x2 + real.z3
+    y1 = h3 * x2 + h2 * x3 + z1
+    y3 = h2 * x1 + h1 * x2 + z3
     trace = TransmissionTrace(x1=x1, x2=x2, x3=x3, y1=y1, y2=y2, y3=y3,
-                              z1=real.z1, z2=real.z2, z3=real.z3, messages=messages)
+                              z1=z1, z2=z2, z3=z3, messages=messages)
     with pytest.raises(ValidationError, match="causal"):
         verify_trace(trace, CFG, enc)
 
@@ -245,6 +250,13 @@ def test_genie_singular_configurations():
             make_genie_side_info(trace, degenerate, variant)
     with pytest.raises(ValidationError, match="unknown genie variant"):
         make_genie_side_info(trace, degenerate, "lemma3")
+    # the rebuilds check h2 and h3 again: side info built for a regular config
+    regular = simulate_network(_ready_encoders(CFG, 10, 0), CFG, 10, 0)
+    for variant, rebuild in (("lemma1", genie_reconstruct_lemma1),
+                             ("lemma2", genie_reconstruct_lemma2)):
+        side = make_genie_side_info(regular, CFG, variant)
+        with pytest.raises(ValidationError, match="singular"):
+            rebuild(trace, degenerate, enc, side)
 
 
 def test_genie_variant_mismatch():
@@ -275,20 +287,19 @@ def test_genie_verdict_shape():
 
 def test_mi_matches_closed_form():
     cfg = _cfg(0.5, 1.0, 1.0, 1.0)
-    est = estimate_p2p_mi(cfg, "h3", 10 ** 6, seed=0)
+    est = estimate_p2p_mi(cfg, 10 ** 6, seed=0)
     assert abs(est - 0.5) < 0.02  # cap(1)
     cfg2 = _cfg(0.5, 1.0, 2.0, 2.0)
-    est2 = estimate_p2p_mi(cfg2, "h3", 10 ** 6, seed=1)
+    est2 = estimate_p2p_mi(cfg2, 10 ** 6, seed=1)
     assert abs(est2 - cap(8.0)) < 0.02
-    est_h1 = estimate_p2p_mi(cfg2, "h1", 2 * 10 ** 5, seed=2)
-    assert abs(est_h1 - cap(0.5)) < 0.05
+    weak = _cfg(0.25, 0.5, 0.5, 2.0)  # h3^2 P = 0.5
+    est_weak = estimate_p2p_mi(weak, 2 * 10 ** 5, seed=2)
+    assert abs(est_weak - cap(0.5)) < 0.05
 
 
 def test_mi_validation():
     with pytest.raises(ValidationError, match="sample_count"):
-        estimate_p2p_mi(CFG, "h3", 9999, seed=0)
-    with pytest.raises(ValidationError, match="link"):
-        estimate_p2p_mi(CFG, "h4", 10 ** 5, seed=0)
+        estimate_p2p_mi(CFG, 9999, seed=0)
 
 
 def test_mi_error_shrinks_with_samples():
@@ -296,16 +307,16 @@ def test_mi_error_shrinks_with_samples():
     err = {k: 0.0 for k in (10 ** 4, 10 ** 6)}
     for k in err:
         for seed in range(8):
-            err[k] += abs(estimate_p2p_mi(cfg, "h3", k, seed=seed) - 0.5)
+            err[k] += abs(estimate_p2p_mi(cfg, k, seed=seed) - 0.5)
     assert err[10 ** 6] < err[10 ** 4]
 
 
 def test_pnc_noise_free_is_error_free_exhaustively():
     cfg = _cfg(0.5, 1.0, 1.5, 3.0)
     for q in (2, 4, 8):
-        a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-        ser, thr = simulate_pnc_relay(cfg, q, n=0, seed=0, noise_free=True,
-                                      symbol_pairs=(a.ravel(), b.ravel()))
+        a, b = (m.ravel() for m in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
+        zero = np.zeros(q * q)
+        ser, thr = _pnc_exchange(cfg, q, a, b, zero, zero, zero)
         assert ser == 0.0
         assert thr == math.log2(q)
 
@@ -319,10 +330,6 @@ def test_pnc_validation():
         simulate_pnc_relay(_cfg(0.0, 0.0, 2.0, 1.0), 4, n=10, seed=0)
     with pytest.raises(ValidationError, match="n must be"):
         simulate_pnc_relay(cfg, 4, n=0, seed=0)
-    with pytest.raises(ValidationError, match="equal-length"):
-        simulate_pnc_relay(cfg, 4, n=0, seed=0, symbol_pairs=([0, 1], [0]))
-    with pytest.raises(ValidationError, match="lie in"):
-        simulate_pnc_relay(cfg, 4, n=0, seed=0, symbol_pairs=([0, 4], [0, 0]))
 
 
 def test_pnc_ser_falls_with_power():
