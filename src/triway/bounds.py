@@ -1,11 +1,12 @@
 """Closed-form rate bounds for the three-user full-duplex Gaussian network.
 
-Every bound is a closed form in (h1^2, h2^2, h3^2, P).  `evaluate` computes
-all of them for one ChannelConfig, each distinct cap argument once, and
-returns them as one BoundReport; callers read its fields.  The paper's
-bounds are its fields out1..out3 (pair cut-sets), lemma1, lemma2,
-theorem2_upper = 2 cap(h3^2 P) + 2 and achievable_lower = 2 cap(h3^2 P).
-All rates are in bits per channel use; cap(x) = 0.5*log2(1+x) fixes the unit.
+Every bound is a closed form in (h1^2, h2^2, h3^2, P).  The kernel
+`_bound_terms` computes all of them from those four numbers; `evaluate` wraps
+it as one BoundReport, and sweeps, DoF fits and the crossover search call it
+per grid point.  The paper's bounds are its fields out1..out3 (pair
+cut-sets), lemma1, lemma2, theorem2_upper = 2 cap(h3^2 P) + 2 and
+achievable_lower = 2 cap(h3^2 P).  All rates are in bits per channel use;
+cap(x) = 0.5*log2(1+x) fixes the unit.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class BoundReport:
 
 
 def _gap_terms(s1: float, s2: float, s3: float, P: float) -> tuple[float, float, float, float, float]:
-    """(out1, lemma1, lemma2, lower, gap) from squared gains and power; see `evaluate`."""
+    """(out1, lemma1, lemma2, lower, gap): the part of `_bound_terms` the sum-capacity interval needs."""
     ratio = 0.0 if s2 == 0.0 else s1 / s2
     out1 = _cap_of((s3 + s2) * P, s3 + s2, P)
     lemma1 = out1 + _cap_of(ratio)
@@ -125,30 +126,30 @@ def _gap_terms(s1: float, s2: float, s3: float, P: float) -> tuple[float, float,
     return out1, lemma1, lemma2, lower, min(2.0, lemma1 + lemma2 - lower)
 
 
-def evaluate(cfg: ChannelConfig) -> BoundReport:
-    """Every closed-form bound of cfg, each distinct cap argument evaluated once.
-
-    Each value follows its formula's operation order, so it is bit-identical
-    to evaluating that formula alone.  h2 = 0 forces h1 = 0 by the ordering;
-    the ratio term h1^2/h2^2 is then 0 by convention.  The theorem-2
-    candidate exceeds the lower bound by exactly 2 in real arithmetic, so the
-    gap takes it as the literal 2.0; computing fl(2c+2) - 2c can overshoot 2
-    by one ulp and would falsify the gap invariant spuriously.
-    """
-    s1, s2, s3 = cfg.gains.squared()
-    P = cfg.power
+def _bound_terms(s1: float, s2: float, s3: float, P: float) -> tuple:
+    """BoundReport's fields after config, in order, from squared gains and power; see `evaluate`."""
     out1, lemma1, lemma2, lower, gap = _gap_terms(s1, s2, s3, P)
     out2 = _cap_of((s3 + s1) * P, s3 + s1, P)
     out3 = _cap_of((s2 + s1) * P, s2 + s1, P)
-    return BoundReport(
-        config=cfg, out1=out1, out2=out2, out3=out3, outgoing_cutset_sum=out1 + out2 + out3,
-        lemma1=lemma1, lemma2=lemma2, theorem2_upper=lower + 2.0, tightened_upper=lemma1 + lemma2,
-        achievable_lower=lower, gap=gap,
-        # the lattice argument is clamped at 0 where the expression goes negative
-        relay_lattice_rate=_cap_of(max(0.0, s2 * P - 0.5), s2, P),
-        relay_direct_rate=_cap_of(s1 * P, s1, P),
-        relay_improves=s2 >= s1 + 0.5 / P,
-    )
+    return (out1, out2, out3, out1 + out2 + out3, lemma1, lemma2, lower + 2.0, lemma1 + lemma2,
+            lower, gap,
+            # the lattice argument is clamped at 0 where the expression goes negative
+            _cap_of(max(0.0, s2 * P - 0.5), s2, P), _cap_of(s1 * P, s1, P), s2 >= s1 + 0.5 / P)
+
+
+def evaluate(cfg: ChannelConfig) -> BoundReport:
+    """Every closed-form bound of cfg: the kernel `_bound_terms` as a BoundReport.
+
+    The kernel evaluates each distinct cap argument once, in Python floats
+    with math.log1p, each value in its formula's operation order, so it is
+    bit-identical to evaluating that formula alone.  h2 = 0 forces h1 = 0 by
+    the ordering; the ratio term h1^2/h2^2 is then 0 by convention.  The
+    theorem-2 candidate exceeds the lower bound by exactly 2 in real
+    arithmetic, so the gap takes it as the literal 2.0; computing
+    fl(2c+2) - 2c can overshoot 2 by one ulp and would falsify the gap
+    invariant spuriously.
+    """
+    return BoundReport(cfg, *_bound_terms(*cfg.gains.squared(), cfg.power))
 
 
 def sum_capacity_interval(cfg: ChannelConfig) -> tuple[float, float, float]:
@@ -166,7 +167,8 @@ def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
 
     Fits only the last half of the grid: the low-SNR transient is not the
     asymptote the slope is meant to expose.  Requires >= 8 strictly increasing
-    points spanning >= 4 decades.
+    finite points spanning >= 4 decades.  The gains are validated once; the
+    kernel gives the field at each point.
     """
     grid = [float(p) for p in power_grid]
     if len(grid) < 8:
@@ -177,10 +179,14 @@ def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
         raise ValidationError("power grid must be positive")
     if grid[-1] / grid[0] < 1e4:
         raise ValidationError("power grid must span at least 4 decades")
-    xs, ys = [], []
-    for P in grid:
-        xs.append(0.5 * math.log2(P))
-        ys.append(float(getattr(evaluate(ChannelConfig(gains=gains, power=P)), field)))
+    ChannelConfig(gains=gains, power=grid[0])  # validates the gains, and the first point
+    for P in grid:  # a NaN passes every comparison above
+        if not math.isfinite(P):
+            raise ValidationError(f"power {P!r} is not finite")
+    s1, s2, s3 = gains.squared()
+    column = [f.name for f in dataclasses.fields(BoundReport)][1:].index(field)
+    xs = [0.5 * math.log2(P) for P in grid]
+    ys = [float(_bound_terms(s1, s2, s3, P)[column]) for P in grid]
     half = len(grid) // 2
     slope, _ = np.polyfit(xs[half:], ys[half:], 1)
     return float(slope)

@@ -59,16 +59,25 @@ def _config_number(path: str, key: str, value) -> float:
         raise ValidationError(f"config {path}: {key} is too large for a float") from exc
 
 
+def _config_int(path: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts, far past any float
+        raise ValidationError(f"config {path}: a number is too long ({len(text)} characters)") from exc
+
+
 def _resolve_config(args):
     values = dict(_DEFAULT_GAINS)
     from_file = set()
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                file_obj = json.load(fh)
+                file_obj = json.load(fh, parse_int=functools.partial(_config_int, args.config))
         except OSError as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, bad UTF-8, an integer past 4300 digits
+        except ValidationError:  # from _config_int
+            raise
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8
             raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_obj, dict):
             raise ValidationError(f"config {args.config} must be a flat JSON object")

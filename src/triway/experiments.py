@@ -10,6 +10,7 @@ trials run serially or in parallel.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -22,6 +23,7 @@ from .model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 # sweep table columns, in emission order: fields of bounds.BoundReport
 BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma2",
                  "theorem2_upper", "tightened_upper", "achievable_lower")
+_SCALAR_TYPES = frozenset((float, int, str, bool, type(None)))  # JSON scalars the C encoder takes in bulk
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,16 +94,16 @@ def _meta(spec: SweepSpec) -> dict:
 
 
 def sweep_snr(spec: SweepSpec) -> ReportTable:
-    """One row per grid power: (P, the BOUND_COLUMNS, gap)."""
+    """One row per grid power: (P, the BOUND_COLUMNS, gap), each from one call of
+    the bound kernel `bounds._bound_terms` on gains validated once."""
     if spec.gains is None:
         raise ValidationError("sweep_snr needs a fixed gain triple")
-    grid = power_grid(spec)
-    rows = []
-    for P in grid:
-        b = bounds.evaluate(ChannelConfig(gains=spec.gains, power=float(P)))
-        rows.append((float(P), *(getattr(b, name) for name in BOUND_COLUMNS), b.gap))
+    grid = power_grid(spec).tolist()
+    ChannelConfig(gains=spec.gains, power=grid[0])  # validates the gains
+    s1, s2, s3 = spec.gains.squared()
+    rows = tuple((P, *bounds._bound_terms(s1, s2, s3, P)[:len(BOUND_COLUMNS) + 1]) for P in grid)
     return ReportTable(kind="sweep", header=("P", *BOUND_COLUMNS, "gap"),
-                       rows=tuple(rows), meta=_meta(spec))
+                       rows=rows, meta=_meta(spec))
 
 
 def gap_ensemble(spec: SweepSpec) -> GapStatistics:
@@ -147,16 +149,19 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverRe
     Bisection on d(P) = outgoing cut-set sum - tightened upper, down to a
     bracket 1e-6 wide relative to its top; assumes one sign change inside the
     bracket.  d > 0 already at p_lo reports the bracket as already crossed; no
-    sign change reports none.
+    sign change reports none.  The gains are validated once, and d at each
+    probe is one call of the bound kernel `bounds._bound_terms`.
     """
     if not (0 < p_lo < p_hi) or not (math.isfinite(p_lo) and math.isfinite(p_hi)):
         raise ValidationError(f"invalid bracket [{p_lo!r}, {p_hi!r}]")
+    lo, hi = float(p_lo), float(p_hi)
+    ChannelConfig(gains=gains, power=lo)  # validates the gains
+    s1, s2, s3 = gains.squared()
 
     def margin(P: float) -> float:
-        b = bounds.evaluate(ChannelConfig(gains=gains, power=P))
-        return b.outgoing_cutset_sum - b.tightened_upper
+        terms = bounds._bound_terms(s1, s2, s3, P)
+        return terms[3] - terms[7]  # outgoing_cutset_sum - tightened_upper
 
-    lo, hi = float(p_lo), float(p_hi)
     if margin(lo) > 0:
         return CrossoverResult(p_star=lo, status="already-crossed")
     if margin(hi) <= 0:
@@ -180,13 +185,36 @@ def crossover_table(result: CrossoverResult, gains: ChannelGains,
     return ReportTable(kind="crossover", header=header, rows=(row,), meta=meta)
 
 
+def _json_text(obj, indent: str, encoders: dict[str, json.JSONEncoder]) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for obj nested at `indent`.  A container
+    of plain scalars is one call of the C encoder (which ignores `indent`), one per
+    indent in `encoders`, whose item separator carries the newline and indent."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = indent + "  "
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if _SCALAR_TYPES.issuperset(map(type, values)):
+        if inner not in encoders:
+            encoders[inner] = json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True)
+        body = encoders[inner].encode(obj)[1:-1]
+    elif is_dict:  # json turns a non-string key into a string first
+        body = (",\n" + inner).join(f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                                    f"{_json_text(v, inner, encoders)}" for k, v in sorted(obj.items()))
+    else:
+        body = (",\n" + inner).join(_json_text(v, inner, encoders) for v in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+
+
 def export_report(obj, format: str) -> str:
     """The one report writer: returns the exact text a report is written as.
 
-    JSON takes a dict and keeps full float precision, keys sorted.  CSV takes a
-    (header, rows) pair and prints a header line plus one line per row: a cell
-    of type int or bool as an integer, any other cell (np.int64 included) with
-    6 decimals, through one %-format built per distinct row-type signature.  A
+    JSON takes a dict: the text of json.dumps(obj, indent=2, sort_keys=True),
+    written one container of scalars at a time.  CSV takes a (header, rows) pair
+    and prints a header line plus one line per row: a cell of type int or bool
+    as an integer, any other (np.int64 included) with 6 decimals, through one
+    %-operation per run of up to 4096 rows of one row-type signature.  A
     ReportTable is both: its kind, meta, header and rows as JSON, its header
     and rows as CSV.  Identical inputs give identical bytes.
     """
@@ -194,17 +222,13 @@ def export_report(obj, format: str) -> str:
         obj = ({"kind": obj.kind, "meta": obj.meta, "header": obj.header, "rows": obj.rows}
                if format == "json" else (obj.header, obj.rows))
     if format == "json":
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return _json_text(obj, "", {}) + "\n"
     if format == "csv":
         header, rows = obj
         lines = [",".join(header)]
-        formats: dict[tuple[type, ...], str] = {}  # row-type signature -> row format
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = ",".join("%d" if kind in (int, bool) else "%.6f" for kind in kinds)
-            lines.append(fmt % row)
+        for kinds, run in itertools.groupby(map(tuple, rows), key=lambda row: tuple(map(type, row))):
+            fmt = ",".join("%d" if kind in (int, bool) else "%.6f" for kind in kinds)
+            while block := list(itertools.islice(run, 4096)):
+                lines.append("\n".join([fmt] * len(block)) % tuple(itertools.chain.from_iterable(block)))
         return "\n".join(lines) + "\n"
     raise ValidationError(f"format must be csv or json, got {format!r}")

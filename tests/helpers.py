@@ -10,7 +10,11 @@ references for the simulator's loops;
 the full-length power recursion is the reference for the repeat shortcut in
 sim._power_parts; the permutation loop and the per-trial ensemble loop are the
 references for model.canonicalize's relabeling table and for
-experiments.gap_ensemble.
+experiments.gap_ensemble.  The sweep, DoF fit and crossover search that build
+a ChannelConfig and call bounds.evaluate at every grid point are the
+references for the drivers that call the bound kernel once per point, and
+`reference_json` and `reference_csv`, json.dumps with an indent and one
+%-format per row, are the references for experiments.export_report.
 """
 
 import itertools
@@ -20,7 +24,7 @@ import math
 import numpy as np
 
 from triway.bounds import evaluate
-from triway.experiments import GapStatistics, ReportTable, SweepSpec, power_grid
+from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, ReportTable, SweepSpec, power_grid
 from triway.model import ChannelConfig, ChannelGains, RateTuple, UserPermutation, ValidationError, make_config
 from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
 from triway.sim import (
@@ -81,6 +85,45 @@ def reference_gap_ensemble(spec: SweepSpec) -> GapStatistics:
     return GapStatistics(ensemble=spec.ensemble, min_gap=gaps_min, max_gap=gaps_max,
                          mean_gap=total / spec.ensemble, violations=violations,
                          worst_config=worst)
+
+
+def reference_sweep_rows(spec: SweepSpec) -> tuple[tuple[float, ...], ...]:
+    """experiments.sweep_snr's rows from one ChannelConfig and bounds.evaluate per grid power."""
+    rows = []
+    for P in power_grid(spec):
+        b = evaluate(ChannelConfig(gains=spec.gains, power=float(P)))
+        rows.append((float(P), *(getattr(b, name) for name in BOUND_COLUMNS), b.gap))
+    return tuple(rows)
+
+
+def reference_dof_estimate(gains: ChannelGains, grid, field: str) -> float:
+    """bounds.dof_estimate's fit on a valid grid, from bounds.evaluate per point."""
+    grid = [float(p) for p in grid]
+    xs = [0.5 * math.log2(P) for P in grid]
+    ys = [float(getattr(evaluate(ChannelConfig(gains=gains, power=P)), field)) for P in grid]
+    half = len(grid) // 2
+    return float(np.polyfit(xs[half:], ys[half:], 1)[0])
+
+
+def reference_find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverResult:
+    """experiments.find_crossover on a valid bracket, with bounds.evaluate at every probe."""
+
+    def margin(P: float) -> float:
+        b = evaluate(ChannelConfig(gains=gains, power=P))
+        return b.outgoing_cutset_sum - b.tightened_upper
+
+    lo, hi = float(p_lo), float(p_hi)
+    if margin(lo) > 0:
+        return CrossoverResult(p_star=lo, status="already-crossed")
+    if margin(hi) <= 0:
+        return CrossoverResult(p_star=None, status="none")
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return CrossoverResult(p_star=hi, status="found")
 
 
 def apply_rates(perm: UserPermutation, rates: RateTuple) -> RateTuple:
@@ -178,6 +221,25 @@ def csv_cell(value) -> str:
     """The CSV writer's per-cell rule: bools are ints, both print as integers,
     every other value (np.int64 included, which is no int) with 6 decimals."""
     return str(int(value)) if isinstance(value, int) else f"{value:.6f}"
+
+
+def reference_json(obj) -> str:
+    """experiments.export_report's JSON text: the pure-Python indenting encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def reference_csv(header, rows) -> str:
+    """experiments.export_report's CSV text: one %-format per row, built once per row-type signature."""
+    lines = [",".join(header)]
+    formats: dict[tuple[type, ...], str] = {}
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join("%d" if kind in (int, bool) else "%.6f" for kind in kinds)
+        lines.append(fmt % row)
+    return "\n".join(lines) + "\n"
 
 
 def table_from_json(text: str) -> ReportTable:

@@ -204,6 +204,13 @@ def test_dof_rejects_degenerate_grids():
         dof_estimate(gains, [1e2] * 9, "theorem2_upper")
     with pytest.raises(ValidationError, match="positive"):
         dof_estimate(gains, [-1, 1, 10, 100, 1e3, 1e4, 1e5, 1e6], "theorem2_upper")
+    # each grid point is checked as a ChannelConfig would check its power; a NaN
+    # passes the comparisons above
+    top = np.logspace(0, 7, 8).tolist()
+    for bad, grid in ((math.inf, [*top, math.inf]), (math.nan, [*top, math.nan]),
+                      (math.nan, [1.0, math.nan, *np.logspace(1, 8, 8).tolist()])):
+        with pytest.raises(ValidationError, match=f"^power {bad!r} is not finite$"):
+            dof_estimate(gains, grid, "theorem2_upper")
 
 
 def test_bounds_monotone_in_power():

@@ -1,14 +1,27 @@
 """Batch drivers: sweep tables, gap ensembles, crossover search, and the
 byte-stable report serialization they share."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import csv_cell, load_report_json, reference_gap_ensemble, table_from_json
-from triway.bounds import evaluate, sum_capacity_interval
+from helpers import (
+    csv_cell,
+    load_report_json,
+    reference_csv,
+    reference_dof_estimate,
+    reference_find_crossover,
+    reference_gap_ensemble,
+    reference_json,
+    reference_sweep_rows,
+    table_from_json,
+)
+from triway.bounds import BoundReport, dof_estimate, evaluate, sum_capacity_interval
 from triway.experiments import (
     BOUND_COLUMNS,
     CrossoverResult,
@@ -21,7 +34,7 @@ from triway.experiments import (
     power_grid,
     sweep_snr,
 )
-from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
+from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
 
 SYM = ChannelGains(1.0, 1.0, 1.0)
 
@@ -54,6 +67,57 @@ def test_sweep_rows_match_direct_evaluation():
         assert row[table.header.index("tightened_upper")] == pytest.approx(
             evaluate(cfg).tightened_upper, rel=1e-12)
         assert row[-1] == pytest.approx(sum_capacity_interval(cfg)[2], rel=1e-12)
+
+
+def _parity_gains():
+    """Random canonical gains over 12 decades, h2 = 0 (so h1 = 0), zero gains,
+    and gains whose h^2 P overflows at large P into the log-domain cap."""
+    rng = np.random.default_rng(23)
+    gains = [ChannelGains(0.0, 0.0, 1.5), ChannelGains(0.0, 0.0, 0.0), ChannelGains(0.0, 0.0, 1e154),
+             ChannelGains(0.0, 1.0, 1.0), ChannelGains(1e100, 1e150, 1.2e150), SYM]
+    for _ in range(30):
+        gains.append(canonicalize(*(rng.standard_normal(3) * 10.0 ** rng.uniform(-6, 6, 3)))[0])
+    return gains
+
+
+def _bits(values) -> str:
+    return repr(values)  # shortest round-trip repr: equal strings, equal bits (signed zeros too)
+
+
+@pytest.mark.parametrize("k,gains", enumerate(_parity_gains()))
+def test_drivers_match_their_evaluate_references_bit_for_bit(k, gains):
+    rng = np.random.default_rng([29, k])
+    for _ in range(3):
+        lo = rng.uniform(-4.0, 150.0)
+        hi = min(300.0, lo + rng.uniform(0.5, 150.0))
+        spec = SweepSpec(p_lo=10.0 ** lo, p_hi=10.0 ** hi, points=int(rng.integers(1, 40)), gains=gains)
+        assert _bits(sweep_snr(spec).rows) == _bits(reference_sweep_rows(spec))
+        grid = np.logspace(lo, min(300.0, lo + rng.uniform(4.0, 150.0)), int(rng.integers(8, 20)))
+        for f in dataclasses.fields(BoundReport)[1:]:
+            slope = dof_estimate(gains, grid, f.name)
+            assert _bits(slope) == _bits(reference_dof_estimate(gains, grid, f.name)), f.name
+        s3 = gains.h3 * gains.h3  # the crossover sits near P = 1/h3^2
+        p_lo = 10.0 ** rng.uniform(-3.0, 0.5) / (s3 if s3 > 0.0 else 1.0)
+        p_hi = p_lo * 10.0 ** rng.uniform(0.5, 12.0)
+        assert _bits(find_crossover(gains, p_lo, p_hi)) == _bits(reference_find_crossover(gains, p_lo, p_hi))
+
+
+def _message(fn, *args) -> str:
+    with pytest.raises(ValidationError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("gains", [ChannelGains(2.0, 1.0, 0.5), ChannelGains(0.5, 1.0, math.inf),
+                                   ChannelGains(math.nan, 1.0, 1.0), ChannelGains(0.0, 1e160, 1e160)])
+def test_drivers_reject_bad_gains_as_a_config_does(gains):
+    # the gains are checked once per call, with the message a per-point ChannelConfig gives
+    spec = SweepSpec(p_lo=1.0, p_hi=100.0, points=5, gains=gains)
+    assert _message(sweep_snr, spec) == _message(reference_sweep_rows, spec)
+    grid = np.logspace(0, 8, 9)
+    assert _message(dof_estimate, gains, grid, "gap") == _message(reference_dof_estimate, gains, grid, "gap")
+    assert (_message(find_crossover, gains, 0.1, 100.0)
+            == _message(reference_find_crossover, gains, 0.1, 100.0))
 
 
 def test_single_point_grid():
@@ -229,6 +293,35 @@ def test_csv_rows_match_the_per_cell_rule():
     want = "\n".join([",".join(header), *(",".join(map(csv_cell, row)) for row in rows)]) + "\n"
     assert export_report((header, rows), "csv") == want
     assert export_report((header, iter(rows)), "csv") == want  # rows may be a one-pass iterator
+
+
+_JSON_LEAVES = (st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.7e308,
+                                 True, False, None, 0, -1, 2 ** 70])
+                | st.floats() | st.floats().map(np.float64) | st.integers() | st.text())
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)
+                      | st.dictionaries(st.integers() | st.floats(), children, max_size=3)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_json_writer_matches_json_dumps(tree):
+    assert export_report(tree, "json") == reference_json(tree)
+
+
+_CSV_CELLS = st.one_of(st.integers(), st.booleans(), st.floats(), st.floats().map(np.float64),
+                       st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(max_size=3), max_size=3),
+       st.lists(st.lists(_CSV_CELLS, max_size=3).map(tuple), max_size=30))
+@example(("k", "v"), [(k, k / 3) for k in range(4097)] + [(True, np.float64(1.5))] * 4097)
+def test_csv_writer_matches_the_per_row_format(header, rows):
+    assert export_report((header, rows), "csv") == reference_csv(header, rows)
 
 
 def test_empty_rows_yield_header_only_csv():
