@@ -167,9 +167,11 @@ def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
 
     Fits only the last half of the grid: the low-SNR transient is not the
     asymptote the slope is meant to expose.  Requires >= 8 strictly increasing
-    finite points spanning >= 4 decades.  The gains are validated once; the
-    kernel gives the field at each point.
+    finite points spanning >= 4 decades.  The kernel gives the field at each point.
     """
+    columns = [f.name for f in dataclasses.fields(BoundReport)][1:]
+    if field not in columns:
+        raise ValidationError(f"field {field!r} is not a BoundReport field")
     grid = [float(p) for p in power_grid]
     if len(grid) < 8:
         raise ValidationError(f"power grid needs >= 8 points, got {len(grid)}")
@@ -179,12 +181,11 @@ def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
         raise ValidationError("power grid must be positive")
     if grid[-1] / grid[0] < 1e4:
         raise ValidationError("power grid must span at least 4 decades")
-    ChannelConfig(gains=gains, power=grid[0])  # validates the gains, and the first point
     for P in grid:  # a NaN passes every comparison above
         if not math.isfinite(P):
             raise ValidationError(f"power {P!r} is not finite")
     s1, s2, s3 = gains.squared()
-    column = [f.name for f in dataclasses.fields(BoundReport)][1:].index(field)
+    column = columns.index(field)
     xs = [0.5 * math.log2(P) for P in grid]
     ys = [float(_bound_terms(s1, s2, s3, P)[column]) for P in grid]
     half = len(grid) // 2

@@ -95,11 +95,10 @@ def _meta(spec: SweepSpec) -> dict:
 
 def sweep_snr(spec: SweepSpec) -> ReportTable:
     """One row per grid power: (P, the BOUND_COLUMNS, gap), each from one call of
-    the bound kernel `bounds._bound_terms` on gains validated once."""
+    the bound kernel `bounds._bound_terms`."""
     if spec.gains is None:
         raise ValidationError("sweep_snr needs a fixed gain triple")
     grid = power_grid(spec).tolist()
-    ChannelConfig(gains=spec.gains, power=grid[0])  # validates the gains
     s1, s2, s3 = spec.gains.squared()
     rows = tuple((P, *bounds._bound_terms(s1, s2, s3, P)[:len(BOUND_COLUMNS) + 1]) for P in grid)
     return ReportTable(kind="sweep", header=("P", *BOUND_COLUMNS, "gap"),
@@ -149,13 +148,12 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverRe
     Bisection on d(P) = outgoing cut-set sum - tightened upper, down to a
     bracket 1e-6 wide relative to its top; assumes one sign change inside the
     bracket.  d > 0 already at p_lo reports the bracket as already crossed; no
-    sign change reports none.  The gains are validated once, and d at each
-    probe is one call of the bound kernel `bounds._bound_terms`.
+    sign change reports none.  d at each probe is one call of the bound
+    kernel `bounds._bound_terms`.
     """
     if not (0 < p_lo < p_hi) or not (math.isfinite(p_lo) and math.isfinite(p_hi)):
         raise ValidationError(f"invalid bracket [{p_lo!r}, {p_hi!r}]")
     lo, hi = float(p_lo), float(p_hi)
-    ChannelConfig(gains=gains, power=lo)  # validates the gains
     s1, s2, s3 = gains.squared()
 
     def margin(P: float) -> float:

@@ -22,16 +22,26 @@ class PropertyViolationError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class ChannelGains:
+    """Canonical gains, checked when built: finite, |h3| >= |h2| >= |h1|, h3^2 + h2^2 finite."""
+
     h1: float  # user2-user3 link
     h2: float  # user1-user3 link
     h3: float  # user1-user2 link
 
+    def __post_init__(self) -> None:
+        for name in ("h1", "h2", "h3"):
+            g = getattr(self, name)
+            if not math.isfinite(g):
+                raise ValidationError(f"gain {name}={g!r} is not finite")
+        # magnitudes, not squares: squares of gains below ~1e-162 all underflow to 0
+        if not abs(self.h3) >= abs(self.h2) >= abs(self.h1):
+            raise ValidationError(f"gain ordering violated: need |h3| >= |h2| >= |h1|, got {self}")
+        _, s2, s3 = self.squared()
+        if not math.isfinite(s3 + s2):  # the largest pairwise sum, given the ordering
+            raise ValidationError(f"squared gains overflow: h3^2 + h2^2 = {s3 + s2!r} is not finite")
+
     def squared(self) -> tuple[float, float, float]:
         return (self.h1 * self.h1, self.h2 * self.h2, self.h3 * self.h3)
-
-    def is_canonical(self) -> bool:
-        # magnitudes, not squares: squares of gains below ~1e-162 all underflow to 0
-        return abs(self.h3) >= abs(self.h2) >= abs(self.h1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,16 +54,13 @@ class UserPermutation:
         if sorted(self.mapping) != [1, 2, 3]:
             raise ValidationError(f"mapping {self.mapping} is not a bijection on {{1,2,3}}")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.mapping == (1, 2, 3)
-
 
 @dataclasses.dataclass(frozen=True)
 class ChannelConfig:
     """Canonical gains and a power budget; noise variance is fixed at 1 by the model.
 
-    Construction runs `validate`, so every ChannelConfig that exists is valid.
+    Gains check themselves and construction runs `validate` on the power, so
+    every ChannelConfig that exists is valid.
     """
 
     gains: ChannelGains
@@ -111,22 +118,11 @@ def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, User
 
 
 def validate(config: ChannelConfig) -> ChannelConfig:
-    """Accept iff power > 0, gains finite and ordered, squared gains and their sums finite."""
+    """Accept iff the power is a finite positive number; the gains checked themselves."""
     if not isinstance(config.power, (int, float)) or not math.isfinite(config.power):
         raise ValidationError(f"power {config.power!r} is not finite")
     if config.power <= 0:
         raise ValidationError("power must be positive")
-    for name in ("h1", "h2", "h3"):
-        g = getattr(config.gains, name)
-        if not math.isfinite(g):
-            raise ValidationError(f"gain {name}={g!r} is not finite")
-    if not config.gains.is_canonical():
-        raise ValidationError(
-            f"gain ordering violated: need |h3| >= |h2| >= |h1|, got {config.gains}"
-        )
-    _, s2, s3 = config.gains.squared()
-    if not math.isfinite(s3 + s2):  # the largest pairwise sum, given the ordering
-        raise ValidationError(f"squared gains overflow: h3^2 + h2^2 = {s3 + s2!r} is not finite")
     return config
 
 

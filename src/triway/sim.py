@@ -83,13 +83,6 @@ class TransmissionTrace:
         return tuple(TRACE_CSV_HEADER.split(",")), zip(range(1, self.n + 1), *(c.tolist() for c in columns))
 
 
-@dataclasses.dataclass(frozen=True)
-class GenieSideInfo:
-    variant: str  # "lemma1" | "lemma2"
-    side_messages: tuple[float, float]  # (m21, m23): one granted, one treated as decoded
-    noise_diff: np.ndarray  # lemma1: z2 - (h1/h2) z1 ; lemma2: z2 - z3
-
-
 def draw_realization(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three users' noise sequences (z1, z2, z3) over a block of n steps."""
     if n < 1:
@@ -168,6 +161,8 @@ def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.n
     few dozen steps.  The test compares raw bytes, so 0.0 and -0.0 differ
     and an overflowed state repeats only if its NaN and inf bits repeat.
     """
+    if n < 1:  # the one block-length check of the simulate and genie paths
+        raise ValidationError("block length must be >= 1")
     # huge gains or scales overflow the state; the result is checked instead
     with np.errstate(over="ignore", invalid="ignore"):
         a, F, GG = _power_system(encoders, cfg)
@@ -202,8 +197,6 @@ def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.n
 
 def expected_block_power(encoders, cfg: ChannelConfig, n: int) -> np.ndarray:
     """Per-user expected block power sum_i E[x_j(i)^2] for the encoders as given."""
-    if n < 1:
-        raise ValidationError("block length must be >= 1")
     A, C = _power_parts(encoders, cfg, n)
     return A + C
 
@@ -216,8 +209,6 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
     common scale is sqrt(min_j (nP - C_j)/A_j); one stacked pass of
     _power_parts at unit scale yields A and C.
     """
-    if n < 1:
-        raise ValidationError("block length must be >= 1")
     unit = tuple(e.with_scale(1.0) for e in encoders)
     A, C = _power_parts(unit, cfg, n)
     budget = n * cfg.power
@@ -255,8 +246,6 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     then its taps over its own receptions, newest first, each read by its
     lag from _lag_schedule.
     """
-    if n < 1:
-        raise ValidationError(f"block length must be >= 1, got {n}")
     expected = expected_block_power(encoders, cfg, n)
     budget = n * cfg.power
     if np.any(expected > budget * (1.0 + _POWER_TOL)):
@@ -306,33 +295,16 @@ def _scaled_dev(delta: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(np.abs(delta))) / scale if len(delta) else 0.0
 
 
-def make_genie_side_info(trace: TransmissionTrace, cfg: ChannelConfig, variant: str) -> GenieSideInfo:
-    """Side information the converse proofs grant: (m21, m23) plus a noise difference."""
-    h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    if variant == "lemma1":
-        if h2 == 0:
-            raise ValidationError("singular configuration: h2 = 0")
-        noise_diff = trace.z2 - (h1 / h2) * trace.z1
-    elif variant == "lemma2":
-        if h2 == 0 or h3 == 0:
-            raise ValidationError("singular configuration: h2 = 0 or h3 = 0")
-        noise_diff = trace.z2 - trace.z3
-    else:
-        raise ValidationError(f"unknown genie variant {variant!r}")
-    side_messages = (float(trace.messages[2]), float(trace.messages[3]))  # (m21, m23)
-    return GenieSideInfo(variant=variant, side_messages=side_messages, noise_diff=noise_diff)
-
-
-def _rebuild_y2(enc2: CausalEncoder, side: GenieSideInfo, ratio: float,
-               heard: np.ndarray, gain: float, known: np.ndarray) -> np.ndarray:
+def _rebuild_y2(enc2: CausalEncoder, trace: TransmissionTrace, noise_diff: np.ndarray,
+               ratio: float, heard: np.ndarray, gain: float, known: np.ndarray) -> np.ndarray:
     """y2(i) = ratio * (heard(i) - gain * x2(i)) + gain * known(i) + noise_diff(i).
 
     x2(i) is re-derived from user 2's encoder on the y2 rebuilt so far, in
-    the step loop's operation order.
+    the step loop's operation order, from the granted (m21, m23).
     """
-    term = enc2.message_term(side.side_messages)
+    term = enc2.message_term(trace.messages[2:4])  # (m21, m23): one granted, one treated as decoded
     y2hat: list[float] = []
-    for h, k, nd, pairs in zip(heard.tolist(), known.tolist(), side.noise_diff.tolist(),
+    for h, k, nd, pairs in zip(heard.tolist(), known.tolist(), noise_diff.tolist(),
                                _lag_schedule(enc2.feedback_weights)):
         x2hat = term
         for tap, lag in pairs:
@@ -341,41 +313,38 @@ def _rebuild_y2(enc2: CausalEncoder, side: GenieSideInfo, ratio: float,
     return np.array(y2hat)
 
 
-def genie_reconstruct_lemma1(trace: TransmissionTrace, cfg: ChannelConfig,
-                             encoders, side: GenieSideInfo) -> np.ndarray:
+def genie_reconstruct_lemma1(trace: TransmissionTrace, cfg: ChannelConfig, encoders) -> np.ndarray:
     """User 1 regenerates y2 from its own data plus (m21, m23) and z2 - (h1/h2) z1.
 
-    Recursion: x2(i) is re-derived from user 2's encoder on the y2 rebuilt so
-    far; stripping h3 x2(i) from y1(i) leaves h2 x3(i) + z1(i), which scaled
-    by h1/h2 and shifted by h3 x1(i) is h3 x1(i) + h1 x3(i) + (h1/h2) z1(i);
+    The genie's side information is formed here, from the trace.  Recursion:
+    x2(i) is re-derived from user 2's encoder on the y2 rebuilt so far;
+    stripping h3 x2(i) from y1(i) leaves h2 x3(i) + z1(i), which scaled by
+    h1/h2 and shifted by h3 x1(i) is h3 x1(i) + h1 x3(i) + (h1/h2) z1(i);
     adding the granted noise difference lands exactly on y2(i).
     """
-    if side.variant != "lemma1":
-        raise ValidationError(f"side info variant {side.variant!r} does not match lemma1")
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     if h2 == 0:
         raise ValidationError("singular configuration: h2 = 0")
-    return _rebuild_y2(encoders[1], side, h1 / h2, trace.y1, h3, trace.x1)
+    noise_diff = trace.z2 - (h1 / h2) * trace.z1
+    return _rebuild_y2(encoders[1], trace, noise_diff, h1 / h2, trace.y1, h3, trace.x1)
 
 
-def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig,
-                             encoders, side: GenieSideInfo) -> np.ndarray:
-    """Enhanced user 3 regenerates y2; its noise is replaced by (h2/h3) z3.
+def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig, encoders) -> np.ndarray:
+    """Enhanced user 3 regenerates y2 from (m21, m23) and z2 - z3; its noise is (h2/h3) z3.
 
-    The enhanced reception is y3'(i) = h2 x1(i) + h1 x2(i) + (h2/h3) z3(i),
-    formed from the channel terms.  Shifting y3 by (h2/h3 - 1) z3 instead
-    cancels y3 almost entirely when |h2/h3| is tiny, and the h3/h2 scaling
-    below then magnifies the rounding error of that cancellation.
-    Stripping the re-derived h1 x2(i), scaling by h3/h2 and adding h1 x3(i)
-    gives h3 x1(i) + h1 x3(i) + z3(i); adding z2 - z3 lands on y2(i).
+    The genie's side information is formed here, from the trace.  The enhanced
+    reception is y3'(i) = h2 x1(i) + h1 x2(i) + (h2/h3) z3(i), formed from
+    the channel terms.  Shifting y3 by (h2/h3 - 1) z3 instead cancels y3
+    almost entirely when |h2/h3| is tiny, and the h3/h2 scaling below then
+    magnifies the rounding error of that cancellation.  Stripping the
+    re-derived h1 x2(i), scaling by h3/h2 and adding h1 x3(i) gives
+    h3 x1(i) + h1 x3(i) + z3(i); adding z2 - z3 lands on y2(i).
     """
-    if side.variant != "lemma2":
-        raise ValidationError(f"side info variant {side.variant!r} does not match lemma2")
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     if h2 == 0 or h3 == 0:
         raise ValidationError("singular configuration: h2 = 0 or h3 = 0")
     enhanced_y3 = h2 * trace.x1 + h1 * trace.x2 + (h2 / h3) * trace.z3
-    return _rebuild_y2(encoders[1], side, h3 / h2, enhanced_y3, h1, trace.x3)
+    return _rebuild_y2(encoders[1], trace, trace.z2 - trace.z3, h3 / h2, enhanced_y3, h1, trace.x3)
 
 
 def reconstruction_error(reconstructed: np.ndarray, trace: TransmissionTrace) -> float:
@@ -384,15 +353,15 @@ def reconstruction_error(reconstructed: np.ndarray, trace: TransmissionTrace) ->
 
 
 def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int) -> dict:
-    """End-to-end reconstruction check with two-tap encoders; the dict is the CLI's verdict."""
+    """End-to-end reconstruction check with two-tap encoders; the dict is the CLI's verdict.
+
+    An unknown variant is rejected before anything is simulated."""
+    if variant not in ("lemma1", "lemma2"):
+        raise ValidationError(f"unknown genie variant {variant!r}")
     encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
     trace = simulate_network(encoders, cfg, n, seed)
-    side = make_genie_side_info(trace, cfg, variant)
-    if variant == "lemma1":
-        rebuilt = genie_reconstruct_lemma1(trace, cfg, encoders, side)
-    else:
-        rebuilt = genie_reconstruct_lemma2(trace, cfg, encoders, side)
-    error = reconstruction_error(rebuilt, trace)
+    rebuild = genie_reconstruct_lemma1 if variant == "lemma1" else genie_reconstruct_lemma2
+    error = reconstruction_error(rebuild(trace, cfg, encoders), trace)
     if not math.isfinite(error):  # NaN would also slip past the caller's error < tol test
         raise ValidationError(f"genie {variant} reconstruction is not finite: the gain "
                               "ratio it scales by leaves the float range")

@@ -8,8 +8,10 @@ the per-cell rule its CSV must match; `emit`, one encoder symbol at a time,
 drives the step loop, trace verification and genie rebuild that are the
 references for the simulator's loops;
 the full-length power recursion is the reference for the repeat shortcut in
-sim._power_parts; the permutation loop and the per-trial ensemble loop are the
-references for model.canonicalize's relabeling table and for
+sim._power_parts; `reference_bound_terms` writes every bound from the public
+`cap` in the operation order bounds.evaluate documents, the reference for the
+bound kernel bounds._bound_terms; the permutation loop and the per-trial
+ensemble loop are the references for model.canonicalize's relabeling table and for
 experiments.gap_ensemble.  The sweep, DoF fit and crossover search that build
 a ChannelConfig and call bounds.evaluate at every grid point are the
 references for the drivers that call the bound kernel once per point, and
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from triway.bounds import evaluate
+from triway.bounds import cap, evaluate
 from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, ReportTable, SweepSpec, power_grid
 from triway.model import ChannelConfig, ChannelGains, RateTuple, UserPermutation, ValidationError, make_config
 from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
@@ -38,6 +40,10 @@ from triway.sim import (
     draw_realization,
     random_encoders,
 )
+
+
+def is_identity(perm: UserPermutation) -> bool:
+    return perm.mapping == (1, 2, 3)
 
 
 def inverse(perm: UserPermutation) -> UserPermutation:
@@ -85,6 +91,27 @@ def reference_gap_ensemble(spec: SweepSpec) -> GapStatistics:
     return GapStatistics(ensemble=spec.ensemble, min_gap=gaps_min, max_gap=gaps_max,
                          mean_gap=total / spec.ensemble, violations=violations,
                          worst_config=worst)
+
+
+def reference_bound_terms(s1: float, s2: float, s3: float, P: float) -> tuple:
+    """bounds._bound_terms from cap, one formula per BoundReport field after config.
+
+    Each value is its formula as bounds.evaluate documents it, in that
+    formula's operation order; the gap takes the literal 2.0 where
+    lemma1 + lemma2 - lower reaches it.  Valid only where every cap argument
+    is finite (h^2 P does not overflow).
+    """
+    ratio = 0.0 if s2 == 0.0 else s1 / s2  # h2 = 0 forces h1 = 0: the ratio term is 0
+    out1 = cap((s3 + s2) * P)
+    out2 = cap((s3 + s1) * P)
+    out3 = cap((s2 + s1) * P)
+    lemma1 = cap((s3 + s2) * P) + cap(ratio)
+    lemma2 = cap(s3 * P * (1.0 + ratio)) + 0.5
+    theorem2_upper = 2.0 * cap(s3 * P) + 2.0
+    lower = 2.0 * cap(s3 * P)
+    return (out1, out2, out3, out1 + out2 + out3, lemma1, lemma2, theorem2_upper, lemma1 + lemma2,
+            lower, min(2.0, lemma1 + lemma2 - lower), cap(max(0.0, s2 * P - 0.5)), cap(s1 * P),
+            s2 >= s1 + 0.5 / P)
 
 
 def reference_sweep_rows(spec: SweepSpec) -> tuple[tuple[float, ...], ...]:
@@ -347,20 +374,28 @@ def verify_trace(trace: TransmissionTrace, cfg, encoders, tol: float = 1e-9) -> 
     return dev_chan, dev_enc
 
 
-def emit_rebuild(trace: TransmissionTrace, cfg, encoders, side) -> np.ndarray:
-    """The genie rebuild of y2 (either lemma) with one emit call per symbol."""
+def emit_rebuild(trace: TransmissionTrace, cfg, encoders, variant: str) -> np.ndarray:
+    """The genie rebuild of y2 (either lemma) with one emit call per symbol.
+
+    Forms the genie's side information itself: the granted messages
+    (m21, m23) and the noise difference z2 - (h1/h2) z1 (lemma1) or
+    z2 - z3 (lemma2).
+    """
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    enc2 = encoders[1]
-    enhanced_y3 = (h2 * trace.x1 + h1 * trace.x2 + (h2 / h3) * trace.z3
-                   if side.variant == "lemma2" else None)
+    side_messages = (float(trace.messages[2]), float(trace.messages[3]))
+    if variant == "lemma1":
+        noise_diff = trace.z2 - (h1 / h2) * trace.z1
+    else:
+        noise_diff = trace.z2 - trace.z3
+        enhanced_y3 = h2 * trace.x1 + h1 * trace.x2 + (h2 / h3) * trace.z3
     y2hat: list[float] = []
     for i in range(trace.n):
-        x2hat = emit(enc2, side.side_messages, y2hat)
-        if side.variant == "lemma1":
+        x2hat = emit(encoders[1], side_messages, y2hat)
+        if variant == "lemma1":
             y2tilde = (h1 / h2) * (trace.y1[i] - h3 * x2hat) + h3 * trace.x1[i]
         else:
             y2tilde = (h3 / h2) * (enhanced_y3[i] - h1 * x2hat) + h1 * trace.x3[i]
-        y2hat.append(y2tilde + side.noise_diff[i])
+        y2hat.append(y2tilde + noise_diff[i])
     return np.array(y2hat)
 
 

@@ -21,7 +21,6 @@ from triway.sim import (
     estimate_p2p_mi,
     genie_reconstruct_lemma1,
     genie_verdict,
-    make_genie_side_info,
     normalize_power,
     random_encoders,
     reconstruction_error,
@@ -104,12 +103,10 @@ def test_criterion_4_genie_reconstruction():
             worst = max(worst, verdict["max_rel_error"])
     encoders = normalize_power(random_encoders(cfg, 2, 0), cfg, 100)
     trace = simulate_network(encoders, cfg, 100, 0)
-    side = make_genie_side_info(trace, cfg, "lemma1")
-    bent_diff = side.noise_diff.copy()
-    bent_diff[0] += 1e-3
-    bent = dataclasses.replace(side, noise_diff=bent_diff)
+    bent_z2 = trace.z2.copy()
+    bent_z2[0] += 1e-3  # bends the side info's noise difference z2 - (h1/h2) z1
     diverged = reconstruction_error(
-        genie_reconstruct_lemma1(trace, cfg, encoders, bent), trace)
+        genie_reconstruct_lemma1(dataclasses.replace(trace, z2=bent_z2), cfg, encoders), trace)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and diverged > 1e-6 and elapsed < 5.0
     _report(4, "both genie reconstructions exact to 1e-9 over 100 encoder triples; "

@@ -7,6 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from helpers import reference_bound_terms
+from triway import bounds
 from triway.bounds import REPORT_CSV_HEADER, cap, dof_estimate, evaluate, sum_capacity_interval
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
@@ -150,6 +152,26 @@ def test_interval_is_evaluate_bit_for_bit():
     assert math.isinf(1e154 ** 2 * 1e300) and any(evaluate(c).gap == 2.0 for c in cfgs[-295:])
 
 
+def test_bound_kernel_is_the_documented_formulas_bit_for_bit():
+    # every field of the kernel against its formula written from cap, so a change in
+    # the kernel's operation order (say out3 + out2 + out1) shows in the bits
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(3000):  # gains over 120 decades, powers over 200
+        gains, _ = canonicalize(*(rng.standard_normal(3) * 10.0 ** rng.uniform(-60.0, 60.0, 3)))
+        cases.append((*gains.squared(), 10.0 ** rng.uniform(-100.0, 100.0)))
+    cases += [(0.0, 0.0, 10.0 ** e, 10.0 ** -e) for e in range(-20, 21)]  # h2 = 0
+    cases += [(1.0, 1.0, 1.0, 10.0 ** e) for e in range(295)]  # the gap reaches the literal 2.0
+    checked = 0
+    for s1, s2, s3, P in cases:
+        if not 2.0 * (s3 + s2) * P < 1e308:  # bounds every cap argument: h^2 P stays finite
+            continue
+        got = bounds._bound_terms(s1, s2, s3, P)
+        assert repr(got) == repr(reference_bound_terms(s1, s2, s3, P)), (s1, s2, s3, P)
+        checked += 1
+    assert checked > 3000 and sum(bounds._bound_terms(*c)[9] == 2.0 for c in cases[-295:]) > 100
+
+
 def test_interval_gap_never_exceeds_two_high_snr():
     # the naive difference fl(2c+2) - 2c can round above 2; the interval must not
     for exponent in range(0, 300, 7):
@@ -192,6 +214,11 @@ def test_dof_slopes():
     assert dof_estimate(gains, grid, "theorem2_upper") == pytest.approx(2.0, abs=0.05)
     assert dof_estimate(gains, grid, "achievable_lower") == pytest.approx(2.0, abs=0.05)
     assert dof_estimate(gains, grid, "outgoing_cutset_sum") == pytest.approx(3.0, abs=0.05)
+
+
+def test_dof_rejects_an_unknown_field():
+    with pytest.raises(ValidationError, match="^field 'gapp' is not a BoundReport field$"):
+        dof_estimate(ChannelGains(1.0, 1.0, 1.0), np.logspace(2, 8, 9), "gapp")
 
 
 def test_dof_rejects_degenerate_grids():

@@ -252,6 +252,16 @@ def _one_line_error(code, out, err, text):
     assert err == f"error: {text}\n"
 
 
+@pytest.mark.parametrize("argv,text", [
+    (("genie", "--variant", "lemma1", "--n", "0"), "block length must be >= 1"),
+    (("simulate", "--n", "0"), "block length must be >= 1"),
+    (("genie", "--variant", "lemma2", "--g12", "1", "--g13", "0", "--g23", "0"),
+     "singular configuration: h2 = 0 or h3 = 0"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_block_length_and_singular_gains_are_one_error_line(capsys, argv, text):
+    _one_line_error(*_run(capsys, *argv), text)
+
+
 def test_genie_rejects_csv(capsys):
     _one_line_error(*_run(capsys, "genie", "--variant", "lemma1", "--n", "20", "--format", "csv"),
                     "genie output is JSON only")

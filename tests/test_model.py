@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import triway
-from helpers import apply_rates, inverse, reference_canonicalize
+from helpers import apply_rates, inverse, is_identity, reference_canonicalize
 from triway.model import (
     ChannelConfig,
     ChannelGains,
@@ -31,19 +31,19 @@ def test_canonicalize_sorts_by_squared_magnitude():
 def test_canonicalize_identity_when_ordered():
     gains, perm = canonicalize(5.0, 4.0, 3.0)
     assert gains == ChannelGains(h1=3.0, h2=4.0, h3=5.0)
-    assert perm.is_identity
+    assert is_identity(perm)
 
 
 def test_canonicalize_keeps_signs():
     gains, perm = canonicalize(-2.0, 1.0, 1.0)
     assert gains.h3 == -2.0
     assert gains.h3 ** 2 >= gains.h2 ** 2 >= gains.h1 ** 2
-    assert perm.is_identity
+    assert is_identity(perm)
 
 
 def test_canonicalize_tie_prefers_identity():
     gains, perm = canonicalize(1.0, 1.0, 1.0)
-    assert perm.is_identity
+    assert is_identity(perm)
     assert gains == ChannelGains(h1=1.0, h2=1.0, h3=1.0)
 
 
@@ -72,7 +72,7 @@ def test_canonicalize_idempotent_random():
         gains, _ = canonicalize(*g)
         # feeding the canonical gains back in must not relabel anything
         regains, perm2 = canonicalize(gains.h3, gains.h2, gains.h1)
-        assert perm2.is_identity
+        assert is_identity(perm2)
         assert regains == gains
 
 
@@ -136,6 +136,19 @@ def test_validate_rejects_unordered_gains():
         validate(cfg)
 
 
+@pytest.mark.parametrize("triple,message", [
+    ((2.0, 1.0, 0.5), "gain ordering violated: need |h3| >= |h2| >= |h1|, "
+                      "got ChannelGains(h1=2.0, h2=1.0, h3=0.5)"),
+    ((0.5, 1.0, math.inf), "gain h3=inf is not finite"),
+    ((math.nan, 1.0, 1.0), "gain h1=nan is not finite"),
+    ((0.0, 1e160, 1e160), "squared gains overflow: h3^2 + h2^2 = inf is not finite"),
+], ids=("unordered", "inf", "nan", "squares-overflow"))
+def test_gains_reject_bad_triples_when_built(triple, message):
+    with pytest.raises(ValidationError) as exc:
+        ChannelGains(*triple)
+    assert str(exc.value) == message
+
+
 def test_validate_rejects_nonfinite():
     with pytest.raises(ValidationError):
         validate(ChannelConfig(gains=ChannelGains(1.0, 1.0, math.inf), power=1.0))
@@ -195,10 +208,10 @@ _PUBLIC_NAMES = {
                "evaluate", "sum_capacity_interval"],
     "region": ["LinearConstraint", "LpSolution", "RATE_ORDER", "RateRegion", "TOL", "build_region",
                "max_weighted_sum"],
-    "sim": ["CausalEncoder", "GenieSideInfo", "TRACE_CSV_HEADER", "TransmissionTrace",
+    "sim": ["CausalEncoder", "TRACE_CSV_HEADER", "TransmissionTrace",
             "draw_messages", "draw_realization", "estimate_p2p_mi", "expected_block_power",
             "genie_reconstruct_lemma1", "genie_reconstruct_lemma2", "genie_verdict",
-            "make_genie_side_info", "normalize_power", "random_encoders", "reconstruction_error",
+            "normalize_power", "random_encoders", "reconstruction_error",
             "simulate_network", "simulate_pnc_relay"],
     "experiments": ["BOUND_COLUMNS", "CrossoverResult", "GapStatistics", "ReportTable", "SweepSpec",
                     "crossover_table", "export_report", "find_crossover", "gap_ensemble",

@@ -14,7 +14,6 @@ from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
 from triway.sim import (
     TRACE_CSV_HEADER,
     CausalEncoder,
-    GenieSideInfo,
     TransmissionTrace,
     _pnc_exchange,
     draw_messages,
@@ -24,7 +23,6 @@ from triway.sim import (
     genie_reconstruct_lemma1,
     genie_reconstruct_lemma2,
     genie_verdict,
-    make_genie_side_info,
     normalize_power,
     random_encoders,
     reconstruction_error,
@@ -89,12 +87,13 @@ def test_bit_exact_determinism():
 
 def test_block_length_validation():
     enc = _ready_encoders(CFG, 5, 0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="block length must be >= 1"):
         simulate_network(enc, CFG, 0, 0)
+    for power_call in (expected_block_power, normalize_power):
+        with pytest.raises(ValidationError, match="block length must be >= 1"):
+            power_call(enc, CFG, 0)
     with pytest.raises(ValidationError):
         draw_realization(0, 0)
-    with pytest.raises(ValidationError, match="block length"):
-        expected_block_power(enc, CFG, 0)
     with pytest.raises(ValidationError, match="n_taps"):
         random_encoders(CFG, -1, 0)
 
@@ -171,21 +170,16 @@ def test_genie_exact_without_feedback():
         (CausalEncoder((0.5, 0.5)), CausalEncoder((0.7, -0.2)), CausalEncoder((-0.3, 0.6))),
         CFG, 50)
     trace = simulate_network(enc, CFG, 50, 4)
-    for variant, rebuild in (("lemma1", genie_reconstruct_lemma1),
-                             ("lemma2", genie_reconstruct_lemma2)):
-        side = make_genie_side_info(trace, CFG, variant)
-        rebuilt = rebuild(trace, CFG, enc, side)
-        assert reconstruction_error(rebuilt, trace) < 1e-12
+    for rebuild in (genie_reconstruct_lemma1, genie_reconstruct_lemma2):
+        assert reconstruction_error(rebuild(trace, CFG, enc), trace) < 1e-12
 
 
 def test_genie_exact_with_feedback_encoders():
     for seed in range(20):
         enc = _ready_encoders(CFG, 100, seed)
         trace = simulate_network(enc, CFG, 100, seed)
-        for variant, rebuild in (("lemma1", genie_reconstruct_lemma1),
-                                 ("lemma2", genie_reconstruct_lemma2)):
-            side = make_genie_side_info(trace, CFG, variant)
-            assert reconstruction_error(rebuild(trace, CFG, enc, side), trace) < 1e-9
+        for rebuild in (genie_reconstruct_lemma1, genie_reconstruct_lemma2):
+            assert reconstruction_error(rebuild(trace, CFG, enc), trace) < 1e-9
 
 
 # every n from 1 to K + 1 = 4 for the three-tap users: each warm-up step and the first full one
@@ -202,10 +196,9 @@ def test_loops_match_emit_oracle_bit_for_bit(encoders, n):
         assert getattr(trace, field).tobytes() == getattr(want, field).tobytes(), field  # signed zeros
     for variant, rebuild in (("lemma1", genie_reconstruct_lemma1),
                              ("lemma2", genie_reconstruct_lemma2)):
-        side = make_genie_side_info(trace, PARITY_CFG, variant)
-        got = rebuild(trace, PARITY_CFG, encoders, side)
-        assert np.array_equal(got, emit_rebuild(trace, PARITY_CFG, encoders, side)), variant
-        assert got.tobytes() == emit_rebuild(trace, PARITY_CFG, encoders, side).tobytes(), variant
+        got = rebuild(trace, PARITY_CFG, encoders)
+        assert np.array_equal(got, emit_rebuild(trace, PARITY_CFG, encoders, variant)), variant
+        assert got.tobytes() == emit_rebuild(trace, PARITY_CFG, encoders, variant).tobytes(), variant
 
 
 @pytest.mark.parametrize("n", _PARITY_N)
@@ -215,26 +208,12 @@ def test_negzero_case_sends_negative_zero(n):
     assert x2[0] == 0.0 and np.signbit(x2[0])
 
 
-def test_genie_side_info_formulas():
-    enc = _ready_encoders(CFG, 30, 6)
-    trace = simulate_network(enc, CFG, 30, 6)
-    h1, h2 = CFG.gains.h1, CFG.gains.h2
-    s1 = make_genie_side_info(trace, CFG, "lemma1")
-    assert np.array_equal(s1.noise_diff, trace.z2 - (h1 / h2) * trace.z1)
-    s2 = make_genie_side_info(trace, CFG, "lemma2")
-    assert np.array_equal(s2.noise_diff, trace.z2 - trace.z3)
-    for s in (s1, s2):
-        assert s.side_messages == (float(trace.messages[2]), float(trace.messages[3]))
-
-
 def test_genie_perturbed_side_info_diverges():
     enc = _ready_encoders(CFG, 80, 9)
     trace = simulate_network(enc, CFG, 80, 9)
-    side = make_genie_side_info(trace, CFG, "lemma1")
-    bent_diff = side.noise_diff.copy()
-    bent_diff[0] += 1e-3
-    bent = dataclasses.replace(side, noise_diff=bent_diff)
-    rebuilt = genie_reconstruct_lemma1(trace, CFG, enc, bent)
+    bent_z2 = trace.z2.copy()
+    bent_z2[0] += 1e-3  # the side info's noise difference z2 - (h1/h2) z1 moves with it
+    rebuilt = genie_reconstruct_lemma1(dataclasses.replace(trace, z2=bent_z2), CFG, enc)
     assert reconstruction_error(rebuilt, trace) > 1e-6
     # the error is not confined to the tampered sample: feedback drags it forward
     later = np.abs(rebuilt - trace.y2)[1:]
@@ -245,26 +224,12 @@ def test_genie_singular_configurations():
     degenerate = _cfg(0.0, 0.0, 2.0, 1.0)
     enc = _ready_encoders(degenerate, 10, 0)
     trace = simulate_network(enc, degenerate, 10, 0)
-    for variant in ("lemma1", "lemma2"):
+    for rebuild in (genie_reconstruct_lemma1, genie_reconstruct_lemma2):
         with pytest.raises(ValidationError, match="singular"):
-            make_genie_side_info(trace, degenerate, variant)
-    with pytest.raises(ValidationError, match="unknown genie variant"):
-        make_genie_side_info(trace, degenerate, "lemma3")
-    # the rebuilds check h2 and h3 again: side info built for a regular config
-    regular = simulate_network(_ready_encoders(CFG, 10, 0), CFG, 10, 0)
-    for variant, rebuild in (("lemma1", genie_reconstruct_lemma1),
-                             ("lemma2", genie_reconstruct_lemma2)):
-        side = make_genie_side_info(regular, CFG, variant)
-        with pytest.raises(ValidationError, match="singular"):
-            rebuild(trace, degenerate, enc, side)
-
-
-def test_genie_variant_mismatch():
-    enc = _ready_encoders(CFG, 10, 0)
-    trace = simulate_network(enc, CFG, 10, 0)
-    side = make_genie_side_info(trace, CFG, "lemma1")
-    with pytest.raises(ValidationError, match="does not match"):
-        genie_reconstruct_lemma2(trace, CFG, enc, side)
+            rebuild(trace, degenerate, enc)
+    # the variant is checked before anything is simulated: n = 0 is never reached
+    with pytest.raises(ValidationError, match="unknown genie variant 'lemma3'"):
+        genie_verdict(CFG, "lemma3", n=0, seed=0)
 
 
 def test_genie_equal_cross_gains_boundary():
@@ -272,8 +237,7 @@ def test_genie_equal_cross_gains_boundary():
     cfg = _cfg(0.5, 1.0, 1.0, 1.0)
     enc = _ready_encoders(cfg, 40, 5)
     trace = simulate_network(enc, cfg, 40, 5)
-    side = make_genie_side_info(trace, cfg, "lemma2")
-    assert reconstruction_error(genie_reconstruct_lemma2(trace, cfg, enc, side), trace) < 1e-12
+    assert reconstruction_error(genie_reconstruct_lemma2(trace, cfg, enc), trace) < 1e-12
 
 
 def test_genie_verdict_shape():
