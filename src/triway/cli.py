@@ -193,8 +193,7 @@ def _cmd_simulate(args) -> int:
         return 0
     if args.format == "json":
         raise ValidationError("trace export is CSV only")
-    encoders = sim.normalize_power(sim.random_encoders(cfg, n_taps=2, seed=seed), cfg, args.n)
-    trace = sim.simulate_network(encoders, cfg, args.n, seed)
+    _, trace = sim.simulate_normalized(cfg, args.n, seed)
     _emit(trace.as_table(), args, "csv")
     return 0
 

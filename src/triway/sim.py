@@ -139,8 +139,8 @@ def _power_system(encoders, cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray,
     return a, F, GG
 
 
-def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): messages, noise.
+def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projections a and the (2, d, d) covariance sums T of the power state: messages, noise.
 
     The state s(i) holds the 6 unit-variance messages and the last K_j
     receptions of each user, so x_j(i) = a_j . s(i) and
@@ -150,7 +150,7 @@ def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.n
     By superposition the message-driven part starts from S = diag(1_6, 0)
     with no injection and the noise-driven part from S = 0 with injection;
     both go through the same F as one (2, d, d) stack, so one stacked pass
-    yields A and C, and A + C is the full expected power.
+    yields both sums.
 
     Each stack depends only on the one before it, so once the stack equals,
     bit for bit, one of the last _MAX_PERIOD stacks, the states repeat with
@@ -163,7 +163,7 @@ def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.n
     """
     if n < 1:  # the one block-length check of the simulate and genie paths
         raise ValidationError("block length must be >= 1")
-    # huge gains or scales overflow the state; the result is checked instead
+    # huge gains or scales overflow the state; _block_power checks the result
     with np.errstate(over="ignore", invalid="ignore"):
         a, F, GG = _power_system(encoders, cfg)
         d = F.shape[0]
@@ -185,14 +185,30 @@ def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.n
             if state in recent:  # S repeats bit for bit: so does every later state
                 cycle = [np.frombuffer(b).reshape(S.shape)
                          for b in itertools.islice(recent, recent.index(state), None)]
-                for k in range(n - 1 - i):  # the loop's own additions, in its order
-                    total += cycle[k % len(cycle)]
+                for repeated in itertools.islice(itertools.cycle(cycle), n - 1 - i):
+                    total += repeated  # the loop's own additions, in its order
                 break
+    return a, total
+
+
+def _block_power(a, total, n: int, budget: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user (A, C) = a_j' T a_j of the message and noise sums; A + C must be finite and <= budget."""
+    with np.errstate(over="ignore", invalid="ignore"):
         A, C = (np.einsum("jd,de,je->j", a, part, a) for part in total)
-        if not np.all(np.isfinite(A + C)):  # A, C >= 0: finite iff both are
+        power = A + C
+        if not np.all(np.isfinite(power)):  # A, C >= 0: finite iff both are
             raise ValidationError(f"expected block power over n={n} is not finite: "
                                   "the gains, power or message scale leave the float range")
+    if np.any(power > budget * (1.0 + _POWER_TOL)):
+        worst = int(np.argmax(power))
+        raise ValidationError(f"user {worst + 1} expected block power {power[worst]:.6g} exceeds "
+                              f"budget {budget:.6g}; apply normalize_power")
     return A, C
+
+
+def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): messages, noise."""
+    return _block_power(*_power_sums(encoders, cfg, n), n)
 
 
 def expected_block_power(encoders, cfg: ChannelConfig, n: int) -> np.ndarray:
@@ -207,10 +223,15 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
     By superposition the message response scales with s and the noise-driven
     response does not, so power_j = s^2 A_j + C_j and the largest admissible
     common scale is sqrt(min_j (nP - C_j)/A_j); one stacked pass of
-    _power_parts at unit scale yields A and C.
+    _power_sums at unit scale yields A and C, and checks the result: at scale
+    s the sums are D T_0 D and T_1 (D is 1 on the message slots, s on the lag
+    slots), so a_s (the projections, message columns times s) gives the scaled
+    power for simulate_network's finiteness and budget checks.  Not s^2 A + C:
+    that can fit where the scaled covariance D T_0 D overflows.
     """
     unit = tuple(e.with_scale(1.0) for e in encoders)
-    A, C = _power_parts(unit, cfg, n)
+    a, total = _power_sums(unit, cfg, n)
+    A, C = _block_power(a, total, n)
     budget = n * cfg.power
     scales = []
     for j in range(3):
@@ -218,9 +239,14 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
             raise ValidationError(
                 f"user {j + 1} feedback taps alone need expected power {C[j]:.6g} > budget {budget:.6g}"
             )
-        if A[j] > 0:  # Python floats: an overflow gives inf, which simulate_network rejects
+        if A[j] > 0:
             scales.append(math.sqrt(max(0.0, float(budget - C[j])) / float(A[j])))
     s = min(scales) if scales else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # _block_power rejects an overflow
+        D = np.concatenate((np.ones(6), np.full(len(a[0]) - 6, s)))
+        total[0] = D[:, None] * total[0] * D
+        a[:, :6] *= s
+    _block_power(a, total, n, budget)
     return tuple(e.with_scale(s) for e in encoders)
 
 
@@ -241,19 +267,23 @@ def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> Transmi
     """Time-stepped run of the three encoders through the channel equations.
 
     Rejects encoder triples whose expected block power exceeds any user's
-    budget (apply normalize_power first).  The loop applies each
-    CausalEncoder map in its operation order: each user's message term once,
-    then its taps over its own receptions, newest first, each read by its
-    lag from _lag_schedule.
+    budget (apply normalize_power first).  That check costs a power pass,
+    which simulate_normalized skips: normalize_power checks its own scale.
     """
-    expected = expected_block_power(encoders, cfg, n)
-    budget = n * cfg.power
-    if np.any(expected > budget * (1.0 + _POWER_TOL)):
-        worst = int(np.argmax(expected))
-        raise ValidationError(
-            f"user {worst + 1} expected block power {expected[worst]:.6g} exceeds "
-            f"budget {budget:.6g}; apply normalize_power"
-        )
+    _block_power(*_power_sums(encoders, cfg, n), n, n * cfg.power)
+    return _step_loop(encoders, cfg, n, seed)
+
+
+def simulate_normalized(cfg: ChannelConfig, n: int,
+                        seed: int) -> tuple[tuple[CausalEncoder, ...], TransmissionTrace]:
+    """Random two-tap encoders scaled by normalize_power, then the step loop: (encoders, trace)."""
+    encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
+    return encoders, _step_loop(encoders, cfg, n, seed)
+
+
+def _step_loop(encoders, cfg: ChannelConfig, n: int, seed: int) -> TransmissionTrace:
+    """Each CausalEncoder map in its operation order: each user's message term once,
+    then its taps over its own receptions, newest first, each read by its lag from _lag_schedule."""
     z1s, z2s, z3s = draw_realization(n, seed)
     messages = draw_messages(seed)
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
@@ -313,6 +343,13 @@ def _rebuild_y2(enc2: CausalEncoder, trace: TransmissionTrace, noise_diff: np.nd
     return np.array(y2hat)
 
 
+def _check_invertible(cfg: ChannelConfig, variant: str) -> None:
+    """Reject h2 = 0, which both rebuilds divide by; lemma2's h3 is nonzero since |h3| >= |h2|."""
+    if cfg.gains.h2 == 0:
+        raise ValidationError("singular configuration: h2 = 0"
+                              + (" or h3 = 0" if variant == "lemma2" else ""))
+
+
 def genie_reconstruct_lemma1(trace: TransmissionTrace, cfg: ChannelConfig, encoders) -> np.ndarray:
     """User 1 regenerates y2 from its own data plus (m21, m23) and z2 - (h1/h2) z1.
 
@@ -322,9 +359,8 @@ def genie_reconstruct_lemma1(trace: TransmissionTrace, cfg: ChannelConfig, encod
     h1/h2 and shifted by h3 x1(i) is h3 x1(i) + h1 x3(i) + (h1/h2) z1(i);
     adding the granted noise difference lands exactly on y2(i).
     """
+    _check_invertible(cfg, "lemma1")
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    if h2 == 0:
-        raise ValidationError("singular configuration: h2 = 0")
     noise_diff = trace.z2 - (h1 / h2) * trace.z1
     return _rebuild_y2(encoders[1], trace, noise_diff, h1 / h2, trace.y1, h3, trace.x1)
 
@@ -340,9 +376,8 @@ def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig, encod
     re-derived h1 x2(i), scaling by h3/h2 and adding h1 x3(i) gives
     h3 x1(i) + h1 x3(i) + z3(i); adding z2 - z3 lands on y2(i).
     """
+    _check_invertible(cfg, "lemma2")
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    if h2 == 0 or h3 == 0:
-        raise ValidationError("singular configuration: h2 = 0 or h3 = 0")
     enhanced_y3 = h2 * trace.x1 + h1 * trace.x2 + (h2 / h3) * trace.z3
     return _rebuild_y2(encoders[1], trace, trace.z2 - trace.z3, h3 / h2, enhanced_y3, h1, trace.x3)
 
@@ -355,11 +390,11 @@ def reconstruction_error(reconstructed: np.ndarray, trace: TransmissionTrace) ->
 def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int) -> dict:
     """End-to-end reconstruction check with two-tap encoders; the dict is the CLI's verdict.
 
-    An unknown variant is rejected before anything is simulated."""
+    An unknown variant or singular gains are rejected before anything is simulated."""
     if variant not in ("lemma1", "lemma2"):
         raise ValidationError(f"unknown genie variant {variant!r}")
-    encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
-    trace = simulate_network(encoders, cfg, n, seed)
+    _check_invertible(cfg, variant)
+    encoders, trace = simulate_normalized(cfg, n, seed)
     rebuild = genie_reconstruct_lemma1 if variant == "lemma1" else genie_reconstruct_lemma2
     error = reconstruction_error(rebuild(trace, cfg, encoders), trace)
     if not math.isfinite(error):  # NaN would also slip past the caller's error < tol test

@@ -8,7 +8,9 @@ the per-cell rule its CSV must match; `emit`, one encoder symbol at a time,
 drives the step loop, trace verification and genie rebuild that are the
 references for the simulator's loops;
 the full-length power recursion is the reference for the repeat shortcut in
-sim._power_parts; `reference_bound_terms` writes every bound from the public
+sim._power_parts, and `two_pass_simulation`, a second full power pass on the
+scaled encoders, for the check normalize_power makes of its own scale;
+`reference_bound_terms` writes every bound from the public
 `cap` in the operation order bounds.evaluate documents, the reference for the
 bound kernel bounds._bound_terms; the permutation loop and the per-trial
 ensemble loop are the references for model.canonicalize's relabeling table and for
@@ -32,13 +34,19 @@ from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, Rate
 from triway.sim import (
     _MAX_PERIOD,
     _MSG_INDEX,
+    _POWER_TOL,
     CausalEncoder,
     TransmissionTrace,
+    _power_parts,
     _power_system,
     _scaled_dev,
     draw_messages,
     draw_realization,
+    genie_reconstruct_lemma1,
+    genie_reconstruct_lemma2,
     random_encoders,
+    reconstruction_error,
+    simulate_network,
 )
 
 
@@ -440,3 +448,31 @@ def first_repeat(encoders, cfg, horizon):
             if states[i] == states[i - p]:
                 return i, p
     return None
+
+
+def two_pass_simulation(cfg, n: int, seed: int):
+    """(encoders, trace) of random two-tap encoders, checked by a second power pass.
+
+    The scale is chosen from one unit-scale pass as normalize_power chooses
+    it, without its check of the result; simulate_network then runs a full
+    power pass on the scaled encoders, whose finiteness and budget checks
+    normalize_power must reproduce from its one pass.
+    """
+    encoders = random_encoders(cfg, n_taps=2, seed=seed)
+    A, C = _power_parts(tuple(e.with_scale(1.0) for e in encoders), cfg, n)
+    budget = n * cfg.power
+    for j in range(3):
+        if C[j] > budget * (1.0 + _POWER_TOL):
+            raise ValidationError(f"user {j + 1} feedback taps alone need expected power {C[j]:.6g} "
+                                  f"> budget {budget:.6g}")
+    scales = [math.sqrt(max(0.0, float(budget - C[j])) / float(A[j])) for j in range(3) if A[j] > 0]
+    scaled = tuple(e.with_scale(min(scales) if scales else 1.0) for e in encoders)
+    return scaled, simulate_network(scaled, cfg, n, seed)
+
+
+def two_pass_genie_verdict(cfg, variant: str, n: int, seed: int) -> dict:
+    """sim.genie_verdict's dict on the trace of two_pass_simulation."""
+    encoders, trace = two_pass_simulation(cfg, n, seed)
+    rebuild = genie_reconstruct_lemma1 if variant == "lemma1" else genie_reconstruct_lemma2
+    error = reconstruction_error(rebuild(trace, cfg, encoders), trace)
+    return {"max_rel_error": error, "n": n, "seed": seed, "variant": variant}

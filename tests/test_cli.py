@@ -262,6 +262,16 @@ def test_block_length_and_singular_gains_are_one_error_line(capsys, argv, text):
     _one_line_error(*_run(capsys, *argv), text)
 
 
+def test_an_overflowing_scaled_covariance_is_one_error_line(capsys):
+    # the scaled power fits the budget, but the message-driven covariance
+    # behind it overflows: s^2 A + C alone would let this block through
+    code, out, err = _run(capsys, "simulate", "--g12=8.044855908597946e+44", "--g13=-0.7973781289047944",
+                          "--g23=-9975978.12592365", "--power=6.107726244812748e+256", "--n", "2",
+                          "--seed", "200")
+    assert code == 1 and out == ""
+    assert err.startswith("error: expected block power over n=2 is not finite: ") and err.count("\n") == 1
+
+
 def test_genie_rejects_csv(capsys):
     _one_line_error(*_run(capsys, "genie", "--variant", "lemma1", "--n", "20", "--format", "csv"),
                     "genie output is JSON only")

@@ -288,7 +288,7 @@ _JSON_TREES = st.recursive(
     max_leaves=40)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(_JSON_TREES)
 def test_json_writer_matches_json_dumps(tree):
     assert export_report(tree, "json") == reference_json(tree)
@@ -298,7 +298,7 @@ _CSV_CELLS = st.one_of(st.integers(), st.booleans(), st.floats(), st.floats().ma
                        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(st.text(max_size=3), max_size=3),
        st.lists(st.lists(_CSV_CELLS, max_size=3).map(tuple), max_size=30))
 @example(("k", "v"), [(k, k / 3) for k in range(4097)] + [(True, np.float64(1.5))] * 4097)

@@ -212,7 +212,7 @@ _PUBLIC_NAMES = {
             "draw_messages", "draw_realization", "estimate_p2p_mi", "expected_block_power",
             "genie_reconstruct_lemma1", "genie_reconstruct_lemma2", "genie_verdict",
             "normalize_power", "random_encoders", "reconstruction_error",
-            "simulate_network", "simulate_pnc_relay"],
+            "simulate_network", "simulate_normalized", "simulate_pnc_relay"],
     "experiments": ["BOUND_COLUMNS", "CrossoverResult", "GapStatistics", "ReportTable", "SweepSpec",
                     "crossover_table", "export_report", "find_crossover", "gap_ensemble",
                     "gap_statistics_table", "power_grid", "spec_echo", "sweep_snr"],

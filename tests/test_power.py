@@ -1,18 +1,34 @@
 """Exact power accounting: the stacked second-moment recursion in
 sim._power_parts against a brute-force coefficient expansion, its repeat
 shortcut against the full-length recursion, bit-exact pins of the
-normalization scale, and bounded memory at long block lengths."""
+normalization scale, normalize_power's check of its own scale against a
+second full power pass, and bounded memory at long block lengths."""
 
+import dataclasses
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import ENCODER_CASES, PARITY_CFG, first_repeat, reference_power_parts
+from helpers import (
+    ENCODER_CASES,
+    PARITY_CFG,
+    first_repeat,
+    reference_power_parts,
+    two_pass_genie_verdict,
+    two_pass_simulation,
+)
 from triway import cli, sim
-from triway.model import make_config
-from triway.sim import _MSG_INDEX, _power_parts, normalize_power, random_encoders
+from triway.model import ValidationError, make_config
+from triway.sim import (
+    _MSG_INDEX,
+    _power_parts,
+    genie_verdict,
+    normalize_power,
+    random_encoders,
+    simulate_normalized,
+)
 
 
 def expanded_power(encoders, cfg, n, with_messages, with_noise):
@@ -134,6 +150,53 @@ def test_normalization_scale_is_bit_exact(config, taps, seed, scale):
     cfg, _ = make_config(*config)
     scaled = normalize_power(random_encoders(cfg, taps, seed), cfg, 1000)
     assert repr(scaled[0].message_scale) == scale
+
+
+def _outcome(simulate, cfg, n, seed):
+    """The error text, or the encoders and the raw bytes of every trace array."""
+    try:
+        encoders, trace = simulate(cfg, n, seed)
+    except ValidationError as exc:
+        return str(exc)
+    return encoders, [getattr(trace, f.name).tobytes() for f in dataclasses.fields(trace)]
+
+
+# the parity config, equal gains, mixed signs, and a power so low the taps alone exceed it
+_PIPELINE_CFGS = [PARITY_CFG] + [make_config(*args)[0] for args in
+                                 [(1.0, 1.0, 1.0, 1.0), (0.5, -1.25, 2, 3.5), (2.0, 0.3, 0.9, 1e-3)]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1000])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_power_pass_matches_the_two_pass_oracle(seed, n):
+    for cfg in _PIPELINE_CFGS:
+        got = _outcome(simulate_normalized, cfg, n, seed)
+        assert got == _outcome(two_pass_simulation, cfg, n, seed)
+        if isinstance(got, str):
+            continue
+        for variant in ("lemma1", "lemma2"):
+            want = two_pass_genie_verdict(cfg, variant, n, seed)
+            assert repr(genie_verdict(cfg, variant, n, seed)) == repr(want)
+
+
+def test_extreme_inputs_get_the_two_pass_verdict():
+    # huge gains and powers: a scaled covariance that overflows while the
+    # power it projects to fits must still be rejected, as the second pass did
+    rng = np.random.default_rng(2026)
+    example = (8.044855908597946e+44, -0.7973781289047944, -9975978.12592365, 6.107726244812748e+256)
+    cases = [(example, 2, 200)]
+    for _ in range(400):
+        gains = rng.choice((-1.0, 1.0), 3) * 10.0 ** rng.uniform(-160, 154, 3)
+        cases.append(((*gains, 10.0 ** rng.uniform(-300, 308)),
+                      int(rng.choice([1, 2, 5, 40, 200, 1000])), int(rng.integers(10 ** 6))))
+    texts = []
+    for args, n, seed in cases:
+        cfg, _ = make_config(*args)
+        got = _outcome(simulate_normalized, cfg, n, seed)
+        assert got == _outcome(two_pass_simulation, cfg, n, seed), (args, n, seed)
+        texts.append(got if isinstance(got, str) else "accepted")
+    assert texts[0].startswith("expected block power over n=2 is not finite")
+    assert min(texts.count("accepted"), sum("not finite" in t for t in texts)) > 50
 
 
 def test_normalize_power_memory_is_bounded():

@@ -3,11 +3,13 @@ enforcement, genie reconstructions, Monte Carlo MI, and the modulo-PAM relay."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpers import ENCODER_CASES, PARITY_CFG, emit_rebuild, emit_trace, verify_trace
+from triway import sim
 from triway.bounds import cap
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
@@ -230,6 +232,15 @@ def test_genie_singular_configurations():
     # the variant is checked before anything is simulated: n = 0 is never reached
     with pytest.raises(ValidationError, match="unknown genie variant 'lemma3'"):
         genie_verdict(CFG, "lemma3", n=0, seed=0)
+
+
+@pytest.mark.parametrize("variant,text", [("lemma1", "h2 = 0"), ("lemma2", "h2 = 0 or h3 = 0")])
+def test_singular_genie_gains_are_rejected_before_simulating(variant, text, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("normalize_power was reached")
+    monkeypatch.setattr(sim, "normalize_power", unreachable)
+    with pytest.raises(ValidationError, match=f"^singular configuration: {re.escape(text)}$"):
+        genie_verdict(_cfg(0.0, 0.0, 2.0, 1.0), variant, n=10 ** 6, seed=0)
 
 
 def test_genie_equal_cross_gains_boundary():
