@@ -21,17 +21,6 @@ from .model import ChannelConfig, ChannelGains, ValidationError
 _LN2 = math.log(2.0)
 
 
-def cap(x: float) -> float:
-    """0.5*log2(1+x) for x >= 0.
-
-    log1p keeps full relative accuracy for tiny x, which the near-zero
-    SNR regime needs.
-    """
-    if math.isnan(x) or x < 0:
-        raise ValidationError(f"cap argument must be >= 0, got {x!r}")
-    return 0.5 * math.log1p(x) / _LN2
-
-
 def _cap_of(x: float, *factors: float) -> float:
     """cap(x) for x >= 0 the product of finite factors, finite where x overflows.
 
@@ -116,6 +105,10 @@ class BoundReport:
         return tuple(REPORT_CSV_HEADER.split(",")), (row,)
 
 
+# BoundReport's fields after config: the layout of the tuple `_bound_terms` returns
+_BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(BoundReport))[1:]
+
+
 def _gap_terms(s1: float, s2: float, s3: float, P: float) -> tuple[float, float, float, float, float]:
     """(out1, lemma1, lemma2, lower, gap): the part of `_bound_terms` the sum-capacity interval needs."""
     ratio = 0.0 if s2 == 0.0 else s1 / s2
@@ -169,8 +162,7 @@ def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
     asymptote the slope is meant to expose.  Requires >= 8 strictly increasing
     finite points spanning >= 4 decades.  The kernel gives the field at each point.
     """
-    columns = [f.name for f in dataclasses.fields(BoundReport)][1:]
-    if field not in columns:
+    if field not in _BOUND_FIELDS:
         raise ValidationError(f"field {field!r} is not a BoundReport field")
     grid = [float(p) for p in power_grid]
     if len(grid) < 8:
@@ -185,7 +177,7 @@ def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
         if not math.isfinite(P):
             raise ValidationError(f"power {P!r} is not finite")
     s1, s2, s3 = gains.squared()
-    column = columns.index(field)
+    column = _BOUND_FIELDS.index(field)
     xs = [0.5 * math.log2(P) for P in grid]
     ys = [float(_bound_terms(s1, s2, s3, P)[column]) for P in grid]
     half = len(grid) // 2

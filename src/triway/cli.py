@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> int:
         return 0
     if args.format == "json":
         raise ValidationError("trace export is CSV only")
-    _, trace = sim.simulate_normalized(cfg, args.n, seed)
+    _, trace = sim.simulate_network(cfg, args.n, seed)
     _emit(trace.as_table(), args, "csv")
     return 0
 

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma2",
                  "theorem2_upper", "tightened_upper", "achievable_lower")
 _SCALAR_TYPES = frozenset((float, int, str, bool, type(None)))  # JSON scalars the C encoder takes in bulk
+# positions in the tuple of the bound kernel `bounds._bound_terms`, found by field name
+_SWEEP_ROW = operator.itemgetter(*map(bounds._BOUND_FIELDS.index, (*BOUND_COLUMNS, "gap")))
+_CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum", "tightened_upper"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +104,7 @@ def sweep_snr(spec: SweepSpec) -> ReportTable:
         raise ValidationError("sweep_snr needs a fixed gain triple")
     grid = power_grid(spec).tolist()
     s1, s2, s3 = spec.gains.squared()
-    rows = tuple((P, *bounds._bound_terms(s1, s2, s3, P)[:len(BOUND_COLUMNS) + 1]) for P in grid)
+    rows = tuple((P, *_SWEEP_ROW(bounds._bound_terms(s1, s2, s3, P))) for P in grid)
     return ReportTable(kind="sweep", header=("P", *BOUND_COLUMNS, "gap"),
                        rows=rows, meta=_meta(spec))
 
@@ -146,10 +150,18 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverRe
     """Smallest P in [p_lo, p_hi] where the lemma sum beats the outgoing cut-set sum.
 
     Bisection on d(P) = outgoing cut-set sum - tightened upper, down to a
-    bracket 1e-6 wide relative to its top; assumes one sign change inside the
-    bracket.  d > 0 already at p_lo reports the bracket as already crossed; no
-    sign change reports none.  d at each probe is one call of the bound
-    kernel `bounds._bound_terms`.
+    bracket 1e-6 wide relative to its top.  d > 0 already at p_lo reports the
+    bracket as already crossed; no sign change reports none.  d at each probe
+    is one call of the bound kernel `bounds._bound_terms`.
+
+    d has at most one sign change on P > 0, so bisection finds the only one.
+    The out1 terms cancel, and with r = h1^2/h2^2, a = h3^2 + h1^2,
+    b = h2^2 + h1^2 and c = h3^2 (1 + r), d(P) > 0 exactly when
+    (1 + aP)(1 + bP) > 2(1 + r)(1 + cP), that is when
+    ab P^2 + (a + b - 2(1 + r)c) P - (1 + 2r) > 0.  For h2 != 0 the constant
+    term is negative and ab > 0, so the quadratic has exactly one positive
+    root and is positive beyond it.  For h2 = 0 (so h1 = 0), d(P) = -1/2 at
+    every P: status none.
     """
     if not (0 < p_lo < p_hi) or not (math.isfinite(p_lo) and math.isfinite(p_hi)):
         raise ValidationError(f"invalid bracket [{p_lo!r}, {p_hi!r}]")
@@ -158,7 +170,7 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverRe
 
     def margin(P: float) -> float:
         terms = bounds._bound_terms(s1, s2, s3, P)
-        return terms[3] - terms[7]  # outgoing_cutset_sum - tightened_upper
+        return terms[_CUTSET_SUM] - terms[_TIGHTENED]
 
     if margin(lo) > 0:
         return CrossoverResult(p_star=lo, status="already-crossed")

@@ -28,7 +28,7 @@ import numpy as np
 from .model import ChannelConfig, ValidationError
 
 _POWER_TOL = 1e-9
-_MAX_PERIOD = 4  # longest cycle of power states _power_parts detects
+_MAX_PERIOD = 4  # longest cycle of power states _power_sums detects
 
 TRACE_CSV_HEADER = "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
 
@@ -83,15 +83,12 @@ class TransmissionTrace:
         return tuple(TRACE_CSV_HEADER.split(",")), zip(range(1, self.n + 1), *(c.tolist() for c in columns))
 
 
-def draw_realization(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draw_realization(n: int, seed: int) -> tuple[np.ndarray, ...]:
     """The three users' noise sequences (z1, z2, z3) over a block of n steps."""
-    if n < 1:
-        raise ValidationError(f"block length must be >= 1, got {n}")
-    z1, z2, z3 = (np.random.default_rng([int(seed), k]).standard_normal(int(n)) for k in range(3))
-    return z1, z2, z3
+    return tuple(np.random.default_rng([int(seed), k]).standard_normal(int(n)) for k in range(3))
 
 
-def draw_messages(seed: int) -> np.ndarray:
+def _draw_messages(seed: int) -> np.ndarray:
     return np.random.default_rng([int(seed), 3]).standard_normal(6)
 
 
@@ -206,14 +203,9 @@ def _block_power(a, total, n: int, budget: float = math.inf) -> tuple[np.ndarray
     return A, C
 
 
-def _power_parts(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): messages, noise."""
-    return _block_power(*_power_sums(encoders, cfg, n), n)
-
-
 def expected_block_power(encoders, cfg: ChannelConfig, n: int) -> np.ndarray:
     """Per-user expected block power sum_i E[x_j(i)^2] for the encoders as given."""
-    A, C = _power_parts(encoders, cfg, n)
+    A, C = _block_power(*_power_sums(encoders, cfg, n), n)
     return A + C
 
 
@@ -226,7 +218,7 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
     _power_sums at unit scale yields A and C, and checks the result: at scale
     s the sums are D T_0 D and T_1 (D is 1 on the message slots, s on the lag
     slots), so a_s (the projections, message columns times s) gives the scaled
-    power for simulate_network's finiteness and budget checks.  Not s^2 A + C:
+    power for _block_power's finiteness and budget checks.  Not s^2 A + C:
     that can fit where the scaled covariance D T_0 D overflows.
     """
     unit = tuple(e.with_scale(1.0) for e in encoders)
@@ -263,20 +255,11 @@ def _lag_schedule(taps: tuple[float, ...]) -> Iterator[tuple[tuple[float, int], 
     return itertools.chain((lagged[:i] for i in range(len(lagged))), itertools.repeat(lagged))
 
 
-def simulate_network(encoders, cfg: ChannelConfig, n: int, seed: int) -> TransmissionTrace:
-    """Time-stepped run of the three encoders through the channel equations.
+def simulate_network(cfg: ChannelConfig, n: int,
+                     seed: int) -> tuple[tuple[CausalEncoder, ...], TransmissionTrace]:
+    """Random two-tap encoders scaled by normalize_power, then the step loop: (encoders, trace).
 
-    Rejects encoder triples whose expected block power exceeds any user's
-    budget (apply normalize_power first).  That check costs a power pass,
-    which simulate_normalized skips: normalize_power checks its own scale.
-    """
-    _block_power(*_power_sums(encoders, cfg, n), n, n * cfg.power)
-    return _step_loop(encoders, cfg, n, seed)
-
-
-def simulate_normalized(cfg: ChannelConfig, n: int,
-                        seed: int) -> tuple[tuple[CausalEncoder, ...], TransmissionTrace]:
-    """Random two-tap encoders scaled by normalize_power, then the step loop: (encoders, trace)."""
+    normalize_power checks the scale it returns, so the block makes one power pass."""
     encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
     return encoders, _step_loop(encoders, cfg, n, seed)
 
@@ -284,8 +267,8 @@ def simulate_normalized(cfg: ChannelConfig, n: int,
 def _step_loop(encoders, cfg: ChannelConfig, n: int, seed: int) -> TransmissionTrace:
     """Each CausalEncoder map in its operation order: each user's message term once,
     then its taps over its own receptions, newest first, each read by its lag from _lag_schedule."""
-    z1s, z2s, z3s = draw_realization(n, seed)
-    messages = draw_messages(seed)
+    z1s, z2s, z3s = _draw_realization(n, seed)
+    messages = _draw_messages(seed)
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     x1s: list[float] = []
     x2s: list[float] = []
@@ -394,7 +377,7 @@ def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int) -> dict:
     if variant not in ("lemma1", "lemma2"):
         raise ValidationError(f"unknown genie variant {variant!r}")
     _check_invertible(cfg, variant)
-    encoders, trace = simulate_normalized(cfg, n, seed)
+    encoders, trace = simulate_network(cfg, n, seed)
     rebuild = genie_reconstruct_lemma1 if variant == "lemma1" else genie_reconstruct_lemma2
     error = reconstruction_error(rebuild(trace, cfg, encoders), trace)
     if not math.isfinite(error):  # NaN would also slip past the caller's error < tol test

@@ -7,12 +7,17 @@ report readers invert the JSON the report writer produces, and `csv_cell` is
 the per-cell rule its CSV must match; `emit`, one encoder symbol at a time,
 drives the step loop, trace verification and genie rebuild that are the
 references for the simulator's loops;
-the full-length power recursion is the reference for the repeat shortcut in
-sim._power_parts, and `two_pass_simulation`, a second full power pass on the
-scaled encoders, for the check normalize_power makes of its own scale;
-`reference_bound_terms` writes every bound from the public
-`cap` in the operation order bounds.evaluate documents, the reference for the
-bound kernel bounds._bound_terms; the permutation loop and the per-trial
+`simulate_network` runs given encoders through a full power pass with the
+budget check, then the simulator's step loop; `power_parts` is the (A, C)
+split of one full power pass, and the full-length power recursion is the
+reference for the repeat shortcut in sim._power_sums; `two_pass_simulation`,
+a second full power pass on the scaled encoders, is the reference for the
+check normalize_power makes of its own scale;
+`cap` and `reference_bound_terms`, which writes every bound from it in the
+operation order bounds.evaluate documents, are the reference for the
+bound kernel bounds._bound_terms, and `crossover_root`, the closed-form root
+of the crossover margin, is the reference for experiments.find_crossover;
+the permutation loop and the per-trial
 ensemble loop are the references for model.canonicalize's relabeling table and for
 experiments.gap_ensemble.  The sweep, DoF fit and crossover search that build
 a ChannelConfig and call bounds.evaluate at every grid point are the
@@ -27,7 +32,7 @@ import math
 
 import numpy as np
 
-from triway.bounds import cap, evaluate
+from triway.bounds import evaluate
 from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, ReportTable, SweepSpec, power_grid
 from triway.model import ChannelConfig, ChannelGains, RateTuple, UserPermutation, ValidationError, make_config
 from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
@@ -37,17 +42,20 @@ from triway.sim import (
     _POWER_TOL,
     CausalEncoder,
     TransmissionTrace,
-    _power_parts,
+    _block_power,
+    _draw_messages,
+    _draw_realization,
+    _power_sums,
     _power_system,
     _scaled_dev,
-    draw_messages,
-    draw_realization,
+    _step_loop,
     genie_reconstruct_lemma1,
     genie_reconstruct_lemma2,
     random_encoders,
     reconstruction_error,
-    simulate_network,
 )
+
+_LN2 = math.log(2.0)
 
 
 def is_identity(perm: UserPermutation) -> bool:
@@ -99,6 +107,17 @@ def reference_gap_ensemble(spec: SweepSpec) -> GapStatistics:
     return GapStatistics(ensemble=spec.ensemble, min_gap=gaps_min, max_gap=gaps_max,
                          mean_gap=total / spec.ensemble, violations=violations,
                          worst_config=worst)
+
+
+def cap(x: float) -> float:
+    """0.5*log2(1+x) for x >= 0.
+
+    log1p keeps full relative accuracy for tiny x, which the near-zero
+    SNR regime needs.
+    """
+    if math.isnan(x) or x < 0:
+        raise ValidationError(f"cap argument must be >= 0, got {x!r}")
+    return 0.5 * math.log1p(x) / _LN2
 
 
 def reference_bound_terms(s1: float, s2: float, s3: float, P: float) -> tuple:
@@ -159,6 +178,25 @@ def reference_find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> C
         else:
             lo = mid
     return CrossoverResult(p_star=hi, status="found")
+
+
+def crossover_root(gains: ChannelGains) -> float | None:
+    """The one P > 0 where the outgoing cut-set sum meets lemma1 + lemma2, None for h2 = 0.
+
+    With r = h1^2/h2^2, a = h3^2 + h1^2, b = h2^2 + h1^2 and c = h3^2 (1 + r),
+    the root of ab P^2 + (a + b - 2(1 + r)c) P - (1 + 2r), in the form of the
+    quadratic formula that subtracts no two values of one sign.
+    """
+    s1, s2, s3 = gains.squared()
+    if s2 == 0.0:
+        return None
+    r = s1 / s2
+    a, b, c = s3 + s1, s2 + s1, s3 * (1.0 + r)
+    qa, qb, qc = a * b, a + b - 2.0 * (1.0 + r) * c, -(1.0 + 2.0 * r)
+    sqrt_disc = math.sqrt(qb * qb - 4.0 * qa * qc)
+    if qb > 0.0:
+        return 2.0 * -qc / (qb + sqrt_disc)
+    return (sqrt_disc - qb) / (2.0 * qa)
 
 
 def apply_rates(perm: UserPermutation, rates: RateTuple) -> RateTuple:
@@ -331,11 +369,11 @@ def emit(encoder: CausalEncoder, messages, received) -> float:
 def emit_trace(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
     """The simulator's step loop with one emit call per user and symbol.
 
-    Same draws and channel equations as sim.simulate_network, without its
+    Same draws and channel equations as the simulator's step loop, with no
     power-budget check.
     """
-    z = draw_realization(n, seed)
-    messages = draw_messages(seed)
+    z = _draw_realization(n, seed)
+    messages = _draw_messages(seed)
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     xs: list[list[float]] = [[], [], []]
     ys: list[list[float]] = [[], [], []]
@@ -413,8 +451,13 @@ def _initial_state(d):
     return S
 
 
+def power_parts(encoders, cfg, n):
+    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): messages, noise."""
+    return _block_power(*_power_sums(encoders, cfg, n), n)
+
+
 def reference_power_parts(encoders, cfg, n):
-    """sim._power_parts without the repeat shortcut: all n steps of S <- F S F' + G G'."""
+    """power_parts without the repeat shortcut: all n steps of S <- F S F' + G G'."""
     a, F, GG = _power_system(encoders, cfg)
     d = F.shape[0]
     S = _initial_state(d)
@@ -450,6 +493,16 @@ def first_repeat(encoders, cfg, horizon):
     return None
 
 
+def simulate_network(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
+    """The step loop for encoders the caller built, after a full power pass.
+
+    Rejects encoder triples whose expected block power exceeds any user's
+    budget (apply normalize_power first).
+    """
+    _block_power(*_power_sums(encoders, cfg, n), n, n * cfg.power)
+    return _step_loop(encoders, cfg, n, seed)
+
+
 def two_pass_simulation(cfg, n: int, seed: int):
     """(encoders, trace) of random two-tap encoders, checked by a second power pass.
 
@@ -459,7 +512,7 @@ def two_pass_simulation(cfg, n: int, seed: int):
     normalize_power must reproduce from its one pass.
     """
     encoders = random_encoders(cfg, n_taps=2, seed=seed)
-    A, C = _power_parts(tuple(e.with_scale(1.0) for e in encoders), cfg, n)
+    A, C = power_parts(tuple(e.with_scale(1.0) for e in encoders), cfg, n)
     budget = n * cfg.power
     for j in range(3):
         if C[j] > budget * (1.0 + _POWER_TOL):

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from helpers import is_feasible, oracle_max_sum
-from triway.bounds import cap, dof_estimate, evaluate, sum_capacity_interval
+from helpers import cap, is_feasible, oracle_max_sum, simulate_network
+from triway.bounds import dof_estimate, evaluate, sum_capacity_interval
 from triway.experiments import find_crossover
 from triway.model import ChannelConfig, ChannelGains, canonicalize, validate
 from triway.region import build_region, max_weighted_sum
@@ -24,7 +24,6 @@ from triway.sim import (
     normalize_power,
     random_encoders,
     reconstruction_error,
-    simulate_network,
 )
 
 SYM = ChannelGains(1.0, 1.0, 1.0)

@@ -7,9 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import reference_bound_terms
+from helpers import cap, reference_bound_terms
 from triway import bounds
-from triway.bounds import REPORT_CSV_HEADER, cap, dof_estimate, evaluate, sum_capacity_interval
+from triway.bounds import REPORT_CSV_HEADER, dof_estimate, evaluate, sum_capacity_interval
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
 

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, config resolution,
 seeding, and parity with the library calls each subcommand wraps."""
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triway import bounds
+from triway import bounds, sim
 from triway.bounds import REPORT_CSV_HEADER, evaluate
 from triway.cli import build_parser, main
 from triway.experiments import export_report
@@ -245,6 +246,20 @@ def test_simulate_trace(capsys):
 
     code, _, err = _run(capsys, "simulate", "--n", "10", "--format", "json")
     assert code == 1 and "CSV only" in err
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--n", "30"), ("genie", "--variant", "lemma1", "--n", "30"),
+                                  ("genie", "--variant", "lemma2", "--n", "30")], ids=" ".join)
+def test_a_simulated_block_takes_one_path(capsys, monkeypatch, argv):
+    # one simulation, one normalization and one power pass per CLI call
+    calls = collections.Counter()
+    for name in ("simulate_network", "normalize_power", "_power_sums"):
+        def counted(*args, _call=getattr(sim, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(sim, name, counted)
+    assert _run(capsys, *argv)[0] == 0
+    assert calls == {"simulate_network": 1, "normalize_power": 1, "_power_sums": 1}
 
 
 def _one_line_error(code, out, err, text):

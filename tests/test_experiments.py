@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    crossover_root,
     csv_cell,
     load_report_json,
     reference_csv,
@@ -197,6 +198,19 @@ def test_crossover_analytic_second_family():
     res = find_crossover(ChannelGains(0.0, 1.0, 1.0), 0.5, 50.0)
     assert res.status == "found"
     assert abs(res.p_star - 1.0) <= 1e-6
+
+
+def test_crossover_matches_the_closed_form_root():
+    # gains over eight decades, each relabeled canonically, and a bracket on both sides of the root
+    rng = np.random.default_rng(2014)
+    for _ in range(2000):
+        gains, _ = canonicalize(*(rng.standard_normal(3) * 10.0 ** rng.uniform(-4, 4, 3)).tolist())
+        root = crossover_root(gains)
+        lo, hi = root / 10.0 ** rng.uniform(0.1, 3), root * 10.0 ** rng.uniform(0.1, 3)
+        res = find_crossover(gains, lo, hi)
+        assert res.status == "found", (gains, lo, hi)
+        assert abs(res.p_star - root) <= 1e-6 * root, (gains, res.p_star, root)
+    assert crossover_root(ChannelGains(0.0, 0.0, 1.0)) is None
 
 
 def test_crossover_bracket_edges():

@@ -204,15 +204,15 @@ def test_canonicalize_matches_the_permutation_loop_exactly():
 _PUBLIC_NAMES = {
     "model": ["ChannelConfig", "ChannelGains", "PropertyViolationError", "RateTuple",
               "UserPermutation", "ValidationError", "canonicalize", "make_config", "validate"],
-    "bounds": ["BoundReport", "CutsetBounds", "REPORT_CSV_HEADER", "cap", "dof_estimate",
+    "bounds": ["BoundReport", "CutsetBounds", "REPORT_CSV_HEADER", "dof_estimate",
                "evaluate", "sum_capacity_interval"],
     "region": ["LinearConstraint", "LpSolution", "RATE_ORDER", "RateRegion", "TOL", "build_region",
                "max_weighted_sum"],
     "sim": ["CausalEncoder", "TRACE_CSV_HEADER", "TransmissionTrace",
-            "draw_messages", "draw_realization", "estimate_p2p_mi", "expected_block_power",
+            "estimate_p2p_mi", "expected_block_power",
             "genie_reconstruct_lemma1", "genie_reconstruct_lemma2", "genie_verdict",
             "normalize_power", "random_encoders", "reconstruction_error",
-            "simulate_network", "simulate_normalized", "simulate_pnc_relay"],
+            "simulate_network", "simulate_pnc_relay"],
     "experiments": ["BOUND_COLUMNS", "CrossoverResult", "GapStatistics", "ReportTable", "SweepSpec",
                     "crossover_table", "export_report", "find_crossover", "gap_ensemble",
                     "gap_statistics_table", "power_grid", "spec_echo", "sweep_snr"],

@@ -1,5 +1,5 @@
 """Exact power accounting: the stacked second-moment recursion in
-sim._power_parts against a brute-force coefficient expansion, its repeat
+sim._power_sums against a brute-force coefficient expansion, its repeat
 shortcut against the full-length recursion, bit-exact pins of the
 normalization scale, normalize_power's check of its own scale against a
 second full power pass, and bounded memory at long block lengths."""
@@ -15,6 +15,7 @@ from helpers import (
     ENCODER_CASES,
     PARITY_CFG,
     first_repeat,
+    power_parts,
     reference_power_parts,
     two_pass_genie_verdict,
     two_pass_simulation,
@@ -23,11 +24,10 @@ from triway import cli, sim
 from triway.model import ValidationError, make_config
 from triway.sim import (
     _MSG_INDEX,
-    _power_parts,
     genie_verdict,
     normalize_power,
     random_encoders,
-    simulate_normalized,
+    simulate_network,
 )
 
 
@@ -78,7 +78,7 @@ _FLAGS = [(True, False), (False, True), (True, True)]
 @pytest.mark.parametrize("n", [1, 2, 3, 200])
 @pytest.mark.parametrize("encoders", list(ENCODER_CASES.values()), ids=list(ENCODER_CASES))
 def test_recursion_matches_expansion(encoders, n, with_messages, with_noise):
-    A, C = _power_parts(encoders, PARITY_CFG, n)
+    A, C = power_parts(encoders, PARITY_CFG, n)
     got = A + C if with_messages and with_noise else A if with_messages else C
     want = expanded_power(encoders, PARITY_CFG, n, with_messages, with_noise)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -124,12 +124,12 @@ def test_repeat_shortcut_is_bit_exact(case, monkeypatch):
         # detection at step - 1, 0 and 1 more steps, and a tail that is no multiple of p
         ns = [1, step - 1, step, step + 1, step + 2 * p + 1, 1000]
     for n in ns:
-        got, want = _power_parts(encoders, cfg, n), reference_power_parts(encoders, cfg, n)
+        got, want = power_parts(encoders, cfg, n), reference_power_parts(encoders, cfg, n)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes(), (n, g, w)
     counting = _CountingNumpy()
     monkeypatch.setattr(sim, "np", counting)
-    _power_parts(encoders, cfg, 1000)
+    power_parts(encoders, cfg, 1000)
     assert counting.matmuls == 2 * step  # the loop stops where the states repeat
 
 
@@ -170,7 +170,7 @@ _PIPELINE_CFGS = [PARITY_CFG] + [make_config(*args)[0] for args in
 @pytest.mark.parametrize("seed", range(3))
 def test_one_power_pass_matches_the_two_pass_oracle(seed, n):
     for cfg in _PIPELINE_CFGS:
-        got = _outcome(simulate_normalized, cfg, n, seed)
+        got = _outcome(simulate_network, cfg, n, seed)
         assert got == _outcome(two_pass_simulation, cfg, n, seed)
         if isinstance(got, str):
             continue
@@ -192,7 +192,7 @@ def test_extreme_inputs_get_the_two_pass_verdict():
     texts = []
     for args, n, seed in cases:
         cfg, _ = make_config(*args)
-        got = _outcome(simulate_normalized, cfg, n, seed)
+        got = _outcome(simulate_network, cfg, n, seed)
         assert got == _outcome(two_pass_simulation, cfg, n, seed), (args, n, seed)
         texts.append(got if isinstance(got, str) else "accepted")
     assert texts[0].startswith("expected block power over n=2 is not finite")

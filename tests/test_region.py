@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from helpers import is_feasible, oracle_max_sum, sub_region
-from triway.bounds import cap, evaluate
+from helpers import cap, is_feasible, oracle_max_sum, sub_region
+from triway.bounds import evaluate
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, RateTuple, ValidationError, canonicalize, validate
 from triway.region import LinearConstraint, RateRegion, build_region, max_weighted_sum

@@ -8,18 +8,17 @@ import re
 import numpy as np
 import pytest
 
-from helpers import ENCODER_CASES, PARITY_CFG, emit_rebuild, emit_trace, verify_trace
+from helpers import ENCODER_CASES, PARITY_CFG, cap, emit_rebuild, emit_trace, simulate_network, verify_trace
 from triway import sim
-from triway.bounds import cap
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
 from triway.sim import (
     TRACE_CSV_HEADER,
     CausalEncoder,
     TransmissionTrace,
+    _draw_messages,
+    _draw_realization,
     _pnc_exchange,
-    draw_messages,
-    draw_realization,
     estimate_p2p_mi,
     expected_block_power,
     genie_reconstruct_lemma1,
@@ -28,7 +27,6 @@ from triway.sim import (
     normalize_power,
     random_encoders,
     reconstruction_error,
-    simulate_network,
     simulate_pnc_relay,
 )
 
@@ -94,8 +92,6 @@ def test_block_length_validation():
     for power_call in (expected_block_power, normalize_power):
         with pytest.raises(ValidationError, match="block length must be >= 1"):
             power_call(enc, CFG, 0)
-    with pytest.raises(ValidationError):
-        draw_realization(0, 0)
     with pytest.raises(ValidationError, match="n_taps"):
         random_encoders(CFG, -1, 0)
 
@@ -143,8 +139,8 @@ def test_anticipatory_trace_is_rejected():
     # x2, so the cheating trace is constructible and channel-consistent, but
     # no causal encoder can produce it
     n = 25
-    z1, z2, z3 = draw_realization(n, 13)
-    messages = draw_messages(13)
+    z1, z2, z3 = _draw_realization(n, 13)
+    messages = _draw_messages(13)
     enc = (CausalEncoder((0.4, 0.0)), CausalEncoder((0.2, 0.2)), CausalEncoder((0.0, 0.4)))
     h1, h2, h3 = CFG.gains.h1, CFG.gains.h2, CFG.gains.h3
     x1 = np.full(n, 0.4 * messages[0])
