@@ -28,6 +28,21 @@ _SCALAR_TYPES = frozenset((float, int, str, bool, type(None)))  # JSON scalars t
 # positions in the tuple of the bound kernel `bounds._bound_terms`, found by field name
 _SWEEP_ROW = operator.itemgetter(*map(bounds._BOUND_FIELDS.index, (*BOUND_COLUMNS, "gap")))
 _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum", "tightened_upper"))
+# rows per CSV block: its arrays stay below glibc malloc's trim threshold, so each block reuses
+# the heap (one 1000-row block faulted ~240 fresh pages in on every call, 512-row blocks none)
+_CSV_BLOCK = 512
+_EXACT_BELOW = 2.0 ** 33  # |x| * 1e6 < 2**53 below it, so rounding and digits stay exact
+# cell types that numpy turns into float64 exactly below 2**33: the kernel's input
+_EXACT_KINDS = frozenset((int, bool, float, np.bool_,
+                          *(np.dtype(c).type for c in np.typecodes["AllInteger"] + "efd")))
+# four-byte tokens read as uint32.  _GROUPS: "\0ddd" for a three-digit group g < 1000, at
+# 1000 + g the lead group g without leading zeros, at 2000 nothing; then ".ddd" and "ddd\0"
+# of the fraction, with nothing at 1000 for an int cell; the sign and separators are OR-ed in
+_GROUPS = np.frombuffer(b"\0%03d" * 1000 % (*range(1000),)
+                        + (b"%4d" * 1000 % (*range(1000),)).replace(b" ", b"\0") + bytes(4), np.uint32)
+_POINT = np.frombuffer(b".%03d" * 1000 % (*range(1000),) + bytes(4), np.uint32)
+_TAIL = np.frombuffer(b"%03d\0" * 1000 % (*range(1000),) + bytes(4), np.uint32)
+_MINUS, _COMMA, _NEWLINE = np.frombuffer(b"-\0\0\0\0\0\0,\0\0\0\n", np.uint32)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,16 +232,96 @@ def _json_text(obj, indent: str, encoders: dict[str, json.JSONEncoder]) -> str:
     return f"{opening}\n{inner}{body}\n{indent}{closing}"
 
 
+def _round6(a: np.ndarray) -> np.ndarray:
+    """round(a * 1e6), halves to even, of the exact product, for 0 <= a < 2**33: as %.6f rounds.
+
+    p = a * 1e6 lies on the same side of every half-integer as the exact
+    product, so rint(p) is right unless p is a half-integer that the product is
+    not.  There the exact error e of p, from Dekker's two-product with
+    Veltkamp's split (1e6 needs none), says which way to round.
+    """
+    p = a * 1e6
+    q = np.rint(p)
+    tie = np.abs(p - q) == 0.5
+    if tie.any():
+        a, p = a[tie], p[tie]
+        c = a * 134217729.0  # 2**27 + 1
+        high = c - (c - a)
+        e = (high * 1e6 - p) + (a - high) * 1e6
+        q[tie] = np.where(e > 0, np.ceil(p), np.where(e < 0, np.floor(p), q[tie]))
+    return q.astype(np.intp)
+
+
+def _exact_block(columns, as_int) -> str | None:
+    """The %d / %.6f lines of one block of columns, computed over arrays; None if a
+    cell is not finite or |cell| >= 2**33, where the kernel is no longer exact.
+
+    q = round(|x| * 1e6) < 2**53 splits exactly into the integer part and six
+    fraction digits.  Each cell becomes a row of tokens in a uint32 matrix: the
+    sign and the integer part in groups of three digits, then ".ddd" and "ddd"
+    plus the separator, padded with NUL bytes that one bytes.translate
+    removes.  An int cell is the same with no fraction: its q is |x| * 1e6.
+    """
+    try:
+        x = np.array(columns, np.float64)  # (column, row)
+    except OverflowError:  # an int past the float range
+        return None
+    a = np.abs(x)
+    if not a.max() < _EXACT_BELOW:  # also False for inf and NaN
+        return None
+    q = _round6(a)
+    whole = q // 10 ** 6
+    fraction = q - whole * 10 ** 6
+    high = fraction // 1000
+    point = np.array(as_int, np.intp)[:, None] * 1000  # an int column takes the empty token
+    tokens = [_POINT[high + point], _TAIL[fraction - high * 1000 + point]]
+    tokens[1][:-1] |= _COMMA
+    tokens[1][-1] |= _NEWLINE
+    groups = (len(str(whole.max())) + 2) // 3
+    for k in range(groups):  # integer digit groups, last first; one with nothing above it leads its cell
+        rest = whole // 1000 if k < groups - 1 else 0
+        group = whole - rest * 1000 + (rest == 0) * 1000
+        if k:
+            group[whole == 0] = 2000
+        tokens.insert(0, _GROUPS[group])
+        whole = rest
+    np.bitwise_or(tokens[0], _MINUS, out=tokens[0], where=np.signbit(x))  # so -0.0 prints -0.000000
+    return np.stack(tokens).T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_block(columns, as_int, n_rows: int, exact: bool) -> str:
+    """n_rows CSV lines from their columns: the array kernel if every cell type is
+    exact for it and every value in its range, else one %-operation."""
+    text = _exact_block(columns, as_int) if exact and columns else None
+    if text is None:
+        fmt = ",".join("%d" if i else "%.6f" for i in as_int) + "\n"
+        cells = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        text = (fmt * n_rows) % tuple(itertools.chain.from_iterable(cells))
+    return text
+
+
 def export_report(obj, format: str) -> str:
     """The one report writer: returns the exact text a report is written as.
 
     JSON takes a dict: the text of json.dumps(obj, indent=2, sort_keys=True),
-    written one container of scalars at a time.  CSV takes a (header, rows) pair
-    and prints a header line plus one line per row: a cell of type int or bool
-    as an integer, any other (np.int64 included) with 6 decimals, through one
-    %-operation per run of up to 4096 rows of one row-type signature.  A
-    ReportTable is both: its kind, meta, header and rows as JSON, its header
-    and rows as CSV.  Identical inputs give identical bytes.
+    written one container of scalars at a time.  CSV takes a (header, rows)
+    pair and prints a header line plus one line per row: a cell of type int or
+    bool as %d, any other (np.int64 included) as %.6f.  rows may instead be a
+    tuple of equal-length 1-D numpy arrays, the table's columns: an integer or
+    bool column prints as %d, any other as %.6f.  A ReportTable is both: its
+    kind, meta, header and rows as JSON, its header and rows as CSV.
+    Identical inputs give identical bytes.
+
+    CSV rows go out in blocks of up to 512 rows, row input one run of one
+    row-type signature at a time, transposed into columns.  A block is
+    formatted over arrays, exactly as % formats it: q = round(|x| * 1e6) with
+    halves to even on the exact product (Dekker's two-product decides a tie
+    of the rounded one), the digits of q, and the sign from signbit, so -0.0
+    prints -0.000000.  That is exact for every finite |x| < 2**33 of a type
+    numpy converts exactly (Python and numpy ints, bools and floats up to
+    float64).  A block with any other cell (inf, NaN, |x| >= 2**33, a larger
+    int, another type) goes through one %-operation instead; the choice
+    depends on the cell values alone and never changes the text.
     """
     if isinstance(obj, ReportTable):
         obj = ({"kind": obj.kind, "meta": obj.meta, "header": obj.header, "rows": obj.rows}
@@ -235,10 +330,18 @@ def export_report(obj, format: str) -> str:
         return _json_text(obj, "", {}) + "\n"
     if format == "csv":
         header, rows = obj
-        lines = [",".join(header)]
-        for kinds, run in itertools.groupby(map(tuple, rows), key=lambda row: tuple(map(type, row))):
-            fmt = ",".join("%d" if kind in (int, bool) else "%.6f" for kind in kinds)
-            while block := list(itertools.islice(run, 4096)):
-                lines.append("\n".join([fmt] * len(block)) % tuple(itertools.chain.from_iterable(block)))
-        return "\n".join(lines) + "\n"
+        parts = [",".join(header) + "\n"]
+        if isinstance(rows, tuple) and rows and all(isinstance(c, np.ndarray) and c.ndim == 1 for c in rows):
+            as_int = [c.dtype.kind in "biu" for c in rows]
+            exact = all(np.can_cast(c.dtype, np.float64) for c in rows)
+            for start in range(0, len(rows[0]), _CSV_BLOCK):
+                block = [c[start:start + _CSV_BLOCK] for c in rows]
+                parts.append(_csv_block(block, as_int, len(block[0]), exact))
+        else:
+            for kinds, run in itertools.groupby(map(tuple, rows), key=lambda row: tuple(map(type, row))):
+                as_int = [kind in (int, bool) for kind in kinds]
+                exact = _EXACT_KINDS.issuperset(kinds)
+                while block := list(itertools.islice(run, _CSV_BLOCK)):
+                    parts.append(_csv_block(list(zip(*block)), as_int, len(block), exact))
+        return "".join(parts)
     raise ValidationError(f"format must be csv or json, got {format!r}")

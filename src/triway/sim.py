@@ -17,7 +17,6 @@ results are bit-reproducible and independent of evaluation order.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import itertools
 import math
@@ -28,7 +27,7 @@ import numpy as np
 from .model import ChannelConfig, ValidationError
 
 _POWER_TOL = 1e-9
-_MAX_PERIOD = 4  # longest cycle of power states _power_sums detects
+_MAX_CYCLE = 1024  # longest cycle of power states _power_sums replays: 2.4 MB of states at two taps
 
 TRACE_CSV_HEADER = "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
 
@@ -77,10 +76,11 @@ class TransmissionTrace:
     def n(self) -> int:
         return len(self.x1)
 
-    def as_table(self) -> tuple[tuple[str, ...], Iterator[tuple]]:
-        """The trace CSV: step i from 1, then x, y and z of every user at step i."""
-        columns = (self.x1, self.x2, self.x3, self.y1, self.y2, self.y3, self.z1, self.z2, self.z3)
-        return tuple(TRACE_CSV_HEADER.split(",")), zip(range(1, self.n + 1), *(c.tolist() for c in columns))
+    def as_table(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+        """The trace CSV by columns: the int64 step i from 1, then x, y and z of every user."""
+        return tuple(TRACE_CSV_HEADER.split(",")), (np.arange(1, self.n + 1, dtype=np.int64),
+                                                    self.x1, self.x2, self.x3, self.y1, self.y2,
+                                                    self.y3, self.z1, self.z2, self.z3)
 
 
 def _draw_realization(n: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -149,13 +149,17 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.nd
     both go through the same F as one (2, d, d) stack, so one stacked pass
     yields both sums.
 
-    Each stack depends only on the one before it, so once the stack equals,
-    bit for bit, one of the last _MAX_PERIOD stacks, the states repeat with
-    that period for the rest of the block.  The loop then stops the matmuls
-    and replays the cycle into the total one addition per remaining step,
-    in order, so the sum stays bit-identical to the full loop (m * S would
-    not be).  Most configs reach such a fixed point or short cycle within a
-    few dozen steps.  The test compares raw bytes, so 0.0 and -0.0 differ
+    Each stack depends only on the one before it, so once a stack equals an
+    earlier one bit for bit, the stacks repeat with that period for the rest
+    of the block.  Each stack is compared with the one before it (a fixed
+    point) and with a checkpoint moved to steps 1, 2, 4, 8, ... (Brent's
+    cycle detection), which stops within 2 max(p, steps before the cycle) + 2p
+    steps on a cycle of any period p.  The loop then steps through
+    one period to keep its stacks, stops the matmuls and replays the cycle
+    into the total one addition per remaining step, in order, so the sum stays
+    bit-identical to the full loop (m * S would not be).  Most configs reach a
+    fixed point within a few dozen steps; a cycle longer than _MAX_CYCLE just
+    runs the full loop.  The test compares raw bytes, so 0.0 and -0.0 differ
     and an overflowed state repeats only if its NaN and inf bits repeat.
     """
     if n < 1:  # the one block-length check of the simulate and genie paths
@@ -170,21 +174,30 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.nd
         total = np.zeros((2, d, d))
         FS = np.empty((2, d, d))
         Ft = F.T.copy()
-        state = S.tobytes()
-        recent: collections.deque[bytes] = collections.deque(maxlen=_MAX_PERIOD)
-        for i in range(n):  # preallocated buffers: no matrix allocation per step
-            total += S
-            recent.append(state)
+
+        def step() -> bytes:  # preallocated buffers: no matrix allocation per step
             np.matmul(F, S, out=FS)
             np.matmul(FS, Ft, out=S)
-            noise += GG
-            state = S.tobytes()
-            if state in recent:  # S repeats bit for bit: so does every later state
-                cycle = [np.frombuffer(b).reshape(S.shape)
-                         for b in itertools.islice(recent, recent.index(state), None)]
+            np.add(noise, GG, out=noise)
+            return S.tobytes()
+
+        previous = checkpoint = S.tobytes()
+        mark = 0  # the step of the checkpoint
+        for i in range(n):
+            total += S
+            state = step()  # the stack of step i + 1
+            period = 1 if state == previous else i + 1 - mark if state == checkpoint else 0
+            if 0 < period <= _MAX_CYCLE:  # every later stack repeats this cycle
+                cycle = [S.copy()]
+                for _ in range(min(period, n - 1 - i) - 1):
+                    step()
+                    cycle.append(S.copy())
                 for repeated in itertools.islice(itertools.cycle(cycle), n - 1 - i):
                     total += repeated  # the loop's own additions, in its order
                 break
+            if i & (i + 1) == 0:  # i + 1 is a power of two
+                checkpoint, mark = state, i + 1
+            previous = state
     return a, total
 
 

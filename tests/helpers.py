@@ -37,7 +37,6 @@ from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, Re
 from triway.model import ChannelConfig, ChannelGains, RateTuple, UserPermutation, ValidationError, make_config
 from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
 from triway.sim import (
-    _MAX_PERIOD,
     _MSG_INDEX,
     _POWER_TOL,
     CausalEncoder,
@@ -475,21 +474,20 @@ def reference_power_parts(encoders, cfg, n):
 
 
 def first_repeat(encoders, cfg, horizon):
-    """(i, p) for the first state S_i of the full recursion that equals S_(i-p)
-    bit for bit with 1 <= p <= _MAX_PERIOD, or None if none does up to S_horizon."""
+    """(i, p) for the first state S_i of the full recursion that equals an earlier
+    S_(i-p) bit for bit, of any period p, or None if none does up to S_horizon."""
     _, F, GG = _power_system(encoders, cfg)
     S = _initial_state(F.shape[0])
     FS = np.empty_like(S)
     Ft = F.T.copy()
-    states = [S.tobytes()]
+    seen = {S.tobytes(): 0}
     for i in range(1, horizon + 1):  # the same in-place steps as the recursion
         np.matmul(F, S, out=FS)
         np.matmul(FS, Ft, out=S)
         S[1] += GG
-        states.append(S.tobytes())
-        for p in range(1, min(_MAX_PERIOD, i) + 1):
-            if states[i] == states[i - p]:
-                return i, p
+        earlier = seen.setdefault(S.tobytes(), i)
+        if earlier < i:
+            return i, i - earlier
     return None
 
 

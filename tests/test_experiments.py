@@ -24,6 +24,7 @@ from helpers import (
 )
 from triway.bounds import BoundReport, dof_estimate, evaluate, sum_capacity_interval
 from triway.experiments import (
+    _CSV_BLOCK,
     BOUND_COLUMNS,
     CrossoverResult,
     SweepSpec,
@@ -34,6 +35,7 @@ from triway.experiments import (
     gap_statistics_table,
     power_grid,
     sweep_snr,
+    _exact_block,
 )
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
 
@@ -318,6 +320,68 @@ _CSV_CELLS = st.one_of(st.integers(), st.booleans(), st.floats(), st.floats().ma
 @example(("k", "v"), [(k, k / 3) for k in range(4097)] + [(True, np.float64(1.5))] * 4097)
 def test_csv_writer_matches_the_per_row_format(header, rows):
     assert export_report((header, rows), "csv") == reference_csv(header, rows)
+
+
+def _kernel_values() -> np.ndarray:
+    """Over 1e6 seeded doubles below 2**33 for the %.6f kernel: every magnitude, ties, edges."""
+    rng = np.random.default_rng(20261018)
+    below = math.log10(2.0 ** 33)
+    spread = 10.0 ** rng.uniform(-12, below, 600_000) * rng.choice((-1.0, 1.0), 600_000)
+    ties = rng.integers(0, 2 ** 40, 150_000) / 128.0  # k/128: p = x * 1e6 is an exact half-integer
+    halves = (2 * rng.integers(0, 2 ** 42, 150_000) + 1) / 2e6  # nearest doubles to (2m+1)/2e6
+    carries = rng.integers(0, 2 ** 33, 100_000) - 5e-7  # around the carry into the integer part
+    powers = 10.0 ** np.arange(-12, 10)
+    edges = np.concatenate([powers, powers - 5e-7, powers + 5e-7, [5e-7, 1.5e-6, 2.5e-6, 0.0078125]])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    special = [0.0, 5e-324, 2.0 ** -1074 * 3, 8589934591.999999, 8589934591.9999995,
+               np.nextafter(2.0 ** 33, 0.0), 2.0 ** 33 - 1.0]
+    values = np.concatenate([spread, ties, halves, carries, edges, special])
+    values = values[np.abs(values) < 2.0 ** 33]
+    return np.concatenate([values, -values])
+
+
+def test_float_kernel_matches_percent_format():
+    values = _kernel_values()
+    assert len(values) >= 10 ** 6
+    for start in range(0, len(values), 8192):
+        block = values[start:start + 8192]
+        got = _exact_block([block], [False])
+        want = "".join(["%.6f\n" % v for v in block.tolist()])
+        if got != want:  # name the first cell that differs
+            bad = next(v for v, g, w in zip(block.tolist(), got.split("\n"), want.split("\n")) if g != w)
+            pytest.fail(f"{bad!r}: kernel {got.split(chr(10))[0]!r}..., % gives {'%.6f' % bad!r}")
+    assert _exact_block([np.array([-0.0, -5e-324, -1e-7])], [False]) == "-0.000000\n" * 3
+
+
+def test_int_kernel_matches_percent_format():
+    rng = np.random.default_rng(7)
+    ints = np.concatenate([rng.integers(-2 ** 33 + 1, 2 ** 33, 100_000), [0, -1, 1, 999, 1000, -1000,
+                                                                             10 ** 6, 2 ** 33 - 1]])
+    flags = rng.integers(0, 2, len(ints)).astype(bool)
+    floats = rng.standard_normal(len(ints)) * 1e3
+    want = "".join("%d,%d,%.6f\n" % row for row in zip(ints.tolist(), flags.tolist(), floats.tolist()))
+    assert _exact_block([ints, flags, floats], [True, True, False]) == want
+
+
+@pytest.mark.parametrize("cell", [math.inf, -math.inf, math.nan, 2.0 ** 33, -2.0 ** 33, 1e300])
+def test_out_of_range_cells_take_the_percent_path(cell):
+    column = np.array([1.25, cell, -0.5])
+    assert _exact_block([column], [False]) is None
+    want = "x\n" + "".join("%.6f\n" % v for v in column.tolist())
+    assert export_report((("x",), (column,)), "csv") == want
+    assert export_report((("x",), [(v,) for v in column.tolist()]), "csv") == want
+
+
+def test_columns_and_rows_print_alike():
+    rng = np.random.default_rng(3)
+    n = 3 * _CSV_BLOCK + 1
+    step = np.arange(1, n + 1, dtype=np.int64)
+    floats = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 10, (3, n))
+    big = np.array([2 ** 60, -3], np.int64).repeat((n + 1) // 2)[:n]  # past 2**33: the % path
+    columns = (step, *floats, big, np.arange(n) % 2 == 0, floats[0].astype(np.float32))
+    header = tuple("abcdefg")
+    rows = list(zip(*(c.tolist() for c in columns)))
+    assert export_report((header, columns), "csv") == reference_csv(header, rows)
 
 
 def test_empty_rows_yield_header_only_csv():

@@ -85,13 +85,20 @@ def test_recursion_matches_expansion(encoders, n, with_messages, with_noise):
 
 
 # (make_config args, taps, seed) of normalize_power(random_encoders(...), cfg, 1000)
-# whose power states repeat with the period named, or never within 5000 steps
+# whose power states repeat with the period named; periods 5, 8 and 42 come from
+# bench-like draws (period 8: genie-block seed 11, op 32)
 _REPEATS = {
     "fixed_point": ((1.5, 1.0, 0.5, 1.0), 2, 0, 1),
     "period2": ((0.5, -1.25, 2, 3.5), 1, 9, 2),
     "period3": ((1.5, -1.0, 0.5, 10.0), 2, 15, 3),
     "period4": ((1.5, 1.0, 0.5, 1.0), 1, 39, 4),
-    "never": ((1.5, 1.0, 0.5, 1.0), 2, 31, None),
+    "period5": ((-0.36617720194370845, 0.8057567521633754, -0.59109622602194, 230.96555594432962),
+                2, 1967034083, 5),
+    "period6": ((1.5, 1.0, 0.5, 1.0), 2, 31, 6),
+    "period8": ((2.0552204890542156, 0.4695310235149481, -0.36400137460786014, 423.73327768746356),
+                2, 1314121729, 8),
+    "period42": ((0.50902207046301, -1.6236420394355902, -1.1624323923715014, 440.90171205622676),
+                 2, 866037754, 42),
 }
 
 
@@ -109,28 +116,46 @@ class _CountingNumpy:
         return np.matmul(*args, **kwargs)
 
 
+def _steps_run(encoders, cfg, n, monkeypatch) -> int:
+    counting = _CountingNumpy()
+    monkeypatch.setattr(sim, "np", counting)
+    power_parts(encoders, cfg, n)
+    monkeypatch.setattr(sim, "np", np)
+    return counting.matmuls // 2
+
+
 @pytest.mark.parametrize("case", list(_REPEATS))
 def test_repeat_shortcut_is_bit_exact(case, monkeypatch):
     config, taps, seed, period = _REPEATS[case]
     cfg, _ = make_config(*config)
     encoders = normalize_power(random_encoders(cfg, taps, seed), cfg, 1000)
     found = first_repeat(encoders, cfg, 5000)
-    if period is None:
-        assert found is None
-        step, ns = 1000, [1, 2, 1000, 5000]
-    else:
-        step, p = found
-        assert p == period
-        # detection at step - 1, 0 and 1 more steps, and a tail that is no multiple of p
-        ns = [1, step - 1, step, step + 1, step + 2 * p + 1, 1000]
+    stop = _steps_run(encoders, cfg, 1000, monkeypatch)
+    step, p = found
+    assert p == period
+    start = step - p  # the first state of the cycle
+    if p == 1:
+        assert stop == step  # a fixed point stops at its first repeat
+    else:  # a checkpoint at a power of two >= max(start, p), then one period
+        assert step + p - 1 <= stop < 2 * max(start, p) + 2 * p
+    assert stop < 200  # well before the block ends
+    # the first repeat and the stop, 0 and 1 more steps, and a tail that is no multiple of p
+    ns = [1, step - 1, step, step + 1, stop - 1, stop, stop + 1, stop + 2 * p + 1, 1000, 5000]
     for n in ns:
         got, want = power_parts(encoders, cfg, n), reference_power_parts(encoders, cfg, n)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes(), (n, g, w)
-    counting = _CountingNumpy()
-    monkeypatch.setattr(sim, "np", counting)
-    power_parts(encoders, cfg, 1000)
-    assert counting.matmuls == 2 * step  # the loop stops where the states repeat
+
+
+def test_a_cycle_longer_than_the_cap_runs_the_full_loop(monkeypatch):
+    config, taps, seed, _ = _REPEATS["period42"]
+    cfg, _ = make_config(*config)
+    encoders = normalize_power(random_encoders(cfg, taps, seed), cfg, 1000)
+    monkeypatch.setattr(sim, "_MAX_CYCLE", 41)  # keeps no cycle of 42 stacks
+    assert _steps_run(encoders, cfg, 300, monkeypatch) == 300
+    got, want = power_parts(encoders, cfg, 300), reference_power_parts(encoders, cfg, 300)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 # normalize_power(random_encoders(cfg, taps, seed), cfg, 1000)[0].message_scale,

@@ -4,13 +4,23 @@ enforcement, genie reconstructions, Monte Carlo MI, and the modulo-PAM relay."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import ENCODER_CASES, PARITY_CFG, cap, emit_rebuild, emit_trace, simulate_network, verify_trace
+from helpers import (
+    ENCODER_CASES,
+    PARITY_CFG,
+    cap,
+    emit_rebuild,
+    emit_trace,
+    reference_csv,
+    simulate_network,
+    verify_trace,
+)
 from triway import sim
-from triway.experiments import export_report
+from triway.experiments import _CSV_BLOCK, export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
 from triway.sim import (
     TRACE_CSV_HEADER,
@@ -339,3 +349,28 @@ def test_trace_csv_layout():
     assert first[1] == f"{trace.x1[0]:.6f}"
     assert first[9] == f"{trace.z3[0]:.6f}"
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("n", sorted({1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 1,
+                                      4095, 4096, 4097, 3 * 4096 + 1}))
+def test_trace_csv_blocks_match_the_per_row_format(n):
+    _, trace = sim.simulate_network(CFG, n, 11)
+    header, columns = trace.as_table()
+    assert columns[0].dtype == np.int64 and all(c.dtype == np.float64 for c in columns[1:])
+    rows = list(zip(range(1, n + 1), *(c.tolist() for c in columns[1:])))
+    assert export_report((header, columns), "csv") == reference_csv(header, rows)
+
+
+def test_trace_csv_memory_is_bounded_by_its_text():
+    n = 10 ** 5
+    rng = np.random.default_rng(5)
+    arrays = rng.standard_normal((9, n)) * np.array([3.0, 3.0, 3.0, 20.0, 20.0, 20.0, 1.0, 1.0, 1.0])[:, None]
+    trace = TransmissionTrace(*arrays, messages=np.zeros(6))
+    tracemalloc.start()
+    try:
+        text = export_report(trace.as_table(), "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == n + 1
+    assert peak <= 3 * len(text)  # the block texts and their join; no per-cell objects
