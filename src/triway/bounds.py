@@ -1,9 +1,9 @@
 """Closed-form rate bounds for the three-user full-duplex Gaussian network.
 
-Every bound is a closed form in (h1^2, h2^2, h3^2, P).  The kernel
-`_bound_terms` computes all of them from those four numbers; `evaluate` wraps
-it as one BoundReport, and sweeps, DoF fits and the crossover search call it
-per grid point.  The paper's bounds are its fields out1..out3 (pair
+Every bound is a closed form in (h1^2, h2^2, h3^2, h1^2/h2^2) and P.  The
+kernel `_bound_terms` computes all of them from those five numbers; `evaluate`
+wraps it as one BoundReport, and sweeps, DoF fits and the crossover search call
+it per grid point.  The paper's bounds are its fields out1..out3 (pair
 cut-sets), lemma1, lemma2, theorem2_upper = 2 cap(h3^2 P) + 2 and
 achievable_lower = 2 cap(h3^2 P).  All rates are in bits per channel use;
 cap(x) = 0.5*log2(1+x) fixes the unit.
@@ -97,21 +97,21 @@ class BoundReport:
         obj.update((name, getattr(self, name)) for name in _REPORT_FIELDS)
         return obj
 
-    def as_table(self) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
-        """The `bounds` CSV report: REPORT_CSV_HEADER and one row."""
+    def as_table(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+        """The `bounds` CSV report: REPORT_CSV_HEADER and one row, as one-cell columns."""
         g = self.config.gains
         row = (g.h3, g.h2, g.h1, self.config.power, *self.cutset.as_dict().values(),
                *(getattr(self, name) for name in _REPORT_FIELDS))
-        return tuple(REPORT_CSV_HEADER.split(",")), (row,)
+        return tuple(REPORT_CSV_HEADER.split(",")), tuple(np.array([v]) for v in row)
 
 
 # BoundReport's fields after config: the layout of the tuple `_bound_terms` returns
 _BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(BoundReport))[1:]
 
 
-def _gap_terms(s1: float, s2: float, s3: float, P: float) -> tuple[float, float, float, float, float]:
+def _gap_terms(s1: float, s2: float, s3: float, ratio: float,
+               P: float) -> tuple[float, float, float, float, float]:
     """(out1, lemma1, lemma2, lower, gap): the part of `_bound_terms` the sum-capacity interval needs."""
-    ratio = 0.0 if s2 == 0.0 else s1 / s2
     out1 = _cap_of((s3 + s2) * P, s3 + s2, P)
     lemma1 = out1 + _cap_of(ratio)
     lemma2 = _cap_of(s3 * P * (1.0 + ratio), s3, P, 1.0 + ratio) + 0.5
@@ -119,9 +119,9 @@ def _gap_terms(s1: float, s2: float, s3: float, P: float) -> tuple[float, float,
     return out1, lemma1, lemma2, lower, min(2.0, lemma1 + lemma2 - lower)
 
 
-def _bound_terms(s1: float, s2: float, s3: float, P: float) -> tuple:
-    """BoundReport's fields after config, in order, from squared gains and power; see `evaluate`."""
-    out1, lemma1, lemma2, lower, gap = _gap_terms(s1, s2, s3, P)
+def _bound_terms(s1: float, s2: float, s3: float, ratio: float, P: float) -> tuple:
+    """BoundReport's fields after config, in order, from ChannelGains.bound_inputs and P; see `evaluate`."""
+    out1, lemma1, lemma2, lower, gap = _gap_terms(s1, s2, s3, ratio, P)
     out2 = _cap_of((s3 + s1) * P, s3 + s1, P)
     out3 = _cap_of((s2 + s1) * P, s2 + s1, P)
     return (out1, out2, out3, out1 + out2 + out3, lemma1, lemma2, lower + 2.0, lemma1 + lemma2,
@@ -136,13 +136,14 @@ def evaluate(cfg: ChannelConfig) -> BoundReport:
     The kernel evaluates each distinct cap argument once, in Python floats
     with math.log1p, each value in its formula's operation order, so it is
     bit-identical to evaluating that formula alone.  h2 = 0 forces h1 = 0 by
-    the ordering; the ratio term h1^2/h2^2 is then 0 by convention.  The
-    theorem-2 candidate exceeds the lower bound by exactly 2 in real
+    the ordering; the ratio term h1^2/h2^2 is then 0 by convention, and where
+    h2^2 leaves the normal range it is (h1/h2)^2 (`ChannelGains.bound_inputs`).
+    The theorem-2 candidate exceeds the lower bound by exactly 2 in real
     arithmetic, so the gap takes it as the literal 2.0; computing
     fl(2c+2) - 2c can overshoot 2 by one ulp and would falsify the gap
     invariant spuriously.
     """
-    return BoundReport(cfg, *_bound_terms(*cfg.gains.squared(), cfg.power))
+    return BoundReport(cfg, *_bound_terms(*cfg.gains.bound_inputs(), cfg.power))
 
 
 def sum_capacity_interval(cfg: ChannelConfig) -> tuple[float, float, float]:
@@ -151,7 +152,7 @@ def sum_capacity_interval(cfg: ChannelConfig) -> tuple[float, float, float]:
     upper is the minimum of the closed-form sum bounds, lower + gap; see
     `evaluate` for the literal 2.0.  Only the gap's four cap terms are computed.
     """
-    _, _, _, lower, gap = _gap_terms(*cfg.gains.squared(), cfg.power)
+    _, _, _, lower, gap = _gap_terms(*cfg.gains.bound_inputs(), cfg.power)
     return lower, lower + gap, gap
 
 
@@ -176,10 +177,10 @@ def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
     for P in grid:  # a NaN passes every comparison above
         if not math.isfinite(P):
             raise ValidationError(f"power {P!r} is not finite")
-    s1, s2, s3 = gains.squared()
+    inputs = gains.bound_inputs()
     column = _BOUND_FIELDS.index(field)
     xs = [0.5 * math.log2(P) for P in grid]
-    ys = [float(_bound_terms(s1, s2, s3, P)[column]) for P in grid]
+    ys = [float(_bound_terms(*inputs, P)[column]) for P in grid]
     half = len(grid) // 2
     slope, _ = np.polyfit(xs[half:], ys[half:], 1)
     return float(slope)

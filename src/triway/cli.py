@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import bounds, experiments, region, sim
 from ._version import __version__
 from .model import PropertyViolationError, ValidationError, make_config
@@ -137,7 +139,7 @@ def _cmd_region(args) -> int:
         raise ValidationError("region output is JSON only")
     cfg, perm = _resolve_config(args)
     reg = region.build_region(cfg)
-    sol = region.max_weighted_sum(reg, [1.0] * 6)
+    sol = region.max_weighted_sum(reg)
     _emit({"region": reg.as_dict(), "sum_rate_lp": sol.as_dict(),
            "permutation": list(perm.mapping)}, args)
     return 0
@@ -151,7 +153,7 @@ def _cmd_dof(args) -> int:
     names = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # BoundReport fields
     slopes = tuple(bounds.dof_estimate(cfg.gains, grid, name) for name in names)
     table = experiments.ReportTable(
-        kind="dof", header=names, rows=(slopes,),
+        kind="dof", header=names, columns=tuple(np.array([s]) for s in slopes),
         meta={"spec": experiments.spec_echo(spec), "version": __version__},
     )
     _emit(table, args, args.format)

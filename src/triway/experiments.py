@@ -32,9 +32,6 @@ _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum"
 # the heap (one 1000-row block faulted ~240 fresh pages in on every call, 512-row blocks none)
 _CSV_BLOCK = 512
 _EXACT_BELOW = 2.0 ** 33  # |x| * 1e6 < 2**53 below it, so rounding and digits stay exact
-# cell types that numpy turns into float64 exactly below 2**33: the kernel's input
-_EXACT_KINDS = frozenset((int, bool, float, np.bool_,
-                          *(np.dtype(c).type for c in np.typecodes["AllInteger"] + "efd")))
 # four-byte tokens read as uint32.  _GROUPS: "\0ddd" for a three-digit group g < 1000, at
 # 1000 + g the lead group g without leading zeros, at 2000 nothing; then ".ddd" and "ddd\0"
 # of the fraction, with nothing at 1000 for an int cell; the sign and separators are OR-ed in
@@ -75,13 +72,16 @@ class CrossoverResult:
 class ReportTable:
     kind: str
     header: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    columns: tuple[np.ndarray, ...]  # equal-length 1-D arrays, one per header name
     meta: dict
 
 
-def power_grid(spec: SweepSpec) -> np.ndarray:
+def power_grid(spec: SweepSpec, count: int | None = None) -> np.ndarray:
+    """The first `count` (default: all) points of np.logspace(log10(p_lo), log10(p_hi), points),
+    bit for bit, without the rest: np.linspace forms i * step + start and sets its last point
+    to stop.  That last point, 10**stop, must not overflow whatever `count` is."""
     for name, value in (("p_lo", spec.p_lo), ("p_hi", spec.p_hi)):
-        if not math.isfinite(value):  # before np.logspace, which would warn
+        if not math.isfinite(value):  # before the exponents, where it would warn
             raise ValidationError(f"power bound {name} must be finite, got {value!r}")
     if spec.points < 1:
         raise ValidationError("points must be >= 1")
@@ -93,12 +93,19 @@ def power_grid(spec: SweepSpec) -> np.ndarray:
         raise ValidationError("ensemble size must be >= 1")
     if spec.points == 1:
         return np.array([spec.p_lo])
-    with np.errstate(over="ignore"):  # 10**log10(p_hi) can round past the largest double
-        grid = np.logspace(math.log10(spec.p_lo), math.log10(spec.p_hi), spec.points)
+    k = spec.points if count is None else min(count, spec.points)
+    start, stop = math.log10(spec.p_lo), math.log10(spec.p_hi)
+    # the first min(k, points - 1) exponents, then stop: the exponent of the grid's last point
+    exponents = np.arange(min(k, spec.points - 1) + 1, dtype=np.float64)
+    exponents *= (stop - start) / (spec.points - 1)
+    exponents += start
+    exponents[-1] = stop
+    with np.errstate(over="ignore"):  # 10**stop can round past the largest double
+        grid = 10.0 ** exponents
     if not math.isfinite(grid[-1]):
         raise ValidationError(f"power bound p_hi={spec.p_hi!r} is too large: "
                               "its log-spaced grid point overflows")
-    return grid
+    return grid[:k]
 
 
 def spec_echo(spec: SweepSpec) -> dict:
@@ -117,11 +124,11 @@ def sweep_snr(spec: SweepSpec) -> ReportTable:
     the bound kernel `bounds._bound_terms`."""
     if spec.gains is None:
         raise ValidationError("sweep_snr needs a fixed gain triple")
-    grid = power_grid(spec).tolist()
-    s1, s2, s3 = spec.gains.squared()
-    rows = tuple((P, *_SWEEP_ROW(bounds._bound_terms(s1, s2, s3, P))) for P in grid)
+    grid = power_grid(spec)
+    inputs = spec.gains.bound_inputs()
+    terms = np.array([_SWEEP_ROW(bounds._bound_terms(*inputs, P)) for P in grid.tolist()])
     return ReportTable(kind="sweep", header=("P", *BOUND_COLUMNS, "gap"),
-                       rows=rows, meta=_meta(spec))
+                       columns=(grid, *terms.T), meta=_meta(spec))
 
 
 def gap_ensemble(spec: SweepSpec) -> GapStatistics:
@@ -131,15 +138,14 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
     and the grid power at index t mod points, so a large ensemble covers every
     grid power evenly.
     """
-    grid = power_grid(spec)
-    powers = grid[:spec.ensemble].tolist()  # trial t < ensemble reads index t % len(grid)
+    powers = power_grid(spec, spec.ensemble).tolist()  # trial t < ensemble reads index t % points
     worst = None
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
     for t in range(spec.ensemble):
         gains = spec.gains
         if gains is None:
             gains, _ = canonicalize(*np.random.default_rng([spec.seed, t]).standard_normal(3).tolist())
-        cfg = ChannelConfig(gains=gains, power=powers[t % len(grid)])
+        cfg = ChannelConfig(gains=gains, power=powers[t % spec.points])
         _, _, gap = bounds.sum_capacity_interval(cfg)
         if gap < 0.0 or gap > 2.0:
             violations += 1
@@ -158,7 +164,8 @@ def gap_statistics_table(stats: GapStatistics, spec: SweepSpec) -> ReportTable:
               "worst_g12", "worst_g13", "worst_g23", "worst_power")
     row = (float(stats.ensemble), stats.min_gap, stats.max_gap, stats.mean_gap,
            float(stats.violations), cfg.gains.h3, cfg.gains.h2, cfg.gains.h1, cfg.power)
-    return ReportTable(kind="gap-ensemble", header=header, rows=(row,), meta=_meta(spec))
+    return ReportTable(kind="gap-ensemble", header=header,
+                       columns=tuple(np.array([v]) for v in row), meta=_meta(spec))
 
 
 def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverResult:
@@ -181,10 +188,10 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverRe
     if not (0 < p_lo < p_hi) or not (math.isfinite(p_lo) and math.isfinite(p_hi)):
         raise ValidationError(f"invalid bracket [{p_lo!r}, {p_hi!r}]")
     lo, hi = float(p_lo), float(p_hi)
-    s1, s2, s3 = gains.squared()
+    inputs = gains.bound_inputs()
 
     def margin(P: float) -> float:
-        terms = bounds._bound_terms(s1, s2, s3, P)
+        terms = bounds._bound_terms(*inputs, P)
         return terms[_CUTSET_SUM] - terms[_TIGHTENED]
 
     if margin(lo) > 0:
@@ -207,7 +214,8 @@ def crossover_table(result: CrossoverResult, gains: ChannelGains,
     p_star = math.nan if result.p_star is None else result.p_star
     row = (p_star, code, gains.h3, gains.h2, gains.h1, float(p_lo), float(p_hi))
     meta = {"status": result.status, "version": __version__}
-    return ReportTable(kind="crossover", header=header, rows=(row,), meta=meta)
+    return ReportTable(kind="crossover", header=header,
+                       columns=tuple(np.array([v]) for v in row), meta=meta)
 
 
 def _json_text(obj, indent: str, encoders: dict[str, json.JSONEncoder]) -> str:
@@ -262,10 +270,7 @@ def _exact_block(columns, as_int) -> str | None:
     plus the separator, padded with NUL bytes that one bytes.translate
     removes.  An int cell is the same with no fraction: its q is |x| * 1e6.
     """
-    try:
-        x = np.array(columns, np.float64)  # (column, row)
-    except OverflowError:  # an int past the float range
-        return None
+    x = np.array(columns, np.float64)  # (column, row)
     a = np.abs(x)
     if not a.max() < _EXACT_BELOW:  # also False for inf and NaN
         return None
@@ -289,59 +294,43 @@ def _exact_block(columns, as_int) -> str | None:
     return np.stack(tokens).T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_block(columns, as_int, n_rows: int, exact: bool) -> str:
-    """n_rows CSV lines from their columns: the array kernel if every cell type is
-    exact for it and every value in its range, else one %-operation."""
-    text = _exact_block(columns, as_int) if exact and columns else None
-    if text is None:
-        fmt = ",".join("%d" if i else "%.6f" for i in as_int) + "\n"
-        cells = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-        text = (fmt * n_rows) % tuple(itertools.chain.from_iterable(cells))
-    return text
-
-
 def export_report(obj, format: str) -> str:
     """The one report writer: returns the exact text a report is written as.
 
     JSON takes a dict: the text of json.dumps(obj, indent=2, sort_keys=True),
-    written one container of scalars at a time.  CSV takes a (header, rows)
-    pair and prints a header line plus one line per row: a cell of type int or
-    bool as %d, any other (np.int64 included) as %.6f.  rows may instead be a
-    tuple of equal-length 1-D numpy arrays, the table's columns: an integer or
-    bool column prints as %d, any other as %.6f.  A ReportTable is both: its
-    kind, meta, header and rows as JSON, its header and rows as CSV.
-    Identical inputs give identical bytes.
+    written one container of scalars at a time.  CSV takes a (header, columns)
+    pair, columns a tuple of equal-length 1-D bool, integer or float numpy
+    arrays, and prints a header line plus one line per row: a cell of an
+    integer or bool column as %d, any other as %.6f.  A ReportTable is both:
+    its kind, meta, header and rows (its columns zipped) as JSON, its header
+    and columns as CSV.  Identical inputs give identical bytes.
 
-    CSV rows go out in blocks of up to 512 rows, row input one run of one
-    row-type signature at a time, transposed into columns.  A block is
-    formatted over arrays, exactly as % formats it: q = round(|x| * 1e6) with
-    halves to even on the exact product (Dekker's two-product decides a tie
-    of the rounded one), the digits of q, and the sign from signbit, so -0.0
-    prints -0.000000.  That is exact for every finite |x| < 2**33 of a type
-    numpy converts exactly (Python and numpy ints, bools and floats up to
-    float64).  A block with any other cell (inf, NaN, |x| >= 2**33, a larger
-    int, another type) goes through one %-operation instead; the choice
-    depends on the cell values alone and never changes the text.
+    CSV rows go out in blocks of up to 512 rows.  A block is formatted over
+    arrays, exactly as % formats it: q = round(|x| * 1e6) with halves to even
+    on the exact product (Dekker's two-product decides a tie of the rounded
+    one), the digits of q, and the sign from signbit, so -0.0 prints
+    -0.000000.  That is exact for every finite |x| < 2**33 of those dtypes,
+    which numpy converts to float64 exactly.  A block with any other cell
+    (inf, NaN, |x| >= 2**33) goes through one %-operation instead; the choice
+    depends on the cells alone and never changes the text.
     """
     if isinstance(obj, ReportTable):
-        obj = ({"kind": obj.kind, "meta": obj.meta, "header": obj.header, "rows": obj.rows}
-               if format == "json" else (obj.header, obj.rows))
+        obj = ({"kind": obj.kind, "meta": obj.meta, "header": obj.header,
+                "rows": list(zip(*(c.tolist() for c in obj.columns)))}
+               if format == "json" else (obj.header, obj.columns))
     if format == "json":
         return _json_text(obj, "", {}) + "\n"
     if format == "csv":
-        header, rows = obj
+        header, columns = obj
+        as_int = [c.dtype.kind in "biu" for c in columns]
+        fmt = ",".join("%d" if i else "%.6f" for i in as_int) + "\n"
         parts = [",".join(header) + "\n"]
-        if isinstance(rows, tuple) and rows and all(isinstance(c, np.ndarray) and c.ndim == 1 for c in rows):
-            as_int = [c.dtype.kind in "biu" for c in rows]
-            exact = all(np.can_cast(c.dtype, np.float64) for c in rows)
-            for start in range(0, len(rows[0]), _CSV_BLOCK):
-                block = [c[start:start + _CSV_BLOCK] for c in rows]
-                parts.append(_csv_block(block, as_int, len(block[0]), exact))
-        else:
-            for kinds, run in itertools.groupby(map(tuple, rows), key=lambda row: tuple(map(type, row))):
-                as_int = [kind in (int, bool) for kind in kinds]
-                exact = _EXACT_KINDS.issuperset(kinds)
-                while block := list(itertools.islice(run, _CSV_BLOCK)):
-                    parts.append(_csv_block(list(zip(*block)), as_int, len(block), exact))
+        for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+            block = [c[start:start + _CSV_BLOCK] for c in columns]
+            text = _exact_block(block, as_int)
+            if text is None:  # a cell out of the kernel's range: one %-operation
+                cells = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
+                text = (fmt * len(block[0])) % tuple(cells)
+            parts.append(text)
         return "".join(parts)
     raise ValidationError(f"format must be csv or json, got {format!r}")

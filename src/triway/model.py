@@ -36,12 +36,17 @@ class ChannelGains:
         # magnitudes, not squares: squares of gains below ~1e-162 all underflow to 0
         if not abs(self.h3) >= abs(self.h2) >= abs(self.h1):
             raise ValidationError(f"gain ordering violated: need |h3| >= |h2| >= |h1|, got {self}")
-        _, s2, s3 = self.squared()
-        if not math.isfinite(s3 + s2):  # the largest pairwise sum, given the ordering
-            raise ValidationError(f"squared gains overflow: h3^2 + h2^2 = {s3 + s2!r} is not finite")
+        top = self.h3 * self.h3 + self.h2 * self.h2  # the largest pairwise sum, given the ordering
+        if not math.isfinite(top):
+            raise ValidationError(f"squared gains overflow: h3^2 + h2^2 = {top!r} is not finite")
 
-    def squared(self) -> tuple[float, float, float]:
-        return (self.h1 * self.h1, self.h2 * self.h2, self.h3 * self.h3)
+    def bound_inputs(self) -> tuple[float, float, float, float]:
+        """(h1^2, h2^2, h3^2, h1^2/h2^2) for the bound kernel.  The ratio is 0 for h2 = 0, and
+        (h1/h2)^2 where h2^2 is below the smallest normal double: it has lost bits or is 0."""
+        s1, s2 = self.h1 * self.h1, self.h2 * self.h2
+        if s2 >= 2.2250738585072014e-308:  # sys.float_info.min
+            return s1, s2, self.h3 * self.h3, s1 / s2
+        return s1, s2, self.h3 * self.h3, 0.0 if self.h2 == 0.0 else (self.h1 / self.h2) ** 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,10 +93,7 @@ class RateTuple:
 
     @classmethod
     def from_sequence(cls, values) -> "RateTuple":
-        vals = list(values)
-        if len(vals) != 6:
-            raise ValidationError(f"expected 6 rates, got {len(vals)}")
-        return cls(*(float(v) for v in vals))
+        return cls(*(float(v) for v in values))
 
 
 # per mapping in lexicographic order: (indices into canonicalize's `opposite` of new h1, h2, h3, relabeling)

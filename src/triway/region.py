@@ -1,4 +1,4 @@
-"""Rate region over the six per-message rates and small LPs on it.
+"""Rate region over the six per-message rates and the sum-rate LP on it.
 
 The region is the intersection of the pair cut-set bounds and the two
 triple-sum bounds, all of the form (0/1 coefficients) . r <= rhs with r >= 0.
@@ -9,12 +9,11 @@ The solver is a dense textbook simplex with Bland's anti-cycling rule; at
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from . import bounds
-from .model import ChannelConfig, RateTuple, ValidationError
+from .model import ChannelConfig, RateTuple
 
 TOL = 1e-9
 
@@ -47,18 +46,17 @@ class RateRegion:
 
 @dataclasses.dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | unbounded | infeasible
     optimal_value: float
-    optimizer: RateTuple | None
+    optimizer: RateTuple
     tight_constraints: tuple[str, ...]
+
+    status = "optimal"  # a region from build_region is feasible and bounded
 
     def as_dict(self) -> dict:
         return {
             "status": self.status,
             "optimal_value": self.optimal_value,
-            "optimizer": None if self.optimizer is None else dict(
-                zip(RATE_ORDER, self.optimizer.as_tuple())
-            ),
+            "optimizer": dict(zip(RATE_ORDER, self.optimizer.as_tuple())),
             "tight_constraints": list(self.tight_constraints),
         }
 
@@ -99,39 +97,19 @@ def build_region(cfg: ChannelConfig) -> RateRegion:
     return RateRegion(constraints=tuple(cons))
 
 
-def _check_weights(weights) -> np.ndarray:
-    w = np.asarray([float(v) for v in weights], dtype=float)
-    if w.shape != (6,):
-        raise ValidationError(f"expected 6 weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite")
-    if np.any(w < 0):
-        raise ValidationError("weights must be nonnegative")
-    if not np.any(w > 0):
-        raise ValidationError("weights must not be all zero")
-    return w
+def max_weighted_sum(region: RateRegion) -> LpSolution:
+    """Maximize the sum rate r12 + r13 + r21 + r23 + r31 + r32 over the region with r >= 0.
 
-
-def max_weighted_sum(region: RateRegion, weights) -> LpSolution:
-    """Maximize weights . r over the region with r >= 0.
-
-    Simplex on the slack-variable tableau.  Every built-in constraint has a
-    nonnegative rhs (capacities), so the slack basis is feasible and no
-    phase-1 is needed; a negative rhs on a nonnegative-coefficient row is
-    reported as infeasible outright.
+    Simplex on the slack-variable tableau.  Every rhs of a built region is a
+    capacity, so >= 0: the slack basis is feasible and no phase-1 is needed.
+    Every rate lies in a cut-set row, so the sum is bounded and the LP always
+    has an optimum.  Each rate carries weight 1.
     """
-    w = _check_weights(weights)
     m = len(region.constraints)
     A = np.array([c.coeffs for c in region.constraints], dtype=float).reshape(m, 6)
     b = np.array([c.rhs for c in region.constraints], dtype=float)
-    for i in range(m):
-        if b[i] < -TOL:
-            if np.all(A[i] >= 0):
-                return LpSolution(status="infeasible", optimal_value=math.nan,
-                                  optimizer=None, tight_constraints=())
-            raise ValidationError("negative rhs with mixed-sign coefficients is unsupported")
-
     n = 6
+    w = np.ones(n)
     tableau = np.hstack([A, np.eye(m), b.reshape(m, 1)])
     basis = list(range(n, n + m))
     red = np.concatenate([-w, np.zeros(m)])  # reduced costs; negative means improving
@@ -144,9 +122,6 @@ def max_weighted_sum(region: RateRegion, weights) -> LpSolution:
         candidates = [
             (tableau[i, -1] / col[i], basis[i], i) for i in range(m) if col[i] > TOL
         ]
-        if not candidates:
-            return LpSolution(status="unbounded", optimal_value=math.inf,
-                              optimizer=None, tight_constraints=())
         # Bland: min ratio, ties broken by the smallest basic variable index
         _, _, row = min(candidates, key=lambda t: (t[0], t[1]))
         pivot = tableau[row, entering]
@@ -165,5 +140,4 @@ def max_weighted_sum(region: RateRegion, weights) -> LpSolution:
     value = float(w @ rates)
     slack = b - A @ rates
     tight = tuple(c.label for c, s in zip(region.constraints, slack) if abs(s) <= TOL)
-    return LpSolution(status="optimal", optimal_value=value,
-                      optimizer=optimizer, tight_constraints=tight)
+    return LpSolution(optimal_value=value, optimizer=optimizer, tight_constraints=tight)

@@ -119,7 +119,7 @@ def cap(x: float) -> float:
     return 0.5 * math.log1p(x) / _LN2
 
 
-def reference_bound_terms(s1: float, s2: float, s3: float, P: float) -> tuple:
+def reference_bound_terms(s1: float, s2: float, s3: float, ratio: float, P: float) -> tuple:
     """bounds._bound_terms from cap, one formula per BoundReport field after config.
 
     Each value is its formula as bounds.evaluate documents it, in that
@@ -127,7 +127,6 @@ def reference_bound_terms(s1: float, s2: float, s3: float, P: float) -> tuple:
     lemma1 + lemma2 - lower reaches it.  Valid only where every cap argument
     is finite (h^2 P does not overflow).
     """
-    ratio = 0.0 if s2 == 0.0 else s1 / s2  # h2 = 0 forces h1 = 0: the ratio term is 0
     out1 = cap((s3 + s2) * P)
     out2 = cap((s3 + s1) * P)
     out3 = cap((s2 + s1) * P)
@@ -186,10 +185,9 @@ def crossover_root(gains: ChannelGains) -> float | None:
     the root of ab P^2 + (a + b - 2(1 + r)c) P - (1 + 2r), in the form of the
     quadratic formula that subtracts no two values of one sign.
     """
-    s1, s2, s3 = gains.squared()
-    if s2 == 0.0:
+    s1, s2, s3, r = gains.bound_inputs()
+    if gains.h2 == 0.0:
         return None
-    r = s1 / s2
     a, b, c = s3 + s1, s2 + s1, s3 * (1.0 + r)
     qa, qb, qc = a * b, a + b - 2.0 * (1.0 + r) * c, -(1.0 + 2.0 * r)
     sqrt_disc = math.sqrt(qb * qb - 4.0 * qa * qc)
@@ -290,8 +288,9 @@ def oracle_max_sum(region: RateRegion, grid_step: float) -> float:
 
 
 def csv_cell(value) -> str:
-    """The CSV writer's per-cell rule: bools are ints, both print as integers,
-    every other value (np.int64 included, which is no int) with 6 decimals."""
+    """The CSV writer's per-cell rule on a cell of column.tolist(): a cell of an
+    integer or bool column is an int (bools are ints) and prints as an integer,
+    every other cell is a float and prints with 6 decimals."""
     return str(int(value)) if isinstance(value, int) else f"{value:.6f}"
 
 
@@ -300,24 +299,23 @@ def reference_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def reference_csv(header, rows) -> str:
-    """experiments.export_report's CSV text: one %-format per row, built once per row-type signature."""
-    lines = [",".join(header)]
-    formats: dict[tuple[type, ...], str] = {}
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join("%d" if kind in (int, bool) else "%.6f" for kind in kinds)
-        lines.append(fmt % row)
-    return "\n".join(lines) + "\n"
+def reference_csv(header, columns) -> str:
+    """experiments.export_report's CSV text for (header, columns): one %-format per
+    row, %d for an integer or bool column and %.6f for any other."""
+    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.6f" for c in columns) + "\n"
+    rows = zip(*(c.tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join(fmt % row for row in rows)
+
+
+def table_rows(table: ReportTable) -> tuple[tuple, ...]:
+    """A ReportTable's rows, as its JSON writes them: the columns' cells zipped."""
+    return tuple(zip(*(c.tolist() for c in table.columns)))
 
 
 def table_from_json(text: str) -> ReportTable:
     obj = json.loads(text)
     return ReportTable(kind=obj["kind"], header=tuple(obj["header"]),
-                       rows=tuple(tuple(row) for row in obj["rows"]), meta=obj["meta"])
+                       columns=tuple(map(np.array, zip(*obj["rows"]))), meta=obj["meta"])
 
 
 def load_report_json(path) -> ReportTable:

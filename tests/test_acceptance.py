@@ -121,7 +121,7 @@ def test_criterion_5_lp_matches_grid_oracle():
     for t in range(50):
         cfg = _random_config(105, t)
         reg = build_region(cfg)
-        sol = max_weighted_sum(reg, [1.0] * 6)
+        sol = max_weighted_sum(reg)
         grid_val = oracle_max_sum(reg, 0.01)
         worst = max(worst, abs(sol.optimal_value - grid_val))
         if sol.status != "optimal" or abs(sol.optimal_value - grid_val) > 0.06:

@@ -159,17 +159,55 @@ def test_bound_kernel_is_the_documented_formulas_bit_for_bit():
     cases = []
     for _ in range(3000):  # gains over 120 decades, powers over 200
         gains, _ = canonicalize(*(rng.standard_normal(3) * 10.0 ** rng.uniform(-60.0, 60.0, 3)))
-        cases.append((*gains.squared(), 10.0 ** rng.uniform(-100.0, 100.0)))
-    cases += [(0.0, 0.0, 10.0 ** e, 10.0 ** -e) for e in range(-20, 21)]  # h2 = 0
-    cases += [(1.0, 1.0, 1.0, 10.0 ** e) for e in range(295)]  # the gap reaches the literal 2.0
+        cases.append((*gains.bound_inputs(), 10.0 ** rng.uniform(-100.0, 100.0)))
+    cases += [(0.0, 0.0, 10.0 ** e, 0.0, 10.0 ** -e) for e in range(-20, 21)]  # h2 = 0
+    cases += [(1.0, 1.0, 1.0, 1.0, 10.0 ** e) for e in range(295)]  # the gap reaches the literal 2.0
     checked = 0
-    for s1, s2, s3, P in cases:
+    for case in cases:
+        s1, s2, s3, _, P = case
         if not 2.0 * (s3 + s2) * P < 1e308:  # bounds every cap argument: h^2 P stays finite
             continue
-        got = bounds._bound_terms(s1, s2, s3, P)
-        assert repr(got) == repr(reference_bound_terms(s1, s2, s3, P)), (s1, s2, s3, P)
+        assert repr(bounds._bound_terms(*case)) == repr(reference_bound_terms(*case)), case
         checked += 1
     assert checked > 3000 and sum(bounds._bound_terms(*c)[9] == 2.0 for c in cases[-295:]) > 100
+
+
+def test_lemma1_keeps_the_unit_ratio_of_equal_tiny_gains():
+    # h1 = h2 = eps: h1^2/h2^2 = 1, also where eps^2 is subnormal or underflows to 0
+    for k in range(10, 301):
+        for P in (1e-2, 1.0, 1e4):
+            b = evaluate(_cfg(10.0 ** -k, 10.0 ** -k, 1.0, P))
+            assert b.lemma1 == b.out1 + 0.5, (k, P)
+
+
+def _mp_sum_bounds(h1, h2, h3, P):
+    """lemma1, lemma2, tightened_upper and gap at 50 digits from the float inputs."""
+    def C(x):
+        return mp.log(1 + x, 2) / 2
+
+    s1, s2, s3, P = (mp.mpf(h1) ** 2, mp.mpf(h2) ** 2, mp.mpf(h3) ** 2, mp.mpf(P))
+    ratio = s1 / s2 if s2 else mp.mpf(0)
+    lemma1 = C((s3 + s2) * P) + C(ratio)
+    lemma2 = C(s3 * P * (1 + ratio)) + mp.mpf(1) / 2
+    upper = lemma1 + lemma2
+    return tuple(map(float, (lemma1, lemma2, upper, min(2, upper - 2 * C(s3 * P)))))
+
+
+def test_sum_bounds_match_mpmath_where_squared_gains_underflow():
+    # gain magnitudes over 10^-300..10^0, half of them with h1/h2 in [0.1, 1]; squares
+    # below ~1e-154 leave the normal range, the ratio h1^2/h2^2 must not
+    rng = np.random.default_rng(30)
+    cases = [(0.7e-155, 1e-155, 1.0, 1.0), (1e-170, 1e-170, 1e-160, 1e300), (0.0, 1e-200, 1e-200, 3.0)]
+    for k in range(1000):
+        h1, h2, h3 = np.sort(10.0 ** rng.uniform(-300.0, 0.0, 3)).tolist()
+        if k % 2:
+            h1 = h2 * rng.uniform(0.1, 1.0)
+        signs = rng.choice((-1.0, 1.0), 3)
+        cases.append((signs[0] * h1, signs[1] * h2, signs[2] * h3, 10.0 ** rng.uniform(-2.0, 4.0)))
+    for h1, h2, h3, P in cases:
+        b = evaluate(_cfg(h1, h2, h3, P))
+        got = (b.lemma1, b.lemma2, b.tightened_upper, b.gap)
+        assert got == pytest.approx(_mp_sum_bounds(h1, h2, h3, P), rel=1e-12, abs=1e-12), (h1, h2, h3, P)
 
 
 def test_interval_gap_never_exceeds_two_high_snr():
@@ -270,7 +308,7 @@ def test_bounds_monotone_in_positive_sign_gains():
             assert getattr(evaluate(big3), f) >= getattr(evaluate(base), f) - 1e-12
         # h1 up toward h2: lemma bounds and the weak cut-sets grow
         if abs(gains.h2) > 0:
-            s1, s2, _ = gains.squared()
+            s1, s2, _, _ = gains.bound_inputs()
             h1_up = ChannelGains(math.sqrt((s1 + s2) / 2.0), gains.h2, gains.h3)
             bigger1 = validate(ChannelConfig(gains=h1_up, power=P))
             b, b1 = evaluate(base), evaluate(bigger1)

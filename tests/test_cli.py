@@ -485,6 +485,23 @@ def test_bounds_stay_finite_where_h2p_overflows(capsys):
     assert obj["gap"] < 2.0
 
 
+def test_bounds_keep_the_gain_ratio_where_squares_underflow(capsys):
+    # h1^2 = h2^2 = 0 here; with the ratio h1^2/h2^2 taken as 0 this printed
+    # lemma1 0.5, tightened_upper 1.5 and gap 0.5
+    args = ("--g12", "1", "--g13", "1e-170", "--g23", "1e-170", "--power", "1")
+    code, out, err = _run(capsys, "bounds", *args)
+    assert code == 0 and err == ""
+    obj = _strict_json(out)
+    assert (obj["lemma1"], obj["tightened_upper"], obj["gap"]) == (1.0, 2.292481250360578, 1.292481250360578)
+    want = _mp_bounds(1e-170, 1e-170, 1.0, 1.0)
+    for key in ("lemma1", "lemma2", "tightened_upper", "gap"):
+        assert obj[key] == pytest.approx(want[key], rel=1e-12), key
+    code, out, _ = _run(capsys, "region", *args)
+    assert code == 0
+    rhs = {c["label"]: c["rhs"] for c in _strict_json(out)["region"]["constraints"]}
+    assert (rhs["lemma1"], rhs["lemma2"]) == (obj["lemma1"], obj["lemma2"])
+
+
 def test_sweep_stays_finite_where_h2p_overflows(capsys):
     code, out, _ = _run(capsys, "sweep", "--g12", "1e10", "--p-hi", "1e300")
     assert code == 0

@@ -4,11 +4,13 @@ byte-stable report serialization they share."""
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (
     crossover_root,
@@ -21,6 +23,7 @@ from helpers import (
     reference_json,
     reference_sweep_rows,
     table_from_json,
+    table_rows,
 )
 from triway.bounds import BoundReport, dof_estimate, evaluate, sum_capacity_interval
 from triway.experiments import (
@@ -43,7 +46,7 @@ SYM = ChannelGains(1.0, 1.0, 1.0)
 
 
 def _col(table, name):
-    return np.array([row[table.header.index(name)] for row in table.rows])
+    return table.columns[table.header.index(name)]
 
 
 def _slope(table, name):
@@ -56,7 +59,7 @@ def test_sweep_slopes_show_degrees_of_freedom():
     table = sweep_snr(spec)
     assert table.kind == "sweep"
     assert table.header == ("P", *BOUND_COLUMNS, "gap")
-    assert len(table.rows) == 9
+    assert all(len(c) == 9 for c in table.columns)
     assert abs(_slope(table, "theorem2_upper") - 2.0) < 0.05
     assert abs(_slope(table, "achievable_lower") - 2.0) < 0.05
     assert abs(_slope(table, "outgoing_cutset_sum") - 3.0) < 0.05
@@ -65,7 +68,7 @@ def test_sweep_slopes_show_degrees_of_freedom():
 def test_sweep_rows_match_direct_evaluation():
     spec = SweepSpec(p_lo=0.5, p_hi=50.0, points=5, gains=ChannelGains(0.5, 1.0, 1.5))
     table = sweep_snr(spec)
-    for row in table.rows:
+    for row in table_rows(table):
         cfg = validate(ChannelConfig(gains=spec.gains, power=row[0]))
         assert row[table.header.index("tightened_upper")] == pytest.approx(
             evaluate(cfg).tightened_upper, rel=1e-12)
@@ -87,6 +90,11 @@ def _bits(values) -> str:
     return repr(values)  # shortest round-trip repr: equal strings, equal bits (signed zeros too)
 
 
+def _same_table(a, b) -> bool:
+    return ((a.kind, a.header, a.meta, _bits(table_rows(a)))
+            == (b.kind, b.header, b.meta, _bits(table_rows(b))))
+
+
 @pytest.mark.parametrize("k,gains", enumerate(_parity_gains()))
 def test_drivers_match_their_evaluate_references_bit_for_bit(k, gains):
     rng = np.random.default_rng([29, k])
@@ -94,7 +102,7 @@ def test_drivers_match_their_evaluate_references_bit_for_bit(k, gains):
         lo = rng.uniform(-4.0, 150.0)
         hi = min(300.0, lo + rng.uniform(0.5, 150.0))
         spec = SweepSpec(p_lo=10.0 ** lo, p_hi=10.0 ** hi, points=int(rng.integers(1, 40)), gains=gains)
-        assert _bits(sweep_snr(spec).rows) == _bits(reference_sweep_rows(spec))
+        assert _bits(table_rows(sweep_snr(spec))) == _bits(reference_sweep_rows(spec))
         grid = np.logspace(lo, min(300.0, lo + rng.uniform(4.0, 150.0)), int(rng.integers(8, 20)))
         for f in dataclasses.fields(BoundReport)[1:]:
             slope = dof_estimate(gains, grid, f.name)
@@ -110,7 +118,7 @@ def test_single_point_grid():
     grid = power_grid(spec)
     assert grid.tolist() == [7.0]
     table = sweep_snr(spec)
-    assert len(table.rows) == 1 and table.rows[0][0] == 7.0
+    assert table_rows(table)[0][0] == 7.0 and all(len(c) == 1 for c in table.columns)
 
 
 def test_spec_validation():
@@ -129,10 +137,41 @@ def test_spec_validation():
         sweep_snr(SweepSpec(p_lo=1.0, p_hi=10.0, points=3, gains=None))
 
 
+def test_grid_prefix_is_the_logspace_prefix_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        lo = rng.uniform(-300.0, 300.0)
+        hi = lo + (rng.uniform(0.0, 308.0 - lo) if trial % 4 else 10.0 ** rng.uniform(-14, 0))
+        points = int(rng.integers(2, 3000)) if trial % 50 else 10 ** 6
+        spec = SweepSpec(p_lo=10.0 ** lo, p_hi=10.0 ** hi, points=points)
+        if not spec.p_lo < spec.p_hi:
+            continue
+        grid = np.logspace(math.log10(spec.p_lo), math.log10(spec.p_hi), points)
+        for k in (1, 2, int(rng.integers(1, points + 1)), points - 1, points, points + 7):
+            assert power_grid(spec, k).tobytes() == grid[:k].tobytes(), (spec, k)
+        assert power_grid(spec).tobytes() == grid.tobytes()
+    # the last point overflows whatever the prefix, as it did for the whole grid
+    with pytest.raises(ValidationError, match="too large"):
+        power_grid(SweepSpec(p_lo=1.0, p_hi=1.7976931348623157e308, points=10 ** 9), 2)
+
+
+def test_gap_ensemble_reads_only_the_grid_points_it_uses():
+    spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=10 ** 7, ensemble=10, seed=0)
+    tracemalloc.start()
+    try:
+        gap_ensemble(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6  # the whole grid takes 80 MB
+    small = dataclasses.replace(spec, points=10 ** 6)
+    assert gap_ensemble(small) == reference_gap_ensemble(small)  # the reference builds the whole grid
+
+
 def test_sweep_deterministic_and_export_byte_stable():
     spec = SweepSpec(p_lo=1.0, p_hi=100.0, points=4, gains=SYM)
     t1, t2 = sweep_snr(spec), sweep_snr(spec)
-    assert t1 == t2
+    assert _same_table(t1, t2)
     text1 = export_report(t1, "json")
     text2 = export_report(t2, "json")
     assert text1 == text2
@@ -183,7 +222,7 @@ def test_gap_statistics_table_layout():
     assert table.kind == "gap-ensemble"
     assert table.header == ("ensemble", "min_gap", "max_gap", "mean_gap", "violations",
                             "worst_g12", "worst_g13", "worst_g23", "worst_power")
-    row = table.rows[0]
+    (row,) = table_rows(table)
     assert row[0] == 50.0 and row[4] == 0.0
     cfg = stats.worst_config
     assert row[5:] == (cfg.gains.h3, cfg.gains.h2, cfg.gains.h1, cfg.power)
@@ -242,10 +281,15 @@ def test_crossover_table_encodes_status():
     res = find_crossover(SYM, 0.1, 100.0)
     table = crossover_table(res, SYM, 0.1, 100.0)
     assert table.header == ("p_star", "status_code", "g12", "g13", "g23", "p_lo", "p_hi")
-    assert table.rows[0][1] == 0.0 and table.meta["status"] == "found"
+    assert table_rows(table)[0][1] == 0.0 and table.meta["status"] == "found"
     none_res = CrossoverResult(p_star=None, status="none")
     none_table = crossover_table(none_res, SYM, 1.0, 2.0)
-    assert math.isnan(none_table.rows[0][0]) and none_table.rows[0][1] == 2.0
+    (row,) = table_rows(none_table)
+    assert math.isnan(row[0]) and row[1] == 2.0
+    # status none prints p_star as nan in CSV and as the non-strict NaN token in JSON
+    assert export_report(none_table, "csv").split("\n")[1] == ("nan,2.000000,1.000000,1.000000,"
+                                                             "1.000000,1.000000,2.000000")
+    assert "\n      NaN,\n" in export_report(none_table, "json")
 
 
 def test_csv_has_six_decimal_cells():
@@ -253,7 +297,7 @@ def test_csv_has_six_decimal_cells():
     table = sweep_snr(spec)
     lines = export_report(table, "csv").strip().split("\n")
     assert lines[0] == ",".join(("P", *BOUND_COLUMNS, "gap"))
-    for line, row in zip(lines[1:], table.rows):
+    for line, row in zip(lines[1:], table_rows(table)):
         assert line == ",".join(f"{v:.6f}" for v in row)
 
 
@@ -261,7 +305,7 @@ def test_json_roundtrip_is_exact():
     spec = SweepSpec(p_lo=0.3, p_hi=77.0, points=4, gains=ChannelGains(0.5, 1.0, 1.5))
     table = sweep_snr(spec)
     back = table_from_json(export_report(table, "json"))
-    assert back == table  # repr-level float fidelity survives JSON
+    assert _same_table(back, table)  # repr-level float fidelity survives JSON
 
 
 def test_export_and_load_files(tmp_path):
@@ -269,9 +313,9 @@ def test_export_and_load_files(tmp_path):
     table = sweep_snr(spec)
     path = tmp_path / "report.json"
     path.write_text(export_report(table, "json"))
-    assert load_report_json(path) == table
+    assert _same_table(load_report_json(path), table)
     csv_text = export_report(table, "csv")
-    assert csv_text == export_report((table.header, table.rows), "csv")
+    assert csv_text == export_report((table.header, table.columns), "csv")
 
 
 def test_export_error_paths(tmp_path):
@@ -284,13 +328,23 @@ def test_export_error_paths(tmp_path):
 
 
 def test_csv_rows_match_the_per_cell_rule():
-    cells = (True, False, 0, -7, 2 ** 70, np.int64(-3), 1.5, np.float64(2.0 / 3.0), -0.0,
-             math.inf, -math.inf, math.nan, 1e300, -1e-300, np.float64(-0.0))
-    rows = [cells, cells[::-1], (1, 1.0), (1.0, 1), (np.int64(1), True), [False, 1e300], (), cells]
-    header = tuple(f"c{k}" for k in range(len(cells)))
-    want = "\n".join([",".join(header), *(",".join(map(csv_cell, row)) for row in rows)]) + "\n"
-    assert export_report((header, rows), "csv") == want
-    assert export_report((header, iter(rows)), "csv") == want  # rows may be a one-pass iterator
+    # one column of every dtype: four cells in the kernel's range, then four past it or at
+    # the dtype's edges (ints past 2**33, inf, NaN); the first four fill a block of their own
+    cells = {"f8": [0.0, -0.0, 1.5, 2.0 / 3.0, math.inf, -math.inf, math.nan, 2.0 ** 40 + 0.5],
+             "f4": [0.0, -0.0, 1.5, 2.0 / 3.0, math.inf, -math.inf, math.nan, 3e38],
+             "f2": [0.0, -0.0, 1.5, 0.1, math.inf, -math.inf, math.nan, 65504.0],
+             "i8": [0, 1, -7, 2 ** 33 - 1, 2 ** 33, 2 ** 62 + 1, -2 ** 63, 2 ** 63 - 1],
+             "u8": [0, 1, 7, 2 ** 33 - 1, 2 ** 33, 2 ** 63 + 1, 2 ** 64 - 1, 10 ** 19],
+             "i4": [0, -1, 5, 100, -2 ** 31, 2 ** 31 - 1, 7, -7], "u4": [0, 1, 5, 100, 2 ** 32 - 1, 2 ** 31, 7, 3],
+             "i2": [0, -1, 5, 100, -2 ** 15, 2 ** 15 - 1, 7, -7], "u2": [0, 1, 5, 100, 2 ** 16 - 1, 2 ** 15, 7, 3],
+             "i1": [0, -1, 5, 100, -128, 127, 7, -7], "u1": [0, 1, 5, 100, 255, 128, 7, 3],
+             "?": [True, False, True, True, False, False, True, False]}
+    columns = tuple(np.array(v[:4] * (_CSV_BLOCK // 4) + v[4:], d) for d, v in cells.items())
+    header = tuple(f"c{k}" for k in range(len(columns)))
+    for table in (columns, tuple(c[::-1] for c in columns)):  # reversed: strided views
+        rows = zip(*(c.tolist() for c in table))
+        want = "\n".join([",".join(header), *(",".join(map(csv_cell, row)) for row in rows)]) + "\n"
+        assert export_report((header, table), "csv") == want
 
 
 _JSON_LEAVES = (st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.7e308,
@@ -310,16 +364,24 @@ def test_json_writer_matches_json_dumps(tree):
     assert export_report(tree, "json") == reference_json(tree)
 
 
-_CSV_CELLS = st.one_of(st.integers(), st.booleans(), st.floats(), st.floats().map(np.float64),
-                       st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+_CSV_DTYPES = ("?", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f2", "f4", "f8")
+
+
+@st.composite
+def _csv_tables(draw):
+    """(header, columns): 1 to 4 columns of random dtypes, 0 to 513 rows."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 30, 511, 512, 513]))
+    dtypes = draw(st.lists(st.sampled_from(_CSV_DTYPES), min_size=1, max_size=4))
+    columns = tuple(draw(hnp.arrays(np.dtype(d), n)) for d in dtypes)
+    return tuple(f"c{k}" for k in range(len(columns))), columns
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
-@given(st.lists(st.text(max_size=3), max_size=3),
-       st.lists(st.lists(_CSV_CELLS, max_size=3).map(tuple), max_size=30))
-@example(("k", "v"), [(k, k / 3) for k in range(4097)] + [(True, np.float64(1.5))] * 4097)
-def test_csv_writer_matches_the_per_row_format(header, rows):
-    assert export_report((header, rows), "csv") == reference_csv(header, rows)
+@given(_csv_tables())
+@example((("k", "v"), (np.arange(4097), np.arange(4097) / 3)))
+def test_csv_writer_matches_the_per_row_format(table):
+    header, columns = table
+    assert export_report((header, columns), "csv") == reference_csv(header, columns)
 
 
 def _kernel_values() -> np.ndarray:
@@ -369,25 +431,43 @@ def test_out_of_range_cells_take_the_percent_path(cell):
     assert _exact_block([column], [False]) is None
     want = "x\n" + "".join("%.6f\n" % v for v in column.tolist())
     assert export_report((("x",), (column,)), "csv") == want
-    assert export_report((("x",), [(v,) for v in column.tolist()]), "csv") == want
+
+
+def _random_column(rng, dtype: str, n: int) -> np.ndarray:
+    """n cells of dtype in the kernel's range, |x| < 2**33."""
+    if dtype == "?":
+        return rng.random(n) < 0.5
+    if dtype[0] in "iu":
+        info = np.iinfo(dtype)
+        return rng.integers(max(info.min, -2 ** 33 + 1), min(info.max, 2 ** 33 - 1), n, dtype=dtype, endpoint=True)
+    with np.errstate(over="ignore"):  # float16 tops out at 65504
+        return (rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 9.9, n)).astype(dtype)
 
 
 def test_columns_and_rows_print_alike():
+    # column tables of every dtype at block edges, each as the per-row % format prints it;
+    # in half the tables a few rows hold a cell past the kernel's range (past 2**33, inf, NaN)
     rng = np.random.default_rng(3)
-    n = 3 * _CSV_BLOCK + 1
-    step = np.arange(1, n + 1, dtype=np.int64)
-    floats = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-8, 10, (3, n))
-    big = np.array([2 ** 60, -3], np.int64).repeat((n + 1) // 2)[:n]  # past 2**33: the % path
-    columns = (step, *floats, big, np.arange(n) % 2 == 0, floats[0].astype(np.float32))
-    header = tuple("abcdefg")
-    rows = list(zip(*(c.tolist() for c in columns)))
-    assert export_report((header, columns), "csv") == reference_csv(header, rows)
+    specials = {"f": (math.inf, -math.inf, math.nan, -0.0, 2.0 ** 40), "i": (2 ** 62, -2 ** 63 + 1),
+                "u": (2 ** 64 - 1, 2 ** 33)}
+    for n in (0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 1):
+        for trial in range(6):
+            dtypes = rng.choice(_CSV_DTYPES, rng.integers(1, 7)).tolist()
+            columns = tuple(_random_column(rng, d, n) for d in dtypes)
+            for c, d in zip(columns, dtypes):
+                if trial % 2 and n and d[0] in specials and (d[0] == "f" or d[1] == "8"):
+                    values = specials[d[0]]
+                    with np.errstate(over="ignore"):  # 2**40 is inf as float16
+                        c[rng.integers(0, n, 3)] = [values[k] for k in rng.integers(0, len(values), 3)]
+            header = tuple(f"c{k}" for k in range(len(columns)))
+            assert export_report((header, columns), "csv") == reference_csv(header, columns), (n, dtypes)
 
 
 def test_empty_rows_yield_header_only_csv():
     from triway.experiments import ReportTable
-    table = ReportTable(kind="sweep", header=("P", "gap"), rows=(), meta={})
+    table = ReportTable(kind="sweep", header=("P", "gap"), columns=(np.empty(0), np.empty(0)), meta={})
     assert export_report(table, "csv") == "P,gap\n"
+    assert json.loads(export_report(table, "json"))["rows"] == []
 
 
 def test_meta_echoes_spec():

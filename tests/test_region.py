@@ -1,4 +1,4 @@
-"""Rate-region construction, the simplex solver against independent oracles
+"""Rate-region construction, the sum-rate simplex against independent oracles
 (scipy linprog, dual-vertex enumeration, naive grid search), and the fast
 grid oracle's exact equivalence to exhaustive search."""
 
@@ -14,6 +14,8 @@ from triway.bounds import evaluate
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, RateTuple, ValidationError, canonicalize, validate
 from triway.region import LinearConstraint, RateRegion, build_region, max_weighted_sum
+
+ONES = np.ones(6)  # the sum rate's weights
 
 
 def _cfg(h1, h2, h3, power):
@@ -32,11 +34,9 @@ def _arrays(region):
     return A, b
 
 
-def _scipy_max(region, w):
+def _scipy_max(region):
     A, b = _arrays(region)
-    res = linprog(c=-np.asarray(w, float), A_ub=A, b_ub=b,
-                  bounds=[(0, None)] * 6, method="highs")
-    return res
+    return linprog(c=-ONES, A_ub=A, b_ub=b, bounds=[(0, None)] * 6, method="highs")
 
 
 def _naive_grid_max(region, step):
@@ -105,7 +105,7 @@ def test_lemmas_only_lp_is_separable():
     for _ in range(50):
         cfg = _random_cfg(rng)
         reg = sub_region(cfg, "lemma1", "lemma2")
-        sol = max_weighted_sum(reg, [1.0] * 6)
+        sol = max_weighted_sum(reg)
         assert sol.status == "optimal"
         b = evaluate(cfg)
         expect = b.lemma1 + b.lemma2
@@ -115,21 +115,8 @@ def test_lemmas_only_lp_is_separable():
 
 def test_cutset_only_symmetric_value():
     reg = sub_region(_cfg(1.0, 1.0, 1.0, 1.0), "cutset")
-    sol = max_weighted_sum(reg, [1.0] * 6)
+    sol = max_weighted_sum(reg)
     assert sol.optimal_value == pytest.approx(2.377443751081734, rel=1e-12)  # 3 cap(2)
-
-
-def test_single_weight_hits_min_rhs():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        cfg = _random_cfg(rng)
-        reg = build_region(cfg)
-        for j in range(6):
-            w = [0.0] * 6
-            w[j] = 1.0
-            sol = max_weighted_sum(reg, w)
-            expect = min(c.rhs for c in reg.constraints if c.coeffs[j] != 0.0)
-            assert sol.optimal_value == pytest.approx(expect, abs=1e-9)
 
 
 def test_optimizer_feasible_and_scaled_copy_is_not():
@@ -137,7 +124,7 @@ def test_optimizer_feasible_and_scaled_copy_is_not():
     for _ in range(50):
         cfg = _random_cfg(rng)
         reg = build_region(cfg)
-        sol = max_weighted_sum(reg, [1.0] * 6)
+        sol = max_weighted_sum(reg)
         assert sol.status == "optimal"
         assert is_feasible(reg, sol.optimizer, tol=1e-9)
         assert sol.tight_constraints  # something binds at an optimum
@@ -153,70 +140,34 @@ def test_origin_feasible_tolerance_validation():
         is_feasible(reg, RateTuple.from_sequence([0.0] * 6), tol=-1.0)
 
 
-def test_weights_validation():
-    reg = build_region(_cfg(1.0, 1.0, 1.0, 1.0))
-    with pytest.raises(ValidationError, match="nonnegative"):
-        max_weighted_sum(reg, [1, 1, 1, 1, 1, -1])
-    with pytest.raises(ValidationError, match="all zero"):
-        max_weighted_sum(reg, [0.0] * 6)
-    with pytest.raises(ValidationError, match="6 weights"):
-        max_weighted_sum(reg, [1.0] * 5)
-    with pytest.raises(ValidationError, match="finite"):
-        max_weighted_sum(reg, [math.inf] + [1.0] * 5)
-
-
-def test_unbounded_when_rates_escape_every_constraint():
-    cfg = _cfg(1.0, 1.0, 1.0, 1.0)
-    reg = sub_region(cfg, "lemma1")
-    sol = max_weighted_sum(reg, [1.0] * 6)
-    assert sol.status == "unbounded"
-    assert sol.optimizer is None
-    with pytest.raises(ValidationError, match="unbounded"):
-        oracle_max_sum(reg, 0.1)
-
-
 def test_empty_region_is_unbounded():
-    sol = max_weighted_sum(RateRegion(()), [1.0] * 6)
-    assert sol.status == "unbounded"
-    with pytest.raises(ValidationError, match="unbounded"):
-        oracle_max_sum(RateRegion(()), 0.1)
-
-
-def test_infeasible_flag_on_negative_rhs():
-    reg = RateRegion((LinearConstraint((1.0, 0, 0, 0, 0, 0), -1.0, "bogus"),))
-    sol = max_weighted_sum(reg, [1.0] * 6)
-    assert sol.status == "infeasible"
-    mixed = RateRegion((LinearConstraint((1.0, -1.0, 0, 0, 0, 0), -1.0, "mixed"),))
-    with pytest.raises(ValidationError):
-        max_weighted_sum(mixed, [1.0] * 6)
+    # the grid oracle rejects a region in which some rate appears in no constraint
+    for reg in (RateRegion(()), sub_region(_cfg(1.0, 1.0, 1.0, 1.0), "lemma1")):
+        with pytest.raises(ValidationError, match="unbounded"):
+            oracle_max_sum(reg, 0.1)
 
 
 def test_degenerate_all_zero_gains():
     # every rhs is 0: heavy degeneracy, Bland's rule must still terminate
     reg = build_region(_cfg(0.0, 0.0, 0.0, 1.0))
-    sol = max_weighted_sum(reg, [1.0] * 6)
+    sol = max_weighted_sum(reg)
     assert sol.status == "optimal"
     assert sol.optimal_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_simplex_matches_scipy_over_ensemble():
+    # every family set bounds all six rates, as the full region does
     rng = np.random.default_rng(23)
     family_sets = [("cutset", "lemma1", "lemma2"), ("cutset",), ("lemma1", "lemma2"),
-                   ("cutset", "lemma1"), ("cutset", "lemma2"), ("lemma1",)]
+                   ("cutset", "lemma1"), ("cutset", "lemma2")]
     for trial in range(120):
         cfg = _random_cfg(rng)
         reg = sub_region(cfg, *family_sets[trial % len(family_sets)])
-        w = rng.uniform(0.0, 2.0, 6) * (rng.random(6) < 0.8)
-        if not np.any(w > 0):
-            w[rng.integers(0, 6)] = 1.0
-        sol = max_weighted_sum(reg, w)
-        res = _scipy_max(reg, w)
-        if sol.status == "optimal":
-            assert res.status == 0
-            assert sol.optimal_value == pytest.approx(-res.fun, abs=1e-8)
-            assert is_feasible(reg, sol.optimizer, tol=1e-9)
-        else:
-            assert sol.status == "unbounded" and res.status == 3
+        sol = max_weighted_sum(reg)
+        res = _scipy_max(reg)
+        assert res.status == 0
+        assert sol.optimal_value == pytest.approx(-res.fun, abs=1e-8)
+        assert is_feasible(reg, sol.optimizer, tol=1e-9)
 
 
 def test_duality_vertex_enumeration():
@@ -224,8 +175,8 @@ def test_duality_vertex_enumeration():
     for _ in range(8):
         cfg = _random_cfg(rng)
         reg = build_region(cfg)
-        sol = max_weighted_sum(reg, [1.0] * 6)
-        assert _dual_vertex_min(reg, [1.0] * 6) == pytest.approx(sol.optimal_value, abs=1e-6)
+        sol = max_weighted_sum(reg)
+        assert _dual_vertex_min(reg, ONES) == pytest.approx(sol.optimal_value, abs=1e-6)
 
 
 def test_lp_below_tightened_and_above_pairing_point():
@@ -233,7 +184,7 @@ def test_lp_below_tightened_and_above_pairing_point():
     for _ in range(100):
         cfg = _random_cfg(rng)
         reg = build_region(cfg)
-        sol = max_weighted_sum(reg, [1.0] * 6)
+        sol = max_weighted_sum(reg)
         assert sol.optimal_value <= evaluate(cfg).tightened_upper + 1e-9
         c = cap(cfg.gains.h3 ** 2 * cfg.power)
         point = RateTuple(r12=c, r13=0.0, r21=c, r23=0.0, r31=0.0, r32=0.0)
@@ -247,7 +198,7 @@ def test_oracle_within_six_steps_of_lp():
         cfg = _random_cfg(rng)
         families = [("cutset", "lemma1", "lemma2"), ("cutset",), ("lemma1", "lemma2")][trial % 3]
         reg = sub_region(cfg, *families)
-        lp = max_weighted_sum(reg, [1.0] * 6).optimal_value
+        lp = max_weighted_sum(reg).optimal_value
         grid = oracle_max_sum(reg, 0.01)
         assert grid <= lp + 1e-9
         assert abs(lp - grid) <= 0.06 + 1e-12
@@ -291,7 +242,7 @@ def test_json_exports():
     assert len(obj["constraints"]) == 8
     assert obj["constraints"][0]["label"] == "cutset.out1"
 
-    sol = max_weighted_sum(reg, [1.0] * 6)
+    sol = max_weighted_sum(reg)
     sobj = json.loads(export_report(sol.as_dict(), "json"))
     assert sobj["status"] == "optimal"
     assert set(sobj["optimizer"]) == {"r12", "r13", "r21", "r23", "r31", "r32"}
