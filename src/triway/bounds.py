@@ -33,31 +33,15 @@ def _cap_of(x: float, *factors: float) -> float:
     return 0.5 * sum(map(math.log2, factors))
 
 
-@dataclasses.dataclass(frozen=True)
-class CutsetBounds:
-    """Pair-rate cut-set bounds; outK bounds user K's outgoing pair, inK the incoming.
-
-    Reciprocity makes outK == inK for every user.
-    """
-
-    out1: float  # r12 + r13
-    in1: float   # r21 + r31
-    out2: float  # r21 + r23
-    in2: float   # r12 + r32
-    out3: float  # r31 + r32
-    in3: float   # r13 + r23
-
-    def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
-
-
+# the report's six cut-set names in output order, each with the BoundReport field it reads:
+# reciprocity makes user K's incoming cut-set inK equal its outgoing one, outK
+_CUTSETS = {name: "out" + name[-1] for name in ("out1", "in1", "out2", "in2", "out3", "in3")}
 # the report's scalar fields after the config echo and the cut-sets, in CSV column order
 _REPORT_FIELDS = ("lemma1", "lemma2", "theorem2_upper", "tightened_upper", "achievable_lower",
                   "gap", "relay_lattice_rate", "relay_direct_rate", "relay_improves")
 # One-row CSV header of the `bounds` report; floats print with 6 decimals,
 # relay_improves as 0/1.
-REPORT_CSV_HEADER = ",".join(("g12", "g13", "g23", "power",
-                              *(f.name for f in dataclasses.fields(CutsetBounds)), *_REPORT_FIELDS))
+REPORT_CSV_HEADER = ",".join(("g12", "g13", "g23", "power", *_CUTSETS, *_REPORT_FIELDS))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,22 +69,18 @@ class BoundReport:
     relay_direct_rate: float
     relay_improves: bool
 
-    @property
-    def cutset(self) -> CutsetBounds:
-        return CutsetBounds(self.out1, self.out1, self.out2, self.out2, self.out3, self.out3)
-
     def as_dict(self) -> dict:
         """The `bounds` JSON report: config echo in pair-gain names, cut-sets, the rest."""
         g = self.config.gains
         obj = {"config": {"g12": g.h3, "g13": g.h2, "g23": g.h1, "power": self.config.power},
-               "cutset": self.cutset.as_dict()}
+               "cutset": {name: getattr(self, field) for name, field in _CUTSETS.items()}}
         obj.update((name, getattr(self, name)) for name in _REPORT_FIELDS)
         return obj
 
     def as_table(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
         """The `bounds` CSV report: REPORT_CSV_HEADER and one row, as one-cell columns."""
         g = self.config.gains
-        row = (g.h3, g.h2, g.h1, self.config.power, *self.cutset.as_dict().values(),
+        row = (g.h3, g.h2, g.h1, self.config.power, *(getattr(self, f) for f in _CUTSETS.values()),
                *(getattr(self, name) for name in _REPORT_FIELDS))
         return tuple(REPORT_CSV_HEADER.split(",")), tuple(np.array([v]) for v in row)
 

@@ -123,12 +123,12 @@ def _emit(report, args, format: str = "json") -> None:
 
 
 def _cmd_bounds(args) -> int:
-    cfg, perm = _resolve_config(args)
+    cfg, mapping = _resolve_config(args)
     report = bounds.evaluate(cfg)
     if args.format == "csv":
         _emit(report.as_table(), args, "csv")
     else:
-        _emit({**report.as_dict(), "permutation": list(perm.mapping)}, args)
+        _emit({**report.as_dict(), "permutation": list(mapping)}, args)
     if not (0.0 <= report.gap <= 2.0):
         raise PropertyViolationError(f"sum-capacity gap {report.gap} is outside [0, 2]")
     return 0
@@ -137,11 +137,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_region(args) -> int:
     if args.format == "csv":
         raise ValidationError("region output is JSON only")
-    cfg, perm = _resolve_config(args)
+    cfg, mapping = _resolve_config(args)
     reg = region.build_region(cfg)
     sol = region.max_weighted_sum(reg)
     _emit({"region": reg.as_dict(), "sum_rate_lp": sol.as_dict(),
-           "permutation": list(perm.mapping)}, args)
+           "permutation": list(mapping)}, args)
     return 0
 
 

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -85,6 +86,8 @@ def power_grid(spec: SweepSpec, count: int | None = None) -> np.ndarray:
             raise ValidationError(f"power bound {name} must be finite, got {value!r}")
     if spec.points < 1:
         raise ValidationError("points must be >= 1")
+    if spec.points > sys.maxsize:  # before the float step and the exponent array, which fail on it
+        raise ValidationError(f"points must be <= {sys.maxsize}")
     if not (0 < spec.p_lo and 0 < spec.p_hi):
         raise ValidationError("power bounds must be positive")
     if spec.points > 1 and not spec.p_lo < spec.p_hi:

@@ -50,17 +50,6 @@ class ChannelGains:
 
 
 @dataclasses.dataclass(frozen=True)
-class UserPermutation:
-    """Relabeling of users; mapping[k-1] is the new label of original user k."""
-
-    mapping: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if sorted(self.mapping) != [1, 2, 3]:
-            raise ValidationError(f"mapping {self.mapping} is not a bijection on {{1,2,3}}")
-
-
-@dataclasses.dataclass(frozen=True)
 class ChannelConfig:
     """Canonical gains and a power budget; noise variance is fixed at 1 by the model.
 
@@ -75,37 +64,17 @@ class ChannelConfig:
         validate(self)
 
 
-@dataclasses.dataclass(frozen=True)
-class RateTuple:
-    """Six per-message rates in bits per channel use; r12 is user1 -> user2."""
-
-    r12: float
-    r13: float
-    r21: float
-    r23: float
-    r31: float
-    r32: float
-
-    FIELD_ORDER = ("r12", "r13", "r21", "r23", "r31", "r32")
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f) for f in self.FIELD_ORDER)
-
-    @classmethod
-    def from_sequence(cls, values) -> "RateTuple":
-        return cls(*(float(v) for v in values))
-
-
-# per mapping in lexicographic order: (indices into canonicalize's `opposite` of new h1, h2, h3, relabeling)
-_RELABELINGS = tuple((tuple(m.index(k) for k in (1, 2, 3)), UserPermutation(m))
+# per mapping in lexicographic order: (indices into canonicalize's `opposite` of new h1, h2, h3, mapping)
+_RELABELINGS = tuple((tuple(m.index(k) for k in (1, 2, 3)), m)
                      for m in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
 
 
-def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, UserPermutation]:
-    """Relabel users so the gain magnitudes satisfy |h3| >= |h2| >= |h1|.
+def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, tuple[int, int, int]]:
+    """Relabel users so the gain magnitudes satisfy |h3| >= |h2| >= |h1|: (gains, mapping).
 
-    The six relabelings are tried in lexicographic order of mapping, identity
-    first, and the first whose order holds wins, so ties are deterministic.
+    mapping[k-1] is the new label of original user k.  The six relabelings are
+    tried in lexicographic order of mapping, identity first, and the first
+    whose order holds wins, so ties are deterministic.
     The squared-gain multiset is preserved; signs ride along with their pair.
     """
     for g in (g12, g13, g23):
@@ -113,9 +82,9 @@ def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, User
             raise ValidationError(f"channel gain {g!r} is not finite")
     opposite = (float(g23), float(g13), float(g12))  # gain of the link that avoids user k
     mag = tuple(map(abs, opposite))
-    for (i1, i2, i3), perm in _RELABELINGS:
+    for (i1, i2, i3), mapping in _RELABELINGS:
         if mag[i3] >= mag[i2] >= mag[i1]:
-            return ChannelGains(h1=opposite[i1], h2=opposite[i2], h3=opposite[i3]), perm
+            return ChannelGains(h1=opposite[i1], h2=opposite[i2], h3=opposite[i3]), mapping
     raise AssertionError("three finite reals always have an order")
 
 
@@ -128,7 +97,8 @@ def validate(config: ChannelConfig) -> ChannelConfig:
     return config
 
 
-def make_config(g12: float, g13: float, g23: float, power: float) -> tuple[ChannelConfig, UserPermutation]:
-    """Canonicalize raw pair gains and wrap them with a validated power budget."""
-    gains, perm = canonicalize(g12, g13, g23)
-    return ChannelConfig(gains=gains, power=float(power)), perm
+def make_config(g12: float, g13: float, g23: float,
+                power: float) -> tuple[ChannelConfig, tuple[int, int, int]]:
+    """Canonicalize raw pair gains and wrap them with a validated power budget: (config, mapping)."""
+    gains, mapping = canonicalize(g12, g13, g23)
+    return ChannelConfig(gains=gains, power=float(power)), mapping

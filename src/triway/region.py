@@ -13,12 +13,12 @@ import dataclasses
 import numpy as np
 
 from . import bounds
-from .model import ChannelConfig, RateTuple
+from .model import ChannelConfig
 
 TOL = 1e-9
 
-# column order everywhere in this module
-RATE_ORDER = RateTuple.FIELD_ORDER
+# per-message rates in bits per channel use, r12 is user1 -> user2: the column order everywhere here
+RATE_ORDER = ("r12", "r13", "r21", "r23", "r31", "r32")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +47,7 @@ class RateRegion:
 @dataclasses.dataclass(frozen=True)
 class LpSolution:
     optimal_value: float
-    optimizer: RateTuple
+    optimizer: tuple[float, ...]  # the six rates in RATE_ORDER
     tight_constraints: tuple[str, ...]
 
     status = "optimal"  # a region from build_region is feasible and bounded
@@ -56,7 +56,7 @@ class LpSolution:
         return {
             "status": self.status,
             "optimal_value": self.optimal_value,
-            "optimizer": dict(zip(RATE_ORDER, self.optimizer.as_tuple())),
+            "optimizer": dict(zip(RATE_ORDER, self.optimizer)),
             "tight_constraints": list(self.tight_constraints),
         }
 
@@ -90,8 +90,8 @@ def build_region(cfg: ChannelConfig) -> RateRegion:
     duplicates are kept so tight-constraint labels stay traceable.
     """
     b = bounds.evaluate(cfg)
-    cons = [_unit_constraint(_PAIR_SUPPORTS[f"cutset.{name}"], rhs, f"cutset.{name}")
-            for name, rhs in b.cutset.as_dict().items()]
+    cons = [_unit_constraint(_PAIR_SUPPORTS[f"cutset.{name}"], getattr(b, field), f"cutset.{name}")
+            for name, field in bounds._CUTSETS.items()]
     cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma1"], b.lemma1, "lemma1"))
     cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma2"], b.lemma2, "lemma2"))
     return RateRegion(constraints=tuple(cons))
@@ -136,8 +136,7 @@ def max_weighted_sum(region: RateRegion) -> LpSolution:
     for i, j in enumerate(basis):
         x[j] = tableau[i, -1]
     rates = np.where((x[:n] < 0) & (x[:n] > -TOL), 0.0, x[:n])  # rounding guard
-    optimizer = RateTuple.from_sequence(rates)
     value = float(w @ rates)
     slack = b - A @ rates
     tight = tuple(c.label for c, s in zip(region.constraints, slack) if abs(s) <= TOL)
-    return LpSolution(optimal_value=value, optimizer=optimizer, tight_constraints=tight)
+    return LpSolution(optimal_value=value, optimizer=tuple(rates.tolist()), tight_constraints=tight)

@@ -251,6 +251,9 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
         D = np.concatenate((np.ones(6), np.full(len(a[0]) - 6, s)))
         total[0] = D[:, None] * total[0] * D
         a[:, :6] *= s
+    if not np.all(np.isfinite(total[0])):  # _block_power rejects it too, naming neither it nor s
+        raise ValidationError(f"expected block power over n={n} is not finite at message scale s={s:.6g}: "
+                              "the scaled second moments of the fed-back receptions overflow")
     _block_power(a, total, n, budget)
     return tuple(e.with_scale(s) for e in encoders)
 

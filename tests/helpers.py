@@ -1,8 +1,9 @@
 """Oracles and helpers that only the tests use.
 
 The grid oracle and the feasibility test cross-check the simplex, and
-`sub_region` gives them regions of one or two constraint families; the
-permutation helpers check that a relabeling is a bijection on rates; the
+`sub_region` gives them regions of one or two constraint families; rates
+are tuples of six floats in region.RATE_ORDER, and the permutation helpers
+check that canonicalize's mapping tuple relabels them as a bijection; the
 report readers invert the JSON the report writer produces, and `csv_cell` is
 the per-cell rule its CSV must match; `emit`, one encoder symbol at a time,
 drives the step loop, trace verification and genie rebuild that are the
@@ -34,7 +35,7 @@ import numpy as np
 
 from triway.bounds import evaluate
 from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, ReportTable, SweepSpec, power_grid
-from triway.model import ChannelConfig, ChannelGains, RateTuple, UserPermutation, ValidationError, make_config
+from triway.model import ChannelConfig, ChannelGains, ValidationError, make_config
 from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
 from triway.sim import (
     _MSG_INDEX,
@@ -57,18 +58,18 @@ from triway.sim import (
 _LN2 = math.log(2.0)
 
 
-def is_identity(perm: UserPermutation) -> bool:
-    return perm.mapping == (1, 2, 3)
+def is_identity(mapping: tuple[int, int, int]) -> bool:
+    return mapping == (1, 2, 3)
 
 
-def inverse(perm: UserPermutation) -> UserPermutation:
+def inverse(mapping: tuple[int, int, int]) -> tuple[int, int, int]:
     inv = [0, 0, 0]
-    for orig, new in enumerate(perm.mapping, start=1):
+    for orig, new in enumerate(mapping, start=1):
         inv[new - 1] = orig
-    return UserPermutation(tuple(inv))
+    return tuple(inv)
 
 
-def reference_canonicalize(g12, g13, g23) -> tuple[ChannelGains, UserPermutation]:
+def reference_canonicalize(g12, g13, g23) -> tuple[ChannelGains, tuple[int, int, int]]:
     """model.canonicalize as a loop over itertools.permutations: the first
     mapping, in lexicographic order, whose relabeled magnitudes are ordered."""
     for g in (g12, g13, g23):
@@ -79,7 +80,7 @@ def reference_canonicalize(g12, g13, g23) -> tuple[ChannelGains, UserPermutation
         # new user k is original user mapping.index(k) + 1 and keeps its opposite link
         h1, h2, h3 = (opposite[mapping.index(k)] for k in (1, 2, 3))
         if abs(h3) >= abs(h2) >= abs(h1):
-            return ChannelGains(h1=h1, h2=h2, h3=h3), UserPermutation(mapping)
+            return ChannelGains(h1=h1, h2=h2, h3=h3), mapping
     raise AssertionError("three finite reals always have an order")
 
 
@@ -196,13 +197,14 @@ def crossover_root(gains: ChannelGains) -> float | None:
     return (sqrt_disc - qb) / (2.0 * qa)
 
 
-def apply_rates(perm: UserPermutation, rates: RateTuple) -> RateTuple:
+def apply_rates(mapping: tuple[int, int, int], rates: tuple[float, ...]) -> tuple[float, ...]:
     # rate from user a to user b becomes the rate from mapping[a] to mapping[b]
+    named = dict(zip(RATE_ORDER, rates))
     out = {}
     for a, b in itertools.permutations((1, 2, 3), 2):
-        na, nb = perm.mapping[a - 1], perm.mapping[b - 1]
-        out[f"r{na}{nb}"] = getattr(rates, f"r{a}{b}")
-    return RateTuple(**out)
+        na, nb = mapping[a - 1], mapping[b - 1]
+        out[f"r{na}{nb}"] = named[f"r{a}{b}"]
+    return tuple(out[name] for name in RATE_ORDER)
 
 
 def sub_region(cfg, *families: str) -> RateRegion:
@@ -213,10 +215,10 @@ def sub_region(cfg, *families: str) -> RateRegion:
                             if c.label.split(".")[0] in families))
 
 
-def is_feasible(region: RateRegion, rates: RateTuple, tol: float = TOL) -> bool:
+def is_feasible(region: RateRegion, rates: tuple[float, ...], tol: float = TOL) -> bool:
     if tol < 0:
         raise ValidationError("tolerance must be >= 0")
-    r = np.asarray(rates.as_tuple(), dtype=float)
+    r = np.asarray(rates, dtype=float)
     if np.any(r < -tol):
         return False
     for c in region.constraints:

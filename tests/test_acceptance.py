@@ -202,7 +202,7 @@ def test_criterion_9_scale_invariance():
             math.isclose(getattr(base, f), getattr(scaled, f), rel_tol=1e-12, abs_tol=1e-12)
             for f in fields)
         same = same and all(
-            math.isclose(getattr(base.cutset, f), getattr(scaled.cutset, f),
+            math.isclose(base.as_dict()["cutset"][f], scaled.as_dict()["cutset"][f],
                          rel_tol=1e-12, abs_tol=1e-12)
             for f in ("out1", "in1", "out2", "in2", "out3", "in3"))
         same = same and base.relay_improves == scaled.relay_improves

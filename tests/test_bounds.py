@@ -12,6 +12,7 @@ from triway import bounds
 from triway.bounds import REPORT_CSV_HEADER, dof_estimate, evaluate, sum_capacity_interval
 from triway.experiments import export_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
+from triway.region import build_region
 
 mp.mp.dps = 50
 
@@ -57,29 +58,34 @@ def test_cap_monotone():
 
 
 def test_cutset_symmetric_case():
-    cs = evaluate(_cfg(1.0, 1.0, 1.0, 1.0)).cutset
-    for v in cs.as_dict().values():
+    cs = evaluate(_cfg(1.0, 1.0, 1.0, 1.0)).as_dict()["cutset"]
+    for v in cs.values():
         assert v == pytest.approx(0.792481250360578, rel=1e-12)
 
 
 def test_cutset_degenerate_links():
-    cs = evaluate(_cfg(0.0, 0.0, 1.0, 1.0)).cutset
-    assert cs.out1 == pytest.approx(0.5, abs=1e-15)
-    assert cs.out3 == 0.0
+    cs = evaluate(_cfg(0.0, 0.0, 1.0, 1.0)).as_dict()["cutset"]
+    assert cs["out1"] == pytest.approx(0.5, abs=1e-15)
+    assert cs["out3"] == 0.0
 
 
 def test_cutset_321():
-    cs = evaluate(_cfg(1.0, 2.0, 3.0, 1.0)).cutset
-    assert cs.out1 == pytest.approx(1.903677461028802, rel=1e-12)  # cap(13)
-    assert cs.out2 == pytest.approx(_mp_cap(10), rel=1e-12)
-    assert cs.out3 == pytest.approx(_mp_cap(5), rel=1e-12)
+    cs = evaluate(_cfg(1.0, 2.0, 3.0, 1.0)).as_dict()["cutset"]
+    assert cs["out1"] == pytest.approx(1.903677461028802, rel=1e-12)  # cap(13)
+    assert cs["out2"] == pytest.approx(_mp_cap(10), rel=1e-12)
+    assert cs["out3"] == pytest.approx(_mp_cap(5), rel=1e-12)
 
 
 def test_cutset_reciprocity():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        cs = evaluate(_random_cfg(rng)).cutset
-        assert cs.out1 == cs.in1 and cs.out2 == cs.in2 and cs.out3 == cs.in3
+        cfg = _random_cfg(rng)
+        cs = evaluate(cfg).as_dict()["cutset"]
+        assert list(cs) == ["out1", "in1", "out2", "in2", "out3", "in3"]
+        assert cs["out1"] == cs["in1"] and cs["out2"] == cs["in2"] and cs["out3"] == cs["in3"]
+        # the region's cut-set rows carry the same values, in the same order
+        assert [(c.label, c.rhs) for c in build_region(cfg).constraints[:6]] == \
+            [(f"cutset.{name}", value) for name, value in cs.items()]
 
 
 def test_lemma1_values():
@@ -288,7 +294,7 @@ def test_bounds_monotone_in_power():
         p2 = p1 * (1.0 + rng.uniform(0.01, 10.0))
         b1 = evaluate(validate(ChannelConfig(gains=gains, power=p1)))
         b2 = evaluate(validate(ChannelConfig(gains=gains, power=p2)))
-        assert sum(b2.cutset.as_dict().values()) >= sum(b1.cutset.as_dict().values()) - 1e-12
+        assert sum(b2.as_dict()["cutset"].values()) >= sum(b1.as_dict()["cutset"].values()) - 1e-12
         for f in fields:
             assert getattr(b2, f) >= getattr(b1, f) - 1e-12
 
@@ -314,7 +320,7 @@ def test_bounds_monotone_in_positive_sign_gains():
             b, b1 = evaluate(base), evaluate(bigger1)
             assert b1.lemma1 >= b.lemma1 - 1e-12
             assert b1.lemma2 >= b.lemma2 - 1e-12
-            assert b1.cutset.out3 >= b.cutset.out3 - 1e-12
+            assert b1.out3 >= b.out3 - 1e-12
 
 
 def test_theorem2_proof_chain_ensemble():
@@ -343,9 +349,9 @@ def test_scale_invariance():
         b, b2 = evaluate(cfg), evaluate(scaled)
         for f in fields:
             assert getattr(b2, f) == pytest.approx(getattr(b, f), rel=1e-12, abs=1e-12)
-        cs, cs2 = b.cutset, b2.cutset
-        for k, v in cs.as_dict().items():
-            assert cs2.as_dict()[k] == pytest.approx(v, rel=1e-12, abs=1e-12)
+        cs, cs2 = b.as_dict()["cutset"], b2.as_dict()["cutset"]
+        for k, v in cs.items():
+            assert cs2[k] == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
 def test_report_invariants_and_serialization():
@@ -361,10 +367,10 @@ def test_report_invariants_and_serialization():
     assert cells[-1] in ("0", "1")
     # fixed 6-decimal formatting
     assert all("." in c and len(c.split(".")[1]) == 6 for c in cells[:-1])
-    assert float(cells[4]) == pytest.approx(report.cutset.out1, abs=5e-7)
+    assert float(cells[4]) == pytest.approx(report.out1, abs=5e-7)
 
     obj = __import__("json").loads(export_report(report.as_dict(), "json"))
     assert obj["gap"] == report.gap  # JSON keeps full precision
-    assert obj["cutset"]["out1"] == report.cutset.out1
+    assert obj["cutset"]["out1"] == report.out1
     assert obj["config"]["g12"] == 1.5
     assert obj["relay_improves"] == report.relay_improves

@@ -146,6 +146,23 @@ def test_bad_seed_or_power_bound_is_one_error_line(capsys, monkeypatch, argv, en
     assert "Traceback" not in err and "Warning" not in err and caught == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("gap-ensemble", "--ensemble", "3", "--points", str(10 ** 309)),
+    ("sweep", "--points", str(10 ** 309)),
+    ("dof", "--points", str(10 ** 309)),
+    ("gap-ensemble", "--ensemble", "3", "--points", str(sys.maxsize + 1)),
+], ids=("gap-ensemble 1e309", "sweep 1e309", "dof 1e309", "gap-ensemble sys.maxsize+1"))
+def test_points_past_the_index_range_is_one_error_line(capsys, argv):
+    # rejected before the float step and the exponent array, which fail on 1e309 points
+    _one_line_error(*_run(capsys, *argv), f"points must be <= {sys.maxsize}")
+
+
+def test_gap_ensemble_keeps_a_huge_grid_within_the_index_range(capsys):
+    code, out, err = _run(capsys, "gap-ensemble", "--ensemble", "10", "--points", str(10 ** 18))
+    assert code == 0 and err == ""
+    assert _strict_json(out)["meta"]["spec"]["points"] == 10 ** 18
+
+
 @pytest.mark.parametrize("argv,text", [
     (("genie", "--variant", "lemma1", "--power", "1e308"), "expected block power"),
     (("simulate", "--g12", "1e154"), "expected block power"),
@@ -284,7 +301,8 @@ def test_an_overflowing_scaled_covariance_is_one_error_line(capsys):
                           "--g23=-9975978.12592365", "--power=6.107726244812748e+256", "--n", "2",
                           "--seed", "200")
     assert code == 1 and out == ""
-    assert err.startswith("error: expected block power over n=2 is not finite: ") and err.count("\n") == 1
+    assert err.startswith("error: expected block power over n=2 is not finite at message scale "
+                          "s=1.40011e+128: the scaled second moments") and err.count("\n") == 1
 
 
 def test_genie_rejects_csv(capsys):

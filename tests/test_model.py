@@ -13,19 +13,18 @@ from helpers import apply_rates, inverse, is_identity, reference_canonicalize
 from triway.model import (
     ChannelConfig,
     ChannelGains,
-    RateTuple,
-    UserPermutation,
     ValidationError,
     canonicalize,
     validate,
 )
+from triway.region import RATE_ORDER
 
 
 def test_canonicalize_sorts_by_squared_magnitude():
-    gains, perm = canonicalize(1.0, 2.0, 3.0)
+    gains, mapping = canonicalize(1.0, 2.0, 3.0)
     assert gains == ChannelGains(h1=1.0, h2=2.0, h3=3.0)
     # the strongest pair 2-3 becomes the new pair 1-2
-    assert perm.mapping == (3, 2, 1)
+    assert mapping == (3, 2, 1)
 
 
 def test_canonicalize_identity_when_ordered():
@@ -60,8 +59,8 @@ def test_canonicalize_tie_prefers_lex_smallest_mapping():
         h1 = pair[frozenset((inv[2], inv[3]))]
         if h3 * h3 >= h2 * h2 >= h1 * h1:
             valid.append(mapping)
-    _, perm = canonicalize(g12, g13, g23)
-    assert perm.mapping == min(valid)
+    _, mapping = canonicalize(g12, g13, g23)
+    assert mapping == min(valid)
     assert (1, 2, 3) not in valid
 
 
@@ -96,25 +95,19 @@ def test_permutation_roundtrips_rates():
     for _ in range(100):
         g = rng.standard_normal(3)
         _, perm = canonicalize(*g)
-        rates = RateTuple.from_sequence(rng.uniform(0, 3, 6))
+        rates = tuple(rng.uniform(0, 3, 6).tolist())
         assert apply_rates(inverse(perm), apply_rates(perm, rates)) == rates
         assert apply_rates(perm, apply_rates(inverse(perm), rates)) == rates
 
 
 def test_permutation_relabels_consistently():
     # original 1->3, 2->2, 3->1: original r12 becomes r32
-    perm = UserPermutation((3, 2, 1))
-    rates = RateTuple(r12=1.0, r13=2.0, r21=3.0, r23=4.0, r31=5.0, r32=6.0)
-    out = apply_rates(perm, rates)
-    assert out.r32 == rates.r12
-    assert out.r31 == rates.r13
-    assert out.r23 == rates.r21
-    assert out.r13 == rates.r31
-
-
-def test_permutation_rejects_non_bijection():
-    with pytest.raises(ValidationError):
-        UserPermutation((1, 1, 3))
+    rates = dict(r12=1.0, r13=2.0, r21=3.0, r23=4.0, r31=5.0, r32=6.0)
+    out = dict(zip(RATE_ORDER, apply_rates((3, 2, 1), tuple(rates.values()))))
+    assert out["r32"] == rates["r12"]
+    assert out["r31"] == rates["r13"]
+    assert out["r23"] == rates["r21"]
+    assert out["r13"] == rates["r31"]
 
 
 def test_validate_accepts_ordered_config():
@@ -160,11 +153,6 @@ def test_validation_error_is_value_error():
     assert issubclass(ValidationError, ValueError)
 
 
-def test_rate_tuple_sequence_helpers():
-    rates = RateTuple.from_sequence([1, 2, 3, 4, 5, 6])
-    assert rates.as_tuple() == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-
-
 def test_canonicalize_matches_the_documented_tie_rule():
     # reference: among relabelings that order the squared gains, the identity
     # if it is one, else the lexicographically smallest mapping
@@ -180,8 +168,8 @@ def test_canonicalize_matches_the_documented_tie_rule():
             if h[2] ** 2 >= h[1] ** 2 >= h[0] ** 2:
                 valid[mapping] = ChannelGains(*h)
         want = (1, 2, 3) if (1, 2, 3) in valid else min(valid)
-        gains, perm = canonicalize(*g)
-        assert perm.mapping == want and gains == valid[want]
+        gains, mapping = canonicalize(*g)
+        assert mapping == want and gains == valid[want]
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -192,17 +180,17 @@ def test_canonicalize_matches_the_permutation_loop_exactly():
     values = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, 1e-170, -1e-170)
     normals = np.random.default_rng(11).standard_normal((2000, 3)).tolist()
     for g in [*itertools.product(values, repeat=3), *normals]:
-        gains, perm = canonicalize(*g)
-        want_gains, want_perm = reference_canonicalize(*g)
-        assert perm.mapping == want_perm.mapping, g
+        gains, mapping = canonicalize(*g)
+        want_gains, want_mapping = reference_canonicalize(*g)
+        assert mapping == want_mapping, g
         for name in ("h1", "h2", "h3"):  # signed zeros count
             assert _same_float(getattr(gains, name), getattr(want_gains, name)), (g, name)
 
 
 _PUBLIC_NAMES = {
-    "model": ["ChannelConfig", "ChannelGains", "PropertyViolationError", "RateTuple",
-              "UserPermutation", "ValidationError", "canonicalize", "make_config", "validate"],
-    "bounds": ["BoundReport", "CutsetBounds", "REPORT_CSV_HEADER", "dof_estimate",
+    "model": ["ChannelConfig", "ChannelGains", "PropertyViolationError", "ValidationError",
+              "canonicalize", "make_config", "validate"],
+    "bounds": ["BoundReport", "REPORT_CSV_HEADER", "dof_estimate",
                "evaluate", "sum_capacity_interval"],
     "region": ["LinearConstraint", "LpSolution", "RATE_ORDER", "RateRegion", "TOL", "build_region",
                "max_weighted_sum"],

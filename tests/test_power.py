@@ -217,8 +217,11 @@ def test_extreme_inputs_get_the_two_pass_verdict():
     texts = []
     for args, n, seed in cases:
         cfg, _ = make_config(*args)
-        got = _outcome(simulate_network, cfg, n, seed)
-        assert got == _outcome(two_pass_simulation, cfg, n, seed), (args, n, seed)
+        got, want = _outcome(simulate_network, cfg, n, seed), _outcome(two_pass_simulation, cfg, n, seed)
+        if isinstance(got, str) and got != want:  # one pass names the scale; the second pass cannot
+            assert got.startswith(want.split(":")[0] + " at message scale s="), (args, n, seed)
+        else:
+            assert got == want, (args, n, seed)
         texts.append(got if isinstance(got, str) else "accepted")
     assert texts[0].startswith("expected block power over n=2 is not finite")
     assert min(texts.count("accepted"), sum("not finite" in t for t in texts)) > 50

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 from helpers import cap, is_feasible, oracle_max_sum, sub_region
 from triway.bounds import evaluate
 from triway.experiments import export_report
-from triway.model import ChannelConfig, ChannelGains, RateTuple, ValidationError, canonicalize, validate
+from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
 from triway.region import LinearConstraint, RateRegion, build_region, max_weighted_sum
 
 ONES = np.ones(6)  # the sum rate's weights
@@ -129,15 +129,15 @@ def test_optimizer_feasible_and_scaled_copy_is_not():
         assert is_feasible(reg, sol.optimizer, tol=1e-9)
         assert sol.tight_constraints  # something binds at an optimum
         if sol.optimal_value > 1e-6:
-            inflated = RateTuple.from_sequence([1.01 * v for v in sol.optimizer.as_tuple()])
+            inflated = tuple(1.01 * v for v in sol.optimizer)
             assert not is_feasible(reg, inflated, tol=1e-9)
 
 
 def test_origin_feasible_tolerance_validation():
     reg = build_region(_cfg(0.5, 1.0, 1.5, 1.0))
-    assert is_feasible(reg, RateTuple.from_sequence([0.0] * 6))
+    assert is_feasible(reg, (0.0,) * 6)
     with pytest.raises(ValidationError):
-        is_feasible(reg, RateTuple.from_sequence([0.0] * 6), tol=-1.0)
+        is_feasible(reg, (0.0,) * 6, tol=-1.0)
 
 
 def test_empty_region_is_unbounded():
@@ -187,7 +187,7 @@ def test_lp_below_tightened_and_above_pairing_point():
         sol = max_weighted_sum(reg)
         assert sol.optimal_value <= evaluate(cfg).tightened_upper + 1e-9
         c = cap(cfg.gains.h3 ** 2 * cfg.power)
-        point = RateTuple(r12=c, r13=0.0, r21=c, r23=0.0, r31=0.0, r32=0.0)
+        point = (c, 0.0, c, 0.0, 0.0, 0.0)  # r12 = r21 = c
         assert is_feasible(reg, point, tol=1e-9)
         assert sol.optimal_value >= c + c - 1e-9
 
