@@ -2,10 +2,10 @@
 
 Every bound is a closed form in (h1^2, h2^2, h3^2, h1^2/h2^2) and P.  The
 kernel `_bound_terms` computes all of them from those five numbers; `evaluate`
-wraps it as one BoundReport, and sweeps, DoF fits and the crossover search call
-it per grid point.  The paper's bounds are its fields out1..out3 (pair
-cut-sets), lemma1, lemma2, theorem2_upper = 2 cap(h3^2 P) + 2 and
-achievable_lower = 2 cap(h3^2 P).  All rates are in bits per channel use;
+wraps it as one BoundReport, and the sweeps, DoF fits and crossover search of
+`experiments` call it per grid point.  The paper's bounds are its fields
+out1..out3 (pair cut-sets), lemma1, lemma2, theorem2_upper = 2 cap(h3^2 P) + 2
+and achievable_lower = 2 cap(h3^2 P).  All rates are in bits per channel use;
 cap(x) = 0.5*log2(1+x) fixes the unit.
 """
 
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .model import ChannelConfig, ChannelGains, ValidationError
+from .model import ChannelConfig
 
 _LN2 = math.log(2.0)
 
@@ -135,32 +135,3 @@ def sum_capacity_interval(cfg: ChannelConfig) -> tuple[float, float, float]:
     _, _, _, lower, gap = _gap_terms(*cfg.gains.bound_inputs(), cfg.power)
     return lower, lower + gap, gap
 
-
-def dof_estimate(gains: ChannelGains, power_grid, field: str) -> float:
-    """Least-squares slope of the BoundReport field `field` against 0.5*log2(P).
-
-    Fits only the last half of the grid: the low-SNR transient is not the
-    asymptote the slope is meant to expose.  Requires >= 8 strictly increasing
-    finite points spanning >= 4 decades.  The kernel gives the field at each point.
-    """
-    if field not in _BOUND_FIELDS:
-        raise ValidationError(f"field {field!r} is not a BoundReport field")
-    grid = [float(p) for p in power_grid]
-    if len(grid) < 8:
-        raise ValidationError(f"power grid needs >= 8 points, got {len(grid)}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("power grid must be strictly increasing")
-    if grid[0] <= 0:
-        raise ValidationError("power grid must be positive")
-    if grid[-1] / grid[0] < 1e4:
-        raise ValidationError("power grid must span at least 4 decades")
-    for P in grid:  # a NaN passes every comparison above
-        if not math.isfinite(P):
-            raise ValidationError(f"power {P!r} is not finite")
-    inputs = gains.bound_inputs()
-    column = _BOUND_FIELDS.index(field)
-    xs = [0.5 * math.log2(P) for P in grid]
-    ys = [float(_bound_terms(*inputs, P)[column]) for P in grid]
-    half = len(grid) // 2
-    slope, _ = np.polyfit(xs[half:], ys[half:], 1)
-    return float(slope)

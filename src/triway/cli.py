@@ -149,9 +149,8 @@ def _cmd_dof(args) -> int:
     cfg, _ = _resolve_config(args)
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  gains=cfg.gains)
-    grid = [float(p) for p in experiments.power_grid(spec)]
     names = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # BoundReport fields
-    slopes = tuple(bounds.dof_estimate(cfg.gains, grid, name) for name in names)
+    slopes = experiments.dof_estimate(spec, names)
     table = experiments.ReportTable(
         kind="dof", header=names, columns=tuple(np.array([s]) for s in slopes),
         meta={"spec": experiments.spec_echo(spec), "version": __version__},
@@ -306,8 +305,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, OSError, MemoryError) as exc:  # MemoryError: arrays of an accepted size
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""Batch drivers: SNR sweeps, gap statistics over random channels, the
-cut-set/genie crossover search, and `export_report`, the one writer that turns
-every report into text.
+"""Batch drivers: SNR sweeps, DoF fits (pre-log slopes), gap statistics over
+random channels, the cut-set/genie crossover search, and `export_report`, the
+one writer that turns every report into text.
 
 Every driver is a pure function of (spec, seed).  Ensemble trial t draws from
 its own stream default_rng([seed, t]), so statistics are identical whether
@@ -13,21 +13,18 @@ import dataclasses
 import itertools
 import json
 import math
-import operator
 import sys
 
 import numpy as np
 
 from . import bounds
 from ._version import __version__
-from .model import ChannelConfig, ChannelGains, ValidationError, canonicalize
+from .model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, canonicalize
 
 # sweep table columns, in emission order: fields of bounds.BoundReport
 BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma2",
                  "theorem2_upper", "tightened_upper", "achievable_lower")
 _SCALAR_TYPES = frozenset((float, int, str, bool, type(None)))  # JSON scalars the C encoder takes in bulk
-# positions in the tuple of the bound kernel `bounds._bound_terms`, found by field name
-_SWEEP_ROW = operator.itemgetter(*map(bounds._BOUND_FIELDS.index, (*BOUND_COLUMNS, "gap")))
 _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum", "tightened_upper"))
 # rows per CSV block: its arrays stay below glibc malloc's trim threshold, so each block reuses
 # the heap (one 1000-row block faulted ~240 fresh pages in on every call, 512-row blocks none)
@@ -97,6 +94,8 @@ def power_grid(spec: SweepSpec, count: int | None = None) -> np.ndarray:
     if spec.points == 1:
         return np.array([spec.p_lo])
     k = spec.points if count is None else min(count, spec.points)
+    if k >= _MAX_LENGTH:  # np.arange below fails on the byte size, or at sys.maxsize returns nothing
+        raise ValidationError(f"a grid of {k} points is too large to hold in memory")
     start, stop = math.log10(spec.p_lo), math.log10(spec.p_hi)
     # the first min(k, points - 1) exponents, then stop: the exponent of the grid's last point
     exponents = np.arange(min(k, spec.points - 1) + 1, dtype=np.float64)
@@ -122,16 +121,44 @@ def _meta(spec: SweepSpec) -> dict:
     return {"spec": spec_echo(spec), "seed": spec.seed, "version": __version__}
 
 
-def sweep_snr(spec: SweepSpec) -> ReportTable:
-    """One row per grid power: (P, the BOUND_COLUMNS, gap), each from one call of
-    the bound kernel `bounds._bound_terms`."""
+def _kernel_columns(spec: SweepSpec, grid: list[float], fields: tuple[str, ...]) -> np.ndarray:
+    """The BoundReport fields `fields` at each power of grid and spec's gains, one row per
+    field, from one call of the bound kernel `bounds._bound_terms` per power."""
     if spec.gains is None:
-        raise ValidationError("sweep_snr needs a fixed gain triple")
-    grid = power_grid(spec)
+        raise ValidationError("sweeps and DoF fits need a fixed gain triple")
     inputs = spec.gains.bound_inputs()
-    terms = np.array([_SWEEP_ROW(bounds._bound_terms(*inputs, P)) for P in grid.tolist()])
+    terms = np.array([bounds._bound_terms(*inputs, P) for P in grid])
+    return terms[:, [bounds._BOUND_FIELDS.index(f) for f in fields]].T
+
+
+def sweep_snr(spec: SweepSpec) -> ReportTable:
+    """One row per grid power: (P, the BOUND_COLUMNS, gap)."""
+    grid = power_grid(spec)
     return ReportTable(kind="sweep", header=("P", *BOUND_COLUMNS, "gap"),
-                       columns=(grid, *terms.T), meta=_meta(spec))
+                       columns=(grid, *_kernel_columns(spec, grid.tolist(), (*BOUND_COLUMNS, "gap"))),
+                       meta=_meta(spec))
+
+
+def dof_estimate(spec: SweepSpec, fields: tuple[str, ...]) -> tuple[float, ...]:
+    """Least-squares slope of each BoundReport field in `fields` against 0.5*log2(P).
+
+    Fits only the last half of spec's grid: the low-SNR transient is not the
+    asymptote the slope is meant to expose.  Requires >= 8 strictly increasing
+    points (log-spaced points can round equal) spanning >= 4 decades.
+    """
+    for field in fields:
+        if field not in bounds._BOUND_FIELDS:
+            raise ValidationError(f"field {field!r} is not a BoundReport field")
+    grid = power_grid(spec).tolist()
+    if len(grid) < 8:
+        raise ValidationError(f"power grid needs >= 8 points, got {len(grid)}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError("power grid must be strictly increasing")
+    if grid[-1] / grid[0] < 1e4:
+        raise ValidationError("power grid must span at least 4 decades")
+    top = grid[len(grid) // 2:]
+    xs = [0.5 * math.log2(P) for P in top]
+    return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, top, fields))
 
 
 def gap_ensemble(spec: SweepSpec) -> GapStatistics:

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+
+# the longest float64 or int64 array numpy can make: its size in bytes must fit in an intp
+_MAX_LENGTH = sys.maxsize // 8
 
 
 class ValidationError(ValueError):
@@ -29,10 +33,9 @@ class ChannelGains:
     h3: float  # user1-user2 link
 
     def __post_init__(self) -> None:
-        for name in ("h1", "h2", "h3"):
-            g = getattr(self, name)
+        for g in (self.h3, self.h2, self.h1):  # the CLI's gains g12, g13, g23 under the identity
             if not math.isfinite(g):
-                raise ValidationError(f"gain {name}={g!r} is not finite")
+                raise ValidationError(f"channel gain {g!r} is not finite")
         # magnitudes, not squares: squares of gains below ~1e-162 all underflow to 0
         if not abs(self.h3) >= abs(self.h2) >= abs(self.h1):
             raise ValidationError(f"gain ordering violated: need |h3| >= |h2| >= |h1|, got {self}")
@@ -53,15 +56,18 @@ class ChannelGains:
 class ChannelConfig:
     """Canonical gains and a power budget; noise variance is fixed at 1 by the model.
 
-    Gains check themselves and construction runs `validate` on the power, so
-    every ChannelConfig that exists is valid.
+    Gains check themselves and construction checks the power: a finite
+    positive number.  So every ChannelConfig that exists is valid.
     """
 
     gains: ChannelGains
     power: float  # symmetric per-user power budget P, linear scale
 
     def __post_init__(self) -> None:
-        validate(self)
+        if not isinstance(self.power, (int, float)) or not math.isfinite(self.power):
+            raise ValidationError(f"power {self.power!r} is not finite")
+        if self.power <= 0:
+            raise ValidationError("power must be positive")
 
 
 # per mapping in lexicographic order: (indices into canonicalize's `opposite` of new h1, h2, h3, mapping)
@@ -77,24 +83,14 @@ def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, tupl
     whose order holds wins, so ties are deterministic.
     The squared-gain multiset is preserved; signs ride along with their pair.
     """
-    for g in (g12, g13, g23):
-        if not math.isfinite(g):
-            raise ValidationError(f"channel gain {g!r} is not finite")
     opposite = (float(g23), float(g13), float(g12))  # gain of the link that avoids user k
     mag = tuple(map(abs, opposite))
     for (i1, i2, i3), mapping in _RELABELINGS:
         if mag[i3] >= mag[i2] >= mag[i1]:
-            return ChannelGains(h1=opposite[i1], h2=opposite[i2], h3=opposite[i3]), mapping
-    raise AssertionError("three finite reals always have an order")
-
-
-def validate(config: ChannelConfig) -> ChannelConfig:
-    """Accept iff the power is a finite positive number; the gains checked themselves."""
-    if not isinstance(config.power, (int, float)) or not math.isfinite(config.power):
-        raise ValidationError(f"power {config.power!r} is not finite")
-    if config.power <= 0:
-        raise ValidationError("power must be positive")
-    return config
+            break
+    else:  # only a NaN orders under no relabeling: ChannelGains rejects it under the identity
+        (i1, i2, i3), mapping = _RELABELINGS[0]
+    return ChannelGains(h1=opposite[i1], h2=opposite[i2], h3=opposite[i3]), mapping
 
 
 def make_config(g12: float, g13: float, g23: float,

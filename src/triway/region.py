@@ -61,26 +61,17 @@ class LpSolution:
         }
 
 
-# supports of the constraints this module can generate, as index sets over RATE_ORDER
-_PAIR_SUPPORTS = {
+# each constraint's label and support (indices into RATE_ORDER), in build_region's output order
+_SUPPORTS = {
     "cutset.out1": (0, 1),  # r12 + r13
     "cutset.in1": (2, 4),   # r21 + r31
     "cutset.out2": (2, 3),  # r21 + r23
     "cutset.in2": (0, 5),   # r12 + r32
     "cutset.out3": (4, 5),  # r31 + r32
     "cutset.in3": (1, 3),   # r13 + r23
-}
-_LEMMA_SUPPORTS = {
     "lemma1": (2, 4, 5),    # r21 + r31 + r32
     "lemma2": (0, 1, 3),    # r12 + r13 + r23
 }
-
-
-def _unit_constraint(support: tuple[int, ...], rhs: float, label: str) -> LinearConstraint:
-    coeffs = [0.0] * 6
-    for j in support:
-        coeffs[j] = 1.0
-    return LinearConstraint(coeffs=tuple(coeffs), rhs=rhs, label=label)
 
 
 def build_region(cfg: ChannelConfig) -> RateRegion:
@@ -90,11 +81,11 @@ def build_region(cfg: ChannelConfig) -> RateRegion:
     duplicates are kept so tight-constraint labels stay traceable.
     """
     b = bounds.evaluate(cfg)
-    cons = [_unit_constraint(_PAIR_SUPPORTS[f"cutset.{name}"], getattr(b, field), f"cutset.{name}")
-            for name, field in bounds._CUTSETS.items()]
-    cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma1"], b.lemma1, "lemma1"))
-    cons.append(_unit_constraint(_LEMMA_SUPPORTS["lemma2"], b.lemma2, "lemma2"))
-    return RateRegion(constraints=tuple(cons))
+    rhs = {f"cutset.{name}": getattr(b, field) for name, field in bounds._CUTSETS.items()}
+    rhs.update(lemma1=b.lemma1, lemma2=b.lemma2)
+    return RateRegion(constraints=tuple(
+        LinearConstraint(coeffs=tuple(float(j in support) for j in range(6)), rhs=rhs[label], label=label)
+        for label, support in _SUPPORTS.items()))
 
 
 def max_weighted_sum(region: RateRegion) -> LpSolution:

@@ -24,7 +24,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .model import ChannelConfig, ValidationError
+from .model import _MAX_LENGTH, ChannelConfig, ValidationError
 
 _POWER_TOL = 1e-9
 _MAX_CYCLE = 1024  # longest cycle of power states _power_sums replays: 2.4 MB of states at two taps
@@ -415,6 +415,8 @@ def estimate_p2p_mi(cfg: ChannelConfig, sample_count: int, seed: int) -> float:
     """
     if sample_count < 10 ** 4:
         raise ValidationError(f"sample_count must be >= 1e4, got {sample_count}")
+    if sample_count > _MAX_LENGTH:
+        raise ValidationError(f"sample_count must be <= {_MAX_LENGTH}, got {sample_count}")
     h = cfg.gains.h3
     x = np.random.default_rng([int(seed), 0]).standard_normal(int(sample_count))
     z = np.random.default_rng([int(seed), 1]).standard_normal(int(sample_count))
@@ -477,6 +479,8 @@ def simulate_pnc_relay(cfg: ChannelConfig, pam_order: int, n: int, seed: int) ->
         raise ValidationError("relay links run at gain h2, which must be nonzero")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if n > _MAX_LENGTH:
+        raise ValidationError(f"n must be <= {_MAX_LENGTH}, got {n}")
     a = np.random.default_rng([int(seed), 0]).integers(0, q, int(n))
     b = np.random.default_rng([int(seed), 1]).integers(0, q, int(n))
     z_relay, z_user2, z_user3 = (np.random.default_rng([int(seed), k]).standard_normal(n)

@@ -36,7 +36,7 @@ import numpy as np
 from triway.bounds import evaluate
 from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, ReportTable, SweepSpec, power_grid
 from triway.model import ChannelConfig, ChannelGains, ValidationError, make_config
-from triway.region import _LEMMA_SUPPORTS, _PAIR_SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
+from triway.region import _SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
 from triway.sim import (
     _MSG_INDEX,
     _POWER_TOL,
@@ -150,7 +150,7 @@ def reference_sweep_rows(spec: SweepSpec) -> tuple[tuple[float, ...], ...]:
 
 
 def reference_dof_estimate(gains: ChannelGains, grid, field: str) -> float:
-    """bounds.dof_estimate's fit on a valid grid, from bounds.evaluate per point."""
+    """experiments.dof_estimate's fit of one field on a valid grid, from bounds.evaluate per point."""
     grid = [float(p) for p in grid]
     xs = [0.5 * math.log2(P) for P in grid]
     ys = [float(getattr(evaluate(ChannelConfig(gains=gains, power=P)), field)) for P in grid]
@@ -229,7 +229,7 @@ def is_feasible(region: RateRegion, rates: tuple[float, ...], tol: float = TOL) 
 
 def _support_caps(region: RateRegion) -> dict[tuple[int, ...], float]:
     """Min rhs per constraint support; rejects supports this oracle cannot handle."""
-    known = set(_PAIR_SUPPORTS.values()) | set(_LEMMA_SUPPORTS.values())
+    known = set(_SUPPORTS.values())
     caps: dict[tuple[int, ...], float] = {}
     for c in region.constraints:
         support = tuple(j for j, v in enumerate(c.coeffs) if v != 0.0)
@@ -261,8 +261,7 @@ def oracle_max_sum(region: RateRegion, grid_step: float) -> float:
     s = float(grid_step)
 
     def rhs(label: str) -> float:
-        table = _PAIR_SUPPORTS | _LEMMA_SUPPORTS
-        return caps.get(table[label], math.inf)
+        return caps.get(_SUPPORTS[label], math.inf)
 
     b_out1, b_in1 = rhs("cutset.out1"), rhs("cutset.in1")
     b_out2, b_in2 = rhs("cutset.out2"), rhs("cutset.in2")

@@ -12,9 +12,9 @@ import time
 import numpy as np
 
 from helpers import cap, is_feasible, oracle_max_sum, simulate_network
-from triway.bounds import dof_estimate, evaluate, sum_capacity_interval
-from triway.experiments import find_crossover
-from triway.model import ChannelConfig, ChannelGains, canonicalize, validate
+from triway.bounds import evaluate, sum_capacity_interval
+from triway.experiments import SweepSpec, dof_estimate, find_crossover
+from triway.model import ChannelConfig, ChannelGains, canonicalize
 from triway.region import build_region, max_weighted_sum
 from triway.sim import (
     _pnc_exchange,
@@ -39,7 +39,7 @@ def _random_config(stream_key: int, t: int, p_lo=0.1, p_hi=100.0):
     rng = np.random.default_rng([stream_key, t])
     gains, _ = canonicalize(*rng.standard_normal(3))
     power = 10.0 ** rng.uniform(math.log10(p_lo), math.log10(p_hi))
-    return validate(ChannelConfig(gains=gains, power=power))
+    return ChannelConfig(gains=gains, power=power)
 
 
 def test_criterion_1_interval_gap_bounded():
@@ -49,7 +49,7 @@ def test_criterion_1_interval_gap_bounded():
     worst = 0.0
     for t in range(10_000):
         gains, _ = canonicalize(*np.random.default_rng([101, t]).standard_normal(3))
-        cfg = validate(ChannelConfig(gains=gains, power=grid[t % len(grid)]))
+        cfg = ChannelConfig(gains=gains, power=grid[t % len(grid)])
         lower, upper, gap = sum_capacity_interval(cfg)
         worst = max(worst, gap)
         if not (0.0 <= gap <= 2.0 and abs((upper - lower) - gap) < 1e-12):
@@ -62,10 +62,9 @@ def test_criterion_1_interval_gap_bounded():
 
 def test_criterion_2_pre_log_slopes():
     start = time.perf_counter()
-    grid = [float(p) for p in np.logspace(2, 8, 9)]
-    slope_lower = dof_estimate(SYM, grid, "achievable_lower")
-    slope_upper = dof_estimate(SYM, grid, "theorem2_upper")
-    slope_cut = dof_estimate(SYM, grid, "outgoing_cutset_sum")
+    spec = SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM)  # the grid np.logspace(2, 8, 9)
+    slope_lower, slope_upper, slope_cut = dof_estimate(
+        spec, ("achievable_lower", "theorem2_upper", "outgoing_cutset_sum"))
     elapsed = time.perf_counter() - start
     ok = (abs(slope_lower - 2.0) <= 0.05 and abs(slope_upper - 2.0) <= 0.05
           and abs(slope_cut - 3.0) <= 0.05 and elapsed < 1.0)
@@ -93,7 +92,7 @@ def test_criterion_3_upper_bound_chain():
 
 
 def test_criterion_4_genie_reconstruction():
-    cfg = validate(ChannelConfig(gains=ChannelGains(0.5, 1.0, 1.5), power=2.0))
+    cfg = ChannelConfig(gains=ChannelGains(0.5, 1.0, 1.5), power=2.0)
     start = time.perf_counter()
     worst = 0.0
     for seed in range(100):
@@ -140,7 +139,7 @@ def test_criterion_6_mi_estimates():
     start = time.perf_counter()
     worst = 0.0
     for k, snr in enumerate((0.1, 1.0, 10.0, 100.0)):
-        cfg = validate(ChannelConfig(gains=gains, power=snr))
+        cfg = ChannelConfig(gains=gains, power=snr)
         est = estimate_p2p_mi(cfg, 10 ** 6, seed=k)
         worst = max(worst, abs(est - cap(snr)))
     elapsed = time.perf_counter() - start
@@ -163,7 +162,7 @@ def test_criterion_7_relay_dominance_and_noise_free_pnc():
             if b.relay_lattice_rate < b.relay_direct_rate:
                 violations += 1
     pnc_ok = True
-    cfg = validate(ChannelConfig(gains=ChannelGains(0.5, 1.0, 1.5), power=3.0))
+    cfg = ChannelConfig(gains=ChannelGains(0.5, 1.0, 1.5), power=3.0)
     for q in (2, 4, 8):
         a, b = (m.ravel() for m in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
         zero = np.zeros(q * q)
@@ -194,10 +193,10 @@ def test_criterion_9_scale_invariance():
         gains, _ = canonicalize(*rng.standard_normal(3))
         power = 10.0 ** rng.uniform(-1, 2)
         alpha = 10.0 ** rng.uniform(-1, 1) * (1.0 if rng.random() < 0.5 else -1.0)
-        base = evaluate(validate(ChannelConfig(gains=gains, power=power)))
+        base = evaluate(ChannelConfig(gains=gains, power=power))
         scaled_gains = ChannelGains(alpha * gains.h1, alpha * gains.h2, alpha * gains.h3)
-        scaled = evaluate(validate(ChannelConfig(gains=scaled_gains,
-                                                     power=power / alpha ** 2)))
+        scaled = evaluate(ChannelConfig(gains=scaled_gains,
+                                                     power=power / alpha ** 2))
         same = all(
             math.isclose(getattr(base, f), getattr(scaled, f), rel_tol=1e-12, abs_tol=1e-12)
             for f in fields)

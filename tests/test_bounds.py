@@ -9,16 +9,16 @@ import pytest
 
 from helpers import cap, reference_bound_terms
 from triway import bounds
-from triway.bounds import REPORT_CSV_HEADER, dof_estimate, evaluate, sum_capacity_interval
-from triway.experiments import export_report
-from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
+from triway.bounds import REPORT_CSV_HEADER, evaluate, sum_capacity_interval
+from triway.experiments import SweepSpec, dof_estimate, export_report
+from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 from triway.region import build_region
 
 mp.mp.dps = 50
 
 
 def _cfg(h1, h2, h3, power):
-    return validate(ChannelConfig(gains=ChannelGains(h1=h1, h2=h2, h3=h3), power=power))
+    return ChannelConfig(gains=ChannelGains(h1=h1, h2=h2, h3=h3), power=power)
 
 
 def _mp_cap(x):
@@ -28,7 +28,7 @@ def _mp_cap(x):
 def _random_cfg(rng, p_lo=1e-2, p_hi=1e4):
     gains, _ = canonicalize(*rng.standard_normal(3))
     power = 10.0 ** rng.uniform(math.log10(p_lo), math.log10(p_hi))
-    return validate(ChannelConfig(gains=gains, power=power))
+    return ChannelConfig(gains=gains, power=power)
 
 
 def test_cap_trivial_points():
@@ -252,36 +252,38 @@ def test_relay_improvement_implies_dominance():
             checked += 1
 
 
+def _dof_spec(p_lo=1e2, p_hi=1e8, points=9):
+    return SweepSpec(p_lo=p_lo, p_hi=p_hi, points=points, gains=ChannelGains(h1=1.0, h2=1.0, h3=1.0))
+
+
 def test_dof_slopes():
-    gains = ChannelGains(h1=1.0, h2=1.0, h3=1.0)
-    grid = np.logspace(2, 8, 9)
-    assert dof_estimate(gains, grid, "theorem2_upper") == pytest.approx(2.0, abs=0.05)
-    assert dof_estimate(gains, grid, "achievable_lower") == pytest.approx(2.0, abs=0.05)
-    assert dof_estimate(gains, grid, "outgoing_cutset_sum") == pytest.approx(3.0, abs=0.05)
+    upper, lower, cut = dof_estimate(_dof_spec(), ("theorem2_upper", "achievable_lower",
+                                                   "outgoing_cutset_sum"))
+    assert upper == pytest.approx(2.0, abs=0.05)
+    assert lower == pytest.approx(2.0, abs=0.05)
+    assert cut == pytest.approx(3.0, abs=0.05)
 
 
 def test_dof_rejects_an_unknown_field():
     with pytest.raises(ValidationError, match="^field 'gapp' is not a BoundReport field$"):
-        dof_estimate(ChannelGains(1.0, 1.0, 1.0), np.logspace(2, 8, 9), "gapp")
+        dof_estimate(_dof_spec(), ("lemma1", "gapp"))
 
 
 def test_dof_rejects_degenerate_grids():
-    gains = ChannelGains(h1=1.0, h2=1.0, h3=1.0)
+    fields = ("theorem2_upper",)
     with pytest.raises(ValidationError, match=">= 8 points"):
-        dof_estimate(gains, np.logspace(2, 8, 7), "theorem2_upper")
+        dof_estimate(_dof_spec(points=7), fields)
     with pytest.raises(ValidationError, match="4 decades"):
-        dof_estimate(gains, np.logspace(2, 4, 9), "theorem2_upper")
+        dof_estimate(_dof_spec(p_hi=1e4), fields)
+    # log-spaced points this close round equal
     with pytest.raises(ValidationError, match="strictly increasing"):
-        dof_estimate(gains, [1e2] * 9, "theorem2_upper")
+        dof_estimate(_dof_spec(p_lo=1.0, p_hi=1.000000000000001), fields)
+    # the grid itself is checked once, where it is made: experiments.power_grid
     with pytest.raises(ValidationError, match="positive"):
-        dof_estimate(gains, [-1, 1, 10, 100, 1e3, 1e4, 1e5, 1e6], "theorem2_upper")
-    # each grid point is checked as a ChannelConfig would check its power; a NaN
-    # passes the comparisons above
-    top = np.logspace(0, 7, 8).tolist()
-    for bad, grid in ((math.inf, [*top, math.inf]), (math.nan, [*top, math.nan]),
-                      (math.nan, [1.0, math.nan, *np.logspace(1, 8, 8).tolist()])):
-        with pytest.raises(ValidationError, match=f"^power {bad!r} is not finite$"):
-            dof_estimate(gains, grid, "theorem2_upper")
+        dof_estimate(_dof_spec(p_lo=-1.0), fields)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="^power bound p_hi must be finite"):
+            dof_estimate(_dof_spec(p_hi=bad), fields)
 
 
 def test_bounds_monotone_in_power():
@@ -292,8 +294,8 @@ def test_bounds_monotone_in_power():
         gains, _ = canonicalize(*rng.standard_normal(3))
         p1 = 10.0 ** rng.uniform(-2, 3)
         p2 = p1 * (1.0 + rng.uniform(0.01, 10.0))
-        b1 = evaluate(validate(ChannelConfig(gains=gains, power=p1)))
-        b2 = evaluate(validate(ChannelConfig(gains=gains, power=p2)))
+        b1 = evaluate(ChannelConfig(gains=gains, power=p1))
+        b2 = evaluate(ChannelConfig(gains=gains, power=p2))
         assert sum(b2.as_dict()["cutset"].values()) >= sum(b1.as_dict()["cutset"].values()) - 1e-12
         for f in fields:
             assert getattr(b2, f) >= getattr(b1, f) - 1e-12
@@ -306,17 +308,17 @@ def test_bounds_monotone_in_positive_sign_gains():
     for _ in range(200):
         gains, _ = canonicalize(*rng.standard_normal(3))
         P = 10.0 ** rng.uniform(-1, 2)
-        base = validate(ChannelConfig(gains=gains, power=P))
+        base = ChannelConfig(gains=gains, power=P)
         # h3 up: every sum bound is nondecreasing
-        big3 = validate(ChannelConfig(
-            gains=ChannelGains(gains.h1, gains.h2, gains.h3 * 1.5), power=P))
+        big3 = ChannelConfig(
+            gains=ChannelGains(gains.h1, gains.h2, gains.h3 * 1.5), power=P)
         for f in ("lemma1", "lemma2", "theorem2_upper", "achievable_lower"):
             assert getattr(evaluate(big3), f) >= getattr(evaluate(base), f) - 1e-12
         # h1 up toward h2: lemma bounds and the weak cut-sets grow
         if abs(gains.h2) > 0:
             s1, s2, _, _ = gains.bound_inputs()
             h1_up = ChannelGains(math.sqrt((s1 + s2) / 2.0), gains.h2, gains.h3)
-            bigger1 = validate(ChannelConfig(gains=h1_up, power=P))
+            bigger1 = ChannelConfig(gains=h1_up, power=P)
             b, b1 = evaluate(base), evaluate(bigger1)
             assert b1.lemma1 >= b.lemma1 - 1e-12
             assert b1.lemma2 >= b.lemma2 - 1e-12
@@ -343,9 +345,9 @@ def test_scale_invariance():
         cfg = _random_cfg(rng, p_lo=0.1, p_hi=100.0)
         alpha = 10.0 ** rng.uniform(-1, 1) * rng.choice([-1.0, 1.0])
         g = cfg.gains
-        scaled = validate(ChannelConfig(
+        scaled = ChannelConfig(
             gains=ChannelGains(g.h1 * alpha, g.h2 * alpha, g.h3 * alpha),
-            power=cfg.power / alpha ** 2))
+            power=cfg.power / alpha ** 2)
         b, b2 = evaluate(cfg), evaluate(scaled)
         for f in fields:
             assert getattr(b2, f) == pytest.approx(getattr(b, f), rel=1e-12, abs=1e-12)

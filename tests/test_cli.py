@@ -5,6 +5,7 @@ import collections
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triway import bounds, sim
+from triway import bounds, experiments, sim
 from triway.bounds import REPORT_CSV_HEADER, evaluate
 from triway.cli import build_parser, main
 from triway.experiments import export_report
@@ -155,6 +156,36 @@ def test_bad_seed_or_power_bound_is_one_error_line(capsys, monkeypatch, argv, en
 def test_points_past_the_index_range_is_one_error_line(capsys, argv):
     # rejected before the float step and the exponent array, which fail on 1e309 points
     _one_line_error(*_run(capsys, *argv), f"points must be <= {sys.maxsize}")
+
+
+_TOO_LONG = 3 * 10 ** 18  # above sys.maxsize // 8: numpy fails on the byte size
+_SIZES_BEYOND_MEMORY = [
+    (("sweep", "--points", str(10 ** 18)), None),  # 8e18 bytes: the allocation fails at once
+    (("dof", "--points", str(10 ** 18)), None),
+    *(((cmd, "--points", str(points)), f"a grid of {points} points is too large to hold in memory")
+      for cmd in ("sweep", "dof") for points in (2 * 10 ** 18, sys.maxsize)),
+    (("simulate", "--samples", str(10 ** 18)), None),
+    (("simulate", "--samples", str(_TOO_LONG)), f"sample_count must be <= {sys.maxsize // 8}, got {_TOO_LONG}"),
+    (("simulate", "--pam-order", "2", "--n", str(10 ** 18)), None),
+    (("simulate", "--pam-order", "2", "--n", str(_TOO_LONG)), f"n must be <= {sys.maxsize // 8}, got {_TOO_LONG}"),
+]
+
+
+@pytest.mark.parametrize("argv,text", _SIZES_BEYOND_MEMORY, ids=[" ".join(a) for a, _ in _SIZES_BEYOND_MEMORY])
+def test_sizes_beyond_memory_are_one_error_line(capsys, argv, text):
+    # the bounded ones would fail in numpy on the byte size (or, at sys.maxsize, index an empty array)
+    code, out, err = _run(capsys, *argv)
+    if text is None:
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        _one_line_error(code, out, err, text)
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError  # Python's own allocation failures carry no message
+    monkeypatch.setattr(experiments, "sweep_snr", exhausted)
+    _one_line_error(*_run(capsys, "sweep"), "out of memory")
 
 
 def test_gap_ensemble_keeps_a_huge_grid_within_the_index_range(capsys):
@@ -433,14 +464,30 @@ def test_region_json_only(capsys):
     assert code == 1 and "JSON only" in err
 
 
-def test_dof_slopes(capsys):
+def test_dof_slopes(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "dof_estimate",
+                        lambda *args, _fit=experiments.dof_estimate: calls.append(args) or _fit(*args))
     code, out, _ = _run(capsys, "dof", "--g12", "1", "--g13", "1", "--g23", "1")
-    assert code == 0
+    assert code == 0 and len(calls) == 1  # one fit gives all three slopes
     obj = json.loads(out)
     slopes = dict(zip(obj["header"], obj["rows"][0]))
     assert slopes["theorem2_upper"] == pytest.approx(2.0, abs=0.05)
     assert slopes["achievable_lower"] == pytest.approx(2.0, abs=0.05)
     assert slopes["outgoing_cutset_sum"] == pytest.approx(3.0, abs=0.05)
+
+
+def test_a_non_finite_gain_is_named_in_argument_order(capsys):
+    values = (1.5, -0.5, 0.0, math.inf, -math.inf, math.nan)
+    for g in itertools.product(values, repeat=3):
+        code, out, err = _run(capsys, "bounds", *(f"--{k}={v!r}" for k, v in zip(("g12", "g13", "g23"), g)))
+        bad = [v for v in g if not math.isfinite(v)]
+        if bad:
+            _one_line_error(code, out, err, f"channel gain {bad[0]!r} is not finite")
+        else:
+            cfg, mapping = make_config(*g, 1.0)
+            assert (code, err) == (0, "")
+            assert out == export_report({**evaluate(cfg).as_dict(), "permutation": list(mapping)}, "json")
 
 
 def test_module_entry_point():
@@ -553,7 +600,9 @@ _NUMBER = _maybe(st.floats(), st.sampled_from([0.0, 5e-324, 1e-300, 1e154, 1e300
 _SEED = _maybe(st.integers(min_value=-2, max_value=2 ** 64))
 _FORMAT = _maybe(st.sampled_from(["csv", "json"]))
 _CONFIG = {"g12": _NUMBER, "g13": _NUMBER, "g23": _NUMBER, "power": _NUMBER}
-_GRID = {"p-lo": _NUMBER, "p-hi": _NUMBER, "points": _maybe(st.integers(min_value=-1, max_value=20))}
+# huge point counts: a grid that cannot be held, or (for gap-ensemble) a prefix of one that can
+_GRID = {"p-lo": _NUMBER, "p-hi": _NUMBER, "points": _maybe(
+    st.integers(min_value=-1, max_value=20), st.sampled_from([10 ** 18, 2 * 10 ** 18, sys.maxsize]))}
 _N = st.integers(min_value=-1, max_value=50)  # always given: the default block length is 100
 # every flag of every subcommand, at sizes that keep each call to milliseconds
 _FLAGS = {
@@ -564,7 +613,7 @@ _FLAGS = {
               "variant": _maybe(st.sampled_from(["lemma1", "lemma2"]))},
     "simulate": {**_CONFIG, "n": _N, "seed": _SEED, "format": _FORMAT,
                  "pam-order": _maybe(st.integers(min_value=-1, max_value=16)),
-                 "samples": _maybe(st.sampled_from([9999, 10000]))},
+                 "samples": _maybe(st.sampled_from([9999, 10000, 10 ** 18, 3 * 10 ** 18]))},
     "sweep": {**_CONFIG, **_GRID, "seed": _SEED, "format": _FORMAT},
     "gap-ensemble": {**_GRID, "ensemble": st.integers(min_value=-1, max_value=50), "seed": _SEED,
                      "format": _FORMAT},

@@ -25,13 +25,15 @@ from helpers import (
     table_from_json,
     table_rows,
 )
-from triway.bounds import BoundReport, dof_estimate, evaluate, sum_capacity_interval
+from triway import bounds, experiments
+from triway.bounds import BoundReport, evaluate, sum_capacity_interval
 from triway.experiments import (
     _CSV_BLOCK,
     BOUND_COLUMNS,
     CrossoverResult,
     SweepSpec,
     crossover_table,
+    dof_estimate,
     export_report,
     find_crossover,
     gap_ensemble,
@@ -40,7 +42,7 @@ from triway.experiments import (
     sweep_snr,
     _exact_block,
 )
-from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
+from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 
 SYM = ChannelGains(1.0, 1.0, 1.0)
 
@@ -69,7 +71,7 @@ def test_sweep_rows_match_direct_evaluation():
     spec = SweepSpec(p_lo=0.5, p_hi=50.0, points=5, gains=ChannelGains(0.5, 1.0, 1.5))
     table = sweep_snr(spec)
     for row in table_rows(table):
-        cfg = validate(ChannelConfig(gains=spec.gains, power=row[0]))
+        cfg = ChannelConfig(gains=spec.gains, power=row[0])
         assert row[table.header.index("tightened_upper")] == pytest.approx(
             evaluate(cfg).tightened_upper, rel=1e-12)
         assert row[-1] == pytest.approx(sum_capacity_interval(cfg)[2], rel=1e-12)
@@ -103,10 +105,12 @@ def test_drivers_match_their_evaluate_references_bit_for_bit(k, gains):
         hi = min(300.0, lo + rng.uniform(0.5, 150.0))
         spec = SweepSpec(p_lo=10.0 ** lo, p_hi=10.0 ** hi, points=int(rng.integers(1, 40)), gains=gains)
         assert _bits(table_rows(sweep_snr(spec))) == _bits(reference_sweep_rows(spec))
-        grid = np.logspace(lo, min(300.0, lo + rng.uniform(4.0, 150.0)), int(rng.integers(8, 20)))
-        for f in dataclasses.fields(BoundReport)[1:]:
-            slope = dof_estimate(gains, grid, f.name)
-            assert _bits(slope) == _bits(reference_dof_estimate(gains, grid, f.name)), f.name
+        hi = min(300.0, lo + rng.uniform(4.0, 150.0))
+        spec = SweepSpec(p_lo=10.0 ** lo, p_hi=10.0 ** hi, points=int(rng.integers(8, 20)), gains=gains)
+        fields = tuple(f.name for f in dataclasses.fields(BoundReport)[1:])
+        grid = power_grid(spec)
+        want = tuple(reference_dof_estimate(gains, grid, name) for name in fields)
+        assert _bits(dof_estimate(spec, fields)) == _bits(want)
         s3 = gains.h3 * gains.h3  # the crossover sits near P = 1/h3^2
         p_lo = 10.0 ** rng.uniform(-3.0, 0.5) / (s3 if s3 > 0.0 else 1.0)
         p_hi = p_lo * 10.0 ** rng.uniform(0.5, 12.0)
@@ -135,6 +139,21 @@ def test_spec_validation():
             power_grid(SweepSpec(p_lo=lo, p_hi=hi, points=3))
     with pytest.raises(ValidationError, match="fixed gain"):
         sweep_snr(SweepSpec(p_lo=1.0, p_hi=10.0, points=3, gains=None))
+    with pytest.raises(ValidationError, match="fixed gain"):
+        dof_estimate(SweepSpec(p_lo=1.0, p_hi=1e8, points=9, gains=None), ("lemma1",))
+
+
+def test_dof_estimate_reads_the_grid_once_and_the_kernel_once_per_fitted_point(monkeypatch):
+    calls = {"power_grid": 0, "_bound_terms": 0}
+    for module, name in ((experiments, "power_grid"), (bounds, "_bound_terms")):
+        def counted(*args, _call=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(module, name, counted)
+    slopes = dof_estimate(SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM),
+                          ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper"))
+    assert len(slopes) == 3
+    assert calls == {"power_grid": 1, "_bound_terms": 5}  # the fit reads the last 5 of 9 points
 
 
 def test_grid_prefix_is_the_logspace_prefix_bit_for_bit():
@@ -190,7 +209,7 @@ def test_gap_ensemble_statistics():
 def test_gap_ensemble_fixed_gains_single_trial():
     spec = SweepSpec(p_lo=9.0, p_hi=9.0, points=1, gains=SYM, ensemble=1, seed=5)
     stats = gap_ensemble(spec)
-    cfg = validate(ChannelConfig(gains=SYM, power=9.0))
+    cfg = ChannelConfig(gains=SYM, power=9.0)
     gap = sum_capacity_interval(cfg)[2]
     assert stats.min_gap == stats.max_gap == stats.mean_gap == gap
     assert stats.worst_config == cfg
@@ -263,7 +282,7 @@ def test_crossover_margin_brackets_the_root():
     res = find_crossover(SYM, 0.1, 100.0)
 
     def margin(P):
-        cfg = validate(ChannelConfig(gains=SYM, power=P))
+        cfg = ChannelConfig(gains=SYM, power=P)
         b = evaluate(cfg)
         return b.outgoing_cutset_sum - b.tightened_upper
 

@@ -15,7 +15,6 @@ from triway.model import (
     ChannelGains,
     ValidationError,
     canonicalize,
-    validate,
 )
 from triway.region import RATE_ORDER
 
@@ -112,30 +111,30 @@ def test_permutation_relabels_consistently():
 
 def test_validate_accepts_ordered_config():
     cfg = ChannelConfig(gains=ChannelGains(h1=1.0, h2=2.0, h3=3.0), power=1.0)
-    assert validate(cfg) is cfg
+    assert (cfg.gains.h3, cfg.power) == (3.0, 1.0)
 
 
 def test_validate_rejects_nonpositive_power():
     gains = ChannelGains(h1=1.0, h2=1.0, h3=1.0)
     with pytest.raises(ValidationError, match="power must be positive"):
-        validate(ChannelConfig(gains=gains, power=0.0))
+        ChannelConfig(gains=gains, power=0.0)
     with pytest.raises(ValidationError, match="power must be positive"):
-        validate(ChannelConfig(gains=gains, power=-2.0))
+        ChannelConfig(gains=gains, power=-2.0)
 
 
 def test_validate_rejects_unordered_gains():
     with pytest.raises(ValidationError, match="ordering violated"):
-        cfg = ChannelConfig(gains=ChannelGains(h1=3.0, h2=2.0, h3=1.0), power=1.0)
-        validate(cfg)
+        ChannelConfig(gains=ChannelGains(h1=3.0, h2=2.0, h3=1.0), power=1.0)
 
 
 @pytest.mark.parametrize("triple,message", [
     ((2.0, 1.0, 0.5), "gain ordering violated: need |h3| >= |h2| >= |h1|, "
                       "got ChannelGains(h1=2.0, h2=1.0, h3=0.5)"),
-    ((0.5, 1.0, math.inf), "gain h3=inf is not finite"),
-    ((math.nan, 1.0, 1.0), "gain h1=nan is not finite"),
+    ((0.5, 1.0, math.inf), "channel gain inf is not finite"),
+    ((math.nan, 1.0, 1.0), "channel gain nan is not finite"),
+    ((math.nan, -math.inf, 1.0), "channel gain -inf is not finite"),  # h3, h2, h1: g12, g13, g23
     ((0.0, 1e160, 1e160), "squared gains overflow: h3^2 + h2^2 = inf is not finite"),
-], ids=("unordered", "inf", "nan", "squares-overflow"))
+], ids=("unordered", "inf", "nan", "h2-before-h1", "squares-overflow"))
 def test_gains_reject_bad_triples_when_built(triple, message):
     with pytest.raises(ValidationError) as exc:
         ChannelGains(*triple)
@@ -144,9 +143,9 @@ def test_gains_reject_bad_triples_when_built(triple, message):
 
 def test_validate_rejects_nonfinite():
     with pytest.raises(ValidationError):
-        validate(ChannelConfig(gains=ChannelGains(1.0, 1.0, math.inf), power=1.0))
+        ChannelConfig(gains=ChannelGains(1.0, 1.0, math.inf), power=1.0)
     with pytest.raises(ValidationError):
-        validate(ChannelConfig(gains=ChannelGains(0.0, 0.0, 1.0), power=math.nan))
+        ChannelConfig(gains=ChannelGains(0.0, 0.0, 1.0), power=math.nan)
 
 
 def test_validation_error_is_value_error():
@@ -189,9 +188,8 @@ def test_canonicalize_matches_the_permutation_loop_exactly():
 
 _PUBLIC_NAMES = {
     "model": ["ChannelConfig", "ChannelGains", "PropertyViolationError", "ValidationError",
-              "canonicalize", "make_config", "validate"],
-    "bounds": ["BoundReport", "REPORT_CSV_HEADER", "dof_estimate",
-               "evaluate", "sum_capacity_interval"],
+              "canonicalize", "make_config"],
+    "bounds": ["BoundReport", "REPORT_CSV_HEADER", "evaluate", "sum_capacity_interval"],
     "region": ["LinearConstraint", "LpSolution", "RATE_ORDER", "RateRegion", "TOL", "build_region",
                "max_weighted_sum"],
     "sim": ["CausalEncoder", "TRACE_CSV_HEADER", "TransmissionTrace",
@@ -200,7 +198,7 @@ _PUBLIC_NAMES = {
             "normalize_power", "random_encoders", "reconstruction_error",
             "simulate_network", "simulate_pnc_relay"],
     "experiments": ["BOUND_COLUMNS", "CrossoverResult", "GapStatistics", "ReportTable", "SweepSpec",
-                    "crossover_table", "export_report", "find_crossover", "gap_ensemble",
+                    "crossover_table", "dof_estimate", "export_report", "find_crossover", "gap_ensemble",
                     "gap_statistics_table", "power_grid", "spec_echo", "sweep_snr"],
     "cli": ["build_parser", "main"],
 }

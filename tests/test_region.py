@@ -12,20 +12,20 @@ from scipy.optimize import linprog
 from helpers import cap, is_feasible, oracle_max_sum, sub_region
 from triway.bounds import evaluate
 from triway.experiments import export_report
-from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize, validate
+from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 from triway.region import LinearConstraint, RateRegion, build_region, max_weighted_sum
 
 ONES = np.ones(6)  # the sum rate's weights
 
 
 def _cfg(h1, h2, h3, power):
-    return validate(ChannelConfig(gains=ChannelGains(h1=h1, h2=h2, h3=h3), power=power))
+    return ChannelConfig(gains=ChannelGains(h1=h1, h2=h2, h3=h3), power=power)
 
 
 def _random_cfg(rng, p_lo=0.1, p_hi=100.0):
     gains, _ = canonicalize(*rng.standard_normal(3))
-    return validate(ChannelConfig(gains=gains, power=10.0 ** rng.uniform(
-        math.log10(p_lo), math.log10(p_hi))))
+    return ChannelConfig(gains=gains, power=10.0 ** rng.uniform(
+        math.log10(p_lo), math.log10(p_hi)))
 
 
 def _arrays(region):

@@ -21,7 +21,7 @@ from helpers import (
 )
 from triway import sim
 from triway.experiments import _CSV_BLOCK, export_report
-from triway.model import ChannelConfig, ChannelGains, ValidationError, validate
+from triway.model import ChannelConfig, ChannelGains, ValidationError
 from triway.sim import (
     TRACE_CSV_HEADER,
     CausalEncoder,
@@ -42,7 +42,7 @@ from triway.sim import (
 
 
 def _cfg(h1, h2, h3, power):
-    return validate(ChannelConfig(gains=ChannelGains(h1=h1, h2=h2, h3=h3), power=power))
+    return ChannelConfig(gains=ChannelGains(h1=h1, h2=h2, h3=h3), power=power)
 
 
 def _ready_encoders(cfg, n, seed, n_taps=2):
