@@ -29,6 +29,7 @@ _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum"
 # rows per CSV block: its arrays stay below glibc malloc's trim threshold, so each block reuses
 # the heap (one 1000-row block faulted ~240 fresh pages in on every call, 512-row blocks none)
 _CSV_BLOCK = 512
+_DOF_POINTS = 10 ** 5  # the largest grid a DoF fit takes
 _EXACT_BELOW = 2.0 ** 33  # |x| * 1e6 < 2**53 below it, so rounding and digits stay exact
 # four-byte tokens read as uint32.  _GROUPS: "\0ddd" for a three-digit group g < 1000, at
 # 1000 + g the lead group g without leading zeros, at 2000 nothing; then ".ddd" and "ddd\0"
@@ -42,12 +43,28 @@ _MINUS, _COMMA, _NEWLINE = np.frombuffer(b"-\0\0\0\0\0\0,\0\0\0\n", np.uint32)
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
+    """A log-spaced power grid [p_lo, p_hi] of `points` powers and an ensemble; checked when built."""
     p_lo: float
     p_hi: float
     points: int
     gains: ChannelGains | None = None  # None: standard-normal ensemble, canonicalized
     ensemble: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        for name, value in (("p_lo", self.p_lo), ("p_hi", self.p_hi)):
+            if not math.isfinite(value):  # before the exponents, where it would warn
+                raise ValidationError(f"power bound {name} must be finite, got {value!r}")
+        if self.points < 1:
+            raise ValidationError("points must be >= 1")
+        if self.points > sys.maxsize:  # before the float step and the exponent array, which fail on it
+            raise ValidationError(f"points must be <= {sys.maxsize}")
+        if not (0 < self.p_lo and 0 < self.p_hi):
+            raise ValidationError("power bounds must be positive")
+        if self.points > 1 and not self.p_lo < self.p_hi:
+            raise ValidationError("power grid must be strictly increasing: need p_lo < p_hi")
+        if self.ensemble < 1:
+            raise ValidationError("ensemble size must be >= 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,19 +95,6 @@ def power_grid(spec: SweepSpec, count: int | None = None) -> np.ndarray:
     """The first `count` (default: all) points of np.logspace(log10(p_lo), log10(p_hi), points),
     bit for bit, without the rest: np.linspace forms i * step + start and sets its last point
     to stop.  That last point, 10**stop, must not overflow whatever `count` is."""
-    for name, value in (("p_lo", spec.p_lo), ("p_hi", spec.p_hi)):
-        if not math.isfinite(value):  # before the exponents, where it would warn
-            raise ValidationError(f"power bound {name} must be finite, got {value!r}")
-    if spec.points < 1:
-        raise ValidationError("points must be >= 1")
-    if spec.points > sys.maxsize:  # before the float step and the exponent array, which fail on it
-        raise ValidationError(f"points must be <= {sys.maxsize}")
-    if not (0 < spec.p_lo and 0 < spec.p_hi):
-        raise ValidationError("power bounds must be positive")
-    if spec.points > 1 and not spec.p_lo < spec.p_hi:
-        raise ValidationError("power grid must be strictly increasing: need p_lo < p_hi")
-    if spec.ensemble < 1:
-        raise ValidationError("ensemble size must be >= 1")
     if spec.points == 1:
         return np.array([spec.p_lo])
     k = spec.points if count is None else min(count, spec.points)
@@ -143,12 +147,14 @@ def dof_estimate(spec: SweepSpec, fields: tuple[str, ...]) -> tuple[float, ...]:
     """Least-squares slope of each BoundReport field in `fields` against 0.5*log2(P).
 
     Fits only the last half of spec's grid: the low-SNR transient is not the
-    asymptote the slope is meant to expose.  Requires >= 8 strictly increasing
-    points (log-spaced points can round equal) spanning >= 4 decades.
+    asymptote the slope is meant to expose.  Requires 8 to 10**5 strictly
+    increasing points (log-spaced points can round equal) spanning >= 4 decades.
     """
     for field in fields:
         if field not in bounds._BOUND_FIELDS:
             raise ValidationError(f"field {field!r} is not a BoundReport field")
+    if spec.points > _DOF_POINTS:  # np.polyfit needs the whole half-grid in memory
+        raise ValidationError(f"a DoF fit takes at most {_DOF_POINTS} points, got {spec.points}")
     grid = power_grid(spec).tolist()
     if len(grid) < 8:
         raise ValidationError(f"power grid needs >= 8 points, got {len(grid)}")

@@ -137,7 +137,7 @@ def _power_system(encoders, cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray,
 
 
 def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projections a and the (2, d, d) covariance sums T of the power state: messages, noise.
+    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): its message and noise parts.
 
     The state s(i) holds the 6 unit-variance messages and the last K_j
     receptions of each user, so x_j(i) = a_j . s(i) and
@@ -147,7 +147,7 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.nd
     By superposition the message-driven part starts from S = diag(1_6, 0)
     with no injection and the noise-driven part from S = 0 with injection;
     both go through the same F as one (2, d, d) stack, so one stacked pass
-    yields both sums.
+    yields both sums, and A and C are their projections.  A + C must be finite.
 
     Each stack depends only on the one before it, so once a stack equals an
     earlier one bit for bit, the stacks repeat with that period for the rest
@@ -164,7 +164,7 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.nd
     """
     if n < 1:  # the one block-length check of the simulate and genie paths
         raise ValidationError("block length must be >= 1")
-    # huge gains or scales overflow the state; _block_power checks the result
+    # huge gains or scales overflow the state; the projected power is checked below
     with np.errstate(over="ignore", invalid="ignore"):
         a, F, GG = _power_system(encoders, cfg)
         d = F.shape[0]
@@ -198,63 +198,37 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.nd
             if i & (i + 1) == 0:  # i + 1 is a power of two
                 checkpoint, mark = state, i + 1
             previous = state
-    return a, total
-
-
-def _block_power(a, total, n: int, budget: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user (A, C) = a_j' T a_j of the message and noise sums; A + C must be finite and <= budget."""
-    with np.errstate(over="ignore", invalid="ignore"):
         A, C = (np.einsum("jd,de,je->j", a, part, a) for part in total)
-        power = A + C
-        if not np.all(np.isfinite(power)):  # A, C >= 0: finite iff both are
+        if not np.all(np.isfinite(A + C)):  # A, C >= 0: finite iff both are
             raise ValidationError(f"expected block power over n={n} is not finite: "
                                   "the gains, power or message scale leave the float range")
-    if np.any(power > budget * (1.0 + _POWER_TOL)):
-        worst = int(np.argmax(power))
-        raise ValidationError(f"user {worst + 1} expected block power {power[worst]:.6g} exceeds "
-                              f"budget {budget:.6g}; apply normalize_power")
     return A, C
 
 
 def expected_block_power(encoders, cfg: ChannelConfig, n: int) -> np.ndarray:
-    """Per-user expected block power sum_i E[x_j(i)^2] for the encoders as given."""
-    A, C = _block_power(*_power_sums(encoders, cfg, n), n)
+    """Per-user expected block power sum_i E[x_j(i)^2] for the encoders as given: A + C."""
+    A, C = _power_sums(encoders, cfg, n)
     return A + C
 
 
 def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder, ...]:
     """Set a common message scale so every user's expected block power is <= nP.
 
-    By superposition the message response scales with s and the noise-driven
-    response does not, so power_j = s^2 A_j + C_j and the largest admissible
-    common scale is sqrt(min_j (nP - C_j)/A_j); one stacked pass of
-    _power_sums at unit scale yields A and C, and checks the result: at scale
-    s the sums are D T_0 D and T_1 (D is 1 on the message slots, s on the lag
-    slots), so a_s (the projections, message columns times s) gives the scaled
-    power for _block_power's finiteness and budget checks.  Not s^2 A + C:
-    that can fit where the scaled covariance D T_0 D overflows.
+    The encoders are affine, so by superposition power_j = s^2 A_j + C_j at
+    message scale s, with A and C from one unit-scale pass of _power_sums, and
+    the largest admissible common scale is min_j sqrt((nP - C_j)/A_j).  No
+    second check follows: s is chosen so that every power fits the budget, and
+    a trace that leaves the float range is rejected by simulate_network, where
+    it is made.
     """
-    unit = tuple(e.with_scale(1.0) for e in encoders)
-    a, total = _power_sums(unit, cfg, n)
-    A, C = _block_power(a, total, n)
+    A, C = _power_sums(tuple(e.with_scale(1.0) for e in encoders), cfg, n)
     budget = n * cfg.power
-    scales = []
     for j in range(3):
         if C[j] > budget * (1.0 + _POWER_TOL):
-            raise ValidationError(
-                f"user {j + 1} feedback taps alone need expected power {C[j]:.6g} > budget {budget:.6g}"
-            )
-        if A[j] > 0:
-            scales.append(math.sqrt(max(0.0, float(budget - C[j])) / float(A[j])))
-    s = min(scales) if scales else 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # _block_power rejects an overflow
-        D = np.concatenate((np.ones(6), np.full(len(a[0]) - 6, s)))
-        total[0] = D[:, None] * total[0] * D
-        a[:, :6] *= s
-    if not np.all(np.isfinite(total[0])):  # _block_power rejects it too, naming neither it nor s
-        raise ValidationError(f"expected block power over n={n} is not finite at message scale s={s:.6g}: "
-                              "the scaled second moments of the fed-back receptions overflow")
-    _block_power(a, total, n, budget)
+            raise ValidationError(f"user {j + 1} feedback taps alone need expected power {C[j]:.6g} "
+                                  f"> budget {budget:.6g}")
+    s = min((math.sqrt(max(0.0, float(budget - C[j])) / float(A[j])) for j in range(3) if A[j] > 0),
+            default=1.0)
     return tuple(e.with_scale(s) for e in encoders)
 
 
@@ -275,9 +249,14 @@ def simulate_network(cfg: ChannelConfig, n: int,
                      seed: int) -> tuple[tuple[CausalEncoder, ...], TransmissionTrace]:
     """Random two-tap encoders scaled by normalize_power, then the step loop: (encoders, trace).
 
-    normalize_power checks the scale it returns, so the block makes one power pass."""
+    The block makes one power pass.  Its trace is checked here, where it is
+    made: an x or y that left the float range is rejected."""
     encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
-    return encoders, _step_loop(encoders, cfg, n, seed)
+    trace = _step_loop(encoders, cfg, n, seed)
+    if not np.isfinite((trace.x1, trace.x2, trace.x3, trace.y1, trace.y2, trace.y3)).all():
+        raise ValidationError(f"simulated trace over n={n} at message scale s={encoders[0].message_scale:.6g} "
+                              "is not finite: the gains or power leave the float range")
+    return encoders, trace
 
 
 def _step_loop(encoders, cfg: ChannelConfig, n: int, seed: int) -> TransmissionTrace:

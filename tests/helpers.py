@@ -9,11 +9,11 @@ the per-cell rule its CSV must match; `emit`, one encoder symbol at a time,
 drives the step loop, trace verification and genie rebuild that are the
 references for the simulator's loops;
 `simulate_network` runs given encoders through a full power pass with the
-budget check, then the simulator's step loop; `power_parts` is the (A, C)
-split of one full power pass, and the full-length power recursion is the
-reference for the repeat shortcut in sim._power_sums; `two_pass_simulation`,
-a second full power pass on the scaled encoders, is the reference for the
-check normalize_power makes of its own scale;
+budget check, then the simulator's step loop; the full-length power
+recursion is the reference for the repeat shortcut in sim._power_sums;
+`two_pass_simulation`, a second full power pass on the scaled encoders, is
+the reference for every block it accepts, which the one-pass simulator
+must reproduce;
 `cap` and `reference_bound_terms`, which writes every bound from it in the
 operation order bounds.evaluate documents, are the reference for the
 bound kernel bounds._bound_terms, and `crossover_root`, the closed-form root
@@ -42,7 +42,6 @@ from triway.sim import (
     _POWER_TOL,
     CausalEncoder,
     TransmissionTrace,
-    _block_power,
     _draw_messages,
     _draw_realization,
     _power_sums,
@@ -449,13 +448,8 @@ def _initial_state(d):
     return S
 
 
-def power_parts(encoders, cfg, n):
-    """Per-user block power sum_i E[x_j(i)^2] split as (A, C): messages, noise."""
-    return _block_power(*_power_sums(encoders, cfg, n), n)
-
-
 def reference_power_parts(encoders, cfg, n):
-    """power_parts without the repeat shortcut: all n steps of S <- F S F' + G G'."""
+    """sim._power_sums without the repeat shortcut: all n steps of S <- F S F' + G G'."""
     a, F, GG = _power_system(encoders, cfg)
     d = F.shape[0]
     S = _initial_state(d)
@@ -496,7 +490,12 @@ def simulate_network(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
     Rejects encoder triples whose expected block power exceeds any user's
     budget (apply normalize_power first).
     """
-    _block_power(*_power_sums(encoders, cfg, n), n, n * cfg.power)
+    A, C = _power_sums(encoders, cfg, n)
+    power, budget = A + C, n * cfg.power
+    if np.any(power > budget * (1.0 + _POWER_TOL)):
+        worst = int(np.argmax(power))
+        raise ValidationError(f"user {worst + 1} expected block power {power[worst]:.6g} exceeds "
+                              f"budget {budget:.6g}; apply normalize_power")
     return _step_loop(encoders, cfg, n, seed)
 
 
@@ -504,12 +503,13 @@ def two_pass_simulation(cfg, n: int, seed: int):
     """(encoders, trace) of random two-tap encoders, checked by a second power pass.
 
     The scale is chosen from one unit-scale pass as normalize_power chooses
-    it, without its check of the result; simulate_network then runs a full
-    power pass on the scaled encoders, whose finiteness and budget checks
-    normalize_power must reproduce from its one pass.
+    it; simulate_network then runs a full power pass on the scaled encoders,
+    whose finiteness and budget checks reject more than the simulator does:
+    their scaled covariance can overflow where the power s^2 A + C fits.
+    Wherever this accepts, sim.simulate_network must give the same block.
     """
     encoders = random_encoders(cfg, n_taps=2, seed=seed)
-    A, C = power_parts(tuple(e.with_scale(1.0) for e in encoders), cfg, n)
+    A, C = _power_sums(tuple(e.with_scale(1.0) for e in encoders), cfg, n)
     budget = n * cfg.power
     for j in range(3):
         if C[j] > budget * (1.0 + _POWER_TOL):

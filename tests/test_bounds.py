@@ -278,7 +278,7 @@ def test_dof_rejects_degenerate_grids():
     # log-spaced points this close round equal
     with pytest.raises(ValidationError, match="strictly increasing"):
         dof_estimate(_dof_spec(p_lo=1.0, p_hi=1.000000000000001), fields)
-    # the grid itself is checked once, where it is made: experiments.power_grid
+    # the spec itself is checked once, when it is built: experiments.SweepSpec
     with pytest.raises(ValidationError, match="positive"):
         dof_estimate(_dof_spec(p_lo=-1.0), fields)
     for bad in (math.inf, math.nan):
