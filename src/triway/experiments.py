@@ -236,6 +236,8 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverRe
         return CrossoverResult(p_star=None, status="none")
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
+        if mid == math.inf:  # lo + hi overflowed; both are >= 2^970 here, so halving each is exact
+            mid = 0.5 * lo + 0.5 * hi
         if margin(mid) > 0:
             hi = mid
         else:

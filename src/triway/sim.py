@@ -20,14 +20,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
 from .model import _MAX_LENGTH, ChannelConfig, ValidationError
 
 _POWER_TOL = 1e-9
-_MAX_CYCLE = 1024  # longest cycle of power states _power_sums replays: 2.4 MB of states at two taps
+_MAX_CYCLE = 1024  # longest cycle of power states _power_sums replays: 2.4 MB of states
 
 TRACE_CSV_HEADER = "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
 
@@ -37,18 +36,24 @@ _MSG_INDEX = ((0, 1), (2, 3), (4, 5))
 
 @dataclasses.dataclass(frozen=True)
 class CausalEncoder:
-    """Affine causal map x(i) = scale*(w . messages) + sum_k tap_k * y(i-1-k).
+    """Affine causal map x(i) = scale*(w . messages) + a*y(i-1) + b*y(i-2), (a, b) = feedback_weights.
 
-    The simulator accepts only this affine family: power accounting reads
-    message_weights, feedback_weights and message_scale directly to build the
-    exact second-moment recursion, and the step loop and the genie recursions
-    apply the map from the same fields: the message term, then each tap on
-    its lagged reception, newest first, skipping lags before step 1.
+    The simulator accepts only this two-tap affine family: power accounting
+    reads message_weights, feedback_weights and message_scale directly to
+    build the exact second-moment recursion, and the step loop and the genie
+    recursions apply the map from the same fields in this operation order:
+    the message term, plus a*y(i-1), plus b*y(i-2).  Steps 1 and 2 skip the
+    receptions that do not exist yet, rather than add tap * 0.0, which would
+    turn a -0.0 message term into 0.0.
     """
 
     message_weights: tuple[float, float]
-    feedback_weights: tuple[float, ...] = ()
+    feedback_weights: tuple[float, float]
     message_scale: float = 1.0  # set by normalize_power
+
+    def __post_init__(self):
+        if len(self.feedback_weights) != 2:
+            raise ValidationError(f"an encoder has 2 feedback taps, got {len(self.feedback_weights)}")
 
     def message_term(self, messages) -> float:
         """The constant part scale*(w . messages) of every symbol this encoder sends."""
@@ -93,61 +98,59 @@ def _draw_messages(seed: int) -> np.ndarray:
 
 
 def random_encoders(cfg: ChannelConfig, n_taps: int, seed: int) -> tuple[CausalEncoder, ...]:
-    """Random affine encoder triple, power-normalized is the caller's job.
+    """Random affine two-tap encoder triple (n_taps must be 2), power-normalized is the caller's job.
 
-    Taps are drawn within +-0.5/(n_taps * max(1, 2*max|h|)); that keeps the
+    Taps are drawn within +-0.5/(2 * max(1, 2*max|h|)); that keeps the
     closed feedback loop contractive so n-step traces stay bounded.
     """
-    if n_taps < 0:
-        raise ValidationError("n_taps must be >= 0")
+    if n_taps != 2:
+        raise ValidationError(f"n_taps must be 2, got {n_taps!r}")
     rng = np.random.default_rng([int(seed), 4])
     hmax = max(abs(cfg.gains.h1), abs(cfg.gains.h2), abs(cfg.gains.h3))
-    tau = 0.5 / (max(1, n_taps) * max(1.0, 2.0 * hmax))
+    tau = 0.5 / (2 * max(1.0, 2.0 * hmax))
     encoders = []
     for _ in range(3):
         mw = rng.standard_normal(2)
-        taps = tuple(rng.uniform(-tau, tau, n_taps)) if n_taps else ()
         encoders.append(CausalEncoder(message_weights=(float(mw[0]), float(mw[1])),
-                                      feedback_weights=taps))
+                                      feedback_weights=tuple(rng.uniform(-tau, tau, 2).tolist())))
     return tuple(encoders)
 
 
 def _power_system(encoders, cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projections a (x_j = a_j . s), transition F and noise injection G G' of the power state."""
+    """Projections a (x_j = a_j . s), transition F and noise injection G G' of the power state.
+
+    The 12 slots of s(i) are the 6 messages, then y_j(i-1) and y_j(i-2) of
+    each user j at slots 6 + 2(j-1) and 7 + 2(j-1)."""
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     link = ((0.0, h3, h2), (h3, 0.0, h1), (h2, h1, 0.0))  # y_j = sum_k link[j][k] x_k + z_j
-    lags = [len(enc.feedback_weights) for enc in encoders]
-    base = [6 + sum(lags[:j]) for j in range(3)]  # first (newest) lag slot of y_j
-    d = 6 + sum(lags)
-    a = np.zeros((3, d))
+    a = np.zeros((3, 12))
     for j, enc in enumerate(encoders):
         a[j, list(_MSG_INDEX[j])] = np.multiply(enc.message_scale, enc.message_weights)
-        a[j, base[j]:base[j] + lags[j]] = enc.feedback_weights
-    F = np.zeros((d, d))
+        a[j, 6 + 2 * j:8 + 2 * j] = enc.feedback_weights
+    F = np.zeros((12, 12))
     F[:6, :6] = np.eye(6)
-    GG = np.zeros((d, d))
+    GG = np.zeros((12, 12))
     for j in range(3):
-        if lags[j]:
-            b = base[j]
-            F[b] = link[j] @ a
-            for k in range(1, lags[j]):
-                F[b + k, b + k - 1] = 1.0
-            GG[b, b] = 1.0
+        b = 6 + 2 * j  # the slot of y_j(i-1)
+        F[b] = link[j] @ a
+        F[b + 1, b] = 1.0
+        GG[b, b] = 1.0
     return a, F, GG
 
 
-def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _power_sums(encoders, cfg: ChannelConfig, n: int, start: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Per-user block power sum_i E[x_j(i)^2] split as (A, C): its message and noise parts.
 
-    The state s(i) holds the 6 unit-variance messages and the last K_j
-    receptions of each user, so x_j(i) = a_j . s(i) and
-    s(i+1) = F s(i) + G z(i) with unit-variance noise z.  Its covariance
-    therefore moves as S <- F S F' + G G', and the block power of user j is
+    The state s(i) holds the 6 messages and the last two receptions of each
+    user, so x_j(i) = a_j . s(i) and s(i+1) = F s(i) + G z(i) with
+    unit-variance noise z.  Its covariance therefore moves as
+    S <- F S F' + G G', and the block power of user j is
     a_j' (sum_i S_i) a_j: O(n) time and O(1) memory in the block length.
-    By superposition the message-driven part starts from S = diag(1_6, 0)
-    with no injection and the noise-driven part from S = 0 with injection;
-    both go through the same F as one (2, d, d) stack, so one stacked pass
-    yields both sums, and A and C are their projections.  A + C must be finite.
+    By superposition the message-driven part starts from S = diag(start 1_6, 0),
+    messages of variance `start`, with no injection and the noise-driven part
+    from S = 0 with injection; both go through the same F as one (2, 12, 12)
+    stack, so one stacked pass yields both sums, and A and C are their
+    projections.  A + C must be finite.
 
     Each stack depends only on the one before it, so once a stack equals an
     earlier one bit for bit, the stacks repeat with that period for the rest
@@ -167,12 +170,11 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int) -> tuple[np.ndarray, np.nd
     # huge gains or scales overflow the state; the projected power is checked below
     with np.errstate(over="ignore", invalid="ignore"):
         a, F, GG = _power_system(encoders, cfg)
-        d = F.shape[0]
-        S = np.zeros((2, d, d))  # slice 0 message-driven, slice 1 noise-driven
-        S[0, :6, :6] = np.eye(6)
+        S = np.zeros((2, 12, 12))  # slice 0 message-driven, slice 1 noise-driven
+        S[0, :6, :6] = start * np.eye(6)
         noise = S[1]  # a view: every update below writes S in place
-        total = np.zeros((2, d, d))
-        FS = np.empty((2, d, d))
+        total = np.zeros((2, 12, 12))
+        FS = np.empty((2, 12, 12))
         Ft = F.T.copy()
 
         def step() -> bytes:  # preallocated buffers: no matrix allocation per step
@@ -219,9 +221,17 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
     the largest admissible common scale is min_j sqrt((nP - C_j)/A_j).  No
     second check follows: s is chosen so that every power fits the budget, and
     a trace that leaves the float range is rejected by simulate_network, where
-    it is made.
+    it is made.  Where the unit-scale pass overflows, it runs once more with
+    messages of variance c^2, c = 2^-e for e the binary exponent of
+    max|h| = |h3|, and A = A'/c^2: scaling by a power of two is exact.
     """
-    A, C = _power_sums(tuple(e.with_scale(1.0) for e in encoders), cfg, n)
+    unit = tuple(e.with_scale(1.0) for e in encoders)
+    try:
+        A, C = _power_sums(unit, cfg, n)
+    except ValidationError:
+        c2 = math.ldexp(1.0, -2 * math.frexp(cfg.gains.h3)[1])
+        A, C = _power_sums(unit, cfg, n, start=c2)
+        A = A / c2
     budget = n * cfg.power
     for j in range(3):
         if C[j] > budget * (1.0 + _POWER_TOL):
@@ -230,19 +240,6 @@ def normalize_power(encoders, cfg: ChannelConfig, n: int) -> tuple[CausalEncoder
     s = min((math.sqrt(max(0.0, float(budget - C[j])) / float(A[j])) for j in range(3) if A[j] > 0),
             default=1.0)
     return tuple(e.with_scale(s) for e in encoders)
-
-
-def _lag_schedule(taps: tuple[float, ...]) -> Iterator[tuple[tuple[float, int], ...]]:
-    """Per step i = 1, 2, ...: the (tap, lag) pairs an encoder applies, lag -1 first.
-
-    Lag -k reads the k-th newest reception by negative index.  In the first
-    K = len(taps) steps only i - 1 receptions exist, so the tuple is cut to
-    them: a missing lag is skipped, not added as tap * 0.0, which would turn
-    a -0.0 message term into 0.0.  Taps become Python floats, whose products
-    and sums round as numpy's do.
-    """
-    lagged = tuple(zip(map(float, taps), range(-1, -len(taps) - 1, -1)))
-    return itertools.chain((lagged[:i] for i in range(len(lagged))), itertools.repeat(lagged))
 
 
 def simulate_network(cfg: ChannelConfig, n: int,
@@ -260,35 +257,28 @@ def simulate_network(cfg: ChannelConfig, n: int,
 
 
 def _step_loop(encoders, cfg: ChannelConfig, n: int, seed: int) -> TransmissionTrace:
-    """Each CausalEncoder map in its operation order: each user's message term once,
-    then its taps over its own receptions, newest first, each read by its lag from _lag_schedule."""
+    """Each CausalEncoder map in its operation order, on Python floats (whose products and
+    sums round as numpy's do): the message term, plus a*y(i-1) from step 2, plus b*y(i-2) from step 3."""
     z1s, z2s, z3s = _draw_realization(n, seed)
     messages = _draw_messages(seed)
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    x1s: list[float] = []
-    x2s: list[float] = []
-    x3s: list[float] = []
-    y1s: list[float] = []
-    y2s: list[float] = []
-    y3s: list[float] = []
     t1, t2, t3 = (enc.message_term(messages[list(_MSG_INDEX[j])]) for j, enc in enumerate(encoders))
-    schedule = zip(*(_lag_schedule(enc.feedback_weights) for enc in encoders))
-    for z1, z2, z3, (p1, p2, p3) in zip(z1s.tolist(), z2s.tolist(), z3s.tolist(), schedule):
-        x1 = t1
-        for tap, lag in p1:
-            x1 += tap * y1s[lag]
-        x2 = t2
-        for tap, lag in p2:
-            x2 += tap * y2s[lag]
-        x3 = t3
-        for tap, lag in p3:
-            x3 += tap * y3s[lag]
+    (a1, b1), (a2, b2), (a3, b3) = (map(float, enc.feedback_weights) for enc in encoders)
+    x1s, x2s, x3s, y1s, y2s, y3s = [], [], [], [], [], []
+    p1 = p2 = p3 = 0.0  # y_j(i-1), read from step 2 on; q_j is y_j(i-2), read from step 3 on
+    for i, (z1, z2, z3) in enumerate(zip(z1s.tolist(), z2s.tolist(), z3s.tolist())):
+        if i > 1:
+            x1, x2, x3 = t1 + a1 * p1 + b1 * q1, t2 + a2 * p2 + b2 * q2, t3 + a3 * p3 + b3 * q3
+        else:
+            x1, x2, x3 = (t1 + a1 * p1, t2 + a2 * p2, t3 + a3 * p3) if i else (t1, t2, t3)
+        q1, q2, q3 = p1, p2, p3
+        p1, p2, p3 = h3 * x2 + h2 * x3 + z1, h3 * x1 + h1 * x3 + z2, h2 * x1 + h1 * x2 + z3
         x1s.append(x1)
         x2s.append(x2)
         x3s.append(x3)
-        y1s.append(h3 * x2 + h2 * x3 + z1)
-        y2s.append(h3 * x1 + h1 * x3 + z2)
-        y3s.append(h2 * x1 + h1 * x2 + z3)
+        y1s.append(p1)
+        y2s.append(p2)
+        y3s.append(p3)
     return TransmissionTrace(
         x1=np.array(x1s), x2=np.array(x2s), x3=np.array(x3s),
         y1=np.array(y1s), y2=np.array(y2s), y3=np.array(y3s),
@@ -311,13 +301,13 @@ def _rebuild_y2(enc2: CausalEncoder, trace: TransmissionTrace, noise_diff: np.nd
     the step loop's operation order, from the granted (m21, m23).
     """
     term = enc2.message_term(trace.messages[2:4])  # (m21, m23): one granted, one treated as decoded
+    a, b = map(float, enc2.feedback_weights)
     y2hat: list[float] = []
-    for h, k, nd, pairs in zip(heard.tolist(), known.tolist(), noise_diff.tolist(),
-                               _lag_schedule(enc2.feedback_weights)):
-        x2hat = term
-        for tap, lag in pairs:
-            x2hat += tap * y2hat[lag]
-        y2hat.append(ratio * (h - gain * x2hat) + gain * k + nd)
+    p = 0.0  # y2(i-1), read from step 2 on; q is y2(i-2), read from step 3 on
+    for i, (h, k, nd) in enumerate(zip(heard.tolist(), known.tolist(), noise_diff.tolist())):
+        x2hat = term + a * p + b * q if i > 1 else term + a * p if i else term
+        q, p = p, ratio * (h - gain * x2hat) + gain * k + nd
+        y2hat.append(p)
     return np.array(y2hat)
 
 

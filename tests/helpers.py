@@ -27,6 +27,7 @@ references for the drivers that call the bound kernel once per point, and
 %-format per row, are the references for experiments.export_report.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -328,24 +329,32 @@ def load_report_json(path) -> ReportTable:
 
 PARITY_CFG, _ = make_config(1.5, -1.0, 0.5, 100.0)  # room for every triple below
 
-_MIXED = (  # tap counts (0, 1, 3) and distinct message scales
-    CausalEncoder(message_weights=(0.7, -1.2), message_scale=1.3),
-    CausalEncoder(message_weights=(-0.4, 0.9), feedback_weights=(0.21,), message_scale=0.8),
-    CausalEncoder(message_weights=(1.1, 0.3), feedback_weights=(-0.12, 0.07, 0.05)),
+# A case id names which of the two taps are nonzero as a bit mask: bit 0 for
+# the tap on y(i-1), bit 1 for the tap on y(i-2).  tapsK is a random triple at
+# distinct message scales with the taps outside mask K set to 0.0; taps013
+# gives its three users masks 0, 1 and 3, at distinct scales and with
+# negative taps.
+_MIXED = (
+    CausalEncoder(message_weights=(0.7, -1.2), feedback_weights=(0.0, 0.0), message_scale=1.3),
+    CausalEncoder(message_weights=(-0.4, 0.9), feedback_weights=(0.21, 0.0), message_scale=0.8),
+    CausalEncoder(message_weights=(1.1, 0.3), feedback_weights=(-0.12, -0.07)),
 )
 
 
-def _random_triple(n_taps):
-    encoders = random_encoders(PARITY_CFG, n_taps, seed=7 + n_taps)
-    return tuple(e.with_scale(0.6 + 0.3 * j) for j, e in enumerate(encoders))
+def _random_triple(mask):
+    encoders = random_encoders(PARITY_CFG, 2, seed=7 + mask)
+    return tuple(dataclasses.replace(e, message_scale=0.6 + 0.3 * j,
+                                     feedback_weights=tuple(t if mask >> k & 1 else 0.0
+                                                            for k, t in enumerate(e.feedback_weights)))
+                 for j, e in enumerate(encoders))
 
 
 # _MIXED with a user 2 whose message term is -0.0 at every seed the parity
 # test uses: m23 < 0 there, so -0.0 * m23 = +0.0, the sum is +0.0 and the
 # scale -1 flips it.  Its first symbol is then -0.0, and adding tap * 0.0 for
-# a missing lag would turn it into +0.0.
+# a missing reception would turn it into +0.0.
 _NEG_ZERO = (_MIXED[0],
-             CausalEncoder(message_weights=(0.0, -0.0), feedback_weights=(0.21,), message_scale=-1.0),
+             CausalEncoder(message_weights=(0.0, -0.0), feedback_weights=(0.21, 0.0), message_scale=-1.0),
              _MIXED[2])
 
 # encoder triples the loop and power oracles are checked on, by test id

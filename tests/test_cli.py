@@ -204,7 +204,6 @@ def test_gap_ensemble_keeps_a_huge_grid_within_the_index_range(capsys):
 
 @pytest.mark.parametrize("argv,text", [
     (("genie", "--variant", "lemma1", "--power", "1e308"), "simulated trace over n=100 at message scale s=inf"),
-    (("simulate", "--g12", "1e154"), "expected block power"),
     (("genie", "--variant", "lemma2", "--g12", "3", "--g13", "5e-324", "--g23", "0"),
      "reconstruction is not finite"),
     (("simulate", "--samples", "10000", "--power", "1e300"), "second moments"),
@@ -333,16 +332,30 @@ def test_block_length_and_singular_gains_are_one_error_line(capsys, argv, text):
     _one_line_error(*_run(capsys, *argv), text)
 
 
+def _assert_finite_trace(code, out, err, n):
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == n + 1 and lines[0] == "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
+    assert all(math.isfinite(float(cell)) for line in lines[1:] for cell in line.split(","))
+
+
 def test_a_block_whose_scaled_covariance_overflows_is_simulated(capsys):
     # the scaled power fits the budget and the trace is finite, though the
     # message-driven covariance of the fed-back receptions overflows
-    code, out, err = _run(capsys, "simulate", "--g12=8.044855908597946e+44", "--g13=-0.7973781289047944",
-                          "--g23=-9975978.12592365", "--power=6.107726244812748e+256", "--n", "2",
-                          "--seed", "200")
-    assert code == 0 and err == ""
-    lines = out.splitlines()
-    assert len(lines) == 3 and lines[0] == "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
-    assert all(math.isfinite(float(cell)) for line in lines[1:] for cell in line.split(","))
+    _assert_finite_trace(*_run(capsys, "simulate", "--g12=8.044855908597946e+44", "--g13=-0.7973781289047944",
+                               "--g23=-9975978.12592365", "--power=6.107726244812748e+256", "--n", "2",
+                               "--seed", "200"), 2)
+
+
+@pytest.mark.parametrize("argv,n", [
+    (("--g12=-1.5756138151472337e-53", "--g13=-2.1087631507908876e+153", "--g23=-1.7500511935262854e-157",
+      "--power=1.852320202902048e+25", "--n", "200", "--seed", "977577"), 200),
+    (("--g12", "1e154"), 100),
+], ids=["gains 1e-53 2e153 1e-157, n 200", "--g12 1e154"])
+def test_a_block_whose_unit_pass_overflows_is_simulated(capsys, argv, n):
+    # at message scale 1 the covariance of the fed-back receptions overflows;
+    # the power pass reruns with messages of a power-of-two variance
+    _assert_finite_trace(*_run(capsys, "simulate", *argv), n)
 
 
 def test_genie_rejects_csv(capsys):
@@ -459,6 +472,23 @@ def test_crossover_symmetric(capsys):
     row = dict(zip(obj["header"], obj["rows"][0]))
     assert obj["meta"]["status"] == "found"
     assert abs(row["p_star"] - 1.5) / 1.5 <= 1e-6
+
+
+def test_crossover_near_the_top_of_the_float_range_is_the_smallest_crossing(capsys):
+    # lo + hi overflows in the first bisection steps; the root is near 1.5e308
+    gains = ("--g12", "1e-154", "--g13", "1e-154", "--g23", "1e-154")
+    code, out, _ = _run(capsys, "crossover", *gains, "--p-lo", "1e300", "--p-hi", "1.7e308")
+    assert code == 0
+    obj = json.loads(out)
+    p_star = obj["rows"][0][0]
+    assert obj["meta"]["status"] == "found" and p_star < 1.6e308
+    cfg, _ = make_config(1e-154, 1e-154, 1e-154, 1.0)
+
+    def margin(P):
+        b = evaluate(dataclasses.replace(cfg, power=P))
+        return b.outgoing_cutset_sum - b.tightened_upper
+
+    assert margin(p_star) > 0.0 >= margin(p_star * (1.0 - 2e-6))
 
 
 def test_region_json_only(capsys):

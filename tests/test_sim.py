@@ -45,8 +45,12 @@ def _cfg(h1, h2, h3, power):
     return ChannelConfig(gains=ChannelGains(h1=h1, h2=h2, h3=h3), power=power)
 
 
-def _ready_encoders(cfg, n, seed, n_taps=2):
-    return normalize_power(random_encoders(cfg, n_taps, seed), cfg, n)
+def _ready_encoders(cfg, n, seed):
+    return normalize_power(random_encoders(cfg, 2, seed), cfg, n)
+
+
+def _no_feedback(*message_weights):
+    return tuple(CausalEncoder(w, feedback_weights=(0.0, 0.0)) for w in message_weights)
 
 
 CFG = _cfg(0.5, 1.0, 1.5, 2.0)
@@ -62,7 +66,7 @@ def test_channel_equations_hold_exactly():
 
 
 def test_zero_weight_encoders_pass_noise_through():
-    enc = tuple(CausalEncoder(message_weights=(0.0, 0.0)) for _ in range(3))
+    enc = _no_feedback((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
     trace = simulate_network(enc, CFG, 40, seed=3)
     for x in (trace.x1, trace.x2, trace.x3):
         assert np.array_equal(x, np.zeros(40))
@@ -72,7 +76,7 @@ def test_zero_weight_encoders_pass_noise_through():
 
 
 def test_single_step_matches_hand_formula():
-    enc = (CausalEncoder((0.6, 0.0)), CausalEncoder((0.0, 0.7)), CausalEncoder((0.3, 0.3)))
+    enc = _no_feedback((0.6, 0.0), (0.0, 0.7), (0.3, 0.3))
     trace = simulate_network(enc, CFG, 1, seed=11)
     m = trace.messages  # (m12, m13, m21, m23, m31, m32)
     x1 = 0.6 * m[0]
@@ -102,8 +106,15 @@ def test_block_length_validation():
     for power_call in (expected_block_power, normalize_power):
         with pytest.raises(ValidationError, match="block length must be >= 1"):
             power_call(enc, CFG, 0)
-    with pytest.raises(ValidationError, match="n_taps"):
-        random_encoders(CFG, -1, 0)
+
+
+@pytest.mark.parametrize("taps", [(), (0.1,), (0.1, 0.2, 0.3)])
+def test_only_two_tap_encoders_exist(taps):
+    with pytest.raises(ValidationError, match=f"^an encoder has 2 feedback taps, got {len(taps)}$"):
+        CausalEncoder((1.0, 1.0), feedback_weights=taps)
+    for n_taps in (-1, len(taps)):
+        with pytest.raises(ValidationError, match=f"^n_taps must be 2, got {n_taps}$"):
+            random_encoders(CFG, n_taps, 0)
 
 
 def test_normalize_power_saturates_binding_user():
@@ -117,7 +128,7 @@ def test_normalize_power_saturates_binding_user():
 
 
 def test_simulate_rejects_over_budget_encoders():
-    hot = tuple(CausalEncoder(message_weights=(10.0, 10.0)) for _ in range(3))
+    hot = _no_feedback((10.0, 10.0), (10.0, 10.0), (10.0, 10.0))
     with pytest.raises(ValidationError, match="apply normalize_power"):
         simulate_network(hot, CFG, 5, 0)
     # after normalization the same triple runs fine
@@ -126,8 +137,7 @@ def test_simulate_rejects_over_budget_encoders():
 
 def test_feedback_taps_alone_can_blow_the_budget():
     low = _cfg(0.5, 1.0, 1.5, 0.01)
-    enc = (CausalEncoder((1.0, 1.0), feedback_weights=(0.9,)),
-           CausalEncoder((1.0, 1.0)), CausalEncoder((1.0, 1.0)))
+    enc = (CausalEncoder((1.0, 1.0), feedback_weights=(0.9, 0.0)), *_no_feedback((1.0, 1.0), (1.0, 1.0)))
     with pytest.raises(ValidationError, match="feedback taps alone"):
         normalize_power(enc, low, 10)
 
@@ -151,7 +161,7 @@ def test_anticipatory_trace_is_rejected():
     n = 25
     z1, z2, z3 = _draw_realization(n, 13)
     messages = _draw_messages(13)
-    enc = (CausalEncoder((0.4, 0.0)), CausalEncoder((0.2, 0.2)), CausalEncoder((0.0, 0.4)))
+    enc = _no_feedback((0.4, 0.0), (0.2, 0.2), (0.0, 0.4))
     h1, h2, h3 = CFG.gains.h1, CFG.gains.h2, CFG.gains.h3
     x1 = np.full(n, 0.4 * messages[0])
     x3 = np.full(n, 0.4 * messages[5])
@@ -174,9 +184,7 @@ def test_channel_violation_is_rejected():
 
 
 def test_genie_exact_without_feedback():
-    enc = normalize_power(
-        (CausalEncoder((0.5, 0.5)), CausalEncoder((0.7, -0.2)), CausalEncoder((-0.3, 0.6))),
-        CFG, 50)
+    enc = normalize_power(_no_feedback((0.5, 0.5), (0.7, -0.2), (-0.3, 0.6)), CFG, 50)
     trace = simulate_network(enc, CFG, 50, 4)
     for rebuild in (genie_reconstruct_lemma1, genie_reconstruct_lemma2):
         assert reconstruction_error(rebuild(trace, CFG, enc), trace) < 1e-12
@@ -190,7 +198,7 @@ def test_genie_exact_with_feedback_encoders():
             assert reconstruction_error(rebuild(trace, CFG, enc), trace) < 1e-9
 
 
-# every n from 1 to K + 1 = 4 for the three-tap users: each warm-up step and the first full one
+# steps 1 and 2 skip the receptions that do not exist yet, step 3 is the first full one
 _PARITY_N = [1, 2, 3, 4, 200]
 
 
