@@ -1,7 +1,8 @@
 """Golden CLI outputs: every report the CLI writes must stay byte-identical.
 
 The files under tests/golden/ hold stdout of `triway.cli.main` for a fixed
-set of invocations.  Regenerate them only when a report is meant to change:
+set of invocations, and tests/golden/help/ its `--help` text at 80 columns.
+Regenerate them only when a report or the help is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -41,6 +42,11 @@ CASES = {
                                        "--p-lo", "2", "--p-hi", "10"],
 }
 
+# argparse wraps help to the terminal width, which it reads from COLUMNS
+HELP_CASES = {"triway.txt": ["--help"],
+              **{f"{cmd}.txt": [cmd, "--help"] for cmd in ("bounds", "region", "dof", "genie", "simulate",
+                                                           "sweep", "gap-ensemble", "crossover")}}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys, monkeypatch):
@@ -51,12 +57,23 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch):
     assert captured.out.encode() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(HELP_CASES[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / "help" / name).read_bytes()
+
+
 def _regenerate() -> None:
     import contextlib
     import io
+    import os
 
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    os.environ["COLUMNS"] = "80"
+    (GOLDEN / "help").mkdir(parents=True, exist_ok=True)
+    for name, argv in (*CASES.items(), *(("help/" + name, argv) for name, argv in HELP_CASES.items())):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0, name
