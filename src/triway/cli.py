@@ -5,9 +5,9 @@ computed result contradicting a proved bound, e.g. a sum-capacity gap outside
 [0, 2] or a genie reconstruction off by more than 1e-9; these must be loudly
 machine-visible).
 
-Gains come from --config JSON ({"g12":..., "g13":..., "g23":..., "power":...})
-or inline flags; inline wins on conflict with a warning.  --seed falls back to
-the TRIWAY_SEED environment variable, then 0; a seed must be >= 0.
+Gains come from --config JSON ({"g12":..., "g13":..., "g23":..., "power":...};
+no other key) or inline flags; inline wins on conflict with a warning.  --seed
+falls back to the TRIWAY_SEED environment variable, then 0; a seed must be >= 0.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,19 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _add_config_flags(p: _Parser) -> None:
-    p.add_argument("--config", metavar="PATH", help="JSON file with g12/g13/g23/power")
-    p.add_argument("--g12", type=float, help="user1-user2 gain")
-    p.add_argument("--g13", type=float, help="user1-user3 gain")
-    p.add_argument("--g23", type=float, help="user2-user3 gain")
-    p.add_argument("--power", type=float, help="per-user power budget P")
-
-
-def _add_output_flags(p: _Parser, default_format: str | None) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default=default_format)
-    p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
 def _config_number(path: str, key: str, value) -> float:
@@ -69,8 +57,7 @@ def _config_int(path: str, text: str) -> int:
 
 
 def _resolve_config(args):
-    values = dict(_DEFAULT_GAINS)
-    from_file = set()
+    values, file_obj = dict(_DEFAULT_GAINS), {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -83,14 +70,17 @@ def _resolve_config(args):
             raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_obj, dict):
             raise ValidationError(f"config {args.config} must be a flat JSON object")
+        unknown = [key for key in file_obj if key not in _DEFAULT_GAINS]
+        if unknown:  # a misspelt key would otherwise leave its default in place
+            raise ValidationError(f"config {args.config}: unknown key {unknown[0]!r} "
+                                  f"(expected {', '.join(_DEFAULT_GAINS)})")
         for key in _DEFAULT_GAINS:
             if key in file_obj:
                 values[key] = _config_number(args.config, key, file_obj[key])
-                from_file.add(key)
     for key in _DEFAULT_GAINS:
         inline = getattr(args, key)
         if inline is not None:
-            if key in from_file:
+            if key in file_obj:
                 print(f"warning: inline --{key} overrides config file value", file=sys.stderr)
             values[key] = inline
     return make_config(values["g12"], values["g13"], values["g23"], values["power"])
@@ -122,8 +112,7 @@ def _emit(report, args, format: str = "json") -> None:
         sys.stdout.write(text)
 
 
-def _cmd_bounds(args) -> int:
-    cfg, mapping = _resolve_config(args)
+def _cmd_bounds(args, cfg, mapping) -> None:
     report = bounds.evaluate(cfg)
     if args.format == "csv":
         _emit(report.as_table(), args, "csv")
@@ -131,22 +120,16 @@ def _cmd_bounds(args) -> int:
         _emit({**report.as_dict(), "permutation": list(mapping)}, args)
     if not (0.0 <= report.gap <= 2.0):
         raise PropertyViolationError(f"sum-capacity gap {report.gap} is outside [0, 2]")
-    return 0
 
 
-def _cmd_region(args) -> int:
-    if args.format == "csv":
-        raise ValidationError("region output is JSON only")
-    cfg, mapping = _resolve_config(args)
+def _cmd_region(args, cfg, mapping) -> None:
     reg = region.build_region(cfg)
     sol = region.max_weighted_sum(reg)
     _emit({"region": reg.as_dict(), "sum_rate_lp": sol.as_dict(),
            "permutation": list(mapping)}, args)
-    return 0
 
 
-def _cmd_dof(args) -> int:
-    cfg, _ = _resolve_config(args)
+def _cmd_dof(args, cfg, _) -> None:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  gains=cfg.gains)
     names = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # BoundReport fields
@@ -156,72 +139,104 @@ def _cmd_dof(args) -> int:
         meta={"spec": experiments.spec_echo(spec), "version": __version__},
     )
     _emit(table, args, args.format)
-    return 0
 
 
-def _cmd_genie(args) -> int:
-    if args.format == "csv":
-        raise ValidationError("genie output is JSON only")
-    cfg, _ = _resolve_config(args)
-    seed = _resolve_seed(args)
-    verdict = sim.genie_verdict(cfg, args.variant, args.n, seed)
+def _cmd_genie(args, cfg, _) -> None:
+    verdict = sim.genie_verdict(cfg, args.variant, args.n, args.seed)
     _emit(verdict, args)
     if verdict["max_rel_error"] >= _GENIE_TOL:
         raise PropertyViolationError(
             f"genie reconstruction error {verdict['max_rel_error']:.3g} >= {_GENIE_TOL}"
         )
-    return 0
 
 
-def _cmd_simulate(args) -> int:
-    cfg, _ = _resolve_config(args)
-    seed = _resolve_seed(args)
+def _cmd_simulate(args, cfg, _) -> None:
     if args.pam_order is not None and args.samples is not None:
         raise ValidationError("--pam-order and --samples are mutually exclusive")
     if args.format == "csv" and (args.pam_order is not None or args.samples is not None):
         flag = "--pam-order" if args.pam_order is not None else "--samples"
         raise ValidationError(f"simulate {flag} output is JSON only")
     if args.pam_order is not None:
-        ser, throughput = sim.simulate_pnc_relay(cfg, args.pam_order, args.n, seed)
-        obj = {"pam_order": args.pam_order, "n": args.n, "seed": seed,
-               "ser": ser, "throughput": throughput}
-        _emit(obj, args)
-        return 0
-    if args.samples is not None:
-        estimate = sim.estimate_p2p_mi(cfg, args.samples, seed)
-        obj = {"link": "h3", "samples": args.samples, "seed": seed, "estimate": estimate}
-        _emit(obj, args)
-        return 0
-    if args.format == "json":
+        ser, throughput = sim.simulate_pnc_relay(cfg, args.pam_order, args.n, args.seed)
+        _emit({"pam_order": args.pam_order, "n": args.n, "seed": args.seed,
+               "ser": ser, "throughput": throughput}, args)
+    elif args.samples is not None:
+        estimate = sim.estimate_p2p_mi(cfg, args.samples, args.seed)
+        _emit({"link": "h3", "samples": args.samples, "seed": args.seed, "estimate": estimate}, args)
+    elif args.format == "json":
         raise ValidationError("trace export is CSV only")
-    _, trace = sim.simulate_network(cfg, args.n, seed)
-    _emit(trace.as_table(), args, "csv")
-    return 0
+    else:
+        _, trace = sim.simulate_network(cfg, args.n, args.seed)
+        _emit(trace.as_table(), args, "csv")
 
 
-def _cmd_sweep(args) -> int:
-    cfg, _ = _resolve_config(args)
+def _cmd_sweep(args, cfg, _) -> None:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
-                                 gains=cfg.gains, seed=_resolve_seed(args))
+                                 gains=cfg.gains, seed=args.seed)
     _emit(experiments.sweep_snr(spec), args, args.format)
-    return 0
 
 
-def _cmd_gap_ensemble(args) -> int:
+def _cmd_gap_ensemble(args, cfg, _) -> None:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
-                                 ensemble=args.ensemble, seed=_resolve_seed(args))
+                                 ensemble=args.ensemble, seed=args.seed)
     stats = experiments.gap_ensemble(spec)
     _emit(experiments.gap_statistics_table(stats, spec), args, args.format)
     if stats.violations > 0:
         raise PropertyViolationError(f"{stats.violations} gap values fell outside [0, 2]")
-    return 0
 
 
-def _cmd_crossover(args) -> int:
-    cfg, _ = _resolve_config(args)
+def _cmd_crossover(args, cfg, _) -> None:
     result = experiments.find_crossover(cfg.gains, args.p_lo, args.p_hi)
     _emit(experiments.crossover_table(result, cfg.gains, args.p_lo, args.p_hi), args, args.format)
-    return 0
+
+
+def _grid(p_lo: float, p_hi: float, points: int | None = None) -> tuple:
+    """--p-lo and --p-hi, then --points where it has a default."""
+    flags = (("--p-lo", {"type": float, "default": p_lo}), ("--p-hi", {"type": float, "default": p_hi}))
+    return flags if points is None else (*flags, ("--points", {"type": int, "default": points}))
+
+
+class _Command(NamedTuple):
+    help: str
+    config: bool  # takes --config and the inline gain flags
+    format: str | None  # the --format default
+    only: str | None  # the one format it writes, if it writes one only
+    flags: tuple  # its own (flag, add_argument keywords), in --help order
+    handler: Callable[..., None]  # (args, cfg, mapping); raises to exit 1 or 2
+
+
+_CONFIG_FLAGS = (
+    ("--config", {"metavar": "PATH", "help": "JSON file with g12/g13/g23/power"}),
+    ("--g12", {"type": float, "help": "user1-user2 gain"}),
+    ("--g13", {"type": float, "help": "user1-user3 gain"}),
+    ("--g23", {"type": float, "help": "user2-user3 gain"}),
+    ("--power", {"type": float, "help": "per-user power budget P"}),
+)
+_SEED = ("--seed", {"type": int})
+_SUBCOMMANDS = {
+    "bounds": _Command("every closed-form bound for one configuration", True, "json", None, (), _cmd_bounds),
+    "region": _Command("rate region constraints and the sum-rate LP", True, "json", "json", (), _cmd_region),
+    "dof": _Command("pre-log slopes of the sum bounds over an SNR grid", True, "json", None,
+                    _grid(1e2, 1e8, 9), _cmd_dof),
+    "genie": _Command("verify a genie reconstruction on a simulated run", True, "json", "json", (
+        ("--variant", {"choices": ("lemma1", "lemma2"), "required": True}),
+        ("--n", {"type": int, "default": 100, "help": "block length"}),
+        _SEED), _cmd_genie),
+    # trace csv, relay and MI json: _cmd_simulate checks the format against its mode
+    "simulate": _Command("trace CSV; with --pam-order a relay demo; with --samples an MI estimate",
+                         True, None, None, (
+        ("--n", {"type": int, "default": 100, "help": "block length / relay exchanges"}),
+        _SEED,
+        ("--pam-order", {"type": int, "help": "run the two-way relay demo at this PAM order"}),
+        ("--samples", {"type": int, "help": "estimate strongest-link mutual information"})), _cmd_simulate),
+    "sweep": _Command("bounds and gap over a log-spaced power grid", True, "csv", None,
+                      (*_grid(1e2, 1e8, 9), _SEED), _cmd_sweep),
+    "gap-ensemble": _Command("gap statistics over random channel draws", False, "json", None,
+                             (("--ensemble", {"type": int, "default": 10000}), *_grid(0.1, 1e4, 6), _SEED),
+                             _cmd_gap_ensemble),
+    "crossover": _Command("power where the genie bounds beat the cut-set sum", True, "json", None,
+                          _grid(0.1, 100.0), _cmd_crossover),
+}
 
 
 @functools.cache
@@ -232,79 +247,31 @@ def build_parser() -> _Parser:
                                  "for the three-user full-duplex Gaussian network")
     parser.add_argument("--version", action="version", version=f"triway {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("bounds", help="every closed-form bound for one configuration")
-    _add_config_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("region", help="rate region constraints and the sum-rate LP")
-    _add_config_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(handler=_cmd_region)
-
-    p = sub.add_parser("dof", help="pre-log slopes of the sum bounds over an SNR grid")
-    _add_config_flags(p)
-    _add_output_flags(p, "json")
-    p.add_argument("--p-lo", type=float, default=1e2)
-    p.add_argument("--p-hi", type=float, default=1e8)
-    p.add_argument("--points", type=int, default=9)
-    p.set_defaults(handler=_cmd_dof)
-
-    p = sub.add_parser("genie", help="verify a genie reconstruction on a simulated run")
-    _add_config_flags(p)
-    _add_output_flags(p, "json")
-    p.add_argument("--variant", choices=("lemma1", "lemma2"), required=True)
-    p.add_argument("--n", type=int, default=100, help="block length")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_genie)
-
-    p = sub.add_parser("simulate",
-                       help="trace CSV; with --pam-order a relay demo; with --samples an MI estimate")
-    _add_config_flags(p)
-    _add_output_flags(p, None)  # trace csv, relay and MI json
-    p.add_argument("--n", type=int, default=100, help="block length / relay exchanges")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pam-order", type=int, help="run the two-way relay demo at this PAM order")
-    p.add_argument("--samples", type=int, help="estimate strongest-link mutual information")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="bounds and gap over a log-spaced power grid")
-    _add_config_flags(p)
-    _add_output_flags(p, "csv")
-    p.add_argument("--p-lo", type=float, default=1e2)
-    p.add_argument("--p-hi", type=float, default=1e8)
-    p.add_argument("--points", type=int, default=9)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("gap-ensemble", help="gap statistics over random channel draws")
-    _add_output_flags(p, "json")
-    p.add_argument("--ensemble", type=int, default=10000)
-    p.add_argument("--p-lo", type=float, default=0.1)
-    p.add_argument("--p-hi", type=float, default=1e4)
-    p.add_argument("--points", type=int, default=6)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_gap_ensemble)
-
-    p = sub.add_parser("crossover", help="power where the genie bounds beat the cut-set sum")
-    _add_config_flags(p)
-    _add_output_flags(p, "json")
-    p.add_argument("--p-lo", type=float, default=0.1)
-    p.add_argument("--p-hi", type=float, default=100.0)
-    p.set_defaults(handler=_cmd_crossover)
-
+    for name, row in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        for flag, keywords in (*(_CONFIG_FLAGS if row.config else ()),
+                               ("--format", {"choices": ("csv", "json"), "default": row.format}),
+                               ("--out", {"metavar": "PATH", "help": "write output here instead of stdout"}),
+                               *row.flags):
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    row = _SUBCOMMANDS[args.subcommand]
     try:
-        return args.handler(args)
+        # this order decides which error line an input with two faults gets
+        if row.only and args.format != row.only:
+            raise ValidationError(f"{args.subcommand} output is {row.only.upper()} only")
+        cfg, mapping = _resolve_config(args) if row.config else (None, None)
+        if "seed" in args:
+            args.seed = _resolve_seed(args)
+        row.handler(args, cfg, mapping)
+        return 0
     except (ValidationError, OSError, MemoryError) as exc:  # MemoryError: arrays of an accepted size
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, config resolution,
 seeding, and parity with the library calls each subcommand wraps."""
 
+import argparse
 import collections
 import contextlib
 import dataclasses
@@ -257,6 +258,10 @@ def test_config_file_errors(capsys, tmp_path):
     arr.write_text("[1, 2]")
     code, _, err = _run(capsys, "bounds", "--config", str(arr))
     assert code == 1 and "JSON object" in err
+    typo = tmp_path / "typo.json"  # a misspelt key once left the default power in place, exit 0
+    typo.write_text('{"g12": 2, "pwr": 50}')
+    _one_line_error(*_run(capsys, "bounds", "--config", str(typo)),
+                    f"config {typo}: unknown key 'pwr' (expected g12, g13, g23, power)")
     # a 401-digit integer overflows float(); int() refuses a 5001-digit one,
     # and bad UTF-8 makes the parser raise a ValueError that is no JSONDecodeError
     for k, (text, message) in enumerate(((b'{"power": 1' + b"0" * 400 + b"}", "power is too large"),
@@ -371,6 +376,23 @@ def test_simulate_relay_rejects_csv(capsys):
 def test_simulate_mi_rejects_csv(capsys):
     _one_line_error(*_run(capsys, "simulate", "--samples", "10000", "--format", "csv"),
                     "simulate --samples output is JSON only")
+
+
+_TWO_FAULTS = [
+    (("region", "--format", "csv", "--g12", "nan"), "region output is JSON only"),
+    (("genie", "--variant", "lemma1", "--format", "csv", "--seed", "-1"), "genie output is JSON only"),
+    (("simulate", "--format", "csv", "--pam-order", "4", "--g12", "nan"), "channel gain nan is not finite"),
+    (("simulate", "--format", "json", "--seed", "-3"), "--seed must be >= 0, got -3"),
+    (("sweep", "--points", "0", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("gap-ensemble", "--ensemble", "0", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("crossover", "--p-lo", "-1", "--g12", "nan"), "channel gain nan is not finite"),
+]
+
+
+@pytest.mark.parametrize("argv,text", _TWO_FAULTS, ids=[" ".join(a) for a, _ in _TWO_FAULTS])
+def test_an_input_with_two_faults_names_the_first_checked(capsys, argv, text):
+    # checked in this order: the one output format, the config, the seed, then the subcommand's own rules
+    _one_line_error(*_run(capsys, *argv), text)
 
 
 def test_back_to_back_calls_share_no_state(capsys, monkeypatch):
@@ -658,6 +680,16 @@ _FLAGS = {
                      "format": _FORMAT},
     "crossover": {**_CONFIG, "p-lo": _NUMBER, "p-hi": _NUMBER, "format": _FORMAT},
 }
+
+
+def test_the_fuzzed_flags_are_the_parser_flags():
+    # a flag added to the CLI must also be added to _FLAGS, or the property test never draws it
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(_FLAGS)
+    for name, command in commands.items():
+        flags = {flag for action in command._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help", "--config", "--out"} == {f"--{flag}" for flag in _FLAGS[name]}, name
 
 
 def _nonfinite_cells(subcommand, out):
