@@ -126,12 +126,13 @@ def evaluate(cfg: ChannelConfig) -> BoundReport:
     return BoundReport(cfg, *_bound_terms(*cfg.gains.bound_inputs(), cfg.power))
 
 
-def sum_capacity_interval(cfg: ChannelConfig) -> tuple[float, float, float]:
-    """(lower, upper, gap) bracketing the sum capacity, bit-identical to `evaluate`'s fields.
+def sum_capacity_interval(inputs: tuple[float, float, float, float],
+                          P: float) -> tuple[float, float, float]:
+    """(lower, upper, gap) bracketing the sum capacity at power P and the gains whose
+    `ChannelGains.bound_inputs` are `inputs`, bit-identical to `evaluate`'s fields.
 
     upper is the minimum of the closed-form sum bounds, lower + gap; see
     `evaluate` for the literal 2.0.  Only the gap's four cap terms are computed.
     """
-    _, _, _, lower, gap = _gap_terms(*cfg.gains.bound_inputs(), cfg.power)
+    _, _, _, lower, gap = _gap_terms(*inputs, P)
     return lower, lower + gap, gap
-

@@ -6,8 +6,9 @@ computed result contradicting a proved bound, e.g. a sum-capacity gap outside
 machine-visible).
 
 Gains come from --config JSON ({"g12":..., "g13":..., "g23":..., "power":...};
-no other key) or inline flags; inline wins on conflict with a warning.  --seed
-falls back to the TRIWAY_SEED environment variable, then 0; a seed must be >= 0.
+no other key, and none twice) or inline flags; inline wins on conflict with a
+warning.  --seed falls back to the TRIWAY_SEED environment variable, then 0; a
+seed must be >= 0.
 """
 
 from __future__ import annotations
@@ -56,15 +57,26 @@ def _config_int(path: str, text: str) -> int:
         raise ValidationError(f"config {path}: a number is too long ({len(text)} characters)") from exc
 
 
+def _config_object(path: str, pairs: list) -> dict:
+    # json keeps the last of a repeated key; a config states each key once
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"config {path}: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _resolve_config(args):
     values, file_obj = dict(_DEFAULT_GAINS), {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                file_obj = json.load(fh, parse_int=functools.partial(_config_int, args.config))
+                file_obj = json.load(fh, parse_int=functools.partial(_config_int, args.config),
+                                     object_pairs_hook=functools.partial(_config_object, args.config))
         except OSError as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        except ValidationError:  # from _config_int
+        except ValidationError:  # from _config_int or _config_object
             raise
         except ValueError as exc:  # JSONDecodeError, bad UTF-8
             raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds
 from ._version import __version__
-from .model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, canonicalize
+from .model import _MAX_LENGTH, _RELABELINGS, ChannelConfig, ChannelGains, ValidationError, _bound_inputs
 
 # sweep table columns, in emission order: fields of bounds.BoundReport
 BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma2",
@@ -30,6 +30,9 @@ _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum"
 # the heap (one 1000-row block faulted ~240 fresh pages in on every call, 512-row blocks none)
 _CSV_BLOCK = 512
 _DOF_POINTS = 10 ** 5  # the largest grid a DoF fit takes
+# trials per gap-ensemble block: a power of two below 2**32, so no block crosses a multiple
+# of 2**32, where trial t's seed words grow by one
+_GAP_BLOCK = 256
 _EXACT_BELOW = 2.0 ** 33  # |x| * 1e6 < 2**53 below it, so rounding and digits stay exact
 # four-byte tokens read as uint32.  _GROUPS: "\0ddd" for a three-digit group g < 1000, at
 # 1000 + g the lead group g without leading zeros, at 2000 nothing; then ".ddd" and "ddd\0"
@@ -167,31 +170,98 @@ def dof_estimate(spec: SweepSpec, fields: tuple[str, ...]) -> tuple[float, ...]:
     return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, top, fields))
 
 
+def _uint32_words(n: int) -> list[int]:
+    """The uint32 words numpy seeds with for an int n >= 0: little-endian, [0] for 0."""
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row t - start for each t in [start, stop): the uint32 words numpy makes of the list
+    [seed, t], so default_rng(row) has the state of default_rng([seed, t]) without coercing
+    a list on every call.  The range must not cross a multiple of 2**32: its trials share
+    the words of t above the lowest."""
+    if seed < 0:  # its words would never end
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    head = _uint32_words(seed)
+    high = _uint32_words(start >> 32) if start >> 32 else []
+    low = start & 0xFFFFFFFF
+    words = np.empty((stop - start, len(head) + 1 + len(high)), np.uint32)
+    words[:, :len(head)] = head
+    words[:, len(head)] = np.arange(low, low + stop - start)
+    words[:, len(head) + 1:] = high
+    return words
+
+
+# per relabeling of _RELABELINGS: the indices into canonicalize's `opposite` of (h1, h2, h3)
+_RELABELED_COLUMNS = np.array([indices for indices, _ in _RELABELINGS])
+
+
+def _canonical_block(g: np.ndarray) -> np.ndarray:
+    """canonicalize on each row (g12, g13, g23) of g: the canonical rows (h1, h2, h3).
+
+    Each row takes the first relabeling whose order holds, the identity where
+    none does (a NaN), as canonicalize does.  One all-clear check mirrors
+    ChannelGains' three rules; each row it fails is built as ChannelGains, in
+    row order, so the first invalid row raises ChannelGains' own error.
+    """
+    opposite = g[:, ::-1]  # gain of the link that avoids user k
+    mag = np.abs(opposite)
+    holds = [(mag[:, i3] >= mag[:, i2]) & (mag[:, i2] >= mag[:, i1])
+             for (i1, i2, i3), _ in _RELABELINGS]
+    h = np.take_along_axis(opposite, _RELABELED_COLUMNS[np.argmax(holds, axis=0)], axis=1)
+    h1, h2, h3 = h.T
+    with np.errstate(over="ignore"):
+        top = h3 * h3 + h2 * h2
+    clear = np.isfinite(h).all(axis=1) & (abs(h3) >= abs(h2)) & (abs(h2) >= abs(h1)) & np.isfinite(top)
+    for row in h[~clear].tolist():
+        ChannelGains(*row)
+    return h
+
+
 def gap_ensemble(spec: SweepSpec) -> GapStatistics:
     """Sample configurations, evaluate the sum-capacity interval, aggregate gaps.
 
     Trial t uses gains drawn from default_rng([seed, t]) (or the fixed triple)
     and the grid power at index t mod points, so a large ensemble covers every
-    grid power evenly.
+    grid power evenly.  Trials run in blocks of _GAP_BLOCK: a block draws each
+    trial's gains from its own generator, seeded with the words of [seed, t]
+    (`_seed_words`), and canonicalizes and checks them at once
+    (`_canonical_block`); then each trial is one call of
+    bounds.sum_capacity_interval.  min, max, the first trial at the max
+    (the worst config) and the running sum of the gaps, in trial order, are
+    those of a loop over the trials one at a time.
     """
-    powers = power_grid(spec, spec.ensemble).tolist()  # trial t < ensemble reads index t % points
-    worst = None
+    powers = power_grid(spec, spec.ensemble)  # trial t < ensemble reads index t % points
+    worst = None  # the worst trial's (h1, h2, h3) and power
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
-    for t in range(spec.ensemble):
-        gains = spec.gains
-        if gains is None:
-            gains, _ = canonicalize(*np.random.default_rng([spec.seed, t]).standard_normal(3).tolist())
-        cfg = ChannelConfig(gains=gains, power=powers[t % spec.points])
-        _, _, gap = bounds.sum_capacity_interval(cfg)
-        if gap < 0.0 or gap > 2.0:
-            violations += 1
-        total += gap
-        gaps_min = min(gaps_min, gap)
-        if gap > gaps_max:
-            gaps_max, worst = gap, cfg
+    for start in range(0, spec.ensemble, _GAP_BLOCK):
+        stop = min(start + _GAP_BLOCK, spec.ensemble)
+        block_powers = powers[np.arange(start, stop) % spec.points].tolist()
+        if spec.gains is None:
+            draws = np.empty((stop - start, 3))
+            for words, row in zip(_seed_words(spec.seed, start, stop), draws):
+                np.random.default_rng(words).standard_normal(out=row)
+            gains = _canonical_block(draws)
+        else:
+            gains = np.tile(dataclasses.astuple(spec.gains), (stop - start, 1))
+        gaps = [bounds.sum_capacity_interval(_bound_inputs(h1, h2, h3), P)[2]
+                for h1, h2, h3, P in zip(*gains.T.tolist(), block_powers)]
+        for gap in gaps:
+            total += gap
+            violations += gap < 0.0 or gap > 2.0
+        gaps_min = min(gaps_min, *gaps)
+        top = max(gaps_max, *gaps)
+        if top > gaps_max:  # the block's first trial at its max
+            k = gaps.index(top)
+            gaps_max, worst = top, (gains[k].tolist(), block_powers[k])
+    if worst is not None:
+        worst = ChannelConfig(gains=ChannelGains(*worst[0]), power=worst[1])
     return GapStatistics(ensemble=spec.ensemble, min_gap=gaps_min, max_gap=gaps_max,
-                         mean_gap=total / spec.ensemble, violations=violations,
-                         worst_config=worst)
+                         mean_gap=total / spec.ensemble, violations=violations, worst_config=worst)
 
 
 def gap_statistics_table(stats: GapStatistics, spec: SweepSpec) -> ReportTable:

@@ -44,12 +44,17 @@ class ChannelGains:
             raise ValidationError(f"squared gains overflow: h3^2 + h2^2 = {top!r} is not finite")
 
     def bound_inputs(self) -> tuple[float, float, float, float]:
-        """(h1^2, h2^2, h3^2, h1^2/h2^2) for the bound kernel.  The ratio is 0 for h2 = 0, and
-        (h1/h2)^2 where h2^2 is below the smallest normal double: it has lost bits or is 0."""
-        s1, s2 = self.h1 * self.h1, self.h2 * self.h2
-        if s2 >= 2.2250738585072014e-308:  # sys.float_info.min
-            return s1, s2, self.h3 * self.h3, s1 / s2
-        return s1, s2, self.h3 * self.h3, 0.0 if self.h2 == 0.0 else (self.h1 / self.h2) ** 2
+        """The bound kernel's inputs for these gains; see `_bound_inputs`."""
+        return _bound_inputs(self.h1, self.h2, self.h3)
+
+
+def _bound_inputs(h1: float, h2: float, h3: float) -> tuple[float, float, float, float]:
+    """(h1^2, h2^2, h3^2, h1^2/h2^2) for the bound kernel.  The ratio is 0 for h2 = 0, and
+    (h1/h2)^2 where h2^2 is below the smallest normal double: it has lost bits or is 0."""
+    s1, s2 = h1 * h1, h2 * h2
+    if s2 >= 2.2250738585072014e-308:  # sys.float_info.min
+        return s1, s2, h3 * h3, s1 / s2
+    return s1, s2, h3 * h3, 0.0 if h2 == 0.0 else (h1 / h2) ** 2
 
 
 @dataclasses.dataclass(frozen=True)

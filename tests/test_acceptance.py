@@ -50,7 +50,7 @@ def test_criterion_1_interval_gap_bounded():
     for t in range(10_000):
         gains, _ = canonicalize(*np.random.default_rng([101, t]).standard_normal(3))
         cfg = ChannelConfig(gains=gains, power=grid[t % len(grid)])
-        lower, upper, gap = sum_capacity_interval(cfg)
+        lower, upper, gap = sum_capacity_interval(cfg.gains.bound_inputs(), cfg.power)
         worst = max(worst, gap)
         if not (0.0 <= gap <= 2.0 and abs((upper - lower) - gap) < 1e-12):
             violations += 1

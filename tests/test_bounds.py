@@ -121,7 +121,8 @@ def test_achievable_lower_values():
 
 
 def test_interval_symmetric_case():
-    lower, upper, gap = sum_capacity_interval(_cfg(1.0, 1.0, 1.0, 1.0))
+    cfg = _cfg(1.0, 1.0, 1.0, 1.0)
+    lower, upper, gap = sum_capacity_interval(cfg.gains.bound_inputs(), cfg.power)
     assert lower == pytest.approx(1.0, rel=1e-12)
     assert upper == pytest.approx(2.584962500721156, rel=1e-12)
     assert gap == pytest.approx(1.584962500721156, rel=1e-12)
@@ -131,7 +132,7 @@ def test_interval_upper_is_min_of_uppers():
     rng = np.random.default_rng(12)
     for _ in range(500):
         cfg = _random_cfg(rng)
-        lower, upper, gap = sum_capacity_interval(cfg)
+        lower, upper, gap = sum_capacity_interval(cfg.gains.bound_inputs(), cfg.power)
         b = evaluate(cfg)
         assert upper <= b.theorem2_upper + 1e-12
         assert upper <= b.tightened_upper + 1e-12
@@ -153,7 +154,8 @@ def test_interval_is_evaluate_bit_for_bit():
     cfgs += [_cfg(1.0, 1.0, 1.0, 10.0 ** e) for e in range(295)]  # the gap reaches the literal 2.0
     for cfg in cfgs:
         b = evaluate(cfg)
-        assert sum_capacity_interval(cfg) == (b.achievable_lower, b.achievable_lower + b.gap, b.gap), cfg
+        got = sum_capacity_interval(cfg.gains.bound_inputs(), cfg.power)
+        assert got == (b.achievable_lower, b.achievable_lower + b.gap, b.gap), cfg
     # the cases reach the branches they are named for
     assert math.isinf(1e154 ** 2 * 1e300) and any(evaluate(c).gap == 2.0 for c in cfgs[-295:])
 
@@ -220,7 +222,7 @@ def test_interval_gap_never_exceeds_two_high_snr():
     # the naive difference fl(2c+2) - 2c can round above 2; the interval must not
     for exponent in range(0, 300, 7):
         cfg = _cfg(1.0, 1.0, 1.0, 10.0 ** exponent)
-        _, _, gap = sum_capacity_interval(cfg)
+        _, _, gap = sum_capacity_interval(cfg.gains.bound_inputs(), cfg.power)
         assert 0.0 <= gap <= 2.0
 
 

@@ -262,6 +262,9 @@ def test_config_file_errors(capsys, tmp_path):
     typo.write_text('{"g12": 2, "pwr": 50}')
     _one_line_error(*_run(capsys, "bounds", "--config", str(typo)),
                     f"config {typo}: unknown key 'pwr' (expected g12, g13, g23, power)")
+    twice = tmp_path / "twice.json"  # json keeps the last value: this printed power 50, exit 0
+    twice.write_text('{"power": 2, "power": 50}')
+    _one_line_error(*_run(capsys, "bounds", "--config", str(twice)), f"config {twice}: repeated key 'power'")
     # a 401-digit integer overflows float(); int() refuses a 5001-digit one,
     # and bad UTF-8 makes the parser raise a ValueError that is no JSONDecodeError
     for k, (text, message) in enumerate(((b'{"power": 1' + b"0" * 400 + b"}", "power is too large"),
@@ -471,7 +474,7 @@ def test_property_violation_prints_the_report_then_exits_two(capsys, monkeypatch
     if target == "evaluate":
         monkeypatch.setattr(bounds, "evaluate", lambda cfg: dataclasses.replace(evaluate(cfg), gap=gap))
     else:
-        monkeypatch.setattr(bounds, "sum_capacity_interval", lambda cfg: (1.0, 1.0 + gap, gap))
+        monkeypatch.setattr(bounds, "sum_capacity_interval", lambda inputs, P: (1.0, 1.0 + gap, gap))
     code, out, err = _run(capsys, *argv)
     assert code == 2
     if "csv" in argv:

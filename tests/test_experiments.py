@@ -2,6 +2,7 @@
 byte-stable report serialization they share."""
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -29,6 +30,7 @@ from triway import bounds, experiments
 from triway.bounds import BoundReport, evaluate, sum_capacity_interval
 from triway.experiments import (
     _CSV_BLOCK,
+    _GAP_BLOCK,
     BOUND_COLUMNS,
     CrossoverResult,
     SweepSpec,
@@ -40,7 +42,9 @@ from triway.experiments import (
     gap_statistics_table,
     power_grid,
     sweep_snr,
+    _canonical_block,
     _exact_block,
+    _seed_words,
 )
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 
@@ -74,7 +78,8 @@ def test_sweep_rows_match_direct_evaluation():
         cfg = ChannelConfig(gains=spec.gains, power=row[0])
         assert row[table.header.index("tightened_upper")] == pytest.approx(
             evaluate(cfg).tightened_upper, rel=1e-12)
-        assert row[-1] == pytest.approx(sum_capacity_interval(cfg)[2], rel=1e-12)
+        _, _, gap = sum_capacity_interval(spec.gains.bound_inputs(), row[0])
+        assert row[-1] == pytest.approx(gap, rel=1e-12)
 
 
 def _parity_gains():
@@ -210,7 +215,7 @@ def test_gap_ensemble_fixed_gains_single_trial():
     spec = SweepSpec(p_lo=9.0, p_hi=9.0, points=1, gains=SYM, ensemble=1, seed=5)
     stats = gap_ensemble(spec)
     cfg = ChannelConfig(gains=SYM, power=9.0)
-    gap = sum_capacity_interval(cfg)[2]
+    gap = sum_capacity_interval(cfg.gains.bound_inputs(), cfg.power)[2]
     assert stats.min_gap == stats.max_gap == stats.mean_gap == gap
     assert stats.worst_config == cfg
 
@@ -226,6 +231,97 @@ def test_gap_ensemble_fixed_gains_single_trial():
 ], ids=["seed0", "seed2**32+5", "fixed_gains", "fixed_gains_tied_at_2", "points_gt_ensemble", "points1"])
 def test_gap_ensemble_matches_the_per_trial_reference(spec):
     assert gap_ensemble(spec) == reference_gap_ensemble(spec)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+def test_seed_words_give_the_generator_of_the_seed_list(seed):
+    for t in (0, 1, 2**32 - 1, 2**32, 2**40 + 9):
+        (words,) = _seed_words(seed, t, t + 1)
+        assert words.dtype == np.uint32
+        want = np.random.default_rng([seed, t]).bit_generator.state
+        assert np.random.default_rng(words).bit_generator.state == want, (seed, t)
+    # a block's rows are its trials' words, up to the last trial below 2**32 and from 2**32 on
+    for start, stop in ((2**32 - 3, 2**32), (2**32, 2**32 + 3), (2**40 + 7, 2**40 + 10)):
+        for t, words in zip(range(start, stop), _seed_words(seed, start, stop)):
+            want = np.random.default_rng([seed, t]).bit_generator.state
+            assert np.random.default_rng(words).bit_generator.state == want, (seed, t)
+
+
+def test_seed_words_reject_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        _seed_words(-1, 0, 1)
+
+
+@pytest.mark.parametrize("ensemble", [_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1, 3 * _GAP_BLOCK + 1])
+@pytest.mark.parametrize("seed, gains", [(0, None), (2**32 + 1, None), (2**64 + 5, None),
+                                         (7, ChannelGains(-0.3, 0.8, 1.2))],
+                         ids=["seed0", "seed2**32+1", "seed2**64+5", "fixed_gains"])
+def test_gap_ensemble_blocks_match_the_per_trial_reference(ensemble, seed, gains):
+    spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=7, gains=gains, ensemble=ensemble, seed=seed)
+    assert gap_ensemble(spec) == reference_gap_ensemble(spec)
+
+
+class _FixedDraw:
+    """A generator stand-in whose standard normals are one fixed triple."""
+
+    def __init__(self, draw):
+        self.draw = np.array(draw, dtype=np.float64)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.draw.copy()
+        out[...] = self.draw
+        return out
+
+
+@pytest.mark.parametrize("draws", [
+    {5: (math.nan, 1.0, 0.5)},
+    {_GAP_BLOCK + 3: (0.5, -math.inf, 1.0)},
+    {2 * _GAP_BLOCK: (1e200, -2e200, 0.1)},  # canonical, but h3^2 + h2^2 overflows
+    {_GAP_BLOCK + 9: (0.1, 0.2, math.nan), _GAP_BLOCK + 4: (math.inf, 0.0, 0.0)},  # the first trial wins
+    {_GAP_BLOCK - 1: (1.0, 1e300, 0.0), 2 * _GAP_BLOCK: (math.nan, 0.0, 0.0)},  # so does the first block
+], ids=["nan", "inf_second_block", "overflow", "two_in_a_block", "two_blocks"])
+def test_gap_ensemble_raises_the_first_bad_trials_error(monkeypatch, draws):
+    # the per-trial loop draws floats, canonicalizes them and raises ChannelGains' text
+    first = min(draws)
+    with pytest.raises(ValidationError) as want:
+        canonicalize(*draws[first])
+    # trial 0 reaches the literal gap 2.0, so no bad trial is the worst config, which is checked anyway
+    draws = {0: (1e100, 1e100, 1e100), **draws}
+    real = np.random.default_rng
+
+    def rng(seed):  # the last seed word is t: both [seed, t] and its words end with it
+        t = int(seed[-1])
+        return _FixedDraw(draws[t]) if t in draws else real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=3 * _GAP_BLOCK + 1, seed=3)
+    with pytest.raises(ValidationError) as got:
+        gap_ensemble(spec)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith(("channel gain ", "squared gains overflow"))
+
+
+def test_canonical_block_is_canonicalize_row_by_row():
+    # ties and signed zeros: where several relabelings order a row, the first one wins
+    values = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0)
+    rows = np.array([*itertools.product(values, repeat=3), *np.random.default_rng(5).standard_normal((50, 3))])
+    for row, got in zip(rows.tolist(), _canonical_block(rows)):
+        gains, _ = canonicalize(*row)
+        assert got.tobytes() == np.array(dataclasses.astuple(gains)).tobytes(), row
+
+
+def test_gap_ensemble_memory_stays_bounded():
+    peaks = []
+    for ensemble in (2 * 10**3, 2 * 10**4):
+        spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=ensemble, seed=1)
+        tracemalloc.start()
+        try:
+            gap_ensemble(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0] and peaks[1] < 256 * 1024, peaks
 
 
 def test_gap_approaches_two_for_symmetric_gains():
