@@ -144,10 +144,9 @@ def _cmd_region(args, cfg, mapping) -> None:
 def _cmd_dof(args, cfg, _) -> None:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  gains=cfg.gains)
-    names = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # BoundReport fields
-    slopes = experiments.dof_estimate(spec, names)
     table = experiments.ReportTable(
-        kind="dof", header=names, columns=tuple(np.array([s]) for s in slopes),
+        kind="dof", header=experiments.DOF_FIELDS,
+        columns=tuple(np.array([s]) for s in experiments.dof_estimate(spec)),
         meta={"spec": experiments.spec_echo(spec), "version": __version__},
     )
     _emit(table, args, args.format)
@@ -204,8 +203,10 @@ def _cmd_crossover(args, cfg, _) -> None:
 
 def _grid(p_lo: float, p_hi: float, points: int | None = None) -> tuple:
     """--p-lo and --p-hi, then --points where it has a default."""
-    flags = (("--p-lo", {"type": float, "default": p_lo}), ("--p-hi", {"type": float, "default": p_hi}))
-    return flags if points is None else (*flags, ("--points", {"type": int, "default": points}))
+    flags = (("--p-lo", {"type": float, "default": p_lo, "help": "lowest power (default: %(default)s)"}),
+             ("--p-hi", {"type": float, "default": p_hi, "help": "highest power (default: %(default)s)"}))
+    return flags if points is None else (*flags, ("--points", {
+        "type": int, "default": points, "help": "log-spaced grid powers (default: %(default)s)"}))
 
 
 class _Command(NamedTuple):
@@ -224,7 +225,7 @@ _CONFIG_FLAGS = (
     ("--g23", {"type": float, "help": "user2-user3 gain"}),
     ("--power", {"type": float, "help": "per-user power budget P"}),
 )
-_SEED = ("--seed", {"type": int})
+_SEED = ("--seed", {"type": int, "help": "RNG seed >= 0 (default: TRIWAY_SEED, then 0)"})
 _SUBCOMMANDS = {
     "bounds": _Command("every closed-form bound for one configuration", True, "json", None, (), _cmd_bounds),
     "region": _Command("rate region constraints and the sum-rate LP", True, "json", "json", (), _cmd_region),
@@ -243,9 +244,9 @@ _SUBCOMMANDS = {
         ("--samples", {"type": int, "help": "estimate strongest-link mutual information"})), _cmd_simulate),
     "sweep": _Command("bounds and gap over a log-spaced power grid", True, "csv", None,
                       (*_grid(1e2, 1e8, 9), _SEED), _cmd_sweep),
-    "gap-ensemble": _Command("gap statistics over random channel draws", False, "json", None,
-                             (("--ensemble", {"type": int, "default": 10000}), *_grid(0.1, 1e4, 6), _SEED),
-                             _cmd_gap_ensemble),
+    "gap-ensemble": _Command("gap statistics over random channel draws", False, "json", None, (
+        ("--ensemble", {"type": int, "default": 10000, "help": "channel draws (default: %(default)s)"}),
+        *_grid(0.1, 1e4, 6), _SEED), _cmd_gap_ensemble),
     "crossover": _Command("power where the genie bounds beat the cut-set sum", True, "json", None,
                           _grid(0.1, 100.0), _cmd_crossover),
 }
@@ -262,7 +263,8 @@ def build_parser() -> _Parser:
     for name, row in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=row.help)
         for flag, keywords in (*(_CONFIG_FLAGS if row.config else ()),
-                               ("--format", {"choices": ("csv", "json"), "default": row.format}),
+                               ("--format", {"choices": ("csv", "json"), "default": row.format,
+                                             "help": row.only and f"writes {row.only.upper()} only"}),
                                ("--out", {"metavar": "PATH", "help": "write output here instead of stdout"}),
                                *row.flags):
             p.add_argument(flag, **keywords)

@@ -24,6 +24,7 @@ from .model import _MAX_LENGTH, _RELABELINGS, ChannelConfig, ChannelGains, Valid
 # sweep table columns, in emission order: fields of bounds.BoundReport
 BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma2",
                  "theorem2_upper", "tightened_upper", "achievable_lower")
+DOF_FIELDS = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # the DoF fit's bounds: 2, 3, 2
 _SCALAR_TYPES = frozenset((float, int, str, bool, type(None)))  # JSON scalars the C encoder takes in bulk
 _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum", "tightened_upper"))
 # rows per CSV block: its arrays stay below glibc malloc's trim threshold, so each block reuses
@@ -50,7 +51,7 @@ class SweepSpec:
     p_lo: float
     p_hi: float
     points: int
-    gains: ChannelGains | None = None  # None: standard-normal ensemble, canonicalized
+    gains: ChannelGains | None = None  # sweeps and DoF fits fix it; gap ensembles draw theirs
     ensemble: int = 1
     seed: int = 0
 
@@ -68,6 +69,8 @@ class SweepSpec:
             raise ValidationError("power grid must be strictly increasing: need p_lo < p_hi")
         if self.ensemble < 1:
             raise ValidationError("ensemble size must be >= 1")
+        if self.seed < 0:  # numpy seeds with no negative entropy, and its seed words would never end
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,16 +149,13 @@ def sweep_snr(spec: SweepSpec) -> ReportTable:
                        meta=_meta(spec))
 
 
-def dof_estimate(spec: SweepSpec, fields: tuple[str, ...]) -> tuple[float, ...]:
-    """Least-squares slope of each BoundReport field in `fields` against 0.5*log2(P).
+def dof_estimate(spec: SweepSpec) -> tuple[float, float, float]:
+    """Least-squares slope of each bound in DOF_FIELDS against 0.5*log2(P).
 
     Fits only the last half of spec's grid: the low-SNR transient is not the
     asymptote the slope is meant to expose.  Requires 8 to 10**5 strictly
     increasing points (log-spaced points can round equal) spanning >= 4 decades.
     """
-    for field in fields:
-        if field not in bounds._BOUND_FIELDS:
-            raise ValidationError(f"field {field!r} is not a BoundReport field")
     if spec.points > _DOF_POINTS:  # np.polyfit needs the whole half-grid in memory
         raise ValidationError(f"a DoF fit takes at most {_DOF_POINTS} points, got {spec.points}")
     grid = power_grid(spec).tolist()
@@ -167,7 +167,7 @@ def dof_estimate(spec: SweepSpec, fields: tuple[str, ...]) -> tuple[float, ...]:
         raise ValidationError("power grid must span at least 4 decades")
     top = grid[len(grid) // 2:]
     xs = [0.5 * math.log2(P) for P in top]
-    return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, top, fields))
+    return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, top, DOF_FIELDS))
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -183,9 +183,7 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     """Row t - start for each t in [start, stop): the uint32 words numpy makes of the list
     [seed, t], so default_rng(row) has the state of default_rng([seed, t]) without coercing
     a list on every call.  The range must not cross a multiple of 2**32: its trials share
-    the words of t above the lowest."""
-    if seed < 0:  # its words would never end
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    the words of t above the lowest.  seed >= 0, as SweepSpec checks."""
     head = _uint32_words(seed)
     high = _uint32_words(start >> 32) if start >> 32 else []
     low = start & 0xFFFFFFFF
@@ -225,8 +223,8 @@ def _canonical_block(g: np.ndarray) -> np.ndarray:
 def gap_ensemble(spec: SweepSpec) -> GapStatistics:
     """Sample configurations, evaluate the sum-capacity interval, aggregate gaps.
 
-    Trial t uses gains drawn from default_rng([seed, t]) (or the fixed triple)
-    and the grid power at index t mod points, so a large ensemble covers every
+    Trial t uses gains drawn from default_rng([seed, t]), canonicalized, and
+    the grid power at index t mod points, so a large ensemble covers every
     grid power evenly.  Trials run in blocks of _GAP_BLOCK: a block draws each
     trial's gains from its own generator, seeded with the words of [seed, t]
     (`_seed_words`), and canonicalizes and checks them at once
@@ -235,19 +233,18 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
     (the worst config) and the running sum of the gaps, in trial order, are
     those of a loop over the trials one at a time.
     """
+    if spec.gains is not None:
+        raise ValidationError("gap ensembles draw their gains: need no fixed gain triple")
     powers = power_grid(spec, spec.ensemble)  # trial t < ensemble reads index t % points
     worst = None  # the worst trial's (h1, h2, h3) and power
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
     for start in range(0, spec.ensemble, _GAP_BLOCK):
         stop = min(start + _GAP_BLOCK, spec.ensemble)
         block_powers = powers[np.arange(start, stop) % spec.points].tolist()
-        if spec.gains is None:
-            draws = np.empty((stop - start, 3))
-            for words, row in zip(_seed_words(spec.seed, start, stop), draws):
-                np.random.default_rng(words).standard_normal(out=row)
-            gains = _canonical_block(draws)
-        else:
-            gains = np.tile(dataclasses.astuple(spec.gains), (stop - start, 1))
+        draws = np.empty((stop - start, 3))
+        for words, row in zip(_seed_words(spec.seed, start, stop), draws):
+            np.random.default_rng(words).standard_normal(out=row)
+        gains = _canonical_block(draws)
         gaps = [bounds.sum_capacity_interval(_bound_inputs(h1, h2, h3), P)[2]
                 for h1, h2, h3, P in zip(*gains.T.tolist(), block_powers)]
         for gap in gaps:

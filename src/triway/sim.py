@@ -165,7 +165,7 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int, start: float = 1.0) -> tup
     runs the full loop.  The test compares raw bytes, so 0.0 and -0.0 differ
     and an overflowed state repeats only if its NaN and inf bits repeat.
     """
-    if n < 1:  # the one block-length check of the simulate and genie paths
+    if n < 1:  # for direct callers: simulate_network checks the length before it draws
         raise ValidationError("block length must be >= 1")
     # huge gains or scales overflow the state; the projected power is checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,21 +246,26 @@ def simulate_network(cfg: ChannelConfig, n: int,
                      seed: int) -> tuple[tuple[CausalEncoder, ...], TransmissionTrace]:
     """Random two-tap encoders scaled by normalize_power, then the step loop: (encoders, trace).
 
-    The block makes one power pass.  Its trace is checked here, where it is
-    made: an x or y that left the float range is rejected."""
+    The noise and messages are drawn first, so a block too long to hold fails at its first
+    allocation, not after the O(n) power pass.  The block makes one power pass.  Its trace is
+    checked here, where it is made: an x or y that left the float range is rejected."""
+    if n < 1:
+        raise ValidationError("block length must be >= 1")
+    if n > _MAX_LENGTH:
+        raise ValidationError(f"block length must be <= {_MAX_LENGTH}, got {n}")
+    noise, messages = _draw_realization(n, seed), _draw_messages(seed)
     encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
-    trace = _step_loop(encoders, cfg, n, seed)
+    trace = _step_loop(encoders, cfg, noise, messages)
     if not np.isfinite((trace.x1, trace.x2, trace.x3, trace.y1, trace.y2, trace.y3)).all():
         raise ValidationError(f"simulated trace over n={n} at message scale s={encoders[0].message_scale:.6g} "
                               "is not finite: the gains or power leave the float range")
     return encoders, trace
 
 
-def _step_loop(encoders, cfg: ChannelConfig, n: int, seed: int) -> TransmissionTrace:
-    """Each CausalEncoder map in its operation order, on Python floats (whose products and
-    sums round as numpy's do): the message term, plus a*y(i-1) from step 2, plus b*y(i-2) from step 3."""
-    z1s, z2s, z3s = _draw_realization(n, seed)
-    messages = _draw_messages(seed)
+def _step_loop(encoders, cfg: ChannelConfig, noise, messages: np.ndarray) -> TransmissionTrace:
+    """Each CausalEncoder map, on the noise (z1, z2, z3), in its operation order on Python floats (whose
+    products and sums round as numpy's do): the message term, plus a*y(i-1), plus b*y(i-2)."""
+    z1s, z2s, z3s = noise
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     t1, t2, t3 = (enc.message_term(messages[list(_MSG_INDEX[j])]) for j, enc in enumerate(encoders))
     (a1, b1), (a2, b2), (a3, b3) = (map(float, enc.feedback_weights) for enc in encoders)
@@ -285,12 +290,6 @@ def _step_loop(encoders, cfg: ChannelConfig, n: int, seed: int) -> TransmissionT
         z1=z1s, z2=z2s, z3=z3s,
         messages=messages,
     )
-
-
-def _scaled_dev(delta: np.ndarray, reference: np.ndarray) -> float:
-    """Peak deviation relative to the peak of the reference, floored at scale 1."""
-    scale = max(1.0, float(np.max(np.abs(reference))) if len(reference) else 1.0)
-    return float(np.max(np.abs(delta))) / scale if len(delta) else 0.0
 
 
 def _rebuild_y2(enc2: CausalEncoder, trace: TransmissionTrace, noise_diff: np.ndarray,
@@ -352,7 +351,8 @@ def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig, encod
 
 def reconstruction_error(reconstructed: np.ndarray, trace: TransmissionTrace) -> float:
     """Peak |reconstructed - true y2| relative to the true sequence's peak (floor 1)."""
-    return _scaled_dev(np.asarray(reconstructed) - trace.y2, trace.y2)
+    peak = float(np.max(np.abs(np.asarray(reconstructed) - trace.y2)))
+    return peak / max(1.0, float(np.max(np.abs(trace.y2))))
 
 
 def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int) -> dict:

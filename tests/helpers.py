@@ -47,7 +47,6 @@ from triway.sim import (
     _draw_realization,
     _power_sums,
     _power_system,
-    _scaled_dev,
     _step_loop,
     genie_reconstruct_lemma1,
     genie_reconstruct_lemma2,
@@ -91,11 +90,8 @@ def reference_gap_ensemble(spec: SweepSpec) -> GapStatistics:
     worst = None
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
     for t in range(spec.ensemble):
-        if spec.gains is None:
-            g = np.random.default_rng([spec.seed, t]).standard_normal(3)
-            gains, _ = reference_canonicalize(g[0], g[1], g[2])
-        else:
-            gains = spec.gains
+        g = np.random.default_rng([spec.seed, t]).standard_normal(3)
+        gains, _ = reference_canonicalize(g[0], g[1], g[2])
         cfg = ChannelConfig(gains=gains, power=float(grid[t % len(grid)]))
         gap = evaluate(cfg).gap
         if gap < 0.0 or gap > 2.0:
@@ -399,6 +395,12 @@ def emit_trace(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
     )
 
 
+def _scaled_dev(delta: np.ndarray, reference: np.ndarray) -> float:
+    """Peak deviation relative to the peak of the reference, floored at scale 1."""
+    scale = max(1.0, float(np.max(np.abs(reference))) if len(reference) else 1.0)
+    return float(np.max(np.abs(delta))) / scale if len(delta) else 0.0
+
+
 def verify_trace(trace: TransmissionTrace, cfg, encoders, tol: float = 1e-9) -> tuple[float, float]:
     """Check channel-equation exactness and that every x came from its causal encoder.
 
@@ -505,7 +507,7 @@ def simulate_network(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
         worst = int(np.argmax(power))
         raise ValidationError(f"user {worst + 1} expected block power {power[worst]:.6g} exceeds "
                               f"budget {budget:.6g}; apply normalize_power")
-    return _step_loop(encoders, cfg, n, seed)
+    return _step_loop(encoders, cfg, _draw_realization(n, seed), _draw_messages(seed))
 
 
 def two_pass_simulation(cfg, n: int, seed: int):

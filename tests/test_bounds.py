@@ -7,10 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import cap, reference_bound_terms
+from helpers import cap, reference_bound_terms, reference_dof_estimate
 from triway import bounds
 from triway.bounds import REPORT_CSV_HEADER, evaluate, sum_capacity_interval
-from triway.experiments import SweepSpec, dof_estimate, export_report
+from triway.experiments import DOF_FIELDS, SweepSpec, dof_estimate, export_report, power_grid
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 from triway.region import build_region
 
@@ -259,33 +259,36 @@ def _dof_spec(p_lo=1e2, p_hi=1e8, points=9):
 
 
 def test_dof_slopes():
-    upper, lower, cut = dof_estimate(_dof_spec(), ("theorem2_upper", "achievable_lower",
-                                                   "outgoing_cutset_sum"))
+    lower, cut, upper = dof_estimate(_dof_spec())
     assert upper == pytest.approx(2.0, abs=0.05)
     assert lower == pytest.approx(2.0, abs=0.05)
     assert cut == pytest.approx(3.0, abs=0.05)
 
 
-def test_dof_rejects_an_unknown_field():
-    with pytest.raises(ValidationError, match="^field 'gapp' is not a BoundReport field$"):
-        dof_estimate(_dof_spec(), ("lemma1", "gapp"))
+def test_dof_returns_the_slopes_in_dof_fields_order():
+    # the lower bound and Theorem 2's upper bound grow with 2 DoF, the cut-set sum with 3
+    assert DOF_FIELDS == ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")
+    for gains in (ChannelGains(h1=1.0, h2=1.0, h3=1.0), ChannelGains(h1=0.25, h2=0.5, h3=2.0)):
+        spec = SweepSpec(p_lo=1e2, p_hi=1e12, points=21, gains=gains)
+        grid = power_grid(spec)
+        assert dof_estimate(spec) == tuple(reference_dof_estimate(gains, grid, f) for f in DOF_FIELDS)
+        assert [round(s) for s in dof_estimate(spec)] == [2, 3, 2]
 
 
 def test_dof_rejects_degenerate_grids():
-    fields = ("theorem2_upper",)
     with pytest.raises(ValidationError, match=">= 8 points"):
-        dof_estimate(_dof_spec(points=7), fields)
+        dof_estimate(_dof_spec(points=7))
     with pytest.raises(ValidationError, match="4 decades"):
-        dof_estimate(_dof_spec(p_hi=1e4), fields)
+        dof_estimate(_dof_spec(p_hi=1e4))
     # log-spaced points this close round equal
     with pytest.raises(ValidationError, match="strictly increasing"):
-        dof_estimate(_dof_spec(p_lo=1.0, p_hi=1.000000000000001), fields)
+        dof_estimate(_dof_spec(p_lo=1.0, p_hi=1.000000000000001))
     # the spec itself is checked once, when it is built: experiments.SweepSpec
     with pytest.raises(ValidationError, match="positive"):
-        dof_estimate(_dof_spec(p_lo=-1.0), fields)
+        dof_estimate(_dof_spec(p_lo=-1.0))
     for bad in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="^power bound p_hi must be finite"):
-            dof_estimate(_dof_spec(p_hi=bad), fields)
+            dof_estimate(_dof_spec(p_hi=bad))
 
 
 def test_bounds_monotone_in_power():

@@ -9,8 +9,10 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -171,6 +173,9 @@ _SIZES_BEYOND_MEMORY = [
     (("simulate", "--samples", str(_TOO_LONG)), f"sample_count must be <= {sys.maxsize // 8}, got {_TOO_LONG}"),
     (("simulate", "--pam-order", "2", "--n", str(10 ** 18)), None),
     (("simulate", "--pam-order", "2", "--n", str(_TOO_LONG)), f"n must be <= {sys.maxsize // 8}, got {_TOO_LONG}"),
+    # the block's noise is drawn before the power pass, so its first allocation fails at once
+    (("simulate", "--n", str(10 ** 18)), None),
+    (("genie", "--variant", "lemma1", "--n", str(10 ** 18)), None),
 ]
 
 
@@ -182,6 +187,21 @@ def test_sizes_beyond_memory_are_one_error_line(capsys, argv, text):
         assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
     else:
         _one_line_error(code, out, err, text)
+
+
+def test_a_block_beyond_the_address_space_fails_at_its_first_allocation():
+    # one child under a 1 GiB address-space limit; its first noise array takes 1.6 GB.  Drawn
+    # after the power pass, the block would fail only after that pass's 2e8 steps (minutes)
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30)); "
+             "from triway.cli import main; sys.exit(main(sys.argv[1:]))")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", child, "genie", "--variant", "lemma1", "--n", str(2 * 10 ** 8)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert elapsed < 10.0
 
 
 def test_dof_points_are_bounded(capsys):
@@ -333,6 +353,9 @@ def _one_line_error(code, out, err, text):
 @pytest.mark.parametrize("argv,text", [
     (("genie", "--variant", "lemma1", "--n", "0"), "block length must be >= 1"),
     (("simulate", "--n", "0"), "block length must be >= 1"),
+    # checked before the draws and the power pass, whose cycle replay fails on a length past sys.maxsize
+    *(((*command, "--n", str(n)), f"block length must be <= {sys.maxsize // 8}, got {n}")
+      for command in (("genie", "--variant", "lemma1"), ("simulate",)) for n in (_TOO_LONG, 10 ** 20)),
     (("genie", "--variant", "lemma2", "--g12", "1", "--g13", "0", "--g23", "0"),
      "singular configuration: h2 = 0 or h3 = 0"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
@@ -667,7 +690,8 @@ _CONFIG = {"g12": _NUMBER, "g13": _NUMBER, "g23": _NUMBER, "power": _NUMBER}
 # huge point counts: a grid that cannot be held, or (for gap-ensemble) a prefix of one that can
 _GRID = {"p-lo": _NUMBER, "p-hi": _NUMBER, "points": _maybe(
     st.integers(min_value=-1, max_value=20), st.sampled_from([10 ** 18, 2 * 10 ** 18, sys.maxsize]))}
-_N = st.integers(min_value=-1, max_value=50)  # always given: the default block length is 100
+# always given: the default block length is 100; the huge ones fail before any power pass
+_N = st.one_of(st.integers(min_value=-1, max_value=50), st.sampled_from([10 ** 18, _TOO_LONG, 10 ** 20]))
 # every flag of every subcommand, at sizes that keep each call to milliseconds
 _FLAGS = {
     "bounds": {**_CONFIG, "format": _FORMAT},

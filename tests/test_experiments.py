@@ -27,11 +27,12 @@ from helpers import (
     table_rows,
 )
 from triway import bounds, experiments
-from triway.bounds import BoundReport, evaluate, sum_capacity_interval
+from triway.bounds import evaluate, sum_capacity_interval
 from triway.experiments import (
     _CSV_BLOCK,
     _GAP_BLOCK,
     BOUND_COLUMNS,
+    DOF_FIELDS,
     CrossoverResult,
     SweepSpec,
     crossover_table,
@@ -112,10 +113,9 @@ def test_drivers_match_their_evaluate_references_bit_for_bit(k, gains):
         assert _bits(table_rows(sweep_snr(spec))) == _bits(reference_sweep_rows(spec))
         hi = min(300.0, lo + rng.uniform(4.0, 150.0))
         spec = SweepSpec(p_lo=10.0 ** lo, p_hi=10.0 ** hi, points=int(rng.integers(8, 20)), gains=gains)
-        fields = tuple(f.name for f in dataclasses.fields(BoundReport)[1:])
         grid = power_grid(spec)
-        want = tuple(reference_dof_estimate(gains, grid, name) for name in fields)
-        assert _bits(dof_estimate(spec, fields)) == _bits(want)
+        want = tuple(reference_dof_estimate(gains, grid, name) for name in DOF_FIELDS)
+        assert _bits(dof_estimate(spec)) == _bits(want)
         s3 = gains.h3 * gains.h3  # the crossover sits near P = 1/h3^2
         p_lo = 10.0 ** rng.uniform(-3.0, 0.5) / (s3 if s3 > 0.0 else 1.0)
         p_hi = p_lo * 10.0 ** rng.uniform(0.5, 12.0)
@@ -145,7 +145,7 @@ def test_spec_validation():
     with pytest.raises(ValidationError, match="fixed gain"):
         sweep_snr(SweepSpec(p_lo=1.0, p_hi=10.0, points=3, gains=None))
     with pytest.raises(ValidationError, match="fixed gain"):
-        dof_estimate(SweepSpec(p_lo=1.0, p_hi=1e8, points=9, gains=None), ("lemma1",))
+        dof_estimate(SweepSpec(p_lo=1.0, p_hi=1e8, points=9, gains=None))
 
 
 def test_dof_estimate_reads_the_grid_once_and_the_kernel_once_per_fitted_point(monkeypatch):
@@ -155,8 +155,7 @@ def test_dof_estimate_reads_the_grid_once_and_the_kernel_once_per_fitted_point(m
             calls[_name] += 1
             return _call(*args)
         monkeypatch.setattr(module, name, counted)
-    slopes = dof_estimate(SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM),
-                          ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper"))
+    slopes = dof_estimate(SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM))
     assert len(slopes) == 3
     assert calls == {"power_grid": 1, "_bound_terms": 5}  # the fit reads the last 5 of 9 points
 
@@ -211,26 +210,52 @@ def test_gap_ensemble_statistics():
     assert gap_ensemble(spec) == stats  # trial streams make reruns identical
 
 
+class _FixedDraw:
+    """A generator stand-in whose standard normals are one fixed triple."""
+
+    def __init__(self, draw):
+        self.draw = np.array(draw, dtype=np.float64)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.draw.copy()
+        out[...] = self.draw
+        return out
+
+
+def _fix_every_draw(monkeypatch, draw):
+    """Every trial draws the gains (g12, g13, g23) = draw, through the ensemble's one gain path."""
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraw(draw))
+
+
 def test_gap_ensemble_fixed_gains_single_trial():
-    spec = SweepSpec(p_lo=9.0, p_hi=9.0, points=1, gains=SYM, ensemble=1, seed=5)
-    stats = gap_ensemble(spec)
-    cfg = ChannelConfig(gains=SYM, power=9.0)
-    gap = sum_capacity_interval(cfg.gains.bound_inputs(), cfg.power)[2]
+    # an ensemble draws its gains: a spec that fixes them is refused
+    with pytest.raises(ValidationError, match="^gap ensembles draw their gains: need no fixed gain triple$"):
+        gap_ensemble(SweepSpec(p_lo=9.0, p_hi=9.0, points=1, gains=SYM, ensemble=1, seed=5))
+    stats = gap_ensemble(SweepSpec(p_lo=9.0, p_hi=9.0, points=1, ensemble=1, seed=5))
+    gains, _ = canonicalize(*np.random.default_rng([5, 0]).standard_normal(3).tolist())
+    cfg = ChannelConfig(gains=gains, power=9.0)
+    gap = sum_capacity_interval(gains.bound_inputs(), cfg.power)[2]
     assert stats.min_gap == stats.max_gap == stats.mean_gap == gap
     assert stats.worst_config == cfg
 
 
-@pytest.mark.parametrize("spec", [
-    SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=1500, seed=0),
-    SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=1500, seed=2**32 + 5),
-    SweepSpec(p_lo=0.5, p_hi=5e3, points=4, gains=ChannelGains(-0.3, 0.8, 1.2), ensemble=9, seed=3),
+@pytest.mark.parametrize("spec, draw", [
+    (SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=1500, seed=0), None),
+    (SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=1500, seed=2**32 + 5), None),
+    (SweepSpec(p_lo=0.5, p_hi=5e3, points=4, ensemble=9, seed=3), (1.2, 0.8, -0.3)),
     # every gap is the literal 2.0: the first trial, not a later tie, is the worst config
-    SweepSpec(p_lo=1e20, p_hi=1e200, points=5, gains=ChannelGains(-1.0, 1.0, 1.0), ensemble=12),
-    SweepSpec(p_lo=1.0, p_hi=1e6, points=40, ensemble=7, seed=1),  # points > ensemble
-    SweepSpec(p_lo=2.0, p_hi=2.0, points=1, ensemble=25, seed=4),
+    (SweepSpec(p_lo=1e20, p_hi=1e200, points=5, ensemble=12), (1.0, 1.0, -1.0)),
+    (SweepSpec(p_lo=1.0, p_hi=1e6, points=40, ensemble=7, seed=1), None),  # points > ensemble
+    (SweepSpec(p_lo=2.0, p_hi=2.0, points=1, ensemble=25, seed=4), None),
 ], ids=["seed0", "seed2**32+5", "fixed_gains", "fixed_gains_tied_at_2", "points_gt_ensemble", "points1"])
-def test_gap_ensemble_matches_the_per_trial_reference(spec):
-    assert gap_ensemble(spec) == reference_gap_ensemble(spec)
+def test_gap_ensemble_matches_the_per_trial_reference(monkeypatch, spec, draw):
+    if draw is not None:
+        _fix_every_draw(monkeypatch, draw)
+    stats = gap_ensemble(spec)
+    assert stats == reference_gap_ensemble(spec)
+    if draw == (1.0, 1.0, -1.0):
+        assert stats.max_gap == 2.0 and stats.worst_config.power == power_grid(spec)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
@@ -247,31 +272,21 @@ def test_seed_words_give_the_generator_of_the_seed_list(seed):
             assert np.random.default_rng(words).bit_generator.state == want, (seed, t)
 
 
-def test_seed_words_reject_a_negative_seed():
-    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
-        _seed_words(-1, 0, 1)
+def test_spec_rejects_a_negative_seed():
+    # checked when the spec is built: no sweep or DoF fit echoes seed -1, no ensemble seeds with it
+    for gains in (SYM, None):
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+            SweepSpec(p_lo=1.0, p_hi=1e8, points=9, gains=gains, seed=-1)
 
 
 @pytest.mark.parametrize("ensemble", [_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1, 3 * _GAP_BLOCK + 1])
-@pytest.mark.parametrize("seed, gains", [(0, None), (2**32 + 1, None), (2**64 + 5, None),
-                                         (7, ChannelGains(-0.3, 0.8, 1.2))],
+@pytest.mark.parametrize("seed, draw", [(0, None), (2**32 + 1, None), (2**64 + 5, None), (7, (1.2, 0.8, -0.3))],
                          ids=["seed0", "seed2**32+1", "seed2**64+5", "fixed_gains"])
-def test_gap_ensemble_blocks_match_the_per_trial_reference(ensemble, seed, gains):
-    spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=7, gains=gains, ensemble=ensemble, seed=seed)
+def test_gap_ensemble_blocks_match_the_per_trial_reference(monkeypatch, ensemble, seed, draw):
+    if draw is not None:
+        _fix_every_draw(monkeypatch, draw)
+    spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=7, ensemble=ensemble, seed=seed)
     assert gap_ensemble(spec) == reference_gap_ensemble(spec)
-
-
-class _FixedDraw:
-    """A generator stand-in whose standard normals are one fixed triple."""
-
-    def __init__(self, draw):
-        self.draw = np.array(draw, dtype=np.float64)
-
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            return self.draw.copy()
-        out[...] = self.draw
-        return out
 
 
 @pytest.mark.parametrize("draws", [
@@ -325,9 +340,8 @@ def test_gap_ensemble_memory_stays_bounded():
 
 
 def test_gap_approaches_two_for_symmetric_gains():
-    spec = SweepSpec(p_lo=1e8, p_hi=1e8, points=1, gains=SYM, ensemble=1)
-    stats = gap_ensemble(spec)
-    assert 1.999 <= stats.max_gap <= 2.0
+    _, _, gap = sum_capacity_interval(SYM.bound_inputs(), 1e8)
+    assert 1.999 <= gap <= 2.0
 
 
 def test_gap_statistics_table_layout():

@@ -197,7 +197,7 @@ _PUBLIC_NAMES = {
             "genie_reconstruct_lemma1", "genie_reconstruct_lemma2", "genie_verdict",
             "normalize_power", "random_encoders", "reconstruction_error",
             "simulate_network", "simulate_pnc_relay"],
-    "experiments": ["BOUND_COLUMNS", "CrossoverResult", "GapStatistics", "ReportTable", "SweepSpec",
+    "experiments": ["BOUND_COLUMNS", "CrossoverResult", "DOF_FIELDS", "GapStatistics", "ReportTable", "SweepSpec",
                     "crossover_table", "dof_estimate", "export_report", "find_crossover", "gap_ensemble",
                     "gap_statistics_table", "power_grid", "spec_echo", "sweep_snr"],
     "cli": ["build_parser", "main"],

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     ENCODER_CASES,
     PARITY_CFG,
+    _scaled_dev,
     cap,
     emit_rebuild,
     emit_trace,
@@ -215,6 +216,8 @@ def test_loops_match_emit_oracle_bit_for_bit(encoders, n):
         got = rebuild(trace, PARITY_CFG, encoders)
         assert np.array_equal(got, emit_rebuild(trace, PARITY_CFG, encoders, variant)), variant
         assert got.tobytes() == emit_rebuild(trace, PARITY_CFG, encoders, variant).tobytes(), variant
+        # the genie error is the oracle's peak deviation, bit for bit
+        assert repr(reconstruction_error(got, trace)) == repr(_scaled_dev(got - trace.y2, trace.y2))
 
 
 @pytest.mark.parametrize("n", _PARITY_N)
@@ -231,6 +234,7 @@ def test_genie_perturbed_side_info_diverges():
     bent_z2[0] += 1e-3  # the side info's noise difference z2 - (h1/h2) z1 moves with it
     rebuilt = genie_reconstruct_lemma1(dataclasses.replace(trace, z2=bent_z2), CFG, enc)
     assert reconstruction_error(rebuilt, trace) > 1e-6
+    assert repr(reconstruction_error(rebuilt, trace)) == repr(_scaled_dev(rebuilt - trace.y2, trace.y2))
     # the error is not confined to the tampered sample: feedback drags it forward
     later = np.abs(rebuilt - trace.y2)[1:]
     assert np.max(later) > 0.0
