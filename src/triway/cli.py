@@ -220,10 +220,10 @@ class _Command(NamedTuple):
 
 _CONFIG_FLAGS = (
     ("--config", {"metavar": "PATH", "help": "JSON file with g12/g13/g23/power"}),
-    ("--g12", {"type": float, "help": "user1-user2 gain"}),
-    ("--g13", {"type": float, "help": "user1-user3 gain"}),
-    ("--g23", {"type": float, "help": "user2-user3 gain"}),
-    ("--power", {"type": float, "help": "per-user power budget P"}),
+    # no argparse default: _resolve_config tells an inline value from a config file's
+    *((f"--{key}", {"type": float, "help": f"{text} (default: {_DEFAULT_GAINS[key]})"})
+      for key, text in (("g12", "user1-user2 gain"), ("g13", "user1-user3 gain"),
+                        ("g23", "user2-user3 gain"), ("power", "per-user power budget P"))),
 )
 _SEED = ("--seed", {"type": int, "help": "RNG seed >= 0 (default: TRIWAY_SEED, then 0)"})
 _SUBCOMMANDS = {
@@ -238,10 +238,13 @@ _SUBCOMMANDS = {
     # trace csv, relay and MI json: _cmd_simulate checks the format against its mode
     "simulate": _Command("trace CSV; with --pam-order a relay demo; with --samples an MI estimate",
                          True, None, None, (
-        ("--n", {"type": int, "default": 100, "help": "block length / relay exchanges"}),
+        ("--n", {"type": int, "default": 100,
+                 "help": "block length / relay exchanges; the trace writes CSV only"}),
         _SEED,
-        ("--pam-order", {"type": int, "help": "run the two-way relay demo at this PAM order"}),
-        ("--samples", {"type": int, "help": "estimate strongest-link mutual information"})), _cmd_simulate),
+        ("--pam-order", {"type": int, "help": "run the two-way relay demo at this PAM order; "
+                                              "writes JSON only"}),
+        ("--samples", {"type": int, "help": "estimate strongest-link mutual information; "
+                                            "writes JSON only"})), _cmd_simulate),
     "sweep": _Command("bounds and gap over a log-spaced power grid", True, "csv", None,
                       (*_grid(1e2, 1e8, 9), _SEED), _cmd_sweep),
     "gap-ensemble": _Command("gap statistics over random channel draws", False, "json", None, (

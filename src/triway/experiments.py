@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds
 from ._version import __version__
-from .model import _MAX_LENGTH, _RELABELINGS, ChannelConfig, ChannelGains, ValidationError, _bound_inputs
+from .model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, _bound_inputs, _canonical_rows
 
 # sweep table columns, in emission order: fields of bounds.BoundReport
 BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma2",
@@ -170,54 +170,16 @@ def dof_estimate(spec: SweepSpec) -> tuple[float, float, float]:
     return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, top, DOF_FIELDS))
 
 
-def _uint32_words(n: int) -> list[int]:
-    """The uint32 words numpy seeds with for an int n >= 0: little-endian, [0] for 0."""
-    words = [n & 0xFFFFFFFF]
-    while n >> 32:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
 def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     """Row t - start for each t in [start, stop): the uint32 words numpy makes of the list
-    [seed, t], so default_rng(row) has the state of default_rng([seed, t]) without coercing
-    a list on every call.  The range must not cross a multiple of 2**32: its trials share
-    the words of t above the lowest.  seed >= 0, as SweepSpec checks."""
-    head = _uint32_words(seed)
-    high = _uint32_words(start >> 32) if start >> 32 else []
-    low = start & 0xFFFFFFFF
-    words = np.empty((stop - start, len(head) + 1 + len(high)), np.uint32)
-    words[:, :len(head)] = head
-    words[:, len(head)] = np.arange(low, low + stop - start)
-    words[:, len(head) + 1:] = high
+    [seed, t], each int little-endian and [0] for 0, so default_rng(row) has the state of
+    default_rng([seed, t]) without coercing a list on every call.  The range must not cross
+    a multiple of 2**32: its trials share the words of t above the lowest.  seed >= 0, as
+    SweepSpec checks."""
+    head, tail = (n.to_bytes(4 * ((n.bit_length() + 31) // 32 or 1), "little") for n in (seed, start))
+    words = np.tile(np.frombuffer(head + tail, "<u4").astype(np.uint32), (stop - start, 1))
+    words[:, len(head) // 4] += np.arange(stop - start, dtype=np.uint32)
     return words
-
-
-# per relabeling of _RELABELINGS: the indices into canonicalize's `opposite` of (h1, h2, h3)
-_RELABELED_COLUMNS = np.array([indices for indices, _ in _RELABELINGS])
-
-
-def _canonical_block(g: np.ndarray) -> np.ndarray:
-    """canonicalize on each row (g12, g13, g23) of g: the canonical rows (h1, h2, h3).
-
-    Each row takes the first relabeling whose order holds, the identity where
-    none does (a NaN), as canonicalize does.  One all-clear check mirrors
-    ChannelGains' three rules; each row it fails is built as ChannelGains, in
-    row order, so the first invalid row raises ChannelGains' own error.
-    """
-    opposite = g[:, ::-1]  # gain of the link that avoids user k
-    mag = np.abs(opposite)
-    holds = [(mag[:, i3] >= mag[:, i2]) & (mag[:, i2] >= mag[:, i1])
-             for (i1, i2, i3), _ in _RELABELINGS]
-    h = np.take_along_axis(opposite, _RELABELED_COLUMNS[np.argmax(holds, axis=0)], axis=1)
-    h1, h2, h3 = h.T
-    with np.errstate(over="ignore"):
-        top = h3 * h3 + h2 * h2
-    clear = np.isfinite(h).all(axis=1) & (abs(h3) >= abs(h2)) & (abs(h2) >= abs(h1)) & np.isfinite(top)
-    for row in h[~clear].tolist():
-        ChannelGains(*row)
-    return h
 
 
 def gap_ensemble(spec: SweepSpec) -> GapStatistics:
@@ -227,9 +189,9 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
     the grid power at index t mod points, so a large ensemble covers every
     grid power evenly.  Trials run in blocks of _GAP_BLOCK: a block draws each
     trial's gains from its own generator, seeded with the words of [seed, t]
-    (`_seed_words`), and canonicalizes and checks them at once
-    (`_canonical_block`); then each trial is one call of
-    bounds.sum_capacity_interval.  min, max, the first trial at the max
+    (`_seed_words`), and canonicalizes and checks them at once with one
+    stable sort per row (`model._canonical_rows`); then each trial is one
+    call of bounds.sum_capacity_interval.  min, max, the first trial at the max
     (the worst config) and the running sum of the gaps, in trial order, are
     those of a loop over the trials one at a time.
     """
@@ -244,7 +206,7 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
         draws = np.empty((stop - start, 3))
         for words, row in zip(_seed_words(spec.seed, start, stop), draws):
             np.random.default_rng(words).standard_normal(out=row)
-        gains = _canonical_block(draws)
+        gains = _canonical_rows(draws)
         gaps = [bounds.sum_capacity_interval(_bound_inputs(h1, h2, h3), P)[2]
                 for h1, h2, h3, P in zip(*gains.T.tolist(), block_powers)]
         for gap in gaps:

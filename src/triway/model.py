@@ -12,6 +12,8 @@ import dataclasses
 import math
 import sys
 
+import numpy as np
+
 # the longest float64 or int64 array numpy can make: its size in bytes must fit in an intp
 _MAX_LENGTH = sys.maxsize // 8
 
@@ -75,27 +77,41 @@ class ChannelConfig:
             raise ValidationError("power must be positive")
 
 
-# per mapping in lexicographic order: (indices into canonicalize's `opposite` of new h1, h2, h3, mapping)
-_RELABELINGS = tuple((tuple(m.index(k) for k in (1, 2, 3)), m)
-                     for m in ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
-
-
 def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, tuple[int, int, int]]:
     """Relabel users so the gain magnitudes satisfy |h3| >= |h2| >= |h1|: (gains, mapping).
 
-    mapping[k-1] is the new label of original user k.  The six relabelings are
-    tried in lexicographic order of mapping, identity first, and the first
-    whose order holds wins, so ties are deterministic.
+    mapping[k-1] is the new label of original user k.  The users are sorted by
+    the magnitude of the link that avoids them, ascending and stable, so tied
+    users keep their order: of the relabelings that order the gains, the
+    lexicographically smallest mapping, the identity where it is one.  A NaN
+    orders under no relabeling: it keeps the identity, and ChannelGains names
+    the first non-finite gain in the order g12, g13, g23.
     The squared-gain multiset is preserved; signs ride along with their pair.
     """
     opposite = (float(g23), float(g13), float(g12))  # gain of the link that avoids user k
     mag = tuple(map(abs, opposite))
-    for (i1, i2, i3), mapping in _RELABELINGS:
-        if mag[i3] >= mag[i2] >= mag[i1]:
-            break
-    else:  # only a NaN orders under no relabeling: ChannelGains rejects it under the identity
-        (i1, i2, i3), mapping = _RELABELINGS[0]
-    return ChannelGains(h1=opposite[i1], h2=opposite[i2], h3=opposite[i3]), mapping
+    order = (0, 1, 2) if any(map(math.isnan, mag)) else sorted(range(3), key=mag.__getitem__)
+    mapping = tuple(order.index(k) + 1 for k in range(3))
+    return ChannelGains(*(opposite[i] for i in order)), mapping
+
+
+def _canonical_rows(g: np.ndarray) -> np.ndarray:
+    """canonicalize on each row (g12, g13, g23) of g: the canonical rows (h1, h2, h3).
+
+    Each row is the same stable sort, the identity where it holds a NaN.  A
+    sorted row is ordered, so one all-clear check of the two other
+    ChannelGains rules picks the rows to build as ChannelGains, in row order:
+    the first invalid row raises ChannelGains' own error.
+    """
+    opposite = g[:, ::-1]  # gain of the link that avoids user k
+    order = np.argsort(np.abs(opposite), axis=1, kind="stable")
+    order[np.isnan(g).any(axis=1)] = (0, 1, 2)
+    h = np.take_along_axis(opposite, order, axis=1)
+    with np.errstate(over="ignore"):
+        top = h[:, 2] * h[:, 2] + h[:, 1] * h[:, 1]
+    for row in h[~(np.isfinite(h).all(axis=1) & np.isfinite(top))].tolist():
+        ChannelGains(*row)
+    return h
 
 
 def make_config(g12: float, g13: float, g23: float,

@@ -10,9 +10,12 @@ past receptions y_j(1..i-1) only, then the three receptions form exactly as
 with unit-variance iid noise.  No self term appears: self-interference is
 assumed perfectly cancelled.
 
-RNG streams are derived as default_rng([seed, k]): k = 0,1,2 for the three
-noise sequences, 3 for message symbols, 4 for random encoder parameters, so
-results are bit-reproducible and independent of evaluation order.
+RNG streams are derived as default_rng([seed, k]), so results are
+bit-reproducible and independent of evaluation order.  The stream ids are per
+entry point: a simulated block takes k = 0,1,2 for the three noise sequences,
+3 for message symbols and 4 for random encoder parameters; the MI estimate
+takes 0 and 1 for its input and noise, and the relay demo 0 and 1 for the two
+users' symbols and 2,3,4 for its three noise sequences.
 """
 
 from __future__ import annotations
@@ -100,14 +103,14 @@ def _draw_messages(seed: int) -> np.ndarray:
 def random_encoders(cfg: ChannelConfig, n_taps: int, seed: int) -> tuple[CausalEncoder, ...]:
     """Random affine two-tap encoder triple (n_taps must be 2), power-normalized is the caller's job.
 
-    Taps are drawn within +-0.5/(2 * max(1, 2*max|h|)); that keeps the
-    closed feedback loop contractive so n-step traces stay bounded.
+    Taps are drawn within +-0.5/(2 * max(1, 2*max|h|)), where max|h| is |h3| by the
+    canonical order; that keeps the closed feedback loop contractive so n-step
+    traces stay bounded.
     """
     if n_taps != 2:
         raise ValidationError(f"n_taps must be 2, got {n_taps!r}")
     rng = np.random.default_rng([int(seed), 4])
-    hmax = max(abs(cfg.gains.h1), abs(cfg.gains.h2), abs(cfg.gains.h3))
-    tau = 0.5 / (2 * max(1.0, 2.0 * hmax))
+    tau = 0.5 / (2 * max(1.0, 2.0 * abs(cfg.gains.h3)))
     encoders = []
     for _ in range(3):
         mw = rng.standard_normal(2)

@@ -358,6 +358,9 @@ def _one_line_error(code, out, err, text):
       for command in (("genie", "--variant", "lemma1"), ("simulate",)) for n in (_TOO_LONG, 10 ** 20)),
     (("genie", "--variant", "lemma2", "--g12", "1", "--g13", "0", "--g23", "0"),
      "singular configuration: h2 = 0 or h3 = 0"),
+    (("simulate", "--pam-order", "4", "--g13", "0", "--g23", "0"),
+     "relay links run at gain h2, which must be nonzero"),
+    (("simulate", "--pam-order", "4", "--n", "0"), "n must be >= 1, got 0"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
 def test_block_length_and_singular_gains_are_one_error_line(capsys, argv, text):
     _one_line_error(*_run(capsys, *argv), text)
@@ -488,18 +491,25 @@ def test_gap_ensemble_exit_zero(capsys):
     assert 0.0 <= row["min_gap"] <= row["max_gap"] <= 2.0
 
 
-@pytest.mark.parametrize("argv, target, gap", [
+@pytest.mark.parametrize("argv, target, value", [
     (["bounds"], "evaluate", 2.5),
     (["bounds", "--format", "csv"], "evaluate", 2.5),
     (["gap-ensemble", "--ensemble", "5"], "sum_capacity_interval", -0.1),
+    (["genie", "--variant", "lemma1", "--n", "20", "--seed", "3"], "reconstruction_error", 2e-9),
 ])
-def test_property_violation_prints_the_report_then_exits_two(capsys, monkeypatch, argv, target, gap):
+def test_property_violation_prints_the_report_then_exits_two(capsys, monkeypatch, argv, target, value):
     if target == "evaluate":
-        monkeypatch.setattr(bounds, "evaluate", lambda cfg: dataclasses.replace(evaluate(cfg), gap=gap))
+        monkeypatch.setattr(bounds, "evaluate", lambda cfg: dataclasses.replace(evaluate(cfg), gap=value))
+    elif target == "sum_capacity_interval":
+        monkeypatch.setattr(bounds, "sum_capacity_interval", lambda inputs, P: (1.0, 1.0 + value, value))
     else:
-        monkeypatch.setattr(bounds, "sum_capacity_interval", lambda inputs, P: (1.0, 1.0 + gap, gap))
+        monkeypatch.setattr(sim, "reconstruction_error", lambda reconstructed, trace: value)
     code, out, err = _run(capsys, *argv)
     assert code == 2
+    if target == "reconstruction_error":
+        assert json.loads(out) == {"max_rel_error": value, "n": 20, "seed": 3, "variant": "lemma1"}
+        assert err == "property violation: genie reconstruction error 2e-09 >= 1e-09\n"
+        return
     if "csv" in argv:
         header, row = out.splitlines()
         report = dict(zip(header.split(","), map(float, row.split(","))))
@@ -507,9 +517,9 @@ def test_property_violation_prints_the_report_then_exits_two(capsys, monkeypatch
         obj = json.loads(out)
         report = dict(zip(obj["header"], obj["rows"][0])) if "rows" in obj else obj
     if target == "evaluate":
-        assert report["gap"] == gap
+        assert report["gap"] == value
     else:
-        assert report["violations"] == 5.0 and report["min_gap"] == report["max_gap"] == gap
+        assert report["violations"] == 5.0 and report["min_gap"] == report["max_gap"] == value
     assert err.count("\n") == 1 and err.startswith("property violation: ")
 
 

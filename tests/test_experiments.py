@@ -43,7 +43,6 @@ from triway.experiments import (
     gap_statistics_table,
     power_grid,
     sweep_snr,
-    _canonical_block,
     _exact_block,
     _seed_words,
 )
@@ -315,15 +314,6 @@ def test_gap_ensemble_raises_the_first_bad_trials_error(monkeypatch, draws):
         gap_ensemble(spec)
     assert str(got.value) == str(want.value)
     assert str(want.value).startswith(("channel gain ", "squared gains overflow"))
-
-
-def test_canonical_block_is_canonicalize_row_by_row():
-    # ties and signed zeros: where several relabelings order a row, the first one wins
-    values = (0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0)
-    rows = np.array([*itertools.product(values, repeat=3), *np.random.default_rng(5).standard_normal((50, 3))])
-    for row, got in zip(rows.tolist(), _canonical_block(rows)):
-        gains, _ = canonicalize(*row)
-        assert got.tobytes() == np.array(dataclasses.astuple(gains)).tobytes(), row
 
 
 def test_gap_ensemble_memory_stays_bounded():

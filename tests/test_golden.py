@@ -5,6 +5,8 @@ set of invocations, and tests/golden/help/ its `--help` text at 80 columns.
 Regenerate them only when a report or the help is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the name of each file whose bytes it changed.
 """
 
 import sys
@@ -77,7 +79,10 @@ def _regenerate() -> None:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0, name
-        (GOLDEN / name).write_bytes(buf.getvalue().encode())
+        path, text = GOLDEN / name, buf.getvalue().encode()
+        if not path.exists() or path.read_bytes() != text:
+            path.write_bytes(text)
+            print(name)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Canonicalization, validation, and serialization of the domain types."""
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -14,6 +15,7 @@ from triway.model import (
     ChannelConfig,
     ChannelGains,
     ValidationError,
+    _canonical_rows,
     canonicalize,
 )
 from triway.region import RATE_ORDER
@@ -83,10 +85,11 @@ def test_canonicalize_preserves_squared_multiset():
 
 
 def test_canonicalize_rejects_nonfinite():
-    with pytest.raises(ValidationError):
-        canonicalize(math.nan, 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        canonicalize(1.0, math.inf, 1.0)
+    # a row holding a NaN keeps the identity: the error names its first bad gain in g12, g13, g23 order
+    for g, bad in (((math.nan, 1.0, 1.0), "nan"), ((1.0, math.inf, 1.0), "inf"),
+                   ((math.inf, math.nan, 1.0), "inf"), ((1.0, math.nan, math.inf), "nan")):
+        with pytest.raises(ValidationError, match=f"^channel gain {bad} is not finite$"):
+            canonicalize(*g)
 
 
 def test_permutation_roundtrips_rates():
@@ -175,15 +178,50 @@ def _same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def _outcome(canon, g):
+    """canon(*g), or the text of the ValidationError it raises."""
+    try:
+        return canon(*g)
+    except ValidationError as exc:
+        return str(exc)
+
+
+# signed zeros, subnormals, squares that underflow or overflow, both infinities and NaN
+_EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, 1e-170, -1e-170, 1e200,
+                math.inf, -math.inf, math.nan)
+
+
 def test_canonicalize_matches_the_permutation_loop_exactly():
-    values = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, 1e-170, -1e-170)
     normals = np.random.default_rng(11).standard_normal((2000, 3)).tolist()
-    for g in [*itertools.product(values, repeat=3), *normals]:
-        gains, mapping = canonicalize(*g)
-        want_gains, want_mapping = reference_canonicalize(*g)
+    for g in [*itertools.product(_EDGE_VALUES, repeat=3), *normals]:
+        got, want = _outcome(canonicalize, g), _outcome(reference_canonicalize, g)
+        if isinstance(want, str):  # the same error text, from ChannelGains
+            assert got == want, g
+            continue
+        (gains, mapping), (want_gains, want_mapping) = got, want
         assert mapping == want_mapping, g
         for name in ("h1", "h2", "h3"):  # signed zeros count
             assert _same_float(getattr(gains, name), getattr(want_gains, name)), (g, name)
+
+
+def test_canonical_rows_is_canonicalize_row_by_row():
+    # ties, signed zeros and infinities: where several relabelings order a row, the first one wins;
+    # an invalid row, alone or in a block, raises the error reference_canonicalize gives the first one
+    normals = np.random.default_rng(5).standard_normal((50, 3))
+    rows = np.array([*itertools.product(_EDGE_VALUES, repeat=3), *normals])
+    wants = [_outcome(reference_canonicalize, row) for row in rows.tolist()]
+    for row, want in zip(rows, wants):
+        got = _outcome(lambda *g: _canonical_rows(np.array([g]))[0], row)
+        if isinstance(want, str):
+            assert got == want, row
+        else:
+            assert got.tobytes() == np.array(dataclasses.astuple(want[0])).tobytes(), row
+    valid = [not isinstance(want, str) for want in wants]
+    good = [dataclasses.astuple(want[0]) for want, ok in zip(wants, valid) if ok]
+    assert _canonical_rows(rows[valid]).tobytes() == np.array(good).tobytes()
+    with pytest.raises(ValidationError) as exc:
+        _canonical_rows(rows)
+    assert str(exc.value) == wants[valid.index(False)]
 
 
 _PUBLIC_NAMES = {
