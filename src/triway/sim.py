@@ -10,7 +10,7 @@ past receptions y_j(1..i-1) only, then the three receptions form exactly as
 with unit-variance iid noise.  No self term appears: self-interference is
 assumed perfectly cancelled.
 
-RNG streams are derived as default_rng([seed, k]), so results are
+RNG streams are derived as default_rng([seed, k]) by _streams, so results are
 bit-reproducible and independent of evaluation order.  The stream ids are per
 entry point: a simulated block takes k = 0,1,2 for the three noise sequences,
 3 for message symbols and 4 for random encoder parameters; the MI estimate
@@ -91,13 +91,17 @@ class TransmissionTrace:
                                                     self.y3, self.z1, self.z2, self.z3)
 
 
-def _draw_realization(n: int, seed: int) -> tuple[np.ndarray, ...]:
-    """The three users' noise sequences (z1, z2, z3) over a block of n steps."""
-    return tuple(np.random.default_rng([int(seed), k]).standard_normal(int(n)) for k in range(3))
+def _streams(seed: int, *ids: int) -> tuple[np.random.Generator, ...]:
+    """The generators default_rng([seed, k]) for k in ids, in order; the module docstring lists the ids."""
+    return tuple(np.random.default_rng([seed, k]) for k in ids)
 
 
-def _draw_messages(seed: int) -> np.ndarray:
-    return np.random.default_rng([int(seed), 3]).standard_normal(6)
+def _check_length(n: int) -> None:
+    """The one length rule of a simulated block, a power pass and the relay: 1 <= n <= _MAX_LENGTH."""
+    if n < 1:
+        raise ValidationError("block length must be >= 1")
+    if n > _MAX_LENGTH:
+        raise ValidationError(f"block length must be <= {_MAX_LENGTH}, got {n}")
 
 
 def random_encoders(cfg: ChannelConfig, n_taps: int, seed: int) -> tuple[CausalEncoder, ...]:
@@ -109,7 +113,7 @@ def random_encoders(cfg: ChannelConfig, n_taps: int, seed: int) -> tuple[CausalE
     """
     if n_taps != 2:
         raise ValidationError(f"n_taps must be 2, got {n_taps!r}")
-    rng = np.random.default_rng([int(seed), 4])
+    rng, = _streams(seed, 4)
     tau = 0.5 / (2 * max(1.0, 2.0 * abs(cfg.gains.h3)))
     encoders = []
     for _ in range(3):
@@ -168,8 +172,7 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int, start: float = 1.0) -> tup
     runs the full loop.  The test compares raw bytes, so 0.0 and -0.0 differ
     and an overflowed state repeats only if its NaN and inf bits repeat.
     """
-    if n < 1:  # for direct callers: simulate_network checks the length before it draws
-        raise ValidationError("block length must be >= 1")
+    _check_length(n)  # for direct callers: simulate_network checks the length before it draws
     # huge gains or scales overflow the state; the projected power is checked below
     with np.errstate(over="ignore", invalid="ignore"):
         a, F, GG = _power_system(encoders, cfg)
@@ -252,11 +255,9 @@ def simulate_network(cfg: ChannelConfig, n: int,
     The noise and messages are drawn first, so a block too long to hold fails at its first
     allocation, not after the O(n) power pass.  The block makes one power pass.  Its trace is
     checked here, where it is made: an x or y that left the float range is rejected."""
-    if n < 1:
-        raise ValidationError("block length must be >= 1")
-    if n > _MAX_LENGTH:
-        raise ValidationError(f"block length must be <= {_MAX_LENGTH}, got {n}")
-    noise, messages = _draw_realization(n, seed), _draw_messages(seed)
+    _check_length(n)
+    streams = _streams(seed, 0, 1, 2, 3)  # z1, z2, z3 and the messages
+    noise, messages = tuple(rng.standard_normal(n) for rng in streams[:3]), streams[3].standard_normal(6)
     encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
     trace = _step_loop(encoders, cfg, noise, messages)
     if not np.isfinite((trace.x1, trace.x2, trace.x3, trace.y1, trace.y2, trace.y3)).all():
@@ -390,8 +391,7 @@ def estimate_p2p_mi(cfg: ChannelConfig, sample_count: int, seed: int) -> float:
     if sample_count > _MAX_LENGTH:
         raise ValidationError(f"sample_count must be <= {_MAX_LENGTH}, got {sample_count}")
     h = cfg.gains.h3
-    x = np.random.default_rng([int(seed), 0]).standard_normal(int(sample_count))
-    z = np.random.default_rng([int(seed), 1]).standard_normal(int(sample_count))
+    x, z = (rng.standard_normal(sample_count) for rng in _streams(seed, 0, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments are rejected below
         x = x * math.sqrt(cfg.power)
         y = h * x + z
@@ -449,12 +449,7 @@ def simulate_pnc_relay(cfg: ChannelConfig, pam_order: int, n: int, seed: int) ->
     q = int(q)
     if cfg.gains.h2 == 0:
         raise ValidationError("relay links run at gain h2, which must be nonzero")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if n > _MAX_LENGTH:
-        raise ValidationError(f"n must be <= {_MAX_LENGTH}, got {n}")
-    a = np.random.default_rng([int(seed), 0]).integers(0, q, int(n))
-    b = np.random.default_rng([int(seed), 1]).integers(0, q, int(n))
-    z_relay, z_user2, z_user3 = (np.random.default_rng([int(seed), k]).standard_normal(n)
-                                 for k in (2, 3, 4))
-    return _pnc_exchange(cfg, q, a, b, z_relay, z_user2, z_user3)
+    _check_length(n)
+    streams = _streams(seed, 0, 1, 2, 3, 4)  # users 2 and 3's indices, then the relay's and their noise
+    a, b = (rng.integers(0, q, n) for rng in streams[:2])
+    return _pnc_exchange(cfg, q, a, b, *(rng.standard_normal(n) for rng in streams[2:]))

@@ -44,8 +44,6 @@ from triway.sim import (
     _POWER_TOL,
     CausalEncoder,
     TransmissionTrace,
-    _draw_messages,
-    _draw_realization,
     _power_sums,
     _power_system,
     _step_loop,
@@ -369,14 +367,20 @@ def emit(encoder: CausalEncoder, messages, received) -> float:
     return x
 
 
+def block_draws(n: int, seed: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A block's noise (z1, z2, z3) and its six messages, from the streams default_rng([seed, k]),
+    k = 0, 1, 2 and 3, that the sim module docstring documents."""
+    noise = tuple(np.random.default_rng([seed, k]).standard_normal(n) for k in range(3))
+    return noise, np.random.default_rng([seed, 3]).standard_normal(6)
+
+
 def emit_trace(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
     """The simulator's step loop with one emit call per user and symbol.
 
     Same draws and channel equations as the simulator's step loop, with no
     power-budget check.
     """
-    z = _draw_realization(n, seed)
-    messages = _draw_messages(seed)
+    z, messages = block_draws(n, seed)
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     xs: list[list[float]] = [[], [], []]
     ys: list[list[float]] = [[], [], []]
@@ -508,7 +512,7 @@ def simulate_network(encoders, cfg, n: int, seed: int) -> TransmissionTrace:
         worst = int(np.argmax(power))
         raise ValidationError(f"user {worst + 1} expected block power {power[worst]:.6g} exceeds "
                               f"budget {budget:.6g}; apply normalize_power")
-    return _step_loop(encoders, cfg, _draw_realization(n, seed), _draw_messages(seed))
+    return _step_loop(encoders, cfg, *block_draws(n, seed))
 
 
 def two_pass_simulation(cfg, n: int, seed: int):

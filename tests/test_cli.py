@@ -172,7 +172,8 @@ _SIZES_BEYOND_MEMORY = [
     (("simulate", "--samples", str(10 ** 18)), None),
     (("simulate", "--samples", str(_TOO_LONG)), f"sample_count must be <= {sys.maxsize // 8}, got {_TOO_LONG}"),
     (("simulate", "--pam-order", "2", "--n", str(10 ** 18)), None),
-    (("simulate", "--pam-order", "2", "--n", str(_TOO_LONG)), f"n must be <= {sys.maxsize // 8}, got {_TOO_LONG}"),
+    (("simulate", "--pam-order", "2", "--n", str(_TOO_LONG)),
+     f"block length must be <= {sys.maxsize // 8}, got {_TOO_LONG}"),
     # the block's noise is drawn before the power pass, so its first allocation fails at once
     (("simulate", "--n", str(10 ** 18)), None),
     (("genie", "--variant", "lemma1", "--n", str(10 ** 18)), None),
@@ -331,18 +332,26 @@ def test_simulate_trace(capsys):
     assert code == 1 and "CSV only" in err
 
 
-@pytest.mark.parametrize("argv", [("simulate", "--n", "30"), ("genie", "--variant", "lemma1", "--n", "30"),
-                                  ("genie", "--variant", "lemma2", "--n", "30")], ids=" ".join)
-def test_a_simulated_block_takes_one_path(capsys, monkeypatch, argv):
-    # one simulation, one normalization and one power pass per CLI call
+_ONE_BLOCK = [
+    (("simulate", "--n", "30"), 1),
+    (("genie", "--variant", "lemma1", "--n", "30"), 1),
+    (("genie", "--variant", "lemma2", "--n", "30"), 1),
+    # the unit-scale pass overflows, so normalize_power reruns it once with smaller messages
+    (("simulate", "--g12", "1e154", "--n", "30"), 2),
+]
+
+
+@pytest.mark.parametrize("argv,power_passes", _ONE_BLOCK, ids=[" ".join(a) for a, _ in _ONE_BLOCK])
+def test_a_simulated_block_takes_one_path(capsys, monkeypatch, argv, power_passes):
+    # one simulation and one normalization per CLI call, with one power pass unless it overflows
     calls = collections.Counter()
     for name in ("simulate_network", "normalize_power", "_power_sums"):
-        def counted(*args, _call=getattr(sim, name), _name=name):
+        def counted(*args, _call=getattr(sim, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _call(*args)
+            return _call(*args, **kwargs)
         monkeypatch.setattr(sim, name, counted)
     assert _run(capsys, *argv)[0] == 0
-    assert calls == {"simulate_network": 1, "normalize_power": 1, "_power_sums": 1}
+    assert calls == {"simulate_network": 1, "normalize_power": 1, "_power_sums": power_passes}
 
 
 def _one_line_error(code, out, err, text):
@@ -350,17 +359,20 @@ def _one_line_error(code, out, err, text):
     assert err == f"error: {text}\n"
 
 
+# every mode that takes --n: both genie variants, the trace and the relay demo
+_BLOCK_COMMANDS = (("genie", "--variant", "lemma1"), ("genie", "--variant", "lemma2"), ("simulate",),
+                   ("simulate", "--pam-order", "4"))
+
+
 @pytest.mark.parametrize("argv,text", [
-    (("genie", "--variant", "lemma1", "--n", "0"), "block length must be >= 1"),
-    (("simulate", "--n", "0"), "block length must be >= 1"),
+    *(((*command, "--n", "0"), "block length must be >= 1") for command in _BLOCK_COMMANDS),
     # checked before the draws and the power pass, whose cycle replay fails on a length past sys.maxsize
     *(((*command, "--n", str(n)), f"block length must be <= {sys.maxsize // 8}, got {n}")
-      for command in (("genie", "--variant", "lemma1"), ("simulate",)) for n in (_TOO_LONG, 10 ** 20)),
+      for command in _BLOCK_COMMANDS for n in (_TOO_LONG, 10 ** 20)),
     (("genie", "--variant", "lemma2", "--g12", "1", "--g13", "0", "--g23", "0"),
      "singular configuration: h2 = 0 or h3 = 0"),
     (("simulate", "--pam-order", "4", "--g13", "0", "--g23", "0"),
      "relay links run at gain h2, which must be nonzero"),
-    (("simulate", "--pam-order", "4", "--n", "0"), "n must be >= 1, got 0"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
 def test_block_length_and_singular_gains_are_one_error_line(capsys, argv, text):
     _one_line_error(*_run(capsys, *argv), text)

@@ -3,6 +3,7 @@ enforcement, genie reconstructions, Monte Carlo MI, and the modulo-PAM relay."""
 
 import dataclasses
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -13,6 +14,7 @@ from helpers import (
     ENCODER_CASES,
     PARITY_CFG,
     _scaled_dev,
+    block_draws,
     cap,
     emit_rebuild,
     emit_trace,
@@ -22,13 +24,11 @@ from helpers import (
 )
 from triway import sim
 from triway.experiments import _CSV_BLOCK, export_report
-from triway.model import ChannelConfig, ChannelGains, ValidationError
+from triway.model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError
 from triway.sim import (
     TRACE_CSV_HEADER,
     CausalEncoder,
     TransmissionTrace,
-    _draw_messages,
-    _draw_realization,
     _pnc_exchange,
     estimate_p2p_mi,
     expected_block_power,
@@ -107,6 +107,10 @@ def test_block_length_validation():
     for power_call in (expected_block_power, normalize_power):
         with pytest.raises(ValidationError, match="block length must be >= 1"):
             power_call(enc, CFG, 0)
+        # rejected before the power pass, whose cycle replay would add _MAX_LENGTH stacks one by one
+        too_long = f"^block length must be <= {_MAX_LENGTH}, got {_MAX_LENGTH + 1}$"
+        with pytest.raises(ValidationError, match=too_long):
+            power_call(enc, CFG, _MAX_LENGTH + 1)
 
 
 @pytest.mark.parametrize("taps", [(), (0.1,), (0.1, 0.2, 0.3)])
@@ -160,8 +164,7 @@ def test_anticipatory_trace_is_rejected():
     # x2, so the cheating trace is constructible and channel-consistent, but
     # no causal encoder can produce it
     n = 25
-    z1, z2, z3 = _draw_realization(n, 13)
-    messages = _draw_messages(13)
+    (z1, z2, z3), messages = block_draws(n, 13)
     enc = _no_feedback((0.4, 0.0), (0.2, 0.2), (0.0, 0.4))
     h1, h2, h3 = CFG.gains.h1, CFG.gains.h2, CFG.gains.h3
     x1 = np.full(n, 0.4 * messages[0])
@@ -314,6 +317,34 @@ def test_pnc_noise_free_is_error_free_exhaustively():
         assert thr == math.log2(q)
 
 
+# each seeded entry point and the stream ids k of default_rng([seed, k]) that the module docstring gives it
+_STREAM_TABLE = {
+    "simulate_network": (lambda seed: sim.simulate_network(CFG, 5, seed), (0, 1, 2, 3, 4)),
+    "random_encoders": (lambda seed: random_encoders(CFG, 2, seed), (4,)),
+    "estimate_p2p_mi": (lambda seed: estimate_p2p_mi(CFG, 10 ** 4, seed), (0, 1)),
+    "simulate_pnc_relay": (lambda seed: simulate_pnc_relay(CFG, 4, 5, seed), (0, 1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("entry", _STREAM_TABLE)
+def test_every_draw_takes_its_documented_stream(monkeypatch, entry):
+    run, ids = _STREAM_TABLE[entry]
+    real, seeded = np.random.default_rng, []
+
+    def recording(seed=None):
+        seeded.append(list(seed))
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    for seed in (0, 2 ** 31 - 1, 2 ** 64 + 1):
+        seeded.clear()
+        run(seed)
+        assert sorted(seeded) == [[seed, k] for k in ids]
+    with pytest.raises(TypeError):  # numpy's: a float seed is not truncated to an int
+        run(2.5)
+    assert pickle.dumps(run(np.int64(7))) == pickle.dumps(run(7))  # every array and float, byte for byte
+
+
 def test_pnc_validation():
     cfg = _cfg(0.5, 1.0, 1.5, 3.0)
     for bad in (3, 1, 0, -2, 2.5, True):
@@ -321,7 +352,7 @@ def test_pnc_validation():
             simulate_pnc_relay(cfg, bad, n=10, seed=0)
     with pytest.raises(ValidationError, match="h2"):
         simulate_pnc_relay(_cfg(0.0, 0.0, 2.0, 1.0), 4, n=10, seed=0)
-    with pytest.raises(ValidationError, match="n must be"):
+    with pytest.raises(ValidationError, match="^block length must be >= 1$"):
         simulate_pnc_relay(cfg, 4, n=0, seed=0)
 
 
