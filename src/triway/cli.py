@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -31,6 +32,13 @@ _GENIE_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # the negative texts float() reads, so "--g12 -1e-05" passes a value as "--g12=-1e-05"
+        # does; argparse's own pattern takes only -1 and -1.5, and no option here looks like one
+        self._negative_number_matcher = re.compile(
+            r"^-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[-+]?\d[\d_]*)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     # argparse exits 2 on usage errors by default; 2 is reserved for property
     # violations here, so usage problems are forced onto exit code 1
     def error(self, message):
@@ -40,21 +48,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_number(path: str, key: str, value) -> float:
-    # JSON true/false arrive as bool, a subclass of int, and strings would be
-    # coerced by float(); a config value must already be a JSON number
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # every JSON number is read as a float; true, a string or null is not a number
+    if not isinstance(value, float):
         raise ValidationError(f"config {path}: {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ValidationError(f"config {path}: {key} is too large for a float") from exc
-
-
-def _config_int(path: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:  # more digits than int() converts, far past any float
-        raise ValidationError(f"config {path}: a number is too long ({len(text)} characters)") from exc
+    return value
 
 
 def _config_object(path: str, pairs: list) -> dict:
@@ -72,11 +69,12 @@ def _resolve_config(args):
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                file_obj = json.load(fh, parse_int=functools.partial(_config_int, args.config),
+                # an integer literal is float(text) too, as on the command line
+                file_obj = json.load(fh, parse_int=float,
                                      object_pairs_hook=functools.partial(_config_object, args.config))
         except OSError as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        except ValidationError:  # from _config_int or _config_object
+        except ValidationError:  # from _config_object
             raise
         except ValueError as exc:  # JSONDecodeError, bad UTF-8
             raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from exc

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
@@ -286,27 +287,69 @@ def test_config_file_errors(capsys, tmp_path):
     twice = tmp_path / "twice.json"  # json keeps the last value: this printed power 50, exit 0
     twice.write_text('{"power": 2, "power": 50}')
     _one_line_error(*_run(capsys, "bounds", "--config", str(twice)), f"config {twice}: repeated key 'power'")
-    # a 401-digit integer overflows float(); int() refuses a 5001-digit one,
-    # and bad UTF-8 makes the parser raise a ValueError that is no JSONDecodeError
-    for k, (text, message) in enumerate(((b'{"power": 1' + b"0" * 400 + b"}", "power is too large"),
-                                         (b'{"power": 1' + b"0" * 5000 + b"}", "a number is too long"),
-                                         (b'{"g12": -1' + b"0" * 5000 + b"}", "a number is too long"),
+    # an integer literal past the float range reads as ±inf, which the model refuses as
+    # --power 1e400 is refused; bad UTF-8 makes the parser raise a ValueError that is no
+    # JSONDecodeError
+    for k, (text, message) in enumerate(((b'{"power": 1' + b"0" * 400 + b"}", "power inf is not finite"),
+                                         (b'{"power": 1' + b"0" * 5000 + b"}", "power inf is not finite"),
+                                         (b'{"g12": -1' + b"0" * 5000 + b"}", "channel gain -inf is not finite"),
                                          (b'{"power": 1\xff}', "not valid JSON"))):
         path = tmp_path / f"value{k}.json"
         path.write_bytes(text)
         code, out, err = _run(capsys, "bounds", "--config", str(path))
         assert code == 1 and out == "" and message in err and "sys." not in err
         assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 300
+    # int() would refuse this many digits; float() reads them in about 0.05 s
+    huge = tmp_path / "huge.json"
+    huge.write_bytes(b'{"power": 1' + b"0" * 10 ** 7 + b"}")
+    start = time.perf_counter()
+    result = _run(capsys, "bounds", "--config", str(huge))
+    assert time.perf_counter() - start < 1.0
+    _one_line_error(*result, "power inf is not finite")
+    # the literal -0 is float("-0") = -0.0, as on the command line (the echo relabels it to g23)
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"g12": -0}')
+    code, out, err = _run(capsys, "bounds", "--config", str(zero))
+    assert (code, out, err) == _run(capsys, "bounds", "--g12=-0") and '"g23": -0.0' in out
 
 
-@pytest.mark.parametrize("entry", [{"g12": "x"}, {"power": "2"}, {"power": True}])
+@pytest.mark.parametrize("entry", [{"g12": "x"}, {"power": "2"}, {"power": True}, {"g13": None},
+                                   {"g23": [1]}])
 def test_config_file_rejects_non_numbers(capsys, tmp_path, entry):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(entry))
-    code, out, err = _run(capsys, "bounds", "--config", str(path))
-    key = next(iter(entry))
-    assert code == 1 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ") and f"{key} must be a number" in err
+    (key, value), = entry.items()
+    if value == [1]:  # an integer literal is read as a float, inside a list too
+        value = [1.0]
+    _one_line_error(*_run(capsys, "bounds", "--config", str(path)),
+                    f"config {path}: {key} must be a number, got {value!r}")
+
+
+# signed exponent forms, a trailing point, signed zero, the float range's edges past and
+# within, an integer literal int() refuses, one float() rounds, and the named non-finite values
+_NUMBER_TEXTS = ("-0", "0", "-1", "-1e-3", "-2E5", "-.5e3", "-5.", "1e400", "-1e400", "1" + "0" * 400,
+                 "-1" + "0" * 5000, str(2 ** 53 + 1), "1e-400", "5e-324", "-5e-324", "-inf", "-nan",
+                 "-Infinity")
+
+
+def _json_number(text):
+    try:
+        return json.loads(text, parse_int=str, parse_float=str, parse_constant=str) == text
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("text", _NUMBER_TEXTS,
+                         ids=[t if len(t) < 20 else f"{len(t) - t.startswith('-')}-digits" for t in _NUMBER_TEXTS])
+def test_a_number_reads_the_same_however_it_is_passed(capsys, tmp_path, text):
+    path = tmp_path / "cfg.json"
+    for command, key in (("bounds", "g12"), ("bounds", "g23"), ("bounds", "power"), ("sweep", "p-lo")):
+        inline = _run(capsys, command, f"--{key}={text}")
+        assert inline[0] in (0, 1) and inline[2].count("\n") == (inline[0] == 1)
+        assert _run(capsys, command, f"--{key}", text) == inline, key
+        if command == "bounds" and _json_number(text):
+            path.write_text(f'{{"{key}": {text}}}')
+            assert _run(capsys, command, "--config", str(path)) == inline, key
 
 
 def test_out_file_equals_stdout(capsys, tmp_path):
@@ -770,13 +813,28 @@ def _nonfinite_cells(subcommand, out):
 @settings(database=None, derandomize=True, deadline=None, max_examples=100)
 @given(data=st.data())
 def test_every_input_prints_finite_output_or_exits_cleanly(subcommand, data):
-    argv = [subcommand]
+    # each drawn value is passed as --flag=value, as --flag value, or (gains and power) in a
+    # --config file; a key is given one way only, so no override warning is due
+    spellings = ("=", " ", "config") if "g12" in _FLAGS[subcommand] else ("=", " ")
+    spelling = data.draw(st.sampled_from(spellings), label="spelling")
+    argv, config = [subcommand], {}
     for flag, strategy in _FLAGS[subcommand].items():
         value = data.draw(strategy, label=flag)
-        if value is not None:  # = keeps a negative value from reading as a flag
-            argv.append(f"--{flag}={value!r}" if isinstance(value, float) else f"--{flag}={value}")
+        if value is None:
+            continue
+        text = repr(value) if isinstance(value, float) else str(value)
+        if spelling == "config" and flag in _CONFIG:
+            config[flag] = value
+        elif spelling == " ":
+            argv += [f"--{flag}", text]
+        else:
+            argv.append(f"--{flag}={text}")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if spelling == "config":
+            argv += ["--config", os.path.join(tmp, "config.json")]
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
