@@ -121,8 +121,7 @@ def power_grid(spec: SweepSpec, count: int | None = None) -> np.ndarray:
 
 
 def spec_echo(spec: SweepSpec) -> dict:
-    echo = dataclasses.asdict(spec)
-    echo["gains"] = None if spec.gains is None else dataclasses.asdict(spec.gains)
+    echo = dataclasses.asdict(spec)  # nests the gains as {"h1", "h2", "h3"}, or None
     echo["bounds"] = list(BOUND_COLUMNS)  # the sweep's columns
     return echo
 
@@ -198,7 +197,6 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
     if spec.gains is not None:
         raise ValidationError("gap ensembles draw their gains: need no fixed gain triple")
     powers = power_grid(spec, spec.ensemble)  # trial t < ensemble reads index t % points
-    worst = None  # the worst trial's (h1, h2, h3) and power
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
     for start in range(0, spec.ensemble, _GAP_BLOCK):
         stop = min(start + _GAP_BLOCK, spec.ensemble)
@@ -206,7 +204,7 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
         draws = np.empty((stop - start, 3))
         for words, row in zip(_seed_words(spec.seed, start, stop), draws):
             np.random.default_rng(words).standard_normal(out=row)
-        gains = _canonical_rows(draws)
+        gains = _canonical_rows(draws)[0]
         gaps = [bounds.sum_capacity_interval(_bound_inputs(h1, h2, h3), P)[2]
                 for h1, h2, h3, P in zip(*gains.T.tolist(), block_powers)]
         for gap in gaps:
@@ -214,13 +212,12 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
             violations += gap < 0.0 or gap > 2.0
         gaps_min = min(gaps_min, *gaps)
         top = max(gaps_max, *gaps)
-        if top > gaps_max:  # the block's first trial at its max
+        if top > gaps_max:  # the block's first trial at its max; always so in block one: gaps are finite
             k = gaps.index(top)
             gaps_max, worst = top, (gains[k].tolist(), block_powers[k])
-    if worst is not None:
-        worst = ChannelConfig(gains=ChannelGains(*worst[0]), power=worst[1])
     return GapStatistics(ensemble=spec.ensemble, min_gap=gaps_min, max_gap=gaps_max,
-                         mean_gap=total / spec.ensemble, violations=violations, worst_config=worst)
+                         mean_gap=total / spec.ensemble, violations=violations,
+                         worst_config=ChannelConfig(gains=ChannelGains(*worst[0]), power=worst[1]))
 
 
 def gap_statistics_table(stats: GapStatistics, spec: SweepSpec) -> ReportTable:

@@ -89,19 +89,18 @@ def canonicalize(g12: float, g13: float, g23: float) -> tuple[ChannelGains, tupl
     The squared-gain multiset is preserved; signs ride along with their pair.
     """
     opposite = (float(g23), float(g13), float(g12))  # gain of the link that avoids user k
-    mag = tuple(map(abs, opposite))
-    order = (0, 1, 2) if any(map(math.isnan, mag)) else sorted(range(3), key=mag.__getitem__)
-    mapping = tuple(order.index(k) + 1 for k in range(3))
-    return ChannelGains(*(opposite[i] for i in order)), mapping
+    (h,), (order,) = _canonical_rows(np.array([opposite[::-1]]))  # the one-row case of the block sort
+    return ChannelGains(*h.tolist()), tuple(order.tolist().index(k) + 1 for k in range(3))
 
 
-def _canonical_rows(g: np.ndarray) -> np.ndarray:
-    """canonicalize on each row (g12, g13, g23) of g: the canonical rows (h1, h2, h3).
+def _canonical_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """canonicalize on each row (g12, g13, g23) of g: (the canonical rows (h1, h2, h3), order).
 
-    Each row is the same stable sort, the identity where it holds a NaN.  A
-    sorted row is ordered, so one all-clear check of the two other
-    ChannelGains rules picks the rows to build as ChannelGains, in row order:
-    the first invalid row raises ChannelGains' own error.
+    order[i] lists row i's original users (0, 1, 2) by new label: the same
+    stable sort on every row, the identity where it holds a NaN.  A sorted row
+    is ordered, so one all-clear check of the two other ChannelGains rules
+    picks the rows to build as ChannelGains, in row order: the first invalid
+    row raises ChannelGains' own error.
     """
     opposite = g[:, ::-1]  # gain of the link that avoids user k
     order = np.argsort(np.abs(opposite), axis=1, kind="stable")
@@ -111,7 +110,7 @@ def _canonical_rows(g: np.ndarray) -> np.ndarray:
         top = h[:, 2] * h[:, 2] + h[:, 1] * h[:, 1]
     for row in h[~(np.isfinite(h).all(axis=1) & np.isfinite(top))].tolist():
         ChannelGains(*row)
-    return h
+    return h, order
 
 
 def make_config(g12: float, g13: float, g23: float,

@@ -100,10 +100,9 @@ def max_weighted_sum(region: RateRegion) -> LpSolution:
     A = np.array([c.coeffs for c in region.constraints], dtype=float).reshape(m, 6)
     b = np.array([c.rhs for c in region.constraints], dtype=float)
     n = 6
-    w = np.ones(n)
     tableau = np.hstack([A, np.eye(m), b.reshape(m, 1)])
     basis = list(range(n, n + m))
-    red = np.concatenate([-w, np.zeros(m)])  # reduced costs; negative means improving
+    red = np.concatenate([-np.ones(n), np.zeros(m)])  # reduced costs; negative means improving
 
     while True:
         entering = next((j for j in range(n + m) if red[j] < -TOL), None)
@@ -127,7 +126,7 @@ def max_weighted_sum(region: RateRegion) -> LpSolution:
     for i, j in enumerate(basis):
         x[j] = tableau[i, -1]
     rates = np.where((x[:n] < 0) & (x[:n] > -TOL), 0.0, x[:n])  # rounding guard
-    value = float(w @ rates)
+    value = float(rates.sum())
     slack = b - A @ rates
     tight = tuple(c.label for c, s in zip(region.constraints, slack) if abs(s) <= TOL)
     return LpSolution(optimal_value=value, optimizer=tuple(rates.tolist()), tight_constraints=tight)

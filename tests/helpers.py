@@ -19,9 +19,9 @@ operation order bounds.evaluate documents, are the reference for the
 bound kernel bounds._bound_terms, and `crossover_root`, the closed-form root
 of the crossover margin, is the reference for experiments.find_crossover;
 the permutation loop and the per-trial
-ensemble loop are the references for model.canonicalize's stable sort, for its
-block form model._canonical_rows and for experiments.gap_ensemble.  The sweep,
-DoF fit and crossover search that build a ChannelConfig and call
+ensemble loop are the references for the stable sort of model._canonical_rows,
+which model.canonicalize runs on its one row, and for experiments.gap_ensemble.
+The sweep, DoF fit and crossover search that build a ChannelConfig and call
 bounds.evaluate at every grid point are the references for the drivers that
 call the bound kernel once per point, and
 `reference_json` and `reference_csv`, json.dumps with an indent and one

@@ -206,19 +206,24 @@ def test_canonicalize_matches_the_permutation_loop_exactly():
 
 def test_canonical_rows_is_canonicalize_row_by_row():
     # ties, signed zeros and infinities: where several relabelings order a row, the first one wins;
-    # an invalid row, alone or in a block, raises the error reference_canonicalize gives the first one
+    # an invalid row, alone or in a block, raises the error reference_canonicalize gives the first one;
+    # order lists each row's original users by new label, so order + 1 inverts the mapping
     normals = np.random.default_rng(5).standard_normal((50, 3))
     rows = np.array([*itertools.product(_EDGE_VALUES, repeat=3), *normals])
     wants = [_outcome(reference_canonicalize, row) for row in rows.tolist()]
     for row, want in zip(rows, wants):
-        got = _outcome(lambda *g: _canonical_rows(np.array([g]))[0], row)
+        got = _outcome(lambda *g: _canonical_rows(np.array([g])), row)
         if isinstance(want, str):
             assert got == want, row
         else:
-            assert got.tobytes() == np.array(dataclasses.astuple(want[0])).tobytes(), row
+            (h,), (order,) = got
+            assert h.tobytes() == np.array(dataclasses.astuple(want[0])).tobytes(), row
+            assert tuple((order + 1).tolist()) == inverse(want[1]), row
     valid = [not isinstance(want, str) for want in wants]
-    good = [dataclasses.astuple(want[0]) for want, ok in zip(wants, valid) if ok]
-    assert _canonical_rows(rows[valid]).tobytes() == np.array(good).tobytes()
+    good = [want for want, ok in zip(wants, valid) if ok]
+    h, order = _canonical_rows(rows[valid])
+    assert h.tobytes() == np.array([dataclasses.astuple(gains) for gains, _ in good]).tobytes()
+    assert [tuple(o) for o in (order + 1).tolist()] == [inverse(mapping) for _, mapping in good]
     with pytest.raises(ValidationError) as exc:
         _canonical_rows(rows)
     assert str(exc.value) == wants[valid.index(False)]
