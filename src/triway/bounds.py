@@ -2,16 +2,17 @@
 
 Every bound is a closed form in (h1^2, h2^2, h3^2, h1^2/h2^2) and P.  The
 kernel `_bound_terms` computes all of them from those five numbers; `evaluate`
-wraps it as one BoundReport, and the sweeps, DoF fits and crossover search of
-`experiments` call it per grid point.  The paper's bounds are its fields
-out1..out3 (pair cut-sets), lemma1, lemma2, theorem2_upper = 2 cap(h3^2 P) + 2
-and achievable_lower = 2 cap(h3^2 P).  All rates are in bits per channel use;
-cap(x) = 0.5*log2(1+x) fixes the unit.
+wraps one float call as a BoundReport, and the sweeps and DoF fits of
+`experiments` make one array call over their grid.  The paper's bounds are
+its fields out1..out3 (pair cut-sets), lemma1, lemma2, theorem2_upper =
+2 cap(h3^2 P) + 2 and achievable_lower = 2 cap(h3^2 P).  All rates are in bits
+per channel use; cap(x) = 0.5*log2(1+x) fixes the unit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -25,12 +26,26 @@ def _cap_of(x: float, *factors: float) -> float:
     """cap(x) for x >= 0 the product of finite factors, finite where x overflows.
 
     There cap(x) = 0.5 log2(x) + 0.5 log2(1 + 1/x) and the second term is
-    below 1e-308, so half the sum of the factors' logs is the value.  Python
+    below 1e-308, so half the sum of the factors' logs is the value, summed left
+    to right: Python 3.12's compensated sum() can differ in the last bit.  Python
     floats, not numpy: np.log1p can differ from math.log1p in the last bit.
     """
     if x < math.inf:
         return 0.5 * math.log1p(x) / _LN2
-    return 0.5 * sum(map(math.log2, factors))
+    return 0.5 * functools.reduce(float.__add__, map(math.log2, factors))
+
+
+def _cap_array(x, *factors) -> np.ndarray:
+    """_cap_of on each entry of x, a float64 array or a float, as a 1-D array, bit for bit:
+    math.log1p mapped over x, and _cap_of's log branch with that entry's factors (floats
+    or arrays of x's shape) where x overflows."""
+    x = np.ravel(x)
+    logs = list(map(math.log1p, x.tolist()))
+    cap = 0.5 * np.array(logs) / _LN2
+    if math.inf in logs:  # the log branch, only where x overflowed
+        for i in np.flatnonzero(x == math.inf).tolist():
+            cap[i] = _cap_of(math.inf, *(float(np.broadcast_to(f, x.shape)[i]) for f in factors))
+    return cap
 
 
 # the report's six cut-set names in output order, each with the BoundReport field it reads:
@@ -89,25 +104,26 @@ class BoundReport:
 _BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(BoundReport))[1:]
 
 
-def _gap_terms(s1: float, s2: float, s3: float, ratio: float,
-               P: float) -> tuple[float, float, float, float, float]:
+def _gap_terms(s1, s2, s3, ratio, P, cap=_cap_of, minimum=min) -> tuple:
     """(out1, lemma1, lemma2, lower, gap): the part of `_bound_terms` the sum-capacity interval needs."""
-    out1 = _cap_of((s3 + s2) * P, s3 + s2, P)
-    lemma1 = out1 + _cap_of(ratio)
-    lemma2 = _cap_of(s3 * P * (1.0 + ratio), s3, P, 1.0 + ratio) + 0.5
-    lower = 2.0 * _cap_of(s3 * P, s3, P)
-    return out1, lemma1, lemma2, lower, min(2.0, lemma1 + lemma2 - lower)
+    out1 = cap((s3 + s2) * P, s3 + s2, P)
+    lemma1 = out1 + cap(ratio)
+    lemma2 = cap(s3 * P * (1.0 + ratio), s3, P, 1.0 + ratio) + 0.5
+    lower = 2.0 * cap(s3 * P, s3, P)
+    return out1, lemma1, lemma2, lower, minimum(2.0, lemma1 + lemma2 - lower)
 
 
-def _bound_terms(s1: float, s2: float, s3: float, ratio: float, P: float) -> tuple:
-    """BoundReport's fields after config, in order, from ChannelGains.bound_inputs and P; see `evaluate`."""
-    out1, lemma1, lemma2, lower, gap = _gap_terms(s1, s2, s3, ratio, P)
-    out2 = _cap_of((s3 + s1) * P, s3 + s1, P)
-    out3 = _cap_of((s2 + s1) * P, s2 + s1, P)
+def _bound_terms(s1, s2, s3, ratio, P, cap=_cap_of, minimum=min, maximum=max) -> tuple:
+    """BoundReport's fields after config, in order, from ChannelGains.bound_inputs and P; see `evaluate`.
+    With _cap_array, np.minimum, np.maximum and np.errstate(over="ignore"), P may be a float64
+    array: each field is then an array over it, bit for bit the float call at each power."""
+    out1, lemma1, lemma2, lower, gap = _gap_terms(s1, s2, s3, ratio, P, cap, minimum)
+    out2 = cap((s3 + s1) * P, s3 + s1, P)
+    out3 = cap((s2 + s1) * P, s2 + s1, P)
     return (out1, out2, out3, out1 + out2 + out3, lemma1, lemma2, lower + 2.0, lemma1 + lemma2,
             lower, gap,
             # the lattice argument is clamped at 0 where the expression goes negative
-            _cap_of(max(0.0, s2 * P - 0.5), s2, P), _cap_of(s1 * P, s1, P), s2 >= s1 + 0.5 / P)
+            cap(maximum(0.0, s2 * P - 0.5), s2, P), cap(s1 * P, s1, P), s2 >= s1 + 0.5 / P)
 
 
 def evaluate(cfg: ChannelConfig) -> BoundReport:

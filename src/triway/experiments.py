@@ -26,6 +26,7 @@ BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma
                  "theorem2_upper", "tightened_upper", "achievable_lower")
 DOF_FIELDS = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # the DoF fit's bounds: 2, 3, 2
 _SCALAR_TYPES = frozenset((float, int, str, bool, type(None)))  # JSON scalars the C encoder takes in bulk
+_ENCODER = json.JSONEncoder(separators=("\0", ": "), sort_keys=True)  # see _json_text
 _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum", "tightened_upper"))
 # rows per CSV block: its arrays stay below glibc malloc's trim threshold, so each block reuses
 # the heap (one 1000-row block faulted ~240 fresh pages in on every call, 512-row blocks none)
@@ -130,21 +131,22 @@ def _meta(spec: SweepSpec) -> dict:
     return {"spec": spec_echo(spec), "seed": spec.seed, "version": __version__}
 
 
-def _kernel_columns(spec: SweepSpec, grid: list[float], fields: tuple[str, ...]) -> np.ndarray:
-    """The BoundReport fields `fields` at each power of grid and spec's gains, one row per
-    field, from one call of the bound kernel `bounds._bound_terms` per power."""
+def _kernel_columns(spec: SweepSpec, grid: np.ndarray, fields: tuple[str, ...]) -> list[np.ndarray]:
+    """The BoundReport fields `fields` at each power of grid and spec's gains, one array per
+    field, from one array call of the bound kernel `bounds._bound_terms` over the grid."""
     if spec.gains is None:
         raise ValidationError("sweeps and DoF fits need a fixed gain triple")
-    inputs = spec.gains.bound_inputs()
-    terms = np.array([bounds._bound_terms(*inputs, P) for P in grid])
-    return terms[:, [bounds._BOUND_FIELDS.index(f) for f in fields]].T
+    with np.errstate(over="ignore"):  # h^2 P can overflow: the kernel's log branch takes it
+        terms = bounds._bound_terms(*spec.gains.bound_inputs(), grid, bounds._cap_array,
+                                    np.minimum, np.maximum)
+    return [terms[bounds._BOUND_FIELDS.index(f)] for f in fields]
 
 
 def sweep_snr(spec: SweepSpec) -> ReportTable:
     """One row per grid power: (P, the BOUND_COLUMNS, gap)."""
     grid = power_grid(spec)
     return ReportTable(kind="sweep", header=("P", *BOUND_COLUMNS, "gap"),
-                       columns=(grid, *_kernel_columns(spec, grid.tolist(), (*BOUND_COLUMNS, "gap"))),
+                       columns=(grid, *_kernel_columns(spec, grid, (*BOUND_COLUMNS, "gap"))),
                        meta=_meta(spec))
 
 
@@ -166,7 +168,7 @@ def dof_estimate(spec: SweepSpec) -> tuple[float, float, float]:
         raise ValidationError("power grid must span at least 4 decades")
     top = grid[len(grid) // 2:]
     xs = [0.5 * math.log2(P) for P in top]
-    return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, top, DOF_FIELDS))
+    return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, np.array(top), DOF_FIELDS))
 
 
 def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
@@ -282,24 +284,30 @@ def crossover_table(result: CrossoverResult, gains: ChannelGains,
                        columns=tuple(np.array([v]) for v in row), meta=meta)
 
 
-def _json_text(obj, indent: str, encoders: dict[str, json.JSONEncoder]) -> str:
+def _json_text(obj, indent: str) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) for obj nested at `indent`.  A container
-    of plain scalars is one call of the C encoder (which ignores `indent`), one per
-    indent in `encoders`, whose item separator carries the newline and indent."""
+    of plain scalars, or a list of non-empty lists of them (a table's rows), is one call
+    of the C encoder (which ignores `indent`).  Its item separator is NUL, which json
+    escapes inside strings, so each NUL is a separator that takes the newline and indent,
+    and a NUL between "]" and "[" only ever stands between two rows."""
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return json.dumps(obj)
     inner = indent + "  "
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
     if _SCALAR_TYPES.issuperset(map(type, values)):
-        if inner not in encoders:
-            encoders[inner] = json.JSONEncoder(separators=(",\n" + inner, ": "), sort_keys=True)
-        body = encoders[inner].encode(obj)[1:-1]
+        body = _ENCODER.encode(obj)[1:-1].replace("\0", ",\n" + inner)
+    elif (not is_dict and all(type(v) in (list, tuple) and v for v in obj)
+          and _SCALAR_TYPES.issuperset(map(type, itertools.chain.from_iterable(obj)))):
+        # each step frees the text before it, so at most two copies of the table are alive
+        rows = _ENCODER.encode(obj)[2:-2].replace("]\0[", f"\n{inner}],\n{inner}[\n{inner}  ")
+        rows = rows.replace("\0", ",\n  " + inner)
+        return f"[\n{inner}[\n{inner}  {rows}\n{inner}]\n{indent}]"
     elif is_dict:  # json turns a non-string key into a string first
         body = (",\n" + inner).join(f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
-                                    f"{_json_text(v, inner, encoders)}" for k, v in sorted(obj.items()))
+                                    f"{_json_text(v, inner)}" for k, v in sorted(obj.items()))
     else:
-        body = (",\n" + inner).join(_json_text(v, inner, encoders) for v in obj)
+        body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}\n{inner}{body}\n{indent}{closing}"
 
@@ -362,7 +370,7 @@ def export_report(obj, format: str) -> str:
     """The one report writer: returns the exact text a report is written as.
 
     JSON takes a dict: the text of json.dumps(obj, indent=2, sort_keys=True),
-    written one container of scalars at a time.  CSV takes a (header, columns)
+    written one container of scalars (or of rows) at a time.  CSV takes a (header, columns)
     pair, columns a tuple of equal-length 1-D bool, integer or float numpy
     arrays, and prints a header line plus one line per row: a cell of an
     integer or bool column as %d, any other as %.6f.  A ReportTable is both:
@@ -383,7 +391,7 @@ def export_report(obj, format: str) -> str:
                 "rows": list(zip(*(c.tolist() for c in obj.columns)))}
                if format == "json" else (obj.header, obj.columns))
     if format == "json":
-        return _json_text(obj, "", {}) + "\n"
+        return _json_text(obj, "") + "\n"
     if format == "csv":
         header, columns = obj
         as_int = [c.dtype.kind in "biu" for c in columns]

@@ -97,19 +97,20 @@ def _canonical_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """canonicalize on each row (g12, g13, g23) of g: (the canonical rows (h1, h2, h3), order).
 
     order[i] lists row i's original users (0, 1, 2) by new label: the same
-    stable sort on every row, the identity where it holds a NaN.  A sorted row
-    is ordered, so one all-clear check of the two other ChannelGains rules
-    picks the rows to build as ChannelGains, in row order: the first invalid
-    row raises ChannelGains' own error.
+    stable sort on every row.  A sorted row is ordered and a non-finite gain
+    sorts last, so one finiteness test of h3^2 + h2^2 finds the invalid rows.
+    They are built as ChannelGains in row order, a row holding a NaN in its
+    identity order, and the first raises ChannelGains' own error.
     """
     opposite = g[:, ::-1]  # gain of the link that avoids user k
     order = np.argsort(np.abs(opposite), axis=1, kind="stable")
-    order[np.isnan(g).any(axis=1)] = (0, 1, 2)
-    h = np.take_along_axis(opposite, order, axis=1)
+    h = opposite[np.arange(len(g))[:, None], order]
     with np.errstate(over="ignore"):
-        top = h[:, 2] * h[:, 2] + h[:, 1] * h[:, 1]
-    for row in h[~(np.isfinite(h).all(axis=1) & np.isfinite(top))].tolist():
-        ChannelGains(*row)
+        invalid = ~np.isfinite(h[:, 2] * h[:, 2] + h[:, 1] * h[:, 1])
+    if invalid.any():
+        h = np.where(np.isnan(g).any(axis=1, keepdims=True), opposite, h)
+        for row in h[invalid].tolist():
+            ChannelGains(*row)
     return h, order
 
 

@@ -22,8 +22,8 @@ the permutation loop and the per-trial
 ensemble loop are the references for the stable sort of model._canonical_rows,
 which model.canonicalize runs on its one row, and for experiments.gap_ensemble.
 The sweep, DoF fit and crossover search that build a ChannelConfig and call
-bounds.evaluate at every grid point are the references for the drivers that
-call the bound kernel once per point, and
+bounds.evaluate at every grid point are the references for the drivers, which
+call the bound kernel once over the grid or once per probe, and
 `reference_json` and `reference_csv`, json.dumps with an indent and one
 %-format per row, are the references for experiments.export_report.
 """

@@ -180,6 +180,51 @@ def test_bound_kernel_is_the_documented_formulas_bit_for_bit():
     assert checked > 3000 and sum(bounds._bound_terms(*c)[9] == 2.0 for c in cases[-295:]) > 100
 
 
+def _array_kernel(inputs, powers):
+    with np.errstate(over="ignore"):
+        return bounds._bound_terms(*inputs, powers, bounds._cap_array, np.minimum, np.maximum)
+
+
+def test_array_kernel_is_the_float_kernel_bit_for_bit_at_every_grid_power():
+    # grids over gains of +-150 decades and powers of +-300: where every cap argument is finite
+    # the oracle is the formulas written from cap, where one overflows the float kernel's log branch
+    rng = np.random.default_rng(41)
+    grids = []
+    for _ in range(300):
+        gains, _ = canonicalize(*(rng.standard_normal(3) * 10.0 ** rng.uniform(-150.0, 150.0, 3)))
+        grids.append((gains.bound_inputs(), np.sort(10.0 ** rng.uniform(-300.0, 300.0, 170))))
+    grids.append(((0.0, 0.0, 1.0, 0.0), 10.0 ** np.arange(-300.0, 300.0)))  # h2 = 0
+    grids.append(((1.0, 1.0, 1.0, 1.0), 10.0 ** np.arange(295.0)))  # the gap reaches the literal 2.0
+    counts = {"finite": 0, "overflow": 0, "clamped": 0, "gap 2.0": 0}
+    for inputs, powers in grids:
+        columns = _array_kernel(inputs, powers)
+        assert all(len(c) == len(powers) for c in columns)
+        s1, s2, s3, _ = inputs
+        for P, got in zip(powers.tolist(), zip(*(c.tolist() for c in columns))):
+            finite = 2.0 * (s3 + s2) * P < 1e308  # bounds every cap argument
+            want = reference_bound_terms(*inputs, P) if finite else bounds._bound_terms(*inputs, P)
+            assert repr(got) == repr(want), (inputs, P)
+            counts["finite" if finite else "overflow"] += 1
+            counts["clamped"] += s2 * P < 0.5
+            counts["gap 2.0"] += got[9] == 2.0
+    assert counts["finite"] + counts["overflow"] > 50000, counts
+    assert min(counts["overflow"], counts["clamped"]) > 1000 and counts["gap 2.0"] > 100, counts
+
+
+def test_overflow_branch_sums_the_factor_logs_left_to_right():
+    # lemma2's cap argument h3^2 P (1 + h1^2/h2^2) overflows; Python 3.12's compensated sum()
+    # rounds this triple's logs to another double than the sum from left to right
+    gains, _ = canonicalize(1.196206627602323e+154, 6.036692963240989e+151, 5.857787243999874e+151)
+    inputs, P = gains.bound_inputs(), 760.4208741644646
+    factors = (inputs[2], P, 1.0 + inputs[3])
+    assert math.isinf(factors[0] * factors[1] * factors[2])
+    logs = [math.log2(f) for f in factors]
+    assert math.fsum(logs) != (logs[0] + logs[1]) + logs[2]
+    lemma2 = 0.5 * ((logs[0] + logs[1]) + logs[2]) + 0.5
+    assert evaluate(ChannelConfig(gains=gains, power=P)).lemma2 == lemma2 == 517.5993454628814
+    assert _array_kernel(inputs, np.array([P]))[5].tolist() == [lemma2]
+
+
 def test_lemma1_keeps_the_unit_ratio_of_equal_tiny_gains():
     # h1 = h2 = eps: h1^2/h2^2 = 1, also where eps^2 is subnormal or underflows to 0
     for k in range(10, 301):

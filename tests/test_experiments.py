@@ -148,15 +148,19 @@ def test_spec_validation():
 
 
 def test_dof_estimate_reads_the_grid_once_and_the_kernel_once_per_fitted_point(monkeypatch):
-    calls = {"power_grid": 0, "_bound_terms": 0}
+    # one grid, and one array call of the kernel over exactly the fitted points
+    calls = {"power_grid": [], "_bound_terms": []}
     for module, name in ((experiments, "power_grid"), (bounds, "_bound_terms")):
         def counted(*args, _call=getattr(module, name), _name=name):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _call(*args)
         monkeypatch.setattr(module, name, counted)
-    slopes = dof_estimate(SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM))
+    spec = SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM)
+    slopes = dof_estimate(spec)
     assert len(slopes) == 3
-    assert calls == {"power_grid": 1, "_bound_terms": 5}  # the fit reads the last 5 of 9 points
+    assert len(calls["power_grid"]) == 1 and len(calls["_bound_terms"]) == 1
+    powers = calls["_bound_terms"][0][4]  # the fit reads the last 5 of 9 points
+    assert powers.tobytes() == power_grid(spec)[4:].tobytes()
 
 
 def test_grid_prefix_is_the_logspace_prefix_bit_for_bit():
@@ -479,6 +483,13 @@ _JSON_TREES = st.recursive(
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(_JSON_TREES)
+# tables of rows: string cells that hold the brackets and NUL the rows writer splits on, an empty
+# row among full ones, tuple rows, and tables at several depths
+@example([["]", "[", "\0"], ["]\u0000[", 1.5, None], ["x]", True, "[y"]])
+@example([[1.0, 2.0], [], [3.0]])
+@example(((1.0, "a"), (True, None, -0.0), (math.nan,)))
+@example({"rows": [[1, 2], [3, 4]], "header": ("P", "gap")})
+@example([{"a": [["]\0["], [0.5, math.inf]]}, [[["deep"], ["er", 2]]]])
 def test_json_writer_matches_json_dumps(tree):
     assert export_report(tree, "json") == reference_json(tree)
 
