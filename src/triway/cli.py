@@ -14,6 +14,7 @@ seed must be >= 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -45,6 +46,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _size(text: str) -> int:
+    """A size flag's value: int(text), else float(text) where that is finite and integral ("1e6")."""
+    with contextlib.suppress(ValueError):
+        return int(text)
+    with contextlib.suppress(ValueError):
+        if float(text).is_integer():  # inf and nan are not
+            return int(float(text))
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _config_number(path: str, key: str, value) -> float:
@@ -134,8 +145,7 @@ def _cmd_bounds(args, cfg, mapping) -> None:
 
 def _cmd_region(args, cfg, mapping) -> None:
     reg = region.build_region(cfg)
-    sol = region.max_weighted_sum(reg)
-    _emit({"region": reg.as_dict(), "sum_rate_lp": sol.as_dict(),
+    _emit({"region": reg.as_dict(), "sum_rate_lp": region.max_weighted_sum(reg),
            "permutation": list(mapping)}, args)
 
 
@@ -204,7 +214,7 @@ def _grid(p_lo: float, p_hi: float, points: int | None = None) -> tuple:
     flags = (("--p-lo", {"type": float, "default": p_lo, "help": "lowest power (default: %(default)s)"}),
              ("--p-hi", {"type": float, "default": p_hi, "help": "highest power (default: %(default)s)"}))
     return flags if points is None else (*flags, ("--points", {
-        "type": int, "default": points, "help": "log-spaced grid powers (default: %(default)s)"}))
+        "type": _size, "default": points, "help": "log-spaced grid powers (default: %(default)s)"}))
 
 
 class _Command(NamedTuple):
@@ -231,22 +241,22 @@ _SUBCOMMANDS = {
                     _grid(1e2, 1e8, 9), _cmd_dof),
     "genie": _Command("verify a genie reconstruction on a simulated run", True, "json", "json", (
         ("--variant", {"choices": ("lemma1", "lemma2"), "required": True}),
-        ("--n", {"type": int, "default": 100, "help": "block length"}),
+        ("--n", {"type": _size, "default": 100, "help": "block length"}),
         _SEED), _cmd_genie),
     # trace csv, relay and MI json: _cmd_simulate checks the format against its mode
     "simulate": _Command("trace CSV; with --pam-order a relay demo; with --samples an MI estimate",
                          True, None, None, (
-        ("--n", {"type": int, "default": 100,
+        ("--n", {"type": _size, "default": 100,
                  "help": "block length / relay exchanges; the trace writes CSV only"}),
         _SEED,
         ("--pam-order", {"type": int, "help": "run the two-way relay demo at this PAM order; "
                                               "writes JSON only"}),
-        ("--samples", {"type": int, "help": "estimate strongest-link mutual information; "
+        ("--samples", {"type": _size, "help": "estimate strongest-link mutual information; "
                                             "writes JSON only"})), _cmd_simulate),
     "sweep": _Command("bounds and gap over a log-spaced power grid", True, "csv", None,
                       (*_grid(1e2, 1e8, 9), _SEED), _cmd_sweep),
     "gap-ensemble": _Command("gap statistics over random channel draws", False, "json", None, (
-        ("--ensemble", {"type": int, "default": 10000, "help": "channel draws (default: %(default)s)"}),
+        ("--ensemble", {"type": _size, "default": 10000, "help": "channel draws (default: %(default)s)"}),
         *_grid(0.1, 1e4, 6), _SEED), _cmd_gap_ensemble),
     "crossover": _Command("power where the genie bounds beat the cut-set sum", True, "json", None,
                           _grid(0.1, 100.0), _cmd_crossover),

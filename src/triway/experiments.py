@@ -21,9 +21,8 @@ from . import bounds
 from ._version import __version__
 from .model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, _bound_inputs, _canonical_rows
 
-# sweep table columns, in emission order: fields of bounds.BoundReport
-BOUND_COLUMNS = ("out1", "out2", "out3", "outgoing_cutset_sum", "lemma1", "lemma2",
-                 "theorem2_upper", "tightened_upper", "achievable_lower")
+# sweep table columns, in emission order: the fields of bounds.BoundReport before the gap
+BOUND_COLUMNS = bounds._BOUND_FIELDS[:bounds._BOUND_FIELDS.index("gap")]
 DOF_FIELDS = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # the DoF fit's bounds: 2, 3, 2
 _SCALAR_TYPES = frozenset((float, int, str, bool, type(None)))  # JSON scalars the C encoder takes in bulk
 _ENCODER = json.JSONEncoder(separators=("\0", ": "), sort_keys=True)  # see _json_text

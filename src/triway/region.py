@@ -2,8 +2,10 @@
 
 The region is the intersection of the pair cut-set bounds and the two
 triple-sum bounds, all of the form (0/1 coefficients) . r <= rhs with r >= 0.
-The solver is a dense textbook simplex with Bland's anti-cycling rule; at
-6 variables and at most 8 rows, robustness matters and speed does not.
+`_SUPPORTS` states each constraint's support once, a `RateRegion` holds only
+the right-hand sides, and `_coeffs` derives the 0/1 rows for the JSON report
+and the LP.  The LP is a dense textbook simplex with Bland's anti-cycling
+rule; at 6 variables and at most 8 rows, robustness matters and speed does not.
 """
 
 from __future__ import annotations
@@ -20,47 +22,6 @@ TOL = 1e-9
 # per-message rates in bits per channel use, r12 is user1 -> user2: the column order everywhere here
 RATE_ORDER = ("r12", "r13", "r21", "r23", "r31", "r32")
 
-
-@dataclasses.dataclass(frozen=True)
-class LinearConstraint:
-    coeffs: tuple[float, float, float, float, float, float]  # on (r12, r13, r21, r23, r31, r32)
-    rhs: float
-    label: str
-
-
-@dataclasses.dataclass(frozen=True)
-class RateRegion:
-    """Constraint list; nonnegativity of every rate is implicit."""
-
-    constraints: tuple[LinearConstraint, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "rate_order": list(RATE_ORDER),
-            "constraints": [
-                {"label": c.label, "coeffs": list(c.coeffs), "rhs": c.rhs}
-                for c in self.constraints
-            ],
-        }
-
-
-@dataclasses.dataclass(frozen=True)
-class LpSolution:
-    optimal_value: float
-    optimizer: tuple[float, ...]  # the six rates in RATE_ORDER
-    tight_constraints: tuple[str, ...]
-
-    status = "optimal"  # a region from build_region is feasible and bounded
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "optimal_value": self.optimal_value,
-            "optimizer": dict(zip(RATE_ORDER, self.optimizer)),
-            "tight_constraints": list(self.tight_constraints),
-        }
-
-
 # each constraint's label and support (indices into RATE_ORDER), in build_region's output order
 _SUPPORTS = {
     "cutset.out1": (0, 1),  # r12 + r13
@@ -74,59 +35,59 @@ _SUPPORTS = {
 }
 
 
+def _coeffs(labels) -> np.ndarray:
+    """The 0/1 coefficient row over RATE_ORDER of each constraint in `labels`."""
+    return np.array([[float(j in _SUPPORTS[label]) for j in range(6)] for label in labels]).reshape(-1, 6)
+
+
+@dataclasses.dataclass(frozen=True)
+class RateRegion:
+    """Each constraint's rhs by label, in `_SUPPORTS` order; nonnegativity of every rate is implicit."""
+
+    rhs: dict[str, float]
+
+    def as_dict(self) -> dict:
+        return {"rate_order": list(RATE_ORDER),
+                "constraints": [{"label": label, "coeffs": row, "rhs": rhs}
+                                for (label, rhs), row in zip(self.rhs.items(), _coeffs(self.rhs).tolist())]}
+
+
 def build_region(cfg: ChannelConfig) -> RateRegion:
-    """Assemble the inequality description of the rate region.
-
-    The six cut-sets come first, then lemma1 and lemma2.  Reciprocal in/out
-    duplicates are kept so tight-constraint labels stay traceable.
-    """
+    """The constraints of `_SUPPORTS`; reciprocal in/out cut-sets stay apart, so tight labels are traceable."""
     b = bounds.evaluate(cfg)
-    rhs = {f"cutset.{name}": getattr(b, field) for name, field in bounds._CUTSETS.items()}
-    rhs.update(lemma1=b.lemma1, lemma2=b.lemma2)
-    return RateRegion(constraints=tuple(
-        LinearConstraint(coeffs=tuple(float(j in support) for j in range(6)), rhs=rhs[label], label=label)
-        for label, support in _SUPPORTS.items()))
+    fields = {f"cutset.{name}": field for name, field in bounds._CUTSETS.items()}  # a lemma's is its label
+    return RateRegion({label: getattr(b, fields.get(label, label)) for label in _SUPPORTS})
 
 
-def max_weighted_sum(region: RateRegion) -> LpSolution:
-    """Maximize the sum rate r12 + r13 + r21 + r23 + r31 + r32 over the region with r >= 0.
+def max_weighted_sum(region: RateRegion) -> dict:
+    """The `sum_rate_lp` report: `status`, `optimal_value`, `optimizer` (each rate by name) and
+    `tight_constraints` (labels), for the max of r12 + r13 + r21 + r23 + r31 + r32 over the region.
 
-    Simplex on the slack-variable tableau.  Every rhs of a built region is a
-    capacity, so >= 0: the slack basis is feasible and no phase-1 is needed.
-    Every rate lies in a cut-set row, so the sum is bounded and the LP always
-    has an optimum.  Each rate carries weight 1.
+    Simplex on the slack-variable tableau, whose last row holds the reduced costs.  Every rhs of
+    a built region is a capacity, so >= 0: the slack basis is feasible and needs no phase-1, and
+    every rate lies in a cut-set row, so an optimum exists.  bench/test_bench.py pins the name.
     """
-    m = len(region.constraints)
-    A = np.array([c.coeffs for c in region.constraints], dtype=float).reshape(m, 6)
-    b = np.array([c.rhs for c in region.constraints], dtype=float)
-    n = 6
-    tableau = np.hstack([A, np.eye(m), b.reshape(m, 1)])
+    A, b = _coeffs(region.rhs), np.array(list(region.rhs.values()), dtype=float)
+    m, n = len(b), 6
+    # rows 0..m-1 the constraints, row m the reduced costs (negative means improving)
+    tableau = np.vstack([np.hstack([A, np.eye(m), b.reshape(m, 1)]),
+                         np.concatenate([-np.ones(n), np.zeros(m + 1)])])
     basis = list(range(n, n + m))
-    red = np.concatenate([-np.ones(n), np.zeros(m)])  # reduced costs; negative means improving
 
-    while True:
-        entering = next((j for j in range(n + m) if red[j] < -TOL), None)
-        if entering is None:
-            break
-        col = tableau[:, entering]
-        candidates = [
-            (tableau[i, -1] / col[i], basis[i], i) for i in range(m) if col[i] > TOL
-        ]
+    while (entering := next((j for j in range(n + m) if tableau[m, j] < -TOL), None)) is not None:
+        col = tableau[:m, entering]
         # Bland: min ratio, ties broken by the smallest basic variable index
-        _, _, row = min(candidates, key=lambda t: (t[0], t[1]))
-        pivot = tableau[row, entering]
-        tableau[row] = tableau[row] / pivot
-        for i in range(m):
+        _, _, row = min((tableau[i, -1] / col[i], basis[i], i) for i in range(m) if col[i] > TOL)
+        tableau[row] = tableau[row] / tableau[row, entering]
+        for i in range(m + 1):
             if i != row and tableau[i, entering] != 0.0:
                 tableau[i] = tableau[i] - tableau[i, entering] * tableau[row]
-        red = red - red[entering] * tableau[row, :-1]
         basis[row] = entering
 
     x = np.zeros(n + m)
-    for i, j in enumerate(basis):
-        x[j] = tableau[i, -1]
+    x[basis] = tableau[:m, -1]
     rates = np.where((x[:n] < 0) & (x[:n] > -TOL), 0.0, x[:n])  # rounding guard
-    value = float(rates.sum())
     slack = b - A @ rates
-    tight = tuple(c.label for c, s in zip(region.constraints, slack) if abs(s) <= TOL)
-    return LpSolution(optimal_value=value, optimizer=tuple(rates.tolist()), tight_constraints=tight)
+    return {"status": "optimal",  # a region from build_region is feasible and bounded
+            "optimal_value": float(rates.sum()), "optimizer": dict(zip(RATE_ORDER, rates.tolist())),
+            "tight_constraints": [label for label, s in zip(region.rhs, slack) if abs(s) <= TOL]}

@@ -206,8 +206,8 @@ def sub_region(cfg, *families: str) -> RateRegion:
     """The constraints of build_region(cfg) in the families named ("cutset",
     "lemma1", "lemma2"), kept in build_region's order, on which the simplex's
     pivot choice (Bland's rule) depends."""
-    return RateRegion(tuple(c for c in build_region(cfg).constraints
-                            if c.label.split(".")[0] in families))
+    return RateRegion({label: rhs for label, rhs in build_region(cfg).rhs.items()
+                       if label.split(".")[0] in families})
 
 
 def is_feasible(region: RateRegion, rates: tuple[float, ...], tol: float = TOL) -> bool:
@@ -216,28 +216,7 @@ def is_feasible(region: RateRegion, rates: tuple[float, ...], tol: float = TOL) 
     r = np.asarray(rates, dtype=float)
     if np.any(r < -tol):
         return False
-    for c in region.constraints:
-        if float(np.dot(c.coeffs, r)) > c.rhs + tol:
-            return False
-    return True
-
-
-def _support_caps(region: RateRegion) -> dict[tuple[int, ...], float]:
-    """Min rhs per constraint support; rejects supports this oracle cannot handle."""
-    known = set(_SUPPORTS.values())
-    caps: dict[tuple[int, ...], float] = {}
-    for c in region.constraints:
-        support = tuple(j for j, v in enumerate(c.coeffs) if v != 0.0)
-        if support not in known or any(c.coeffs[j] != 1.0 for j in support):
-            raise ValidationError(f"constraint {c.label!r} has an unsupported pattern for the grid oracle")
-        caps[support] = min(caps.get(support, math.inf), c.rhs)
-    covered = set()
-    for support in caps:
-        covered.update(support)
-    missing = [RATE_ORDER[j] for j in range(6) if j not in covered]
-    if missing:
-        raise ValidationError(f"region is unbounded: {missing} appear in no constraint")
-    return caps
+    return not any(float(r[list(_SUPPORTS[label])].sum()) > rhs + tol for label, rhs in region.rhs.items())
 
 
 def oracle_max_sum(region: RateRegion, grid_step: float) -> float:
@@ -252,11 +231,14 @@ def oracle_max_sum(region: RateRegion, grid_step: float) -> float:
     """
     if not (grid_step > 0):
         raise ValidationError(f"grid_step must be > 0, got {grid_step!r}")
-    caps = _support_caps(region)
+    covered = {j for label in region.rhs for j in _SUPPORTS[label]}
+    missing = [name for j, name in enumerate(RATE_ORDER) if j not in covered]
+    if missing:
+        raise ValidationError(f"region is unbounded: {missing} appear in no constraint")
     s = float(grid_step)
 
     def rhs(label: str) -> float:
-        return caps.get(_SUPPORTS[label], math.inf)
+        return region.rhs.get(label, math.inf)
 
     b_out1, b_in1 = rhs("cutset.out1"), rhs("cutset.in1")
     b_out2, b_in2 = rhs("cutset.out2"), rhs("cutset.in2")

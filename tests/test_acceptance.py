@@ -121,10 +121,10 @@ def test_criterion_5_lp_matches_grid_oracle():
         reg = build_region(cfg)
         sol = max_weighted_sum(reg)
         grid_val = oracle_max_sum(reg, 0.01)
-        worst = max(worst, abs(sol.optimal_value - grid_val))
-        if sol.status != "optimal" or abs(sol.optimal_value - grid_val) > 0.06:
+        worst = max(worst, abs(sol["optimal_value"] - grid_val))
+        if sol["status"] != "optimal" or abs(sol["optimal_value"] - grid_val) > 0.06:
             ok = False
-        if not is_feasible(reg, sol.optimizer, tol=1e-9):
+        if not is_feasible(reg, tuple(sol["optimizer"].values()), tol=1e-9):
             ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0

@@ -352,6 +352,43 @@ def test_a_number_reads_the_same_however_it_is_passed(capsys, tmp_path, text):
             assert _run(capsys, command, "--config", str(path)) == inline, key
 
 
+# each size flag, in a command whose report the size shapes
+_SIZE_CASES = ((("sweep",), "--points", "1000"), (("dof",), "--points", "12"),
+               (("gap-ensemble", "--points", "3"), "--ensemble", "500"), (("simulate",), "--n", "20"),
+               (("genie", "--variant", "lemma2"), "--n", "50"), (("simulate",), "--samples", "10000"))
+
+
+def _exponent_form(size: int) -> str:
+    """The integer `size` as a mantissa with no trailing zeros and an exponent: 1000 is "1e3"."""
+    digits = str(abs(size))
+    mantissa = digits.rstrip("0") or "0"
+    return f"{'-' * (size < 0)}{mantissa}e{len(digits) - len(mantissa)}"
+
+
+@pytest.mark.parametrize("command,flag,size", _SIZE_CASES, ids=[f"{c[0]} {f} {s}" for c, f, s in _SIZE_CASES])
+def test_a_size_reads_the_same_in_exponent_form(capsys, command, flag, size):
+    want = _run(capsys, *command, flag, size)
+    assert want[0] == 0 and want[2] == ""
+    for text in (_exponent_form(int(size)), f"{size}.0", f"{int(size) / 10:g}E1", f"{size}e+0"):
+        assert _run(capsys, *command, flag, text) == want, text
+        assert _run(capsys, *command, f"{flag}={text}") == want, text
+
+
+@pytest.mark.parametrize("command,flag", [("sweep", "--points"), ("simulate", "--n"),
+                                          ("gap-ensemble", "--ensemble"), ("simulate", "--samples")])
+def test_a_size_that_is_not_an_integer_is_refused(capsys, command, flag):
+    for text in ("1.5", "2.5e-1", "inf", "-inf", "nan", "1e400", "1e", "0x10"):
+        code, out, err = _run(capsys, command, f"{flag}={text}")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: ") and err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
+
+
+def test_seed_and_pam_order_stay_integers(capsys):
+    for argv in (("simulate", "--pam-order", "4e0"), ("simulate", "--seed", "1e0")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == "" and f"invalid int value: '{argv[-1]}'" in err
+
+
 def test_out_file_equals_stdout(capsys, tmp_path):
     _, stdout_text, _ = _run(capsys, "bounds", "--format", "csv")
     path = tmp_path / "report.csv"
@@ -755,6 +792,7 @@ _CONFIG = {"g12": _NUMBER, "g13": _NUMBER, "g23": _NUMBER, "power": _NUMBER}
 # huge point counts: a grid that cannot be held, or (for gap-ensemble) a prefix of one that can
 _GRID = {"p-lo": _NUMBER, "p-hi": _NUMBER, "points": _maybe(
     st.integers(min_value=-1, max_value=20), st.sampled_from([10 ** 18, 2 * 10 ** 18, sys.maxsize]))}
+_SIZE_FLAGS = ("points", "n", "samples", "ensemble")  # read as int(text), or as an integral float(text)
 # always given: the default block length is 100; the huge ones fail before any power pass
 _N = st.one_of(st.integers(min_value=-1, max_value=50), st.sampled_from([10 ** 18, _TOO_LONG, 10 ** 20]))
 # every flag of every subcommand, at sizes that keep each call to milliseconds
@@ -823,6 +861,8 @@ def test_every_input_prints_finite_output_or_exits_cleanly(subcommand, data):
         if value is None:
             continue
         text = repr(value) if isinstance(value, float) else str(value)
+        if flag in _SIZE_FLAGS and data.draw(st.booleans(), label=f"{flag} in exponent form"):
+            text = _exponent_form(value)
         if spelling == "config" and flag in _CONFIG:
             config[flag] = value
         elif spelling == " ":

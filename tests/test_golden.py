@@ -25,6 +25,8 @@ CASES = {
     "bounds_noncanonical.json": ["bounds", *NONCANONICAL],
     "bounds_noncanonical.csv": ["bounds", *NONCANONICAL, "--format", "csv"],
     "region.json": ["region"],
+    "region_high_snr.json": ["region", "--g12", "1", "--g13", "1", "--g23", "1", "--power", "100"],
+    "region_noncanonical.json": ["region", *NONCANONICAL],
     "dof.json": ["dof"],
     "genie_lemma1.json": ["genie", "--variant", "lemma1", "--n", "50", "--seed", "7"],
     "genie_lemma2.json": ["genie", "--variant", "lemma2", "--n", "50", "--seed", "7"],

@@ -233,8 +233,7 @@ _PUBLIC_NAMES = {
     "model": ["ChannelConfig", "ChannelGains", "PropertyViolationError", "ValidationError",
               "canonicalize", "make_config"],
     "bounds": ["BoundReport", "REPORT_CSV_HEADER", "evaluate", "sum_capacity_interval"],
-    "region": ["LinearConstraint", "LpSolution", "RATE_ORDER", "RateRegion", "TOL", "build_region",
-               "max_weighted_sum"],
+    "region": ["RATE_ORDER", "RateRegion", "TOL", "build_region", "max_weighted_sum"],
     "sim": ["CausalEncoder", "TRACE_CSV_HEADER", "TransmissionTrace",
             "estimate_p2p_mi", "expected_block_power",
             "genie_reconstruct_lemma1", "genie_reconstruct_lemma2", "genie_verdict",
