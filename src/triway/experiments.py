@@ -172,14 +172,74 @@ def dof_estimate(spec: SweepSpec) -> tuple[float, float, float]:
 
 def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     """Row t - start for each t in [start, stop): the uint32 words numpy makes of the list
-    [seed, t], each int little-endian and [0] for 0, so default_rng(row) has the state of
-    default_rng([seed, t]) without coercing a list on every call.  The range must not cross
-    a multiple of 2**32: its trials share the words of t above the lowest.  seed >= 0, as
-    SweepSpec checks."""
+    [seed, t], each int little-endian and [0] for 0.  They are the entropy SeedSequence([seed,
+    t]) hashes, so default_rng(row) has the state of default_rng([seed, t]).  The range must
+    not cross a multiple of 2**32: its trials share the words of t above the lowest.
+    seed >= 0, as SweepSpec checks."""
     head, tail = (n.to_bytes(4 * ((n.bit_length() + 31) // 32 or 1), "little") for n in (seed, start))
     words = np.tile(np.frombuffer(head + tail, "<u4").astype(np.uint32), (stop - start, 1))
     words[:, len(head) // 4] += np.arange(stop - start, dtype=np.uint32)
     return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..count, as a uint32 column: the constants of numpy's
+    seed hash, which run the same whatever the words."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h, np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """numpy's hashmix, and its output hash, row by row: xor h[k], multiply by h[k + 1],
+    xorshift 16, with h a column one longer than values has rows."""
+    values = values ^ h[:-1]
+    values *= h[1:]
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of two uint32 rows: L*x - R*y, xorshift 16."""
+    x = x * 0xCA01F9DD - y * 0x4973F715
+    x ^= x >> 16
+    return x
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """Row i: SeedSequence(words[i]).generate_state(4, np.uint64), for all rows at once.
+
+    numpy's bit_generator.pyx step for step (O'Neill's seed_seq_fe), on uint32 rows of one
+    word per trial: mix_entropy hashes the first 4 words (0 past the end) into a pool of 4,
+    mixes each pool word in turn into the 3 others, then each word past the 4th into all 4;
+    generate_state hashes the pool, cycled, into 8 words, read in pairs as little-endian
+    uint64."""
+    n, length = words.shape
+    entropy = np.zeros((max(length, 4), n), np.uint32)
+    entropy[:length] = words.T
+    h = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * (len(entropy) - 4))
+    pool = _hash(entropy[:4], h[:5])
+    for src in range(4):  # the hashes of pool[src] take the next 3 constants, dst by dst
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], h[4 + 3 * src:8 + 3 * src]))
+    for k, word in enumerate(entropy[4:]):
+        pool = _mix(pool, _hash(word, h[16 + 4 * k:21 + 4 * k]))
+    out = _hash(np.tile(pool, (2, 1)), _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """A seed for default_rng that is one row of _seed_states.  PCG64 makes one call of its
+    seed, generate_state(4, np.uint64), and gets that row, so the generator is that of the
+    row's seed list.  numpy takes it as a seed only once gap_ensemble registers it."""
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 def gap_ensemble(spec: SweepSpec) -> GapStatistics:
@@ -187,24 +247,29 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
 
     Trial t uses gains drawn from default_rng([seed, t]), canonicalized, and
     the grid power at index t mod points, so a large ensemble covers every
-    grid power evenly.  Trials run in blocks of _GAP_BLOCK: a block draws each
-    trial's gains from its own generator, seeded with the words of [seed, t]
-    (`_seed_words`), and canonicalizes and checks them at once with one
-    stable sort per row (`model._canonical_rows`); then each trial is one
-    call of bounds.sum_capacity_interval.  min, max, the first trial at the max
+    grid power evenly.  Trials run in blocks of _GAP_BLOCK.  A block hashes the
+    words of every trial's [seed, t] (`_seed_words`) at once into the state
+    SeedSequence([seed, t]) would give PCG64 (`_seed_states`).  Each trial then
+    draws its gains from default_rng(_SeedState(state)), the generator of
+    default_rng([seed, t]), and the block canonicalizes and checks them at once
+    with one stable sort per row (`model._canonical_rows`); then each trial is
+    one call of bounds.sum_capacity_interval.  min, max, the first trial at the max
     (the worst config) and the running sum of the gaps, in trial order, are
     those of a loop over the trials one at a time.
     """
     if spec.gains is not None:
         raise ValidationError("gap ensembles draw their gains: need no fixed gain triple")
+    # numpy takes a seed that is no SeedSequence only as a registered ISeedSequence.  Here, not at
+    # import: numpy.random costs every other command ~16 ms to load.  Registering again is a no-op.
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
     powers = power_grid(spec, spec.ensemble)  # trial t < ensemble reads index t % points
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
     for start in range(0, spec.ensemble, _GAP_BLOCK):
         stop = min(start + _GAP_BLOCK, spec.ensemble)
         block_powers = powers[np.arange(start, stop) % spec.points].tolist()
         draws = np.empty((stop - start, 3))
-        for words, row in zip(_seed_words(spec.seed, start, stop), draws):
-            np.random.default_rng(words).standard_normal(out=row)
+        for state, row in zip(_seed_states(_seed_words(spec.seed, start, stop)), draws):
+            np.random.default_rng(_SeedState(state)).standard_normal(out=row)
         gains = _canonical_rows(draws)[0]
         gaps = [bounds.sum_capacity_interval(_bound_inputs(h1, h2, h3), P)[2]
                 for h1, h2, h3, P in zip(*gains.T.tolist(), block_powers)]

@@ -686,6 +686,21 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["config"]["g12"] == 1.5
 
 
+def test_commands_that_draw_nothing_never_load_numpy_random():
+    # numpy.random takes ~16 ms to load, so start-up imports it nowhere: the gap ensemble
+    # loads it when it draws, and only then registers its seed class with numpy
+    child = ("import contextlib, io, sys\n"
+             "from triway.cli import main\n"
+             "for argv in (['bounds'], ['region'], ['sweep'], ['crossover'], ['gap-ensemble', '--ensemble', '1']):\n"
+             "    print('numpy.random' in sys.modules)\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert main(argv) == 0, argv\n"
+             "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["False"] * 5 + ["True"]
+
+
 def test_config_file_canonicalizes_on_load(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"g12": 1, "g13": 2, "g23": 3, "power": 2}')

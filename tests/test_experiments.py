@@ -44,7 +44,9 @@ from triway.experiments import (
     power_grid,
     sweep_snr,
     _exact_block,
+    _seed_states,
     _seed_words,
+    _SeedState,
 )
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 
@@ -261,18 +263,26 @@ def test_gap_ensemble_matches_the_per_trial_reference(monkeypatch, spec, draw):
         assert stats.max_gap == 2.0 and stats.worst_config.power == power_grid(spec)[0]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**128 + 1])
 def test_seed_words_give_the_generator_of_the_seed_list(seed):
+    # with t, 10**30 is 5 words and 2**128 + 1 is 6: past the 4-word pool of numpy's seed hash
+    np.random.bit_generator.ISeedSequence.register(_SeedState)  # as gap_ensemble does
     for t in (0, 1, 2**32 - 1, 2**32, 2**40 + 9):
         (words,) = _seed_words(seed, t, t + 1)
         assert words.dtype == np.uint32
         want = np.random.default_rng([seed, t]).bit_generator.state
         assert np.random.default_rng(words).bit_generator.state == want, (seed, t)
-    # a block's rows are its trials' words, up to the last trial below 2**32 and from 2**32 on
-    for start, stop in ((2**32 - 3, 2**32), (2**32, 2**32 + 3), (2**40 + 7, 2**40 + 10)):
-        for t, words in zip(range(start, stop), _seed_words(seed, start, stop)):
+    # a block's rows are its trials' words and states, up to the last trial below 2**32 and
+    # from 2**32 on; each state seeds the generator of the trial's seed list
+    for start, stop in ((0, 3), (2**32 - 3, 2**32), (2**32, 2**32 + 3), (2**40 + 7, 2**40 + 10)):
+        words = _seed_words(seed, start, stop)
+        states = _seed_states(words)
+        assert states.dtype == np.uint64 and states.shape == (stop - start, 4)
+        for t, row, state in zip(range(start, stop), words, states):
             want = np.random.default_rng([seed, t]).bit_generator.state
-            assert np.random.default_rng(words).bit_generator.state == want, (seed, t)
+            assert np.random.default_rng(row).bit_generator.state == want, (seed, t)
+            assert np.random.default_rng(_SeedState(state)).bit_generator.state == want, (seed, t)
+            assert np.array_equal(state, np.random.SeedSequence([seed, t]).generate_state(4, np.uint64))
 
 
 def test_spec_rejects_a_negative_seed():
@@ -307,10 +317,12 @@ def test_gap_ensemble_raises_the_first_bad_trials_error(monkeypatch, draws):
     # trial 0 reaches the literal gap 2.0, so no bad trial is the worst config, which is checked anyway
     draws = {0: (1e100, 1e100, 1e100), **draws}
     real = np.random.default_rng
+    # a trial's seed shows its t only through the seed interface: match its state to [3, t]'s
+    states = {t: np.random.SeedSequence([3, t]).generate_state(4, np.uint64).tolist() for t in draws}
 
-    def rng(seed):  # the last seed word is t: both [seed, t] and its words end with it
-        t = int(seed[-1])
-        return _FixedDraw(draws[t]) if t in draws else real(seed)
+    def rng(seed):
+        t = [t for t, state in states.items() if seed.generate_state(4, np.uint64).tolist() == state]
+        return _FixedDraw(draws[t[0]]) if t else real(seed)
 
     monkeypatch.setattr(np.random, "default_rng", rng)
     spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=3 * _GAP_BLOCK + 1, seed=3)
