@@ -21,7 +21,6 @@ users' symbols and 2,3,4 for its three noise sequences.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .model import _MAX_LENGTH, ChannelConfig, ValidationError
 
 _POWER_TOL = 1e-9
-_MAX_CYCLE = 1024  # longest cycle of power states _power_sums replays: 2.4 MB of states
+_MAX_CYCLE = 1024  # longest cycle of power states _power_sums replays, from a chunk of 2.4 MB at most
 
 TRACE_CSV_HEADER = "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
 
@@ -164,13 +163,15 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int, start: float = 1.0) -> tup
     of the block.  Each stack is compared with the one before it (a fixed
     point) and with a checkpoint moved to steps 1, 2, 4, 8, ... (Brent's
     cycle detection), which stops within 2 max(p, steps before the cycle) + 2p
-    steps on a cycle of any period p.  The loop then steps through
-    one period to keep its stacks, stops the matmuls and replays the cycle
-    into the total one addition per remaining step, in order, so the sum stays
-    bit-identical to the full loop (m * S would not be).  Most configs reach a
-    fixed point within a few dozen steps; a cycle longer than _MAX_CYCLE just
-    runs the full loop.  The test compares raw bytes, so 0.0 and -0.0 differ
-    and an overflowed state repeats only if its NaN and inf bits repeat.
+    steps on a cycle of any period p.  The loop then steps through one period,
+    writing its stacks into rows 1..p of a chunk of K = p ceil(64/p) rows,
+    copies them into the later whole periods of the chunk, stops the matmuls
+    and adds the remaining steps' stacks by _replay, one chunk per reduction,
+    so the sum stays bit-identical to the full loop (m * S would not be).
+    Most configs reach a fixed point within a few dozen steps; a cycle longer
+    than _MAX_CYCLE just runs the full loop.  The test compares raw bytes, so
+    0.0 and -0.0 differ and an overflowed state repeats only if its NaN and
+    inf bits repeat.
     """
     _check_length(n)  # for direct callers: simulate_network checks the length before it draws
     # huge gains or scales overflow the state; the projected power is checked below
@@ -196,12 +197,13 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int, start: float = 1.0) -> tup
             state = step()  # the stack of step i + 1
             period = 1 if state == previous else i + 1 - mark if state == checkpoint else 0
             if 0 < period <= _MAX_CYCLE:  # every later stack repeats this cycle
-                cycle = [S.copy()]
-                for _ in range(min(period, n - 1 - i) - 1):
+                chunk = np.empty((period * -(-64 // period) + 1, 2, 12, 12))
+                chunk[1] = S
+                for k in range(2, min(period, n - 1 - i) + 1):
                     step()
-                    cycle.append(S.copy())
-                for repeated in itertools.islice(itertools.cycle(cycle), n - 1 - i):
-                    total += repeated  # the loop's own additions, in its order
+                    chunk[k] = S
+                chunk[1 + period:].reshape(-1, period, 2, 12, 12)[:] = chunk[1:1 + period]  # later periods
+                _replay(total, chunk, n - 1 - i)
                 break
             if i & (i + 1) == 0:  # i + 1 is a power of two
                 checkpoint, mark = state, i + 1
@@ -211,6 +213,18 @@ def _power_sums(encoders, cfg: ChannelConfig, n: int, start: float = 1.0) -> tup
             raise ValidationError(f"expected block power over n={n} is not finite: "
                                   "the gains, power or message scale leave the float range")
     return A, C
+
+
+def _replay(total: np.ndarray, stacks: np.ndarray, count: int) -> None:
+    """total += stacks[1], stacks[2], ..., stacks[-1], stacks[1], ..., count additions in order, bit for bit.
+
+    Each chunk copies total into the scratch row stacks[0] and reduces rows 0..m over axis 0, which
+    numpy adds row by row for every entry (it sums pairwise only along a contiguous reduced axis).  The
+    reduction starts from -0.0, which leaves every total as it is; numpy's +0.0 turns -0.0 into 0.0."""
+    rows = len(stacks) - 1
+    for done in range(0, count, rows):
+        stacks[0] = total
+        np.add.reduce(stacks[:min(rows, count - done) + 1], axis=0, out=total, initial=-0.0)
 
 
 def expected_block_power(encoders, cfg: ChannelConfig, n: int) -> np.ndarray:
@@ -268,32 +282,37 @@ def simulate_network(cfg: ChannelConfig, n: int,
 
 def _step_loop(encoders, cfg: ChannelConfig, noise, messages: np.ndarray) -> TransmissionTrace:
     """Each CausalEncoder map, on the noise (z1, z2, z3), in its operation order on Python floats (whose
-    products and sums round as numpy's do): the message term, plus a*y(i-1), plus b*y(i-2)."""
-    z1s, z2s, z3s = noise
+    products and sums round as numpy's do): the message term, plus a*y(i-1), plus b*y(i-2).
+
+    The loop keeps only the receptions; the symbols are derived from them afterwards in numpy by
+    the same operations in the same order."""
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    t1, t2, t3 = (enc.message_term(messages[list(_MSG_INDEX[j])]) for j, enc in enumerate(encoders))
-    (a1, b1), (a2, b2), (a3, b3) = (map(float, enc.feedback_weights) for enc in encoders)
-    x1s, x2s, x3s, y1s, y2s, y3s = [], [], [], [], [], []
+    terms = [enc.message_term(messages[list(_MSG_INDEX[j])]) for j, enc in enumerate(encoders)]
+    taps = [tuple(map(float, enc.feedback_weights)) for enc in encoders]
+    (t1, t2, t3), ((a1, b1), (a2, b2), (a3, b3)) = terms, taps
+    y1s, y2s, y3s = [], [], []
+    put1, put2, put3 = y1s.append, y2s.append, y3s.append
+    steps = zip(*(z.tolist() for z in noise))
     p1 = p2 = p3 = 0.0  # y_j(i-1), read from step 2 on; q_j is y_j(i-2), read from step 3 on
-    for i, (z1, z2, z3) in enumerate(zip(z1s.tolist(), z2s.tolist(), z3s.tolist())):
-        if i > 1:
-            x1, x2, x3 = t1 + a1 * p1 + b1 * q1, t2 + a2 * p2 + b2 * q2, t3 + a3 * p3 + b3 * q3
-        else:
-            x1, x2, x3 = (t1 + a1 * p1, t2 + a2 * p2, t3 + a3 * p3) if i else (t1, t2, t3)
+    for i, (z1, z2, z3) in zip(range(2), steps):  # steps 1 and 2 skip the receptions not heard yet
+        x1, x2, x3 = (t1 + a1 * p1, t2 + a2 * p2, t3 + a3 * p3) if i else terms
         q1, q2, q3 = p1, p2, p3
         p1, p2, p3 = h3 * x2 + h2 * x3 + z1, h3 * x1 + h1 * x3 + z2, h2 * x1 + h1 * x2 + z3
-        x1s.append(x1)
-        x2s.append(x2)
-        x3s.append(x3)
-        y1s.append(p1)
-        y2s.append(p2)
-        y3s.append(p3)
-    return TransmissionTrace(
-        x1=np.array(x1s), x2=np.array(x2s), x3=np.array(x3s),
-        y1=np.array(y1s), y2=np.array(y2s), y3=np.array(y3s),
-        z1=z1s, z2=z2s, z3=z3s,
-        messages=messages,
-    )
+        put1(p1), put2(p2), put3(p3)
+    for z1, z2, z3 in steps:
+        x1, x2, x3 = t1 + a1 * p1 + b1 * q1, t2 + a2 * p2 + b2 * q2, t3 + a3 * p3 + b3 * q3
+        q1, q2, q3 = p1, p2, p3
+        p1, p2, p3 = h3 * x2 + h2 * x3 + z1, h3 * x1 + h1 * x3 + z2, h2 * x1 + h1 * x2 + z3
+        put1(p1)
+        put2(p2)
+        put3(p3)
+    ys = np.array(y1s), np.array(y2s), np.array(y3s)
+    xs = tuple(np.full(len(y), t) for t, y in zip(terms, ys))
+    with np.errstate(over="ignore", invalid="ignore"):  # simulate_network rejects a non-finite trace
+        for x, y, (a, b) in zip(xs, ys, taps):  # x(i) = (t + a*y(i-1)) + b*y(i-2), each tap once heard
+            x[1:] += a * y[:-1]
+            x[2:] += b * y[:-2]
+    return TransmissionTrace(*xs, *ys, *noise, messages)
 
 
 def _rebuild_y2(enc2: CausalEncoder, trace: TransmissionTrace, noise_diff: np.ndarray,
@@ -306,11 +325,15 @@ def _rebuild_y2(enc2: CausalEncoder, trace: TransmissionTrace, noise_diff: np.nd
     term = enc2.message_term(trace.messages[2:4])  # (m21, m23): one granted, one treated as decoded
     a, b = map(float, enc2.feedback_weights)
     y2hat: list[float] = []
+    put = y2hat.append
+    steps = zip(heard.tolist(), known.tolist(), noise_diff.tolist())
     p = 0.0  # y2(i-1), read from step 2 on; q is y2(i-2), read from step 3 on
-    for i, (h, k, nd) in enumerate(zip(heard.tolist(), known.tolist(), noise_diff.tolist())):
-        x2hat = term + a * p + b * q if i > 1 else term + a * p if i else term
-        q, p = p, ratio * (h - gain * x2hat) + gain * k + nd
-        y2hat.append(p)
+    for i, (h, k, nd) in zip(range(2), steps):  # steps 1 and 2 skip the receptions not rebuilt yet
+        q, p = p, ratio * (h - gain * (term + a * p if i else term)) + gain * k + nd
+        put(p)
+    for h, k, nd in steps:  # x2hat(i) = term + a*p + b*q
+        q, p = p, ratio * (h - gain * (term + a * p + b * q)) + gain * k + nd
+        put(p)
     return np.array(y2hat)
 
 

@@ -1,10 +1,12 @@
 """Exact power accounting: the stacked second-moment recursion in
 sim._power_sums against a brute-force coefficient expansion, its repeat
-shortcut against the full-length recursion, bit-exact pins of the
-normalization scale, the one-pass simulator against a second full power
-pass on the scaled encoders, and bounded memory at long block lengths."""
+shortcut against the full-length recursion, its chunked replay against a
+`+=` loop, bit-exact pins of the normalization scale, the one-pass simulator
+against a second full power pass on the scaled encoders, and bounded memory
+at long block lengths."""
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -142,10 +144,57 @@ def test_repeat_shortcut_is_bit_exact(case, monkeypatch):
     assert stop < 200  # well before the block ends
     # the first repeat and the stop, 0 and 1 more steps, and a tail that is no multiple of p
     ns = [1, step - 1, step, step + 1, stop - 1, stop, stop + 1, stop + 2 * p + 1, 1000, 5000]
+    # the loop's step stop - p finds the cycle and n - 1 - (stop - p) stacks are replayed:
+    # one short of a chunk of _chunk_rows(p), a chunk, one past and one past three
+    rows = _chunk_rows(p)
+    ns += [stop - p + 1 + count for count in (rows - 1, rows, rows + 1, 3 * rows + 1)]
     for n in ns:
         got, want = _power_sums(encoders, cfg, n), reference_power_parts(encoders, cfg, n)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes(), (n, g, w)
+
+
+def _chunk_rows(period: int) -> int:
+    """The stacks of one replay chunk in sim._power_sums: the whole periods that cover 64 steps."""
+    return period * -(-64 // period)
+
+
+def _replay_inputs(rng, period):
+    """A (2, 12, 12) total and a cycle of `period` stacks, each kind of element in its own block of 48:
+    -0.0 plus -0.0, NaNs of either sign and payload, infinities of either sign, sums that overflow
+    near 1e308, rounding ties, and values over 40 binades."""
+    total, cycle = np.empty(288), np.empty((period, 288))
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF800000000BEEF], dtype=np.uint64).view(float)
+    zero, nan, inf, huge, tie, wide = (slice(48 * k, 48 * (k + 1)) for k in range(6))
+    total[zero], cycle[:, zero] = -0.0, -0.0
+    total[nan] = np.where(rng.random(48) < 0.1, rng.choice(nans, 48), rng.standard_normal(48))
+    cycle[:, nan] = np.where(rng.random((period, 48)) < 0.1, rng.choice(nans, (period, 48)),
+                             rng.standard_normal((period, 48)))
+    total[inf] = rng.choice([np.inf, -np.inf, 1.0], 48)
+    cycle[:, inf] = rng.choice([np.inf, -np.inf, 0.5, -0.0], (period, 48), p=[0.05, 0.05, 0.45, 0.45])
+    total[huge] = rng.choice([-1.0, 1.0], 48) * rng.uniform(1.5e308, 1.79e308, 48)
+    cycle[:, huge] = rng.choice([-1.0, 1.0], (period, 48)) * rng.uniform(0.0, 1e307, (period, 48))
+    total[tie] = np.ldexp(rng.integers(2 ** 52, 2 ** 53, 48).astype(float), rng.integers(-60, 60, 48))
+    cycle[:, tie] = (rng.integers(-3, 3, (period, 48)) + 0.5) * np.spacing(total[tie])  # ties to even
+    total[wide] = rng.standard_normal(48) * 10.0 ** rng.uniform(-20, 20, 48)
+    cycle[:, wide] = rng.standard_normal((period, 48)) * 10.0 ** rng.uniform(-20, 20, (period, 48))
+    return total.reshape(2, 12, 12), cycle.reshape(period, 2, 12, 12)
+
+
+@pytest.mark.parametrize("period", [1, 3, 42])
+def test_replay_matches_the_addition_loop(period):
+    rng, rows = np.random.default_rng(period), _chunk_rows(period)
+    for count in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 1):
+        for _ in range(4):
+            total, cycle = _replay_inputs(rng, period)
+            chunk = np.empty((rows + 1, 2, 12, 12))
+            chunk[1:] = np.tile(cycle, (rows // period, 1, 1, 1))
+            got, want = total.copy(), total.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                sim._replay(got, chunk, count)
+                for stack in itertools.islice(itertools.cycle(cycle), count):
+                    want += stack
+            assert got.tobytes() == want.tobytes(), (period, count)
 
 
 def test_a_cycle_longer_than_the_cap_runs_the_full_loop(monkeypatch):
@@ -274,12 +323,16 @@ def test_unit_pass_overflow_reruns_at_a_smaller_message_variance():
     _assert_fits(cfg, 200, 977577)
 
 
-def test_normalize_power_memory_is_bounded():
+# the unit-scale pass of normalize_power reaches a fixed point, and a cycle of period 7
+@pytest.mark.parametrize("case", ["fixed_point", "period42"])
+def test_normalize_power_memory_is_bounded(case):
     n = 20000
-    encoders = random_encoders(PARITY_CFG, 2, seed=3)
+    config, seed, _ = _REPEATS[case]
+    cfg, _ = make_config(*config)
+    encoders = random_encoders(cfg, 2, seed)
     tracemalloc.start()
     try:
-        normalize_power(encoders, PARITY_CFG, n)
+        normalize_power(encoders, cfg, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
