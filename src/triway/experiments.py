@@ -10,9 +10,11 @@ trials run serially or in parallel.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -34,6 +36,9 @@ _DOF_POINTS = 10 ** 5  # the largest grid a DoF fit takes
 # trials per gap-ensemble block: a power of two below 2**32, so no block crosses a multiple
 # of 2**32, where trial t's seed words grow by one
 _GAP_BLOCK = 256
+# trials per seed hash: a _seed_states call costs ~110 us of fixed numpy overhead whatever its
+# size, so one call serves four blocks; still a power of two, so no batch crosses 2**32 either
+_SEED_BATCH = 4 * _GAP_BLOCK
 _EXACT_BELOW = 2.0 ** 33  # |x| * 1e6 < 2**53 below it, so rounding and digits stay exact
 # four-byte tokens read as uint32.  _GROUPS: "\0ddd" for a three-digit group g < 1000, at
 # 1000 + g the lead group g without leading zeros, at 2000 nothing; then ".ddd" and "ddd\0"
@@ -182,13 +187,16 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return words
 
 
+@functools.cache
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """init * mult**k mod 2**32 for k = 0..count, as a uint32 column: the constants of numpy's
-    seed hash, which run the same whatever the words."""
+    seed hash, which run the same whatever the words.  Built once per process, so read only."""
     h = [init]
     for _ in range(count):
         h.append(h[-1] * mult & 0xFFFFFFFF)
-    return np.array(h, np.uint32)[:, None]
+    column = np.array(h, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _hash(values: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -229,17 +237,25 @@ def _seed_states(words: np.ndarray) -> np.ndarray:
     return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
-class _SeedState:
-    """A seed for default_rng that is one row of _seed_states.  PCG64 makes one call of its
-    seed, generate_state(4, np.uint64), and gets that row, so the generator is that of the
-    row's seed list.  numpy takes it as a seed only once gap_ensemble registers it."""
-    __slots__ = ("state",)
+@functools.cache
+def _seed_class() -> type:
+    """The seed class for default_rng: an instance holds one row of _seed_states.  PCG64 makes
+    one call of its seed, generate_state(4, np.uint64), and gets that row, so the generator is
+    that of the row's seed list.  numpy takes a seed that is no SeedSequence only as an
+    ISeedSequence, so the class subclasses it.  A subclass, not a registered class: isinstance
+    caches a subclass's answer, but asks the registry anew on every call for a registered one.
+    Built on first use, not at import: numpy.random costs every other command ~16 ms to load."""
 
-    def __init__(self, state: np.ndarray):
-        self.state = state
+    class _SeedState(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("state",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return _SeedState
 
 
 def gap_ensemble(spec: SweepSpec) -> GapStatistics:
@@ -247,37 +263,40 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
 
     Trial t uses gains drawn from default_rng([seed, t]), canonicalized, and
     the grid power at index t mod points, so a large ensemble covers every
-    grid power evenly.  Trials run in blocks of _GAP_BLOCK.  A block hashes the
-    words of every trial's [seed, t] (`_seed_words`) at once into the state
-    SeedSequence([seed, t]) would give PCG64 (`_seed_states`).  Each trial then
-    draws its gains from default_rng(_SeedState(state)), the generator of
+    grid power evenly.  Trials run in blocks of _GAP_BLOCK.  Every _SEED_BATCH
+    trials, the words of each trial's [seed, t] (`_seed_words`) are hashed at
+    once into the state SeedSequence([seed, t]) would give PCG64
+    (`_seed_states`).  Each trial then draws its gains from default_rng of an
+    instance of `_seed_class()` holding its state, the generator of
     default_rng([seed, t]), and the block canonicalizes and checks them at once
     with one stable sort per row (`model._canonical_rows`); then each trial is
     one call of bounds.sum_capacity_interval.  min, max, the first trial at the max
     (the worst config) and the running sum of the gaps, in trial order, are
-    those of a loop over the trials one at a time.
+    those of a loop over the trials one at a time: the block adds its gaps to
+    the sum one by one, and counts violations only if its min or max is out of
+    [0, 2].
     """
     if spec.gains is not None:
         raise ValidationError("gap ensembles draw their gains: need no fixed gain triple")
-    # numpy takes a seed that is no SeedSequence only as a registered ISeedSequence.  Here, not at
-    # import: numpy.random costs every other command ~16 ms to load.  Registering again is a no-op.
-    np.random.bit_generator.ISeedSequence.register(_SeedState)
+    seed_class, default_rng, interval = _seed_class(), np.random.default_rng, bounds.sum_capacity_interval
     powers = power_grid(spec, spec.ensemble)  # trial t < ensemble reads index t % points
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
     for start in range(0, spec.ensemble, _GAP_BLOCK):
         stop = min(start + _GAP_BLOCK, spec.ensemble)
+        if start % _SEED_BATCH == 0:
+            states = _seed_states(_seed_words(spec.seed, start, min(start + _SEED_BATCH, spec.ensemble)))
         block_powers = powers[np.arange(start, stop) % spec.points].tolist()
         draws = np.empty((stop - start, 3))
-        for state, row in zip(_seed_states(_seed_words(spec.seed, start, stop)), draws):
-            np.random.default_rng(_SeedState(state)).standard_normal(out=row)
+        for state, row in zip(states[start % _SEED_BATCH:], draws):
+            default_rng(seed_class(state)).standard_normal(out=row)
         gains = _canonical_rows(draws)[0]
-        gaps = [bounds.sum_capacity_interval(_bound_inputs(h1, h2, h3), P)[2]
+        gaps = [interval(_bound_inputs(h1, h2, h3), P)[2]
                 for h1, h2, h3, P in zip(*gains.T.tolist(), block_powers)]
-        for gap in gaps:
-            total += gap
-            violations += gap < 0.0 or gap > 2.0
-        gaps_min = min(gaps_min, *gaps)
-        top = max(gaps_max, *gaps)
+        total = functools.reduce(operator.add, gaps, total)  # the same additions, in trial order
+        low, top = min(gaps), max(gaps)
+        if low < 0.0 or top > 2.0:
+            violations += sum(gap < 0.0 or gap > 2.0 for gap in gaps)
+        gaps_min = min(gaps_min, low)
         if top > gaps_max:  # the block's first trial at its max; always so in block one: gaps are finite
             k = gaps.index(top)
             gaps_max, worst = top, (gains[k].tolist(), block_powers[k])

@@ -688,7 +688,7 @@ def test_module_entry_point():
 
 def test_commands_that_draw_nothing_never_load_numpy_random():
     # numpy.random takes ~16 ms to load, so start-up imports it nowhere: the gap ensemble
-    # loads it when it draws, and only then registers its seed class with numpy
+    # loads it when it draws, and only then builds its seed class
     child = ("import contextlib, io, sys\n"
              "from triway.cli import main\n"
              "for argv in (['bounds'], ['region'], ['sweep'], ['crossover'], ['gap-ensemble', '--ensemble', '1']):\n"

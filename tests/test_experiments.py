@@ -31,6 +31,7 @@ from triway.bounds import evaluate, sum_capacity_interval
 from triway.experiments import (
     _CSV_BLOCK,
     _GAP_BLOCK,
+    _SEED_BATCH,
     BOUND_COLUMNS,
     DOF_FIELDS,
     CrossoverResult,
@@ -44,9 +45,9 @@ from triway.experiments import (
     power_grid,
     sweep_snr,
     _exact_block,
+    _seed_class,
     _seed_states,
     _seed_words,
-    _SeedState,
 )
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 
@@ -266,7 +267,8 @@ def test_gap_ensemble_matches_the_per_trial_reference(monkeypatch, spec, draw):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**128 + 1])
 def test_seed_words_give_the_generator_of_the_seed_list(seed):
     # with t, 10**30 is 5 words and 2**128 + 1 is 6: past the 4-word pool of numpy's seed hash
-    np.random.bit_generator.ISeedSequence.register(_SeedState)  # as gap_ensemble does
+    _SeedState = _seed_class()
+    assert np.random.bit_generator.ISeedSequence in _SeedState.__mro__  # a subclass, not a registered class
     for t in (0, 1, 2**32 - 1, 2**32, 2**40 + 9):
         (words,) = _seed_words(seed, t, t + 1)
         assert words.dtype == np.uint32
@@ -282,6 +284,9 @@ def test_seed_words_give_the_generator_of_the_seed_list(seed):
             want = np.random.default_rng([seed, t]).bit_generator.state
             assert np.random.default_rng(row).bit_generator.state == want, (seed, t)
             assert np.random.default_rng(_SeedState(state)).bit_generator.state == want, (seed, t)
+            # a pure seed: the fake default_rng in the first-bad-trial test reads it before numpy does
+            seeded = _SeedState(state)
+            assert all(np.array_equal(seeded.generate_state(4, np.uint64), state) for _ in range(3))
             assert np.array_equal(state, np.random.SeedSequence([seed, t]).generate_state(4, np.uint64))
 
 
@@ -292,7 +297,10 @@ def test_spec_rejects_a_negative_seed():
             SweepSpec(p_lo=1.0, p_hi=1e8, points=9, gains=gains, seed=-1)
 
 
-@pytest.mark.parametrize("ensemble", [_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1, 3 * _GAP_BLOCK + 1])
+# past 3 * _GAP_BLOCK + 1, one seed hash serves several blocks: the last block of a batch and
+# the first of the next read the right rows of its states, and a short last batch hashes only its own
+@pytest.mark.parametrize("ensemble", [_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1, 3 * _GAP_BLOCK + 1,
+                                      _SEED_BATCH - 1, _SEED_BATCH, _SEED_BATCH + 1, 2 * _SEED_BATCH + 1])
 @pytest.mark.parametrize("seed, draw", [(0, None), (2**32 + 1, None), (2**64 + 5, None), (7, (1.2, 0.8, -0.3))],
                          ids=["seed0", "seed2**32+1", "seed2**64+5", "fixed_gains"])
 def test_gap_ensemble_blocks_match_the_per_trial_reference(monkeypatch, ensemble, seed, draw):
@@ -330,6 +338,26 @@ def test_gap_ensemble_raises_the_first_bad_trials_error(monkeypatch, draws):
         gap_ensemble(spec)
     assert str(got.value) == str(want.value)
     assert str(want.value).startswith(("channel gain ", "squared gains overflow"))
+
+
+def test_gap_ensemble_counts_every_gap_outside_zero_to_two(monkeypatch):
+    # a block counts its violations only when its min or max leaves [0, 2]: stretch the gaps
+    # so that some blocks hold none, some a few, and both ends are crossed
+    gaps = []
+
+    def stretched(inputs, P):
+        lower, upper, gap = sum_capacity_interval(inputs, P)
+        gaps.append(4.0 * gap - 5.5 if len(gaps) < _GAP_BLOCK else gap if len(gaps) < 3 * _GAP_BLOCK
+                    else 3.0 * gap - 1.0)
+        return lower, upper, gaps[-1]
+
+    monkeypatch.setattr(bounds, "sum_capacity_interval", stretched)
+    stats = gap_ensemble(SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=4 * _GAP_BLOCK + 3, seed=2))
+    want = sum(g < 0.0 or g > 2.0 for g in gaps)
+    assert 0 < want < len(gaps) and any(g < 0.0 for g in gaps) and any(g > 2.0 for g in gaps)
+    assert not any(g < 0.0 or g > 2.0 for g in gaps[_GAP_BLOCK:3 * _GAP_BLOCK])
+    assert stats.violations == want
+    assert (stats.min_gap, stats.max_gap) == (min(gaps), max(gaps))
 
 
 def test_gap_ensemble_memory_stays_bounded():
