@@ -25,12 +25,47 @@ CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.tsv"
 HEADER = "argv\texit\tstdout_sha256\tstderr_sha256\n"
 
 
+# gain configs in each spelling the parser takes: the defaults, a relabelled triple, equal
+# gains, a zero pair, a signed zero, a negative exponent in the space form, gains whose h^2 P
+# overflows (the bounds' log branch) and a power near the float range's floor
+_CONFIGS = ([], ["--g12", "0.5", "--g13", "-1.25", "--g23", "2", "--power", "3.5"],
+            ["--g12", "1", "--g13", "1", "--g23", "1"], ["--g13", "0", "--g23", "0"], ["--g12=-0"],
+            ["--g12", "-1.2e-05"], ["--g12", "1e150", "--g13", "1e150", "--power", "1e10"],
+            ["--power", "1e-300"])
+# the report shapes the writer has for one config: each JSON dict and CSV table
+_COMMANDS = (["bounds"], ["bounds", "--format", "csv"], ["region"],
+             ["crossover"], ["crossover", "--format", "csv"],
+             ["genie", "--variant", "lemma1", "--n", "50", "--seed", "7"],
+             ["genie", "--variant", "lemma2", "--n", "50", "--seed", "7"],
+             ["simulate", "--n", "20", "--seed", "3"], ["simulate", "--pam-order", "4", "--seed", "3"])
+_EQUAL = ["--g12", "1", "--g13", "1", "--g23", "1"]
+# crossover with status none (its p_star writes NaN) and already-crossed, one-row ensemble CSVs,
+# then calls that exit 1 with one error line
+_ONE_OFFS = ([*cmd, *_EQUAL, *bracket, *fmt] for cmd in (["crossover"],)
+             for bracket in (["--p-lo", "0.1", "--p-hi", "1"], ["--p-lo", "2", "--p-hi", "10"])
+             for fmt in ([], ["--format", "csv"]))
+_ERRORS = (["region", "--format", "csv"], ["genie", "--variant", "lemma1", "--format", "csv"],
+           ["simulate", "--format", "json"], ["simulate", "--pam-order", "4", "--format", "csv"],
+           ["simulate", "--pam-order", "4", "--samples", "10000"], ["bounds", "--power", "0"],
+           ["bounds", "--g12", "nan"], ["crossover", "--p-lo", "2", "--p-hi", "1"],
+           ["genie", "--variant", "lemma2", "--g13", "0", "--g23", "0"])
+
+
 def _corpus_argvs() -> list[list[str]]:
-    """The calls the corpus holds: gap ensembles on the default 6-point grid, at seeds of
-    one to five uint32 words and at sizes on both sides of the ensemble's block edges."""
+    """The calls the corpus holds.  Gap ensembles on the default 6-point grid, at seeds of
+    one to five uint32 words and at sizes on both sides of the ensemble's block edges; then
+    every report shape of `bounds`, `region`, `crossover`, `genie` and `simulate` at each of
+    `_CONFIGS`, the crossover statuses none and already-crossed, one-row ensemble CSVs and
+    calls that exit 1.
+
+    `sweep`, `dof` and `simulate --samples` are left out on purpose: their bytes go through
+    `np.power`, LAPACK or BLAS `ddot`, so they depend on the CPU (ROADMAP item 15).  Their
+    report goldens still pin them."""
     seeds = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**128 + 1)
     sizes = (1, 255, 256, 257, 1023, 1024, 1025, 4097)
-    return [["gap-ensemble", "--seed", str(s), "--ensemble", str(e)] for s in seeds for e in sizes]
+    return [*(["gap-ensemble", "--seed", str(s), "--ensemble", str(e)] for s in seeds for e in sizes),
+            *([*cmd, *cfg] for cfg in _CONFIGS for cmd in _COMMANDS), *_ONE_OFFS,
+            *(["gap-ensemble", "--format", "csv", "--ensemble", str(e)] for e in (1, 257)), *_ERRORS]
 
 
 def _line(argv: list[str]) -> str:
