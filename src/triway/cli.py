@@ -58,13 +58,6 @@ def _size(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _config_number(path: str, key: str, value) -> float:
-    # every JSON number is read as a float; true, a string or null is not a number
-    if not isinstance(value, float):
-        raise ValidationError(f"config {path}: {key} must be a number, got {value!r}")
-    return value
-
-
 def _config_object(path: str, pairs: list) -> dict:
     # json keeps the last of a repeated key; a config states each key once
     obj = {}
@@ -85,9 +78,8 @@ def _resolve_config(args):
                                      object_pairs_hook=functools.partial(_config_object, args.config))
         except OSError as exc:
             raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        except ValidationError:  # from _config_object
-            raise
-        except ValueError as exc:  # JSONDecodeError, bad UTF-8
+        # bad UTF-8, or nesting deeper than the parser's recursion takes
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValidationError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_obj, dict):
             raise ValidationError(f"config {args.config} must be a flat JSON object")
@@ -97,7 +89,11 @@ def _resolve_config(args):
                                   f"(expected {', '.join(_DEFAULT_GAINS)})")
         for key in _DEFAULT_GAINS:
             if key in file_obj:
-                values[key] = _config_number(args.config, key, file_obj[key])
+                # every JSON number is read as a float; true, a string or null is not a number
+                if not isinstance(file_obj[key], float):
+                    raise ValidationError(f"config {args.config}: {key} must be a number, "
+                                          f"got {file_obj[key]!r}")
+                values[key] = file_obj[key]
     for key in _DEFAULT_GAINS:
         inline = getattr(args, key)
         if inline is not None:

@@ -26,8 +26,7 @@ from .model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, _b
 # sweep table columns, in emission order: the fields of bounds.BoundReport before the gap
 BOUND_COLUMNS = bounds._BOUND_FIELDS[:bounds._BOUND_FIELDS.index("gap")]
 DOF_FIELDS = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # the DoF fit's bounds: 2, 3, 2
-_SCALAR_TYPES = frozenset((float, int, str, bool, type(None)))  # JSON scalars the C encoder takes in bulk
-_ENCODER = json.JSONEncoder(separators=("\0", ": "), sort_keys=True)  # see _json_text
+_ENCODER = json.JSONEncoder(separators=("\0", ": "))  # see _rows_text
 _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum", "tightened_upper"))
 # rows per CSV block: its arrays stay below glibc malloc's trim threshold, so each block reuses
 # the heap (one 1000-row block faulted ~240 fresh pages in on every call, 512-row blocks none)
@@ -367,32 +366,16 @@ def crossover_table(result: CrossoverResult, gains: ChannelGains,
                        columns=tuple(np.array([v]) for v in row), meta=meta)
 
 
-def _json_text(obj, indent: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) for obj nested at `indent`.  A container
-    of plain scalars, or a list of non-empty lists of them (a table's rows), is one call
-    of the C encoder (which ignores `indent`).  Its item separator is NUL, which json
-    escapes inside strings, so each NUL is a separator that takes the newline and indent,
-    and a NUL between "]" and "[" only ever stands between two rows."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
-    inner = indent + "  "
-    is_dict = isinstance(obj, dict)
-    values = obj.values() if is_dict else obj
-    if _SCALAR_TYPES.issuperset(map(type, values)):
-        body = _ENCODER.encode(obj)[1:-1].replace("\0", ",\n" + inner)
-    elif (not is_dict and all(type(v) in (list, tuple) and v for v in obj)
-          and _SCALAR_TYPES.issuperset(map(type, itertools.chain.from_iterable(obj)))):
-        # each step frees the text before it, so at most two copies of the table are alive
-        rows = _ENCODER.encode(obj)[2:-2].replace("]\0[", f"\n{inner}],\n{inner}[\n{inner}  ")
-        rows = rows.replace("\0", ",\n  " + inner)
-        return f"[\n{inner}[\n{inner}  {rows}\n{inner}]\n{indent}]"
-    elif is_dict:  # json turns a non-string key into a string first
-        body = (",\n" + inner).join(f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
-                                    f"{_json_text(v, inner)}" for k, v in sorted(obj.items()))
-    else:
-        body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
-    opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+def _rows_text(rows: list) -> str:
+    """json.dumps(rows, indent=2) nested one level deep, for a table's non-empty rows, from
+    one call of the C encoder: json.dumps with an indent runs the pure-Python encoder value
+    by value.  The C encoder ignores an indent, so its item separator is NUL, which json
+    escapes inside strings: each NUL is a separator that takes the newline and indent, and
+    a NUL between "]" and "[" only ever stands between two rows."""
+    # each step frees the text before it, so at most two copies of the table are alive
+    text = _ENCODER.encode(rows)[2:-2].replace("]\0[", "\n    ],\n    [\n      ")
+    text = text.replace("\0", ",\n      ")
+    return f"[\n    [\n      {text}\n    ]\n  ]"
 
 
 def _round6(a: np.ndarray) -> np.ndarray:
@@ -452,13 +435,13 @@ def _exact_block(columns, as_int) -> str | None:
 def export_report(obj, format: str) -> str:
     """The one report writer: returns the exact text a report is written as.
 
-    JSON takes a dict: the text of json.dumps(obj, indent=2, sort_keys=True),
-    written one container of scalars (or of rows) at a time.  CSV takes a (header, columns)
-    pair, columns a tuple of equal-length 1-D bool, integer or float numpy
-    arrays, and prints a header line plus one line per row: a cell of an
-    integer or bool column as %d, any other as %.6f.  A ReportTable is both:
-    its kind, meta, header and rows (its columns zipped) as JSON, its header
-    and columns as CSV.  Identical inputs give identical bytes.
+    JSON takes a dict: the text of json.dumps(obj, indent=2, sort_keys=True).
+    CSV takes a (header, columns) pair, columns a tuple of equal-length 1-D
+    bool, integer or float numpy arrays, and prints a header line plus one
+    line per row: a cell of an integer or bool column as %d, any other as
+    %.6f.  A ReportTable is both: its kind, meta, header and rows (its columns
+    zipped) as JSON, the rows from one call of the C encoder (`_rows_text`),
+    and its header and columns as CSV.  Identical inputs give identical bytes.
 
     CSV rows go out in blocks of up to 512 rows.  A block is formatted over
     arrays, exactly as % formats it: q = round(|x| * 1e6) with halves to even
@@ -469,14 +452,16 @@ def export_report(obj, format: str) -> str:
     (inf, NaN, |x| >= 2**33) goes through one %-operation instead; the choice
     depends on the cells alone and never changes the text.
     """
-    if isinstance(obj, ReportTable):
-        obj = ({"kind": obj.kind, "meta": obj.meta, "header": obj.header,
-                "rows": list(zip(*(c.tolist() for c in obj.columns)))}
-               if format == "json" else (obj.header, obj.columns))
     if format == "json":
-        return _json_text(obj, "") + "\n"
+        if not isinstance(obj, ReportTable):
+            return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        # "rows" sorts last, so the text ends in its null, which the rows text takes the place of
+        head = json.dumps({"header": obj.header, "kind": obj.kind, "meta": obj.meta, "rows": None},
+                          indent=2, sort_keys=True).removesuffix("null\n}")
+        rows = list(zip(*(c.tolist() for c in obj.columns)))
+        return f"{head}{_rows_text(rows) if rows else '[]'}\n}}\n"
     if format == "csv":
-        header, columns = obj
+        header, columns = (obj.header, obj.columns) if isinstance(obj, ReportTable) else obj
         as_int = [c.dtype.kind in "biu" for c in columns]
         fmt = ",".join("%d" if i else "%.6f" for i in as_int) + "\n"
         parts = [",".join(header) + "\n"]

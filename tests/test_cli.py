@@ -289,11 +289,13 @@ def test_config_file_errors(capsys, tmp_path):
     _one_line_error(*_run(capsys, "bounds", "--config", str(twice)), f"config {twice}: repeated key 'power'")
     # an integer literal past the float range reads as ±inf, which the model refuses as
     # --power 1e400 is refused; bad UTF-8 makes the parser raise a ValueError that is no
-    # JSONDecodeError
+    # JSONDecodeError, and nesting past the recursion limit a RecursionError
     for k, (text, message) in enumerate(((b'{"power": 1' + b"0" * 400 + b"}", "power inf is not finite"),
                                          (b'{"power": 1' + b"0" * 5000 + b"}", "power inf is not finite"),
                                          (b'{"g12": -1' + b"0" * 5000 + b"}", "channel gain -inf is not finite"),
-                                         (b'{"power": 1\xff}', "not valid JSON"))):
+                                         (b'{"power": 1\xff}', "not valid JSON"),
+                                         (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
+                                         (b'{"g12":' * 50_000 + b"1" + b"}" * 50_000, "not valid JSON"))):
         path = tmp_path / f"value{k}.json"
         path.write_bytes(text)
         code, out, err = _run(capsys, "bounds", "--config", str(path))

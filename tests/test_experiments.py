@@ -35,6 +35,7 @@ from triway.experiments import (
     BOUND_COLUMNS,
     DOF_FIELDS,
     CrossoverResult,
+    ReportTable,
     SweepSpec,
     crossover_table,
     dof_estimate,
@@ -534,6 +535,46 @@ def test_json_writer_matches_json_dumps(tree):
     assert export_report(tree, "json") == reference_json(tree)
 
 
+def _str_column(cells) -> np.ndarray:
+    return np.array(cells, dtype=object)  # a numpy str dtype would drop a cell's trailing NUL
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_TABLE_COLUMNS = {"f8": lambda n: hnp.arrays(np.float64, n, elements=st.floats() | _SPECIAL_FLOATS),
+                  "i8": lambda n: hnp.arrays(np.int64, n),
+                  "?": lambda n: hnp.arrays(np.bool_, n),
+                  "str": lambda n: st.lists(st.text(), min_size=n, max_size=n).map(_str_column)}
+_META = st.dictionaries(st.text(max_size=4), st.recursive(
+    _JSON_LEAVES, lambda children: (st.lists(children, max_size=4)
+                                    | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=20), max_size=4)
+
+
+@st.composite
+def _report_tables(draw):
+    """A ReportTable of 1 to 4 float64, int64, bool or str columns of 0 to 30 rows, with a
+    text kind and header and a string-keyed meta tree."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 30]))
+    kinds = draw(st.lists(st.sampled_from(sorted(_TABLE_COLUMNS)), min_size=1, max_size=4))
+    header = tuple(draw(st.lists(st.text(), min_size=len(kinds), max_size=len(kinds))))
+    columns = tuple(draw(_TABLE_COLUMNS[k](n)) for k in kinds)
+    return ReportTable(kind=draw(st.text()), header=header, columns=columns, meta=draw(_META))
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(_report_tables())
+# string cells that hold the brackets and NUL the rows writer splits on, no rows, and one cell
+@example(ReportTable(kind="t", header=("a", "b", "c"), meta={"rows": [["]\0["]]},
+                     columns=(_str_column(["]", "]\0[", "x]"]), _str_column(["[", "\0", "[y"]),
+                              np.array([1.5, math.nan, -0.0]))))
+@example(ReportTable(kind="sweep", header=("P", "gap"), columns=(np.empty(0), np.empty(0)), meta={}))
+@example(ReportTable(kind="dof", header=("x",), columns=(np.array([-0.0]),), meta={"version": "0"}))
+def test_report_table_json_matches_json_dumps(table):
+    want = reference_json({"kind": table.kind, "meta": table.meta, "header": table.header,
+                           "rows": table_rows(table)})
+    assert export_report(table, "json") == want
+
+
 _CSV_DTYPES = ("?", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f2", "f4", "f8")
 
 
@@ -634,7 +675,6 @@ def test_columns_and_rows_print_alike():
 
 
 def test_empty_rows_yield_header_only_csv():
-    from triway.experiments import ReportTable
     table = ReportTable(kind="sweep", header=("P", "gap"), columns=(np.empty(0), np.empty(0)), meta={})
     assert export_report(table, "csv") == "P,gap\n"
     assert json.loads(export_report(table, "json"))["rows"] == []
