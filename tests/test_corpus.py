@@ -8,7 +8,10 @@ holds.  Regenerate it only when an output is meant to change, or to add lines:
 
     PYTHONPATH=src python tests/test_corpus.py
 
-It writes the lines of `_corpus_argvs` and prints each line it added or changed.
+It writes the lines of `_corpus_argvs` and prints each line it added or changed.  Both the
+test and the regeneration run from the repository root, so the `--config` lines name their
+file by a relative path, and at 80 columns, since argparse wraps its usage lines to the
+width it reads from COLUMNS.
 """
 
 import contextlib
@@ -21,7 +24,8 @@ from pathlib import Path
 
 from triway.cli import main
 
-CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.tsv"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "golden" / "corpus.tsv"
 HEADER = "argv\texit\tstdout_sha256\tstderr_sha256\n"
 
 
@@ -49,6 +53,18 @@ _ERRORS = (["region", "--format", "csv"], ["genie", "--variant", "lemma1", "--fo
            ["simulate", "--pam-order", "4", "--samples", "10000"], ["bounds", "--power", "0"],
            ["bounds", "--g12", "nan"], ["crossover", "--p-lo", "2", "--p-hi", "1"],
            ["genie", "--variant", "lemma2", "--g13", "0", "--g23", "0"])
+# command-line shapes: a missing, unknown or absent subcommand, stray and repeated arguments,
+# prefixes argparse completes or finds ambiguous, a missing required flag, sizes in exponent
+# form, and the --config spelling alone, under an inline override and at a missing path
+_CONFIG_FILE = "tests/golden/corpus_config.json"
+_SHAPES = ([], ["--version"], ["nosuch"],
+           ["bounds", "extra"], ["bounds", "--version"], ["bounds", "--", "x"], ["bounds", "--g12", "1", "zz"],
+           ["bounds", "--g12"], ["bounds", "--pow", "3"], ["bounds", "--g1", "2"], ["bounds", "--format=xml"],
+           ["bounds", "--g12=2", "--g12", "3"], ["bounds", "--g12", "-inf"], ["genie", "--n", "5"],
+           ["genie", "--variant", "lemma1", "--n", "5e1", "--seed", "7"], ["simulate", "--n", "2e1", "--seed", "3"],
+           ["gap-ensemble", "--ensemble", "2.57e2", "--seed", "1"],
+           ["bounds", "--config", _CONFIG_FILE], ["bounds", "--config", _CONFIG_FILE, "--g12", "2"],
+           ["bounds", "--config", "tests/golden/no_such_config.json"])
 
 
 def _corpus_argvs() -> list[list[str]]:
@@ -56,7 +72,8 @@ def _corpus_argvs() -> list[list[str]]:
     one to five uint32 words and at sizes on both sides of the ensemble's block edges; then
     every report shape of `bounds`, `region`, `crossover`, `genie` and `simulate` at each of
     `_CONFIGS`, the crossover statuses none and already-crossed, one-row ensemble CSVs and
-    calls that exit 1.
+    calls that exit 1; then the command-line shapes of `_SHAPES`, which pin the parser's own
+    messages and usage lines as well as the reports.
 
     `sweep`, `dof` and `simulate --samples` are left out on purpose: their bytes go through
     `np.power`, LAPACK or BLAS `ddot`, so they depend on the CPU (ROADMAP item 15).  Their
@@ -65,7 +82,7 @@ def _corpus_argvs() -> list[list[str]]:
     sizes = (1, 255, 256, 257, 1023, 1024, 1025, 4097)
     return [*(["gap-ensemble", "--seed", str(s), "--ensemble", str(e)] for s in seeds for e in sizes),
             *([*cmd, *cfg] for cfg in _CONFIGS for cmd in _COMMANDS), *_ONE_OFFS,
-            *(["gap-ensemble", "--format", "csv", "--ensemble", str(e)] for e in (1, 257)), *_ERRORS]
+            *(["gap-ensemble", "--format", "csv", "--ensemble", str(e)] for e in (1, 257)), *_ERRORS, *_SHAPES]
 
 
 def _line(argv: list[str]) -> str:
@@ -85,6 +102,8 @@ def _read() -> list[str]:
 
 def test_corpus_lines_keep_their_exit_code_and_bytes(monkeypatch):
     monkeypatch.delenv("TRIWAY_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(ROOT)
     lines = _read()
     changed = [want.split("\t")[0] for want in lines
                if _line(shlex.split(want.split("\t")[0])) != want]
@@ -93,6 +112,8 @@ def test_corpus_lines_keep_their_exit_code_and_bytes(monkeypatch):
 
 def _regenerate() -> None:
     os.environ.pop("TRIWAY_SEED", None)
+    os.environ["COLUMNS"] = "80"
+    os.chdir(ROOT)
     old = set(_read()) if CORPUS.exists() else set()
     lines = [_line(argv) for argv in _corpus_argvs()]
     CORPUS.write_text(HEADER + "".join(lines))
