@@ -33,6 +33,8 @@ _GENIE_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # build_parser's top-level parser only: each subcommand's parser
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # the negative texts float() reads, so "--g12 -1e-05" passes a value as "--g12=-1e-05"
@@ -275,12 +277,28 @@ def build_parser() -> _Parser:
                                ("--out", {"metavar": "PATH", "help": "write output here instead of stdout"}),
                                *row.flags):
             p.add_argument(flag, **keywords)
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), reading each argument once where it can.
+
+    When a subcommand comes first, its parser alone reads the rest.  With no subcommand first, or
+    an argument that parser leaves over, the whole parser runs, for its own usage line and message."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     row = _SUBCOMMANDS[args.subcommand]

@@ -20,6 +20,7 @@ users' symbols and 2,3,4 for its three noise sequences.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import math
 
@@ -284,15 +285,16 @@ def _step_loop(encoders, cfg: ChannelConfig, noise, messages: np.ndarray) -> Tra
     """Each CausalEncoder map, on the noise (z1, z2, z3), in its operation order on Python floats (whose
     products and sums round as numpy's do): the message term, plus a*y(i-1), plus b*y(i-2).
 
-    The loop keeps only the receptions; the symbols are derived from them afterwards in numpy by
-    the same operations in the same order."""
+    The loop reads the noise through memoryviews and keeps only the receptions, 8 bytes each in typed
+    buffers that the trace's y arrays are views of; the symbols are derived from them afterwards in
+    numpy by the same operations in the same order."""
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
     terms = [enc.message_term(messages[list(_MSG_INDEX[j])]) for j, enc in enumerate(encoders)]
     taps = [tuple(map(float, enc.feedback_weights)) for enc in encoders]
     (t1, t2, t3), ((a1, b1), (a2, b2), (a3, b3)) = terms, taps
-    y1s, y2s, y3s = [], [], []
+    y1s, y2s, y3s = (array.array("d") for _ in range(3))
     put1, put2, put3 = y1s.append, y2s.append, y3s.append
-    steps = zip(*(z.tolist() for z in noise))
+    steps = zip(*map(memoryview, noise))
     p1 = p2 = p3 = 0.0  # y_j(i-1), read from step 2 on; q_j is y_j(i-2), read from step 3 on
     for i, (z1, z2, z3) in zip(range(2), steps):  # steps 1 and 2 skip the receptions not heard yet
         x1, x2, x3 = (t1 + a1 * p1, t2 + a2 * p2, t3 + a3 * p3) if i else terms
@@ -306,7 +308,7 @@ def _step_loop(encoders, cfg: ChannelConfig, noise, messages: np.ndarray) -> Tra
         put1(p1)
         put2(p2)
         put3(p3)
-    ys = np.array(y1s), np.array(y2s), np.array(y3s)
+    ys = np.frombuffer(y1s), np.frombuffer(y2s), np.frombuffer(y3s)
     xs = tuple(np.full(len(y), t) for t, y in zip(terms, ys))
     with np.errstate(over="ignore", invalid="ignore"):  # simulate_network rejects a non-finite trace
         for x, y, (a, b) in zip(xs, ys, taps):  # x(i) = (t + a*y(i-1)) + b*y(i-2), each tap once heard
@@ -320,13 +322,15 @@ def _rebuild_y2(enc2: CausalEncoder, trace: TransmissionTrace, noise_diff: np.nd
     """y2(i) = ratio * (heard(i) - gain * x2(i)) + gain * known(i) + noise_diff(i).
 
     x2(i) is re-derived from user 2's encoder on the y2 rebuilt so far, in
-    the step loop's operation order, from the granted (m21, m23).
+    the step loop's operation order, from the granted (m21, m23).  As in the
+    step loop, the inputs are read through memoryviews and the result is a
+    view of a typed buffer.
     """
     term = enc2.message_term(trace.messages[2:4])  # (m21, m23): one granted, one treated as decoded
     a, b = map(float, enc2.feedback_weights)
-    y2hat: list[float] = []
+    y2hat = array.array("d")
     put = y2hat.append
-    steps = zip(heard.tolist(), known.tolist(), noise_diff.tolist())
+    steps = zip(memoryview(heard), memoryview(known), memoryview(noise_diff))
     p = 0.0  # y2(i-1), read from step 2 on; q is y2(i-2), read from step 3 on
     for i, (h, k, nd) in zip(range(2), steps):  # steps 1 and 2 skip the receptions not rebuilt yet
         q, p = p, ratio * (h - gain * (term + a * p if i else term)) + gain * k + nd
@@ -334,7 +338,7 @@ def _rebuild_y2(enc2: CausalEncoder, trace: TransmissionTrace, noise_diff: np.nd
     for h, k, nd in steps:  # x2hat(i) = term + a*p + b*q
         q, p = p, ratio * (h - gain * (term + a * p + b * q)) + gain * k + nd
         put(p)
-    return np.array(y2hat)
+    return np.frombuffer(y2hat)
 
 
 def _check_invertible(cfg: ChannelConfig, variant: str) -> None:

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, output formats, config resolution,
 seeding, and parity with the library calls each subcommand wraps."""
 
-import argparse
 import collections
 import contextlib
 import dataclasses
@@ -10,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -19,10 +19,11 @@ import warnings
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_corpus import _read as _read_corpus
 
 from triway import bounds, experiments, sim
 from triway.bounds import REPORT_CSV_HEADER, evaluate
-from triway.cli import build_parser, main
+from triway.cli import _parse, build_parser, main
 from triway.experiments import export_report
 from triway.model import canonicalize, make_config
 from triway.sim import TRACE_CSV_HEADER
@@ -831,8 +832,7 @@ _FLAGS = {
 
 def test_the_fuzzed_flags_are_the_parser_flags():
     # a flag added to the CLI must also be added to _FLAGS, or the property test never draws it
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    commands = build_parser().commands
     assert set(commands) == set(_FLAGS)
     for name, command in commands.items():
         flags = {flag for action in command._actions for flag in action.option_strings}
@@ -862,6 +862,29 @@ def _nonfinite_cells(subcommand, out):
         assert [(name, math.isnan(value)) for name, value in cells] == [("p_star", True)]
         return []
     return cells
+
+
+def _parse_outcome(parse, argv):
+    """parse(argv)'s namespace as text (where a NaN value equals itself), or the code it exits with,
+    and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parsed_as_the_whole_parser_does(argv):
+    # main reads argv with the subcommand's parser alone where it can; the result, or the exit and
+    # its message, must be the whole parser's
+    assert _parse_outcome(_parse, argv) == _parse_outcome(build_parser().parse_args, argv), argv
+
+
+def test_corpus_argvs_are_parsed_as_the_whole_parser_does():
+    for line in _read_corpus():
+        _assert_parsed_as_the_whole_parser_does(shlex.split(line.split("\t")[0]))
 
 
 @pytest.mark.parametrize("subcommand", list(_FLAGS))
@@ -894,6 +917,7 @@ def test_every_input_prints_finite_output_or_exits_cleanly(subcommand, data):
                 json.dump(config, fh)
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
+    _assert_parsed_as_the_whole_parser_does(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "warning" not in err.lower()
     if code == 1:

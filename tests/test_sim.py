@@ -416,3 +416,17 @@ def test_trace_csv_memory_is_bounded_by_its_text():
         tracemalloc.stop()
     assert text.count("\n") == n + 1
     assert peak <= 3 * len(text)  # the block texts and their join; no per-cell objects
+
+
+def test_a_simulated_block_holds_its_steps_in_typed_buffers():
+    # the noise, the receptions and the symbols take 8 bytes a step each, ~134 bytes a step at the
+    # peak with the finiteness check's copy; receptions kept as Python floats in lists took ~248
+    n = 10 ** 5
+    tracemalloc.start()
+    try:
+        _, trace = sim.simulate_network(CFG, n, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.n == n
+    assert peak < 180 * n
