@@ -65,6 +65,48 @@ _SHAPES = ([], ["--version"], ["nosuch"],
            ["gap-ensemble", "--ensemble", "2.57e2", "--seed", "1"],
            ["bounds", "--config", _CONFIG_FILE], ["bounds", "--config", _CONFIG_FILE, "--g12", "2"],
            ["bounds", "--config", "tests/golden/no_such_config.json"])
+# gains and powers for the sample paths (genie, the trace and the relay): gains across +-300
+# decades, ties, +-0, a subnormal, overflowing h^2 P and squared gains, and powers near both
+# ends of the float range, which reach each of their exit-1 lines.  Config k is spelled
+# "--k T" when k % 3 is 0, "--k=T" when it is 1, and as the JSON number T in the config file
+# tests/golden/corpus_sim/k.json when it is 2
+_SIM_GAINS = (("1e-300", "-1e-150", "1e150", "1e-300"), ("1e-300", "1e-300", "1e150", "1"),
+              ("-1e-300", "1e-300", "1e-300", "1e300"), ("2", "-2", "2", "1"), ("1", "1", "-1", "1e10"),
+              ("-0", "0", "1", "1"), ("0", "-0", "-0", "1"), ("-0", "1e-300", "-1e-300", "1e300"),
+              ("1e150", "1", "1", "1e10"), ("1e154", "-1e154", "1", "1e-300"), ("1", "1", "1", "1e308"),
+              ("3", "5e-324", "0", "1"), ("5e-324", "1", "-1", "1"), ("1e-150", "1e150", "-1e-150", "1e-10"),
+              ("1e-5", "1e5", "1e-5", "1e5"), ("1.5", "1", "0.5", "1e-300"), ("1e100", "1e-100", "1", "1e100"),
+              ("1", "1", "1", "0.01"))
+_SIM_DIR = "tests/golden/corpus_sim"
+
+
+def _sim_config(k: int) -> list[str]:
+    """Config k of `_SIM_GAINS` in its spelling."""
+    if k % 3 == 2:
+        return ["--config", f"{_SIM_DIR}/{k}.json"]
+    pairs = zip(("--g12", "--g13", "--g23", "--power"), _SIM_GAINS[k])
+    return [a for key, text in pairs for a in ((f"{key}={text}",) if k % 3 else (key, text))]
+
+
+def _sim_file_text(k: int) -> str:
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in zip(("g12", "g13", "g23", "power"), _SIM_GAINS[k])) + "}\n"
+
+
+# every sample path at each of _SIM_GAINS (genie and the trace at a few steps, the relay at each
+# order it is shown with), the largest sizes of the slice on one config, and the MI estimate's
+# exit-1 lines: second moments beyond the float range (spelled three ways), a correlation that
+# rounds to 1 at |h3| = 2^200, where y = h3 x exactly and so the sums behind rho^2 = 1 are the same
+# whatever order BLAS adds them in, and the sample-count range
+_SIM_COMMANDS = (["genie", "--variant", "lemma1", "--n", "7"], ["genie", "--variant", "lemma2", "--n", "7"],
+                 ["simulate", "--n", "7"], *(["simulate", "--pam-order", str(q)] for q in (2, 4, 8)))
+_SIM_LARGE = (["genie", "--variant", "lemma1", "--n", "2000", "--seed", "5"],
+              ["genie", "--variant", "lemma2", "--n", "2e3", "--seed", "5"], ["simulate", "--n", "2000", "--seed", "5"],
+              *(["simulate", "--pam-order", str(q), "--n", "2000", "--seed", "5"] for q in (2, 4, 8)))
+_MI_ERRORS = (["simulate", "--samples", "10000", "--power", "1e300"], ["simulate", "--samples=1e4", "--power=1e300"],
+              ["simulate", "--samples", "10000", "--config", f"{_SIM_DIR}/8.json"],
+              ["simulate", "--samples=10000", "--g12=1.6069380442589903e60"],
+              ["simulate", "--samples", "10000", "--g13", "-1.6069380442589903e60", "--seed", "9"],
+              ["simulate", "--samples", "9999"], ["simulate", "--samples", "2e18"])
 
 
 def _corpus_argvs() -> list[list[str]]:
@@ -73,16 +115,19 @@ def _corpus_argvs() -> list[list[str]]:
     every report shape of `bounds`, `region`, `crossover`, `genie` and `simulate` at each of
     `_CONFIGS`, the crossover statuses none and already-crossed, one-row ensemble CSVs and
     calls that exit 1; then the command-line shapes of `_SHAPES`, which pin the parser's own
-    messages and usage lines as well as the reports.
+    messages and usage lines as well as the reports; then the sample paths at each of
+    `_SIM_GAINS`, and the MI estimate's exit-1 lines.
 
-    `sweep`, `dof` and `simulate --samples` are left out on purpose: their bytes go through
-    `np.power`, LAPACK or BLAS `ddot`, so they depend on the CPU (ROADMAP item 15).  Their
-    report goldens still pin them."""
+    `sweep`, `dof` and a `simulate --samples` estimate are left out on purpose: their bytes go
+    through `np.power`, LAPACK or BLAS `ddot`, so they depend on the CPU (ROADMAP item 15).
+    Their report goldens still pin them."""
     seeds = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**128 + 1)
     sizes = (1, 255, 256, 257, 1023, 1024, 1025, 4097)
     return [*(["gap-ensemble", "--seed", str(s), "--ensemble", str(e)] for s in seeds for e in sizes),
             *([*cmd, *cfg] for cfg in _CONFIGS for cmd in _COMMANDS), *_ONE_OFFS,
-            *(["gap-ensemble", "--format", "csv", "--ensemble", str(e)] for e in (1, 257)), *_ERRORS, *_SHAPES]
+            *(["gap-ensemble", "--format", "csv", "--ensemble", str(e)] for e in (1, 257)), *_ERRORS, *_SHAPES,
+            *([*cmd, *_sim_config(k), "--seed", str(k)] for k in range(len(_SIM_GAINS)) for cmd in _SIM_COMMANDS),
+            *([*cmd, *_sim_config(3)] for cmd in _SIM_LARGE), *_MI_ERRORS]
 
 
 def _line(argv: list[str]) -> str:
@@ -115,6 +160,8 @@ def _regenerate() -> None:
     os.environ["COLUMNS"] = "80"
     os.chdir(ROOT)
     old = set(_read()) if CORPUS.exists() else set()
+    for k in range(2, len(_SIM_GAINS), 3):
+        Path(_SIM_DIR, f"{k}.json").write_text(_sim_file_text(k))
     lines = [_line(argv) for argv in _corpus_argvs()]
     CORPUS.write_text(HEADER + "".join(lines))
     for line in lines:
