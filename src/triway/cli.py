@@ -22,6 +22,13 @@ import re
 import sys
 from typing import Callable, NamedTuple
 
+# one BLAS thread unless the caller chose otherwise: set before numpy loads, since OpenBLAS reads
+# these once, when it starts its thread pool.  No report needs more, and the MI moments' BLAS
+# dot sums then print on any core count what they print on one
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import bounds, experiments, region, sim

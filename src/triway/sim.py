@@ -30,6 +30,7 @@ from .model import _MAX_LENGTH, ChannelConfig, ValidationError
 
 _POWER_TOL = 1e-9
 _MAX_CYCLE = 1024  # longest cycle of power states _power_sums replays, from a chunk of 2.4 MB at most
+_CHUNK = 4096  # samples per chunk where a whole-block path works in chunks rather than whole temporaries
 
 TRACE_CSV_HEADER = "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
 
@@ -269,13 +270,14 @@ def simulate_network(cfg: ChannelConfig, n: int,
 
     The noise and messages are drawn first, so a block too long to hold fails at its first
     allocation, not after the O(n) power pass.  The block makes one power pass.  Its trace is
-    checked here, where it is made: an x or y that left the float range is rejected."""
+    checked here, where it is made: an x or y that left the float range is rejected, one array at
+    a time, so the check holds one bool per step."""
     _check_length(n)
     streams = _streams(seed, 0, 1, 2, 3)  # z1, z2, z3 and the messages
     noise, messages = tuple(rng.standard_normal(n) for rng in streams[:3]), streams[3].standard_normal(6)
     encoders = normalize_power(random_encoders(cfg, n_taps=2, seed=seed), cfg, n)
     trace = _step_loop(encoders, cfg, noise, messages)
-    if not np.isfinite((trace.x1, trace.x2, trace.x3, trace.y1, trace.y2, trace.y3)).all():
+    if not all(np.isfinite(v).all() for v in (trace.x1, trace.x2, trace.x3, trace.y1, trace.y2, trace.y3)):
         raise ValidationError(f"simulated trace over n={n} at message scale s={encoders[0].message_scale:.6g} "
                               "is not finite: the gains or power leave the float range")
     return encoders, trace
@@ -359,7 +361,8 @@ def genie_reconstruct_lemma1(trace: TransmissionTrace, cfg: ChannelConfig, encod
     """
     _check_invertible(cfg, "lemma1")
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    noise_diff = trace.z2 - (h1 / h2) * trace.z1
+    noise_diff = (h1 / h2) * trace.z1
+    np.subtract(trace.z2, noise_diff, out=noise_diff)
     return _rebuild_y2(encoders[1], trace, noise_diff, h1 / h2, trace.y1, h3, trace.x1)
 
 
@@ -372,18 +375,28 @@ def genie_reconstruct_lemma2(trace: TransmissionTrace, cfg: ChannelConfig, encod
     almost entirely when |h2/h3| is tiny, and the h3/h2 scaling below then
     magnifies the rounding error of that cancellation.  Stripping the
     re-derived h1 x2(i), scaling by h3/h2 and adding h1 x3(i) gives
-    h3 x1(i) + h1 x3(i) + z3(i); adding z2 - z3 lands on y2(i).
+    h3 x1(i) + h1 x3(i) + z3(i); adding z2 - z3 lands on y2(i).  y3' is
+    summed in place, in that order, and the array that held its second and
+    third terms then holds z2 - z3.
     """
     _check_invertible(cfg, "lemma2")
     h1, h2, h3 = cfg.gains.h1, cfg.gains.h2, cfg.gains.h3
-    enhanced_y3 = h2 * trace.x1 + h1 * trace.x2 + (h2 / h3) * trace.z3
-    return _rebuild_y2(encoders[1], trace, trace.z2 - trace.z3, h3 / h2, enhanced_y3, h1, trace.x3)
+    enhanced_y3, term = h2 * trace.x1, h1 * trace.x2
+    enhanced_y3 += term
+    enhanced_y3 += np.multiply(h2 / h3, trace.z3, out=term)
+    noise_diff = np.subtract(trace.z2, trace.z3, out=term)
+    return _rebuild_y2(encoders[1], trace, noise_diff, h3 / h2, enhanced_y3, h1, trace.x3)
 
 
 def reconstruction_error(reconstructed: np.ndarray, trace: TransmissionTrace) -> float:
-    """Peak |reconstructed - true y2| relative to the true sequence's peak (floor 1)."""
-    peak = float(np.max(np.abs(np.asarray(reconstructed) - trace.y2)))
-    return peak / max(1.0, float(np.max(np.abs(trace.y2))))
+    """Peak |reconstructed - true y2| relative to the true sequence's peak (floor 1).
+
+    The difference and its magnitude share one array.  The peak of |y2| is max(max y2, -min y2),
+    which is exact on the finite trace simulate_network returns."""
+    error = np.subtract(reconstructed, trace.y2)
+    peak = float(np.abs(error, out=error).max())
+    y2 = trace.y2
+    return peak / max(1.0, float(max(y2.max(), -y2.min())))
 
 
 def genie_verdict(cfg: ChannelConfig, variant: str, n: int, seed: int) -> dict:
@@ -412,6 +425,10 @@ def estimate_p2p_mi(cfg: ChannelConfig, sample_count: int, seed: int) -> float:
 
     Uses the Gaussian closed form on raw sample second moments,
     -0.5 log2(1 - rho^2); converges to cap(h3^2 P).
+
+    The input and noise draws are the only whole-sample arrays: x is scaled in place, and
+    y = h x + z is formed in the noise draw's buffer, _CHUNK samples at a time, as z + h x, which
+    is the same sum bit for bit.  The three moments are whole-array BLAS dots.
     """
     if sample_count < 10 ** 4:
         raise ValidationError(f"sample_count must be >= 1e4, got {sample_count}")
@@ -420,8 +437,10 @@ def estimate_p2p_mi(cfg: ChannelConfig, sample_count: int, seed: int) -> float:
     h = cfg.gains.h3
     x, z = (rng.standard_normal(sample_count) for rng in _streams(seed, 0, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments are rejected below
-        x = x * math.sqrt(cfg.power)
-        y = h * x + z
+        x *= math.sqrt(cfg.power)
+        y = z  # y = h x + z, as z + h x
+        for i in range(0, sample_count, _CHUNK):
+            y[i:i + _CHUNK] += h * x[i:i + _CHUNK]
         ns = float(sample_count)
         sxx, syy, sxy = float(x @ x) / ns, float(y @ y) / ns, float(x @ y) / ns
     if not (math.isfinite(sxx * syy) and sxx * syy > 0.0):
@@ -434,29 +453,50 @@ def estimate_p2p_mi(cfg: ChannelConfig, sample_count: int, seed: int) -> float:
     return -0.5 * math.log1p(-rho2) / math.log(2.0)
 
 
-def _pam_index(statistic: np.ndarray, q: int) -> np.ndarray:
-    """The PAM decision rint(statistic) mod q, for statistics an int64 holds exactly."""
+def _pam_index(statistic: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """The PAM decision rint(statistic) mod q into the int64 array out, for statistics an int64
+    holds exactly; statistic is rounded in place."""
     if not np.all(np.abs(statistic) < 2.0 ** 53):  # also False for inf and NaN
         raise ValidationError("relay decision statistic leaves the float range: gain h2 "
                               "and power are too extreme for the PAM exchange")
-    return np.rint(statistic).astype(int) % q
+    np.copyto(out, np.rint(statistic, out=statistic), casting="unsafe")
+    out %= q
+    return out
 
 
 def _pnc_exchange(cfg: ChannelConfig, q: int, a: np.ndarray, b: np.ndarray, z_relay: np.ndarray,
                   z_user2: np.ndarray, z_user3: np.ndarray) -> tuple[float, float]:
-    """simulate_pnc_relay's exchange of indices a (user 2) and b (user 3) under the given noise."""
+    """simulate_pnc_relay's exchange of indices a (user 2) and b (user 3) under the given noise.
+
+    The statistics are formed in place in two float arrays, by the operations of the formulas
+    below in their order, and the decisions in one int64 array.  The inputs are only read, so one
+    array may be passed as several of them."""
     h2 = cfg.gains.h2
     alpha = math.sqrt(12.0 * cfg.power / (q * q - 1.0))  # unit-power PAM spacing
     offset = (q - 1) / 2.0
+    index = np.empty(len(a), dtype=np.int64)
+    errors = 0
     with np.errstate(all="ignore"):  # _pam_index rejects statistics that left the float range
-        y_relay = h2 * (alpha * (a - offset) + alpha * (b - offset)) + z_relay
-        u = _pam_index(y_relay / (h2 * alpha) + (q - 1), q)  # (a + b) mod q
-        s_relay = alpha * (u - offset)
-        u2 = _pam_index((h2 * s_relay + z_user2) / (h2 * alpha) + offset, q)
-        u3 = _pam_index((h2 * s_relay + z_user3) / (h2 * alpha) + offset, q)
-    b_hat = (u2 - a) % q  # user 2 removes its own index to get user 3's
-    a_hat = (u3 - b) % q
-    errors = int(np.count_nonzero(b_hat != b)) + int(np.count_nonzero(a_hat != a))
+        # the relay hears h2 (alpha (a - offset) + alpha (b - offset)) + z_relay
+        s, t = np.subtract(a, offset), np.subtract(b, offset)
+        s *= alpha
+        s += np.multiply(t, alpha, out=t)
+        s *= h2
+        s += z_relay
+        s /= h2 * alpha
+        s += q - 1
+        # it decodes u = (a + b) mod q and sends alpha (u - offset); each user hears h2 times that
+        np.subtract(_pam_index(s, q, index), offset, out=s)
+        s *= alpha
+        s *= h2
+        for z_user, own, other in ((z_user2, a, b), (z_user3, b, a)):  # (s + z_user) / (h2 alpha) + offset
+            np.add(s, z_user, out=t)
+            t /= h2 * alpha
+            t += offset
+            estimate = _pam_index(t, q, index)
+            estimate -= own  # each user removes its own index to get the other's
+            estimate %= q
+            errors += int(np.count_nonzero(estimate != other))
     ser = errors / (2.0 * len(a))
     return ser, math.log2(q) * (1.0 - ser)
 

@@ -26,6 +26,9 @@ bounds.evaluate at every grid point are the references for the drivers, which
 call the bound kernel once over the grid or once per probe, and
 `reference_json` and `reference_csv`, json.dumps with an indent and one
 %-format per row, are the references for experiments.export_report.
+`reference_p2p_mi` and `reference_pnc_exchange`, the MI estimate and the relay
+exchange with a whole-array temporary for every operation, are the references
+for sim.estimate_p2p_mi and sim._pnc_exchange, which work in place and in chunks.
 """
 
 import dataclasses
@@ -37,7 +40,7 @@ import numpy as np
 
 from triway.bounds import evaluate
 from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, ReportTable, SweepSpec, power_grid
-from triway.model import ChannelConfig, ChannelGains, ValidationError, make_config
+from triway.model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, make_config
 from triway.region import _SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
 from triway.sim import (
     _MSG_INDEX,
@@ -47,6 +50,7 @@ from triway.sim import (
     _power_sums,
     _power_system,
     _step_loop,
+    _streams,
     genie_reconstruct_lemma1,
     genie_reconstruct_lemma2,
     random_encoders,
@@ -524,3 +528,51 @@ def two_pass_genie_verdict(cfg, variant: str, n: int, seed: int) -> dict:
     rebuild = genie_reconstruct_lemma1 if variant == "lemma1" else genie_reconstruct_lemma2
     error = reconstruction_error(rebuild(trace, cfg, encoders), trace)
     return {"max_rel_error": error, "n": n, "seed": seed, "variant": variant}
+
+
+def reference_p2p_mi(cfg, sample_count: int, seed: int) -> float:
+    """sim.estimate_p2p_mi with whole-array temporaries: x * sqrt(P), then y = h x + z."""
+    if sample_count < 10 ** 4:
+        raise ValidationError(f"sample_count must be >= 1e4, got {sample_count}")
+    if sample_count > _MAX_LENGTH:
+        raise ValidationError(f"sample_count must be <= {_MAX_LENGTH}, got {sample_count}")
+    h = cfg.gains.h3
+    x, z = (rng.standard_normal(sample_count) for rng in _streams(seed, 0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x * math.sqrt(cfg.power)
+        y = h * x + z
+        ns = float(sample_count)
+        sxx, syy, sxy = float(x @ x) / ns, float(y @ y) / ns, float(x @ y) / ns
+    if not (math.isfinite(sxx * syy) and sxx * syy > 0.0):
+        raise ValidationError(f"link h3: sample second moments at P={cfg.power!r} "
+                              "leave the float range")
+    rho2 = sxy * sxy / (sxx * syy)
+    if not rho2 < 1.0:
+        raise ValidationError(f"link h3: h^2 P = {h * h * cfg.power:.6g} is too strong for a "
+                              f"{sample_count}-sample estimate, the sample correlation rounds to 1")
+    return -0.5 * math.log1p(-rho2) / math.log(2.0)
+
+
+def _reference_pam_index(statistic: np.ndarray, q: int) -> np.ndarray:
+    if not np.all(np.abs(statistic) < 2.0 ** 53):
+        raise ValidationError("relay decision statistic leaves the float range: gain h2 "
+                              "and power are too extreme for the PAM exchange")
+    return np.rint(statistic).astype(int) % q
+
+
+def reference_pnc_exchange(cfg, q: int, a, b, z_relay, z_user2, z_user3) -> tuple[float, float]:
+    """sim._pnc_exchange with a new array for every operation: (SER, log2(q) (1 - SER))."""
+    h2 = cfg.gains.h2
+    alpha = math.sqrt(12.0 * cfg.power / (q * q - 1.0))
+    offset = (q - 1) / 2.0
+    with np.errstate(all="ignore"):
+        y_relay = h2 * (alpha * (a - offset) + alpha * (b - offset)) + z_relay
+        u = _reference_pam_index(y_relay / (h2 * alpha) + (q - 1), q)
+        s_relay = alpha * (u - offset)
+        u2 = _reference_pam_index((h2 * s_relay + z_user2) / (h2 * alpha) + offset, q)
+        u3 = _reference_pam_index((h2 * s_relay + z_user3) / (h2 * alpha) + offset, q)
+    b_hat = (u2 - a) % q
+    a_hat = (u3 - b) % q
+    errors = int(np.count_nonzero(b_hat != b)) + int(np.count_nonzero(a_hat != a))
+    ser = errors / (2.0 * len(a))
+    return ser, math.log2(q) * (1.0 - ser)

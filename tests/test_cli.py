@@ -689,6 +689,28 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["config"]["g12"] == 1.5
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads_after_import(preset: dict) -> list[str]:
+    """The three BLAS thread variables a child sees after `import triway.cli`, started with only
+    `preset` of them set."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    child = f"import os, triway.cli; print(*(os.environ.get(k) for k in {_BLAS_THREADS!r}))"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+                          env={**env, **preset})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout.split()
+
+
+def test_the_cli_defaults_to_one_blas_thread():
+    assert _blas_threads_after_import({}) == ["1", "1", "1"]
+
+
+def test_a_preset_blas_thread_count_survives_the_cli_import():
+    assert _blas_threads_after_import({"OPENBLAS_NUM_THREADS": "2"}) == ["2", "1", "1"]
+
+
 def test_commands_that_draw_nothing_never_load_numpy_random():
     # numpy.random takes ~16 ms to load, so start-up imports it nowhere: the gap ensemble
     # loads it when it draws, and only then builds its seed class

@@ -89,7 +89,8 @@ def _sim_config(k: int) -> list[str]:
 
 
 def _sim_file_text(k: int) -> str:
-    return "{" + ", ".join(f'"{key}": {text}' for key, text in zip(("g12", "g13", "g23", "power"), _SIM_GAINS[k])) + "}\n"
+    pairs = zip(("g12", "g13", "g23", "power"), _SIM_GAINS[k])
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in pairs) + "}\n"
 
 
 # every sample path at each of _SIM_GAINS (genie and the trace at a few steps, the relay at each
@@ -100,9 +101,11 @@ def _sim_file_text(k: int) -> str:
 _SIM_COMMANDS = (["genie", "--variant", "lemma1", "--n", "7"], ["genie", "--variant", "lemma2", "--n", "7"],
                  ["simulate", "--n", "7"], *(["simulate", "--pam-order", str(q)] for q in (2, 4, 8)))
 _SIM_LARGE = (["genie", "--variant", "lemma1", "--n", "2000", "--seed", "5"],
-              ["genie", "--variant", "lemma2", "--n", "2e3", "--seed", "5"], ["simulate", "--n", "2000", "--seed", "5"],
+              ["genie", "--variant", "lemma2", "--n", "2e3", "--seed", "5"],
+              ["simulate", "--n", "2000", "--seed", "5"],
               *(["simulate", "--pam-order", str(q), "--n", "2000", "--seed", "5"] for q in (2, 4, 8)))
-_MI_ERRORS = (["simulate", "--samples", "10000", "--power", "1e300"], ["simulate", "--samples=1e4", "--power=1e300"],
+_MI_ERRORS = (["simulate", "--samples", "10000", "--power", "1e300"],
+              ["simulate", "--samples=1e4", "--power=1e300"],
               ["simulate", "--samples", "10000", "--config", f"{_SIM_DIR}/8.json"],
               ["simulate", "--samples=10000", "--g12=1.6069380442589903e60"],
               ["simulate", "--samples", "10000", "--g13", "-1.6069380442589903e60", "--seed", "9"],

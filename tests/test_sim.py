@@ -19,6 +19,8 @@ from helpers import (
     emit_rebuild,
     emit_trace,
     reference_csv,
+    reference_p2p_mi,
+    reference_pnc_exchange,
     simulate_network,
     verify_trace,
 )
@@ -298,6 +300,36 @@ def test_mi_validation():
         estimate_p2p_mi(CFG, 9999, seed=0)
 
 
+def _outcome(call, *args):
+    """(value, None) of call(*args), or (None, message) of the ValidationError it raises."""
+    try:
+        return call(*args), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("count", sorted({10 ** 4, 2 * sim._CHUNK - 1, 2 * sim._CHUNK, 2 * sim._CHUNK + 1,
+                                          3 * sim._CHUNK - 1, 3 * sim._CHUNK, 3 * sim._CHUNK + 1, 10 ** 5,
+                                          _MAX_LENGTH + 1}))
+def test_mi_matches_the_whole_array_oracle_bit_for_bit(count):
+    # powers across the float range; P = 1e300 overflows the moments, and at |h3| = 2^200 y = h3 x
+    # exactly, so the correlation rounds to 1; counts outside [1e4, _MAX_LENGTH] are refused
+    cases = [(1.5, p) for p in (1e-300, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e300)] + [(2.0 ** 200, 1.0)]
+    messages = set()
+    for h3, power in cases:
+        cfg = _cfg(0.5, 1.0, h3, power)
+        for seed in (0, 3, 2 ** 64 + 1):
+            got = _outcome(estimate_p2p_mi, cfg, count, seed)
+            assert got == _outcome(reference_p2p_mi, cfg, count, seed), (h3, power, seed)
+            messages.add(got[1])
+    if 10 ** 4 <= count <= _MAX_LENGTH:
+        errors = " ".join(m for m in messages if m)
+        assert None in messages and "leave the float range" in errors and "rounds to 1" in errors
+    else:
+        assert messages == {f"sample_count must be {'>= 1e4' if count < 10 ** 4 else f'<= {_MAX_LENGTH}'}, "
+                            f"got {count}"}
+
+
 def test_mi_error_shrinks_with_samples():
     cfg = _cfg(0.5, 1.0, 1.0, 1.0)
     err = {k: 0.0 for k in (10 ** 4, 10 ** 6)}
@@ -315,6 +347,28 @@ def test_pnc_noise_free_is_error_free_exhaustively():
         ser, thr = _pnc_exchange(cfg, q, a, b, zero, zero, zero)
         assert ser == 0.0
         assert thr == math.log2(q)
+
+
+@pytest.mark.parametrize("q", (2, 4, 8, 16))
+def test_pnc_exchange_matches_the_whole_array_oracle_bit_for_bit(q):
+    for power in (0.01, 1.0, 10.0, 1e4):
+        cfg = _cfg(0.5, 1.0, 1.5, power)
+        streams = sim._streams(q, 0, 1, 2, 3, 4)
+        indices, noise = streams[:2], streams[2:]
+        inputs = [*(rng.integers(0, q, 5000) for rng in indices), *(rng.standard_normal(5000) for rng in noise)]
+        copies = [v.copy() for v in inputs]
+        assert _pnc_exchange(cfg, q, *inputs) == reference_pnc_exchange(cfg, q, *copies)
+        assert all(v.tobytes() == c.tobytes() for v, c in zip(inputs, copies))  # inputs are only read
+    # one array passed as all three noises, as the noise-free test does, and statistics beyond 2^53
+    a, b = (m.ravel() for m in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
+    zero = np.zeros(q * q)
+    assert _pnc_exchange(CFG, q, a, b, zero, zero, zero) == reference_pnc_exchange(CFG, q, a, b, zero, zero, zero)
+    assert not zero.any()
+    huge = _cfg(0.5, 1.0, 1.5, 1e308)
+    assert (_outcome(_pnc_exchange, huge, q, a, b, zero, zero, zero)
+            == _outcome(reference_pnc_exchange, huge, q, a, b, zero, zero, zero)
+            == (None, "relay decision statistic leaves the float range: gain h2 and power are too extreme "
+                      "for the PAM exchange"))
 
 
 # each seeded entry point and the stream ids k of default_rng([seed, k]) that the module docstring gives it
@@ -419,8 +473,9 @@ def test_trace_csv_memory_is_bounded_by_its_text():
 
 
 def test_a_simulated_block_holds_its_steps_in_typed_buffers():
-    # the noise, the receptions and the symbols take 8 bytes a step each, ~134 bytes a step at the
-    # peak with the finiteness check's copy; receptions kept as Python floats in lists took ~248
+    # the noise, the receptions and the symbols take 8 bytes a step each, ~81 bytes a step at the
+    # peak with a tap's product and the finiteness check's bools; receptions kept as Python floats
+    # in lists took ~248
     n = 10 ** 5
     tracemalloc.start()
     try:
@@ -430,3 +485,32 @@ def test_a_simulated_block_holds_its_steps_in_typed_buffers():
         tracemalloc.stop()
     assert trace.n == n
     assert peak < 180 * n
+
+
+# bytes per step each sample path may hold at its peak at n = 1e5: its inputs and few working
+# arrays.  MI: the two draws (16).  The block: its nine arrays, a tap's product and a bool per step
+# (~81).  The genie: that trace, the noise difference, lemma2's y3' and the rebuilt y2 (~89 and
+# ~97).  The relay: the two indices and three noises (40), two float and one int64 working arrays
+# and the range check's |statistic| and bools (~73).  Whole-block temporaries took ~24, ~127, ~127
+# and ~104
+_PEAK_BYTES = {
+    "estimate_p2p_mi": (lambda n: estimate_p2p_mi(CFG, n, 3), 18),
+    "simulate_network": (lambda n: sim.simulate_network(CFG, n, 5), 95),
+    "genie_verdict-lemma1": (lambda n: genie_verdict(CFG, "lemma1", n, 5), 105),
+    "genie_verdict-lemma2": (lambda n: genie_verdict(CFG, "lemma2", n, 5), 105),
+    "simulate_pnc_relay": (lambda n: simulate_pnc_relay(CFG, 4, n, 5), 85),
+}
+
+
+@pytest.mark.parametrize("entry", _PEAK_BYTES)
+def test_sample_paths_hold_their_inputs_and_few_working_arrays(entry):
+    run, bound = _PEAK_BYTES[entry]
+    run(10 ** 4)  # the first draw in a process builds numpy.random's state, which is not per step
+    n = 10 ** 5
+    tracemalloc.start()
+    try:
+        run(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * n
