@@ -110,6 +110,11 @@ _MI_ERRORS = (["simulate", "--samples", "10000", "--power", "1e300"],
               ["simulate", "--samples=10000", "--g12=1.6069380442589903e60"],
               ["simulate", "--samples", "10000", "--g13", "-1.6069380442589903e60", "--seed", "9"],
               ["simulate", "--samples", "9999"], ["simulate", "--samples", "2e18"])
+# the report shapes of `bounds`, `region` and `crossover` (the first five of _COMMANDS) at each of
+# _SIM_GAINS, and at a gain and a power of inf, -inf and nan text
+_REPORT_COMMANDS = _COMMANDS[:5]
+_NONFINITE = tuple([*cmd, *flag] for cmd in (["bounds"], ["region"], ["crossover"]) for text in ("inf", "-inf", "nan")
+                   for flag in (["--g13", text], [f"--power={text}"]))
 
 
 def _corpus_argvs() -> list[list[str]]:
@@ -119,7 +124,8 @@ def _corpus_argvs() -> list[list[str]]:
     `_CONFIGS`, the crossover statuses none and already-crossed, one-row ensemble CSVs and
     calls that exit 1; then the command-line shapes of `_SHAPES`, which pin the parser's own
     messages and usage lines as well as the reports; then the sample paths at each of
-    `_SIM_GAINS`, and the MI estimate's exit-1 lines.
+    `_SIM_GAINS`, and the MI estimate's exit-1 lines; then the report shapes of `bounds`,
+    `region` and `crossover` at each of `_SIM_GAINS` and at non-finite gain and power texts.
 
     `sweep`, `dof` and a `simulate --samples` estimate are left out on purpose: their bytes go
     through `np.power`, LAPACK or BLAS `ddot`, so they depend on the CPU (ROADMAP item 15).
@@ -130,7 +136,8 @@ def _corpus_argvs() -> list[list[str]]:
             *([*cmd, *cfg] for cfg in _CONFIGS for cmd in _COMMANDS), *_ONE_OFFS,
             *(["gap-ensemble", "--format", "csv", "--ensemble", str(e)] for e in (1, 257)), *_ERRORS, *_SHAPES,
             *([*cmd, *_sim_config(k), "--seed", str(k)] for k in range(len(_SIM_GAINS)) for cmd in _SIM_COMMANDS),
-            *([*cmd, *_sim_config(3)] for cmd in _SIM_LARGE), *_MI_ERRORS]
+            *([*cmd, *_sim_config(3)] for cmd in _SIM_LARGE), *_MI_ERRORS,
+            *([*cmd, *_sim_config(k)] for k in range(len(_SIM_GAINS)) for cmd in _REPORT_COMMANDS), *_NONFINITE]
 
 
 def _line(argv: list[str]) -> str:
