@@ -29,8 +29,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import bounds, experiments, region, sim
 from ._version import __version__
 from .model import PropertyViolationError, ValidationError, make_config
@@ -157,12 +155,7 @@ def _cmd_region(args, cfg, mapping) -> None:
 def _cmd_dof(args, cfg, _) -> None:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  gains=cfg.gains)
-    table = experiments.ReportTable(
-        kind="dof", header=experiments.DOF_FIELDS,
-        columns=tuple(np.array([s]) for s in experiments.dof_estimate(spec)),
-        meta={"spec": experiments.spec_echo(spec), "version": __version__},
-    )
-    _emit(table, args, args.format)
+    _emit(experiments.dof_table(experiments.dof_estimate(spec), spec), args, args.format)
 
 
 def _cmd_genie(args, cfg, _) -> None:

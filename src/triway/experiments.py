@@ -1,6 +1,6 @@
 """Batch drivers: SNR sweeps, DoF fits (pre-log slopes), gap statistics over
-random channels, the cut-set/genie crossover search, and `export_report`, the
-one writer that turns every report into text.
+random channels and the cut-set/genie crossover search; the report table of
+each; and `export_report`, the one writer that turns every report into text.
 
 Every driver is a pure function of (spec, seed).  Ensemble trial t draws from
 its own stream default_rng([seed, t]), so statistics are identical whether
@@ -26,7 +26,7 @@ from .model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, _b
 # sweep table columns, in emission order: the fields of bounds.BoundReport before the gap
 BOUND_COLUMNS = bounds._BOUND_FIELDS[:bounds._BOUND_FIELDS.index("gap")]
 DOF_FIELDS = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # the DoF fit's bounds: 2, 3, 2
-_ENCODER = json.JSONEncoder(separators=("\0", ": "))  # see _rows_text
+_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))  # a table's JSON rows: see export_report
 _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum", "tightened_upper"))
 # rows per CSV block: its arrays stay below glibc malloc's trim threshold, so each block reuses
 # the heap (one 1000-row block faulted ~240 fresh pages in on every call, 512-row blocks none)
@@ -124,14 +124,15 @@ def power_grid(spec: SweepSpec, count: int | None = None) -> np.ndarray:
     return grid[:k]
 
 
-def spec_echo(spec: SweepSpec) -> dict:
+def _meta(spec: SweepSpec, **extra) -> dict:
     echo = dataclasses.asdict(spec)  # nests the gains as {"h1", "h2", "h3"}, or None
     echo["bounds"] = list(BOUND_COLUMNS)  # the sweep's columns
-    return echo
+    return {"spec": echo, **extra, "version": __version__}
 
 
-def _meta(spec: SweepSpec) -> dict:
-    return {"spec": spec_echo(spec), "seed": spec.seed, "version": __version__}
+def _row_table(kind: str, header: tuple[str, ...], row, meta: dict) -> ReportTable:
+    """A one-row table: one one-cell column per value of row."""
+    return ReportTable(kind=kind, header=header, columns=tuple(np.array([v]) for v in row), meta=meta)
 
 
 def _kernel_columns(spec: SweepSpec, grid: np.ndarray, fields: tuple[str, ...]) -> list[np.ndarray]:
@@ -150,7 +151,7 @@ def sweep_snr(spec: SweepSpec) -> ReportTable:
     grid = power_grid(spec)
     return ReportTable(kind="sweep", header=("P", *BOUND_COLUMNS, "gap"),
                        columns=(grid, *_kernel_columns(spec, grid, (*BOUND_COLUMNS, "gap"))),
-                       meta=_meta(spec))
+                       meta=_meta(spec, seed=spec.seed))
 
 
 def dof_estimate(spec: SweepSpec) -> tuple[float, float, float]:
@@ -172,6 +173,11 @@ def dof_estimate(spec: SweepSpec) -> tuple[float, float, float]:
     top = grid[len(grid) // 2:]
     xs = [0.5 * math.log2(P) for P in top]
     return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, np.array(top), DOF_FIELDS))
+
+
+def dof_table(slopes: tuple[float, float, float], spec: SweepSpec) -> ReportTable:
+    """dof_estimate's slopes as a one-row table; its meta echoes spec, with no seed of its own."""
+    return _row_table("dof", DOF_FIELDS, slopes, _meta(spec))
 
 
 def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
@@ -310,8 +316,7 @@ def gap_statistics_table(stats: GapStatistics, spec: SweepSpec) -> ReportTable:
               "worst_g12", "worst_g13", "worst_g23", "worst_power")
     row = (float(stats.ensemble), stats.min_gap, stats.max_gap, stats.mean_gap,
            float(stats.violations), cfg.gains.h3, cfg.gains.h2, cfg.gains.h1, cfg.power)
-    return ReportTable(kind="gap-ensemble", header=header,
-                       columns=tuple(np.array([v]) for v in row), meta=_meta(spec))
+    return _row_table("gap-ensemble", header, row, _meta(spec, seed=spec.seed))
 
 
 def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverResult:
@@ -361,21 +366,7 @@ def crossover_table(result: CrossoverResult, gains: ChannelGains,
     code = {"found": 0.0, "already-crossed": 1.0, "none": 2.0}[result.status]
     p_star = math.nan if result.p_star is None else result.p_star
     row = (p_star, code, gains.h3, gains.h2, gains.h1, float(p_lo), float(p_hi))
-    meta = {"status": result.status, "version": __version__}
-    return ReportTable(kind="crossover", header=header,
-                       columns=tuple(np.array([v]) for v in row), meta=meta)
-
-
-def _rows_text(rows: list) -> str:
-    """json.dumps(rows, indent=2) nested one level deep, for a table's non-empty rows, from
-    one call of the C encoder: json.dumps with an indent runs the pure-Python encoder value
-    by value.  The C encoder ignores an indent, so its item separator is NUL, which json
-    escapes inside strings: each NUL is a separator that takes the newline and indent, and
-    a NUL between "]" and "[" only ever stands between two rows."""
-    # each step frees the text before it, so at most two copies of the table are alive
-    text = _ENCODER.encode(rows)[2:-2].replace("]\0[", "\n    ],\n    [\n      ")
-    text = text.replace("\0", ",\n      ")
-    return f"[\n    [\n      {text}\n    ]\n  ]"
+    return _row_table("crossover", header, row, {"status": result.status, "version": __version__})
 
 
 def _round6(a: np.ndarray) -> np.ndarray:
@@ -440,8 +431,14 @@ def export_report(obj, format: str) -> str:
     bool, integer or float numpy arrays, and prints a header line plus one
     line per row: a cell of an integer or bool column as %d, any other as
     %.6f.  A ReportTable is both: its kind, meta, header and rows (its columns
-    zipped) as JSON, the rows from one call of the C encoder (`_rows_text`),
-    and its header and columns as CSV.  Identical inputs give identical bytes.
+    zipped) as JSON, and its header and columns as CSV.  Identical inputs give
+    identical bytes.
+
+    A table's JSON rows are one call of the C encoder (json.dumps with an
+    indent runs the pure-Python one value by value), whose item separator is
+    the comma plus a cell's newline and indent.  json escapes a newline inside
+    a string, so "]", separator, "[" stands only between two rows: one replace
+    gives those the newline and indent of the rows' brackets.
 
     CSV rows go out in blocks of up to 512 rows.  A block is formatted over
     arrays, exactly as % formats it: q = round(|x| * 1e6) with halves to even
@@ -459,7 +456,10 @@ def export_report(obj, format: str) -> str:
         head = json.dumps({"header": obj.header, "kind": obj.kind, "meta": obj.meta, "rows": None},
                           indent=2, sort_keys=True).removesuffix("null\n}")
         rows = list(zip(*(c.tolist() for c in obj.columns)))
-        return f"{head}{_rows_text(rows) if rows else '[]'}\n}}\n"
+        if not rows:
+            return f"{head}[]\n}}\n"
+        text = _ENCODER.encode(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+        return f"{head}[\n    [\n      {text}\n    ]\n  ]\n}}\n"
     if format == "csv":
         header, columns = (obj.header, obj.columns) if isinstance(obj, ReportTable) else obj
         as_int = [c.dtype.kind in "biu" for c in columns]

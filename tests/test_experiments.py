@@ -524,9 +524,10 @@ _JSON_TREES = st.recursive(
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(_JSON_TREES)
-# tables of rows: string cells that hold the brackets and NUL the rows writer splits on, an empty
-# row among full ones, tuple rows, and tables at several depths
-@example([["]", "[", "\0"], ["]\u0000[", 1.5, None], ["x]", True, "[y"]])
+# tables of rows: string cells that hold brackets, NUL and, with a real newline, the text that
+# stands between two rows of a table's JSON, an empty row among full ones, tuple rows, and
+# tables at several depths
+@example([["]", "[", "\0"], ["]\u0000[", 1.5, None], ["x]", True, "[y"], ["],\n      [", "]\n["]])
 @example([[1.0, 2.0], [], [3.0]])
 @example(((1.0, "a"), (True, None, -0.0), (math.nan,)))
 @example({"rows": [[1, 2], [3, 4]], "header": ("P", "gap")})
@@ -563,12 +564,17 @@ def _report_tables(draw):
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)
 @given(_report_tables())
-# string cells that hold the brackets and NUL the rows writer splits on, no rows, and one cell
+# string cells that hold brackets and NUL, string cells that hold, with a real newline, the
+# text the rows writer replaces between two rows, no rows, one cell, and one column of 513 rows
 @example(ReportTable(kind="t", header=("a", "b", "c"), meta={"rows": [["]\0["]]},
                      columns=(_str_column(["]", "]\0[", "x]"]), _str_column(["[", "\0", "[y"]),
                               np.array([1.5, math.nan, -0.0]))))
+@example(ReportTable(kind="t", header=("a", "b"), meta={"rows": [["],\n      ["]]},
+                     columns=(_str_column(["],\n      [", "x],\n      [", "]\n    ],\n    [\n      "]),
+                              _str_column(["],\n      [y", "\n", ","]))))
 @example(ReportTable(kind="sweep", header=("P", "gap"), columns=(np.empty(0), np.empty(0)), meta={}))
 @example(ReportTable(kind="dof", header=("x",), columns=(np.array([-0.0]),), meta={"version": "0"}))
+@example(ReportTable(kind="sweep", header=("P",), columns=(np.arange(513) / 7,), meta={}))
 def test_report_table_json_matches_json_dumps(table):
     want = reference_json({"kind": table.kind, "meta": table.meta, "header": table.header,
                            "rows": table_rows(table)})

@@ -240,8 +240,8 @@ _PUBLIC_NAMES = {
             "normalize_power", "random_encoders", "reconstruction_error",
             "simulate_network", "simulate_pnc_relay"],
     "experiments": ["BOUND_COLUMNS", "CrossoverResult", "DOF_FIELDS", "GapStatistics", "ReportTable", "SweepSpec",
-                    "crossover_table", "dof_estimate", "export_report", "find_crossover", "gap_ensemble",
-                    "gap_statistics_table", "power_grid", "spec_echo", "sweep_snr"],
+                    "crossover_table", "dof_estimate", "dof_table", "export_report", "find_crossover",
+                    "gap_ensemble", "gap_statistics_table", "power_grid", "sweep_snr"],
     "cli": ["build_parser", "main"],
 }
 
