@@ -12,12 +12,20 @@ It writes the lines of `_corpus_argvs` and prints each line it added or changed.
 test and the regeneration run from the repository root, so the `--config` lines name their
 file by a relative path, and at 80 columns, since argparse wraps its usage lines to the
 width it reads from COLUMNS.
+
+Each call's output is also judged on its own (`_judge`): an exit-1 call prints nothing on
+stdout and one error line on stderr, after argparse's usage lines if it is a usage error,
+and an exit-0 JSON report is strict JSON.  The test fails on a line whose output fails its
+check, and the regeneration writes nothing while one does.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -115,6 +123,25 @@ _MI_ERRORS = (["simulate", "--samples", "10000", "--power", "1e300"],
 _REPORT_COMMANDS = _COMMANDS[:5]
 _NONFINITE = tuple([*cmd, *flag] for cmd in (["bounds"], ["region"], ["crossover"]) for text in ("inf", "-inf", "nan")
                    for flag in (["--g13", text], [f"--power={text}"]))
+# exit-1 texts no other line reaches, none of which prints a float: each --config file error
+# (its file written by the regeneration, as the sim configs are), --out to a path that cannot be
+# opened, and the size and grid checks of genie, simulate, sweep, dof and gap-ensemble
+_BAD_CONFIGS = {"repeated": '{"g12": 1, "g12": 2}\n', "truncated": '{"g12": 1,\n', "list": "[1, 2]\n",
+                "unknown": '{"g12": 1, "gain": 2}\n', "string": '{"g12": "1"}\n'}
+_BAD_CONFIG_DIR = "tests/golden/corpus_bad_config"
+_CHECKS = (*(["bounds", "--config", f"{_BAD_CONFIG_DIR}/{name}.json"] for name in _BAD_CONFIGS),
+           ["bounds", "--out", "tests/golden/corpus.tsv/x"],
+           ["genie", "--variant", "lemma1", "--n", "abc"], ["genie", "--variant", "lemma1", "--n", "0"],
+           ["simulate", "--pam-order", "3"],
+           ["sweep", "--points", "0"], ["sweep", "--p-lo", "10", "--p-hi", "1"], ["sweep", "--p-hi", "inf"],
+           ["sweep", "--p-lo", "-1"], ["dof", "--points", "7"], ["dof", "--points", "200000"],
+           ["dof", "--p-lo", "1", "--p-hi", "100"], ["gap-ensemble", "--ensemble", "0"],
+           ["gap-ensemble", "--seed", "-1"])
+# the rerun of normalize_power after its first pass overflows, and equal gains at the powers
+# where 0.5/P leaves and then falls below the last bit of h2^2 = 1 (the relay test)
+_EXTREMES = (*(["genie", "--variant", v, "--g12", "1.3e154", "--g13", "1e153", "--g23", "1", "--n", "20",
+                "--seed", "1"] for v in ("lemma1", "lemma2")),
+             *(["bounds", *_EQUAL, "--power", p, *fmt] for p in ("1e15", "1e16") for fmt in ([], ["--format", "csv"])))
 
 
 def _corpus_argvs() -> list[list[str]]:
@@ -125,11 +152,12 @@ def _corpus_argvs() -> list[list[str]]:
     calls that exit 1; then the command-line shapes of `_SHAPES`, which pin the parser's own
     messages and usage lines as well as the reports; then the sample paths at each of
     `_SIM_GAINS`, and the MI estimate's exit-1 lines; then the report shapes of `bounds`,
-    `region` and `crossover` at each of `_SIM_GAINS` and at non-finite gain and power texts.
+    `region` and `crossover` at each of `_SIM_GAINS` and at non-finite gain and power texts;
+    then the exit-1 texts of `_CHECKS` and the exit-0 extremes of `_EXTREMES`.
 
-    `sweep`, `dof` and a `simulate --samples` estimate are left out on purpose: their bytes go
-    through `np.power`, LAPACK or BLAS `ddot`, so they depend on the CPU (ROADMAP item 15).
-    Their report goldens still pin them."""
+    `sweep`, `dof` and a `simulate --samples` estimate are left out on purpose, but for their
+    exit-1 lines: their bytes go through `np.power`, LAPACK or BLAS `ddot`, so they depend on
+    the CPU (ROADMAP item 15).  Their report goldens still pin them."""
     seeds = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**128 + 1)
     sizes = (1, 255, 256, 257, 1023, 1024, 1025, 4097)
     return [*(["gap-ensemble", "--seed", str(s), "--ensemble", str(e)] for s in seeds for e in sizes),
@@ -137,16 +165,55 @@ def _corpus_argvs() -> list[list[str]]:
             *(["gap-ensemble", "--format", "csv", "--ensemble", str(e)] for e in (1, 257)), *_ERRORS, *_SHAPES,
             *([*cmd, *_sim_config(k), "--seed", str(k)] for k in range(len(_SIM_GAINS)) for cmd in _SIM_COMMANDS),
             *([*cmd, *_sim_config(3)] for cmd in _SIM_LARGE), *_MI_ERRORS,
-            *([*cmd, *_sim_config(k)] for k in range(len(_SIM_GAINS)) for cmd in _REPORT_COMMANDS), *_NONFINITE]
+            *([*cmd, *_sim_config(k)] for k in range(len(_SIM_GAINS)) for cmd in _REPORT_COMMANDS), *_NONFINITE,
+            *_CHECKS, *_EXTREMES]
 
 
-def _line(argv: list[str]) -> str:
-    """argv's corpus line: one in-process call of cli.main with stdout and stderr captured."""
+# argparse's error line, after its usage lines: the prog of the parser that failed, then the message
+_USAGE_ERROR = re.compile(r"triway( [a-z-]+)?: error: .+")
+
+
+def _judge(argv: list[str], code: int, out: str, err: str) -> str | None:
+    """What is wrong with a call's output, judged without the corpus, or None.
+
+    Exit 1 writes nothing on stdout and one error on stderr: the one line `error: ...`, or
+    argparse's usage lines (`usage: ` and its indented continuations) and then one line
+    `triway...: error: ...`.  An exit-0 JSON report parses as strict JSON; the one exception
+    is the crossover that finds no sign change, whose p_star prints NaN and is its only
+    non-finite number (bench/test_bench.py pins that fault until the next benchmark change).
+    """
+    if code == 1:
+        lines = err.split("\n")
+        if out or lines[-1] or len(lines) < 2:
+            return "exit 1 must print nothing on stdout and whole lines on stderr"
+        *usage, last, _ = lines
+        if not usage and last.startswith("error: ") and len(last) > len("error: "):
+            return None
+        if (usage and usage[0].startswith("usage: triway") and all(u.startswith(" ") for u in usage[1:])
+                and _USAGE_ERROR.fullmatch(last)):
+            return None
+        return f"exit 1 must print one error line, after the usage lines if any: {err!r}"
+    if code == 0 and out.startswith("{"):
+        constants = []
+        try:
+            obj = json.loads(out, parse_constant=lambda name: constants.append(name) or math.nan)
+        except json.JSONDecodeError as exc:
+            return f"stdout is not JSON: {exc}"
+        if constants and not (argv[0] == "crossover" and obj["meta"]["status"] == "none"
+                              and constants == ["NaN"] and math.isnan(obj["rows"][0][0])):
+            return f"stdout is not strict JSON: it holds {constants}"
+    return None
+
+
+def _call(argv: list[str]) -> tuple[str, str | None]:
+    """argv's corpus line and `_judge`'s verdict on its output: one in-process call of cli.main
+    with stdout and stderr captured."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    digests = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
-    return "\t".join((shlex.join(argv), str(code), *digests)) + "\n"
+    out, err = out.getvalue(), err.getvalue()
+    digests = (hashlib.sha256(s.encode()).hexdigest() for s in (out, err))
+    return "\t".join((shlex.join(argv), str(code), *digests)) + "\n", _judge(argv, code, out, err)
 
 
 def _read() -> list[str]:
@@ -160,9 +227,11 @@ def test_corpus_lines_keep_their_exit_code_and_bytes(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(ROOT)
     lines = _read()
-    changed = [want.split("\t")[0] for want in lines
-               if _line(shlex.split(want.split("\t")[0])) != want]
+    calls = [(want, *_call(shlex.split(want.split("\t")[0]))) for want in lines]
+    changed = [want.split("\t")[0] for want, got, _ in calls if got != want]
     assert not changed, f"{len(changed)} of {len(lines)} corpus lines differ: {changed}"
+    faults = [(want.split("\t")[0], fault) for want, _, fault in calls if fault]
+    assert not faults, f"{len(faults)} of {len(lines)} corpus lines fail their check: {faults}"
 
 
 def _regenerate() -> None:
@@ -172,7 +241,14 @@ def _regenerate() -> None:
     old = set(_read()) if CORPUS.exists() else set()
     for k in range(2, len(_SIM_GAINS), 3):
         Path(_SIM_DIR, f"{k}.json").write_text(_sim_file_text(k))
-    lines = [_line(argv) for argv in _corpus_argvs()]
+    Path(_BAD_CONFIG_DIR).mkdir(exist_ok=True)
+    for name, text in _BAD_CONFIGS.items():
+        Path(_BAD_CONFIG_DIR, f"{name}.json").write_text(text)
+    calls = [(argv, *_call(argv)) for argv in _corpus_argvs()]
+    faults = [(shlex.join(argv), fault) for argv, _, fault in calls if fault]
+    if faults:
+        sys.exit("\n".join(["corpus not written: these calls fail their check", *map("\t".join, faults)]))
+    lines = [line for _, line, _ in calls]
     CORPUS.write_text(HEADER + "".join(lines))
     for line in lines:
         if line not in old:
