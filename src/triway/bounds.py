@@ -51,12 +51,6 @@ def _cap_array(x, *factors) -> np.ndarray:
 # the report's six cut-set names in output order, each with the BoundReport field it reads:
 # reciprocity makes user K's incoming cut-set inK equal its outgoing one, outK
 _CUTSETS = {name: "out" + name[-1] for name in ("out1", "in1", "out2", "in2", "out3", "in3")}
-# the report's scalar fields after the config echo and the cut-sets, in CSV column order
-_REPORT_FIELDS = ("lemma1", "lemma2", "theorem2_upper", "tightened_upper", "achievable_lower",
-                  "gap", "relay_lattice_rate", "relay_direct_rate", "relay_improves")
-# One-row CSV header of the `bounds` report; floats print with 6 decimals,
-# relay_improves as 0/1.
-REPORT_CSV_HEADER = ",".join(("g12", "g13", "g23", "power", *_CUTSETS, *_REPORT_FIELDS))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,25 +73,10 @@ class BoundReport:
     gap: float
     # bi-directional relaying of the weak pair through user 1: the lattice rate
     # cap(max(0, h2^2 P - 1/2)) against the direct cap(h1^2 P); improves tests
-    # h2^2 >= h1^2 + 1/(2P)
+    # h2^2 - h1^2 >= 1/(2P), so a 1/(2P) below the last bit of h2^2 cannot round away
     relay_lattice_rate: float
     relay_direct_rate: float
     relay_improves: bool
-
-    def as_dict(self) -> dict:
-        """The `bounds` JSON report: config echo in pair-gain names, cut-sets, the rest."""
-        g = self.config.gains
-        obj = {"config": {"g12": g.h3, "g13": g.h2, "g23": g.h1, "power": self.config.power},
-               "cutset": {name: getattr(self, field) for name, field in _CUTSETS.items()}}
-        obj.update((name, getattr(self, name)) for name in _REPORT_FIELDS)
-        return obj
-
-    def as_table(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
-        """The `bounds` CSV report: REPORT_CSV_HEADER and one row, as one-cell columns."""
-        g = self.config.gains
-        row = (g.h3, g.h2, g.h1, self.config.power, *(getattr(self, f) for f in _CUTSETS.values()),
-               *(getattr(self, name) for name in _REPORT_FIELDS))
-        return tuple(REPORT_CSV_HEADER.split(",")), tuple(np.array([v]) for v in row)
 
 
 # BoundReport's fields after config: the layout of the tuple `_bound_terms` returns
@@ -123,7 +102,7 @@ def _bound_terms(s1, s2, s3, ratio, P, cap=_cap_of, minimum=min, maximum=max) ->
     return (out1, out2, out3, out1 + out2 + out3, lemma1, lemma2, lower + 2.0, lemma1 + lemma2,
             lower, gap,
             # the lattice argument is clamped at 0 where the expression goes negative
-            cap(maximum(0.0, s2 * P - 0.5), s2, P), cap(s1 * P, s1, P), s2 >= s1 + 0.5 / P)
+            cap(maximum(0.0, s2 * P - 0.5), s2, P), cap(s1 * P, s1, P), s2 - s1 >= 0.5 / P)
 
 
 def evaluate(cfg: ChannelConfig) -> BoundReport:

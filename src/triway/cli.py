@@ -138,18 +138,13 @@ def _emit(report, args, format: str = "json") -> None:
 
 def _cmd_bounds(args, cfg, mapping) -> None:
     report = bounds.evaluate(cfg)
-    if args.format == "csv":
-        _emit(report.as_table(), args, "csv")
-    else:
-        _emit({**report.as_dict(), "permutation": list(mapping)}, args)
+    _emit(experiments.bounds_report(report, mapping, args.format), args, args.format)
     if not (0.0 <= report.gap <= 2.0):
         raise PropertyViolationError(f"sum-capacity gap {report.gap} is outside [0, 2]")
 
 
 def _cmd_region(args, cfg, mapping) -> None:
-    reg = region.build_region(cfg)
-    _emit({"region": reg.as_dict(), "sum_rate_lp": region.max_weighted_sum(reg),
-           "permutation": list(mapping)}, args)
+    _emit(experiments.region_report(region.build_region(cfg), mapping), args)
 
 
 def _cmd_dof(args, cfg, _) -> None:
@@ -184,7 +179,7 @@ def _cmd_simulate(args, cfg, _) -> None:
         raise ValidationError("trace export is CSV only")
     else:
         _, trace = sim.simulate_network(cfg, args.n, args.seed)
-        _emit(trace.as_table(), args, "csv")
+        _emit(experiments.trace_table(trace), args, "csv")
 
 
 def _cmd_sweep(args, cfg, _) -> None:

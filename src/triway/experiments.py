@@ -1,6 +1,7 @@
 """Batch drivers: SNR sweeps, DoF fits (pre-log slopes), gap statistics over
-random channels and the cut-set/genie crossover search; the report table of
-each; and `export_report`, the one writer that turns every report into text.
+random channels and the cut-set/genie crossover search; the report of each, and
+of a bound evaluation, a rate region and a trace; and `export_report`, the one
+writer that turns every report into text.
 
 Every driver is a pure function of (spec, seed).  Ensemble trial t draws from
 its own stream default_rng([seed, t]), so statistics are identical whether
@@ -19,13 +20,16 @@ import sys
 
 import numpy as np
 
-from . import bounds
+from . import bounds, region, sim
 from ._version import __version__
 from .model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, _bound_inputs, _canonical_rows
 
 # sweep table columns, in emission order: the fields of bounds.BoundReport before the gap
 BOUND_COLUMNS = bounds._BOUND_FIELDS[:bounds._BOUND_FIELDS.index("gap")]
 DOF_FIELDS = ("achievable_lower", "outgoing_cutset_sum", "theorem2_upper")  # the DoF fit's bounds: 2, 3, 2
+# the `bounds` report's fields after its config echo and cut-sets, in CSV column order
+_REPORT_FIELDS = bounds._BOUND_FIELDS[bounds._BOUND_FIELDS.index("lemma1"):]
+_TRACE_COLUMNS = ("x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3")  # after the step i
 _ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))  # a table's JSON rows: see export_report
 _CUTSET_SUM, _TIGHTENED = map(bounds._BOUND_FIELDS.index, ("outgoing_cutset_sum", "tightened_upper"))
 # rows per CSV block: its arrays stay below glibc malloc's trim threshold, so each block reuses
@@ -133,6 +137,37 @@ def _meta(spec: SweepSpec, **extra) -> dict:
 def _row_table(kind: str, header: tuple[str, ...], row, meta: dict) -> ReportTable:
     """A one-row table: one one-cell column per value of row."""
     return ReportTable(kind=kind, header=header, columns=tuple(np.array([v]) for v in row), meta=meta)
+
+
+def bounds_report(report: bounds.BoundReport, mapping: tuple[int, int, int],
+                  format: str) -> dict | ReportTable:
+    """The `bounds` report of `report`: the config echo in pair-gain names, the cut-sets and
+    the rest.  As JSON a dict that also holds the permutation; as CSV a one-row table of the
+    same values, floats printed with 6 decimals and relay_improves as 0/1."""
+    g = report.config.gains
+    echo = {"g12": g.h3, "g13": g.h2, "g23": g.h1, "power": report.config.power}
+    cutset = {name: getattr(report, field) for name, field in bounds._CUTSETS.items()}
+    rest = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    if format == "csv":
+        cells = {**echo, **cutset, **rest}
+        return _row_table("bounds", tuple(cells), cells.values(), {})
+    return {"config": echo, "cutset": cutset, **rest, "permutation": list(mapping)}
+
+
+def region_report(rhs: dict[str, float], mapping: tuple[int, int, int]) -> dict:
+    """The `region` report: the constraints of `rhs` (a `region.build_region` result) with
+    their 0/1 coefficients over RATE_ORDER, the sum-rate LP over them and the permutation."""
+    constraints = [{"label": label, "coeffs": row, "rhs": value}
+                   for (label, value), row in zip(rhs.items(), region._coeffs(rhs).tolist())]
+    return {"region": {"rate_order": list(region.RATE_ORDER), "constraints": constraints},
+            "sum_rate_lp": region.max_weighted_sum(rhs), "permutation": list(mapping)}
+
+
+def trace_table(trace: sim.TransmissionTrace) -> ReportTable:
+    """The `simulate` trace: the int64 step i from 1, then x, y and z of every user."""
+    columns = tuple(getattr(trace, name) for name in _TRACE_COLUMNS)
+    steps = np.arange(1, len(columns[0]) + 1, dtype=np.int64)
+    return ReportTable(kind="trace", header=("i", *_TRACE_COLUMNS), columns=(steps, *columns), meta={})
 
 
 def _kernel_columns(spec: SweepSpec, grid: np.ndarray, fields: tuple[str, ...]) -> list[np.ndarray]:
@@ -426,13 +461,12 @@ def _exact_block(columns, as_int) -> str | None:
 def export_report(obj, format: str) -> str:
     """The one report writer: returns the exact text a report is written as.
 
-    JSON takes a dict: the text of json.dumps(obj, indent=2, sort_keys=True).
-    CSV takes a (header, columns) pair, columns a tuple of equal-length 1-D
-    bool, integer or float numpy arrays, and prints a header line plus one
-    line per row: a cell of an integer or bool column as %d, any other as
-    %.6f.  A ReportTable is both: its kind, meta, header and rows (its columns
-    zipped) as JSON, and its header and columns as CSV.  Identical inputs give
-    identical bytes.
+    It takes two inputs.  A dict is JSON only: the text of json.dumps(obj,
+    indent=2, sort_keys=True).  A ReportTable, whose columns are equal-length
+    1-D bool, integer or float numpy arrays, is JSON or CSV: as JSON its kind,
+    meta, header and rows (its columns zipped); as CSV a header line plus one
+    line per row, a cell of an integer or bool column as %d, any other as
+    %.6f.  Identical inputs give identical bytes.
 
     A table's JSON rows are one call of the C encoder (json.dumps with an
     indent runs the pure-Python one value by value), whose item separator is
@@ -461,7 +495,7 @@ def export_report(obj, format: str) -> str:
         text = _ENCODER.encode(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
         return f"{head}[\n    [\n      {text}\n    ]\n  ]\n}}\n"
     if format == "csv":
-        header, columns = (obj.header, obj.columns) if isinstance(obj, ReportTable) else obj
+        header, columns = obj.header, obj.columns
         as_int = [c.dtype.kind in "biu" for c in columns]
         fmt = ",".join("%d" if i else "%.6f" for i in as_int) + "\n"
         parts = [",".join(header) + "\n"]

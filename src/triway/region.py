@@ -2,15 +2,14 @@
 
 The region is the intersection of the pair cut-set bounds and the two
 triple-sum bounds, all of the form (0/1 coefficients) . r <= rhs with r >= 0.
-`_SUPPORTS` states each constraint's support once, a `RateRegion` holds only
-the right-hand sides, and `_coeffs` derives the 0/1 rows for the JSON report
-and the LP.  The LP is a dense textbook simplex with Bland's anti-cycling
-rule; at 6 variables and at most 8 rows, robustness matters and speed does not.
+`_SUPPORTS` states each constraint's support once, `build_region` returns only
+the right-hand sides by label, and `_coeffs` derives the 0/1 rows for the LP
+and for `experiments.region_report`.  The LP is a dense textbook simplex with
+Bland's anti-cycling rule; at 6 variables and at most 8 rows, robustness
+matters and speed does not.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -40,34 +39,24 @@ def _coeffs(labels) -> np.ndarray:
     return np.array([[float(j in _SUPPORTS[label]) for j in range(6)] for label in labels]).reshape(-1, 6)
 
 
-@dataclasses.dataclass(frozen=True)
-class RateRegion:
-    """Each constraint's rhs by label, in `_SUPPORTS` order; nonnegativity of every rate is implicit."""
-
-    rhs: dict[str, float]
-
-    def as_dict(self) -> dict:
-        return {"rate_order": list(RATE_ORDER),
-                "constraints": [{"label": label, "coeffs": row, "rhs": rhs}
-                                for (label, rhs), row in zip(self.rhs.items(), _coeffs(self.rhs).tolist())]}
-
-
-def build_region(cfg: ChannelConfig) -> RateRegion:
-    """The constraints of `_SUPPORTS`; reciprocal in/out cut-sets stay apart, so tight labels are traceable."""
+def build_region(cfg: ChannelConfig) -> dict[str, float]:
+    """Each constraint's rhs by label, in `_SUPPORTS` order; nonnegativity of every rate is implicit.
+    Reciprocal in/out cut-sets stay apart, so tight labels are traceable."""
     b = bounds.evaluate(cfg)
     fields = {f"cutset.{name}": field for name, field in bounds._CUTSETS.items()}  # a lemma's is its label
-    return RateRegion({label: getattr(b, fields.get(label, label)) for label in _SUPPORTS})
+    return {label: getattr(b, fields.get(label, label)) for label in _SUPPORTS}
 
 
-def max_weighted_sum(region: RateRegion) -> dict:
+def max_weighted_sum(rhs: dict[str, float]) -> dict:
     """The `sum_rate_lp` report: `status`, `optimal_value`, `optimizer` (each rate by name) and
-    `tight_constraints` (labels), for the max of r12 + r13 + r21 + r23 + r31 + r32 over the region.
+    `tight_constraints` (labels), for the max of r12 + r13 + r21 + r23 + r31 + r32 over the region
+    whose rhs by label is `rhs`.
 
     Simplex on the slack-variable tableau, whose last row holds the reduced costs.  Every rhs of
     a built region is a capacity, so >= 0: the slack basis is feasible and needs no phase-1, and
     every rate lies in a cut-set row, so an optimum exists.  bench/test_bench.py pins the name.
     """
-    A, b = _coeffs(region.rhs), np.array(list(region.rhs.values()), dtype=float)
+    A, b = _coeffs(rhs), np.array(list(rhs.values()), dtype=float)
     m, n = len(b), 6
     # rows 0..m-1 the constraints, row m the reduced costs (negative means improving)
     tableau = np.vstack([np.hstack([A, np.eye(m), b.reshape(m, 1)]),
@@ -90,4 +79,4 @@ def max_weighted_sum(region: RateRegion) -> dict:
     slack = b - A @ rates
     return {"status": "optimal",  # a region from build_region is feasible and bounded
             "optimal_value": float(rates.sum()), "optimizer": dict(zip(RATE_ORDER, rates.tolist())),
-            "tight_constraints": [label for label, s in zip(region.rhs, slack) if abs(s) <= TOL]}
+            "tight_constraints": [label for label, s in zip(rhs, slack) if abs(s) <= TOL]}

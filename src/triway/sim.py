@@ -32,8 +32,6 @@ _POWER_TOL = 1e-9
 _MAX_CYCLE = 1024  # longest cycle of power states _power_sums replays, from a chunk of 2.4 MB at most
 _CHUNK = 4096  # samples per chunk where a whole-block path works in chunks rather than whole temporaries
 
-TRACE_CSV_HEADER = "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
-
 # which message-vector entries each user owns, in (m12, m13, m21, m23, m31, m32) order
 _MSG_INDEX = ((0, 1), (2, 3), (4, 5))
 
@@ -80,16 +78,6 @@ class TransmissionTrace:
     z2: np.ndarray
     z3: np.ndarray
     messages: np.ndarray  # (m12, m13, m21, m23, m31, m32)
-
-    @property
-    def n(self) -> int:
-        return len(self.x1)
-
-    def as_table(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
-        """The trace CSV by columns: the int64 step i from 1, then x, y and z of every user."""
-        return tuple(TRACE_CSV_HEADER.split(",")), (np.arange(1, self.n + 1, dtype=np.int64),
-                                                    self.x1, self.x2, self.x3, self.y1, self.y2,
-                                                    self.y3, self.z1, self.z2, self.z3)
 
 
 def _streams(seed: int, *ids: int) -> tuple[np.random.Generator, ...]:

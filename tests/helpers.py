@@ -41,7 +41,7 @@ import numpy as np
 from triway.bounds import evaluate
 from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, ReportTable, SweepSpec, power_grid
 from triway.model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, make_config
-from triway.region import _SUPPORTS, RATE_ORDER, TOL, RateRegion, build_region
+from triway.region import _SUPPORTS, RATE_ORDER, TOL, build_region
 from triway.sim import (
     _MSG_INDEX,
     _POWER_TOL,
@@ -58,6 +58,10 @@ from triway.sim import (
 )
 
 _LN2 = math.log(2.0)
+# the header lines of the `bounds` CSV and trace CSV reports, spelt out
+BOUNDS_CSV_HEADER = ("g12,g13,g23,power,out1,in1,out2,in2,out3,in3,lemma1,lemma2,theorem2_upper,"
+                     "tightened_upper,achievable_lower,gap,relay_lattice_rate,relay_direct_rate,relay_improves")
+TRACE_CSV_HEADER = "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
 
 
 def is_identity(mapping: tuple[int, int, int]) -> bool:
@@ -136,7 +140,7 @@ def reference_bound_terms(s1: float, s2: float, s3: float, ratio: float, P: floa
     lower = 2.0 * cap(s3 * P)
     return (out1, out2, out3, out1 + out2 + out3, lemma1, lemma2, theorem2_upper, lemma1 + lemma2,
             lower, min(2.0, lemma1 + lemma2 - lower), cap(max(0.0, s2 * P - 0.5)), cap(s1 * P),
-            s2 >= s1 + 0.5 / P)
+            s2 - s1 >= 0.5 / P)
 
 
 def reference_sweep_rows(spec: SweepSpec) -> tuple[tuple[float, ...], ...]:
@@ -206,24 +210,23 @@ def apply_rates(mapping: tuple[int, int, int], rates: tuple[float, ...]) -> tupl
     return tuple(out[name] for name in RATE_ORDER)
 
 
-def sub_region(cfg, *families: str) -> RateRegion:
+def sub_region(cfg, *families: str) -> dict[str, float]:
     """The constraints of build_region(cfg) in the families named ("cutset",
     "lemma1", "lemma2"), kept in build_region's order, on which the simplex's
     pivot choice (Bland's rule) depends."""
-    return RateRegion({label: rhs for label, rhs in build_region(cfg).rhs.items()
-                       if label.split(".")[0] in families})
+    return {label: rhs for label, rhs in build_region(cfg).items() if label.split(".")[0] in families}
 
 
-def is_feasible(region: RateRegion, rates: tuple[float, ...], tol: float = TOL) -> bool:
+def is_feasible(region: dict[str, float], rates: tuple[float, ...], tol: float = TOL) -> bool:
     if tol < 0:
         raise ValidationError("tolerance must be >= 0")
     r = np.asarray(rates, dtype=float)
     if np.any(r < -tol):
         return False
-    return not any(float(r[list(_SUPPORTS[label])].sum()) > rhs + tol for label, rhs in region.rhs.items())
+    return not any(float(r[list(_SUPPORTS[label])].sum()) > rhs + tol for label, rhs in region.items())
 
 
-def oracle_max_sum(region: RateRegion, grid_step: float) -> float:
+def oracle_max_sum(region: dict[str, float], grid_step: float) -> float:
     """Best rate sum over the feasibility grid at resolution grid_step.
 
     Exactly equals a naive exhaustive search over all six rates on the grid,
@@ -235,14 +238,14 @@ def oracle_max_sum(region: RateRegion, grid_step: float) -> float:
     """
     if not (grid_step > 0):
         raise ValidationError(f"grid_step must be > 0, got {grid_step!r}")
-    covered = {j for label in region.rhs for j in _SUPPORTS[label]}
+    covered = {j for label in region for j in _SUPPORTS[label]}
     missing = [name for j, name in enumerate(RATE_ORDER) if j not in covered]
     if missing:
         raise ValidationError(f"region is unbounded: {missing} appear in no constraint")
     s = float(grid_step)
 
     def rhs(label: str) -> float:
-        return region.rhs.get(label, math.inf)
+        return region.get(label, math.inf)
 
     b_out1, b_in1 = rhs("cutset.out1"), rhs("cutset.in1")
     b_out2, b_in2 = rhs("cutset.out2"), rhs("cutset.in2")
@@ -410,7 +413,7 @@ def verify_trace(trace: TransmissionTrace, cfg, encoders, tol: float = 1e-9) -> 
     dev_enc = 0.0
     for j in range(3):
         msgs = trace.messages[list(_MSG_INDEX[j])]
-        redone = np.array([emit(encoders[j], msgs, ys[j][:i]) for i in range(trace.n)])
+        redone = np.array([emit(encoders[j], msgs, ys[j][:i]) for i in range(len(trace.x1))])
         dev_enc = max(dev_enc, _scaled_dev(xs[j] - redone, xs[j]))
     if dev_chan > tol:
         raise ValidationError(f"trace violates the channel equations: deviation {dev_chan:.3g}")
@@ -434,7 +437,7 @@ def emit_rebuild(trace: TransmissionTrace, cfg, encoders, variant: str) -> np.nd
         noise_diff = trace.z2 - trace.z3
         enhanced_y3 = h2 * trace.x1 + h1 * trace.x2 + (h2 / h3) * trace.z3
     y2hat: list[float] = []
-    for i in range(trace.n):
+    for i in range(len(trace.x1)):
         x2hat = emit(encoders[1], side_messages, y2hat)
         if variant == "lemma1":
             y2tilde = (h1 / h2) * (trace.y1[i] - h3 * x2hat) + h3 * trace.x1[i]

@@ -13,7 +13,7 @@ import numpy as np
 
 from helpers import cap, is_feasible, oracle_max_sum, simulate_network
 from triway.bounds import evaluate, sum_capacity_interval
-from triway.experiments import SweepSpec, dof_estimate, find_crossover
+from triway.experiments import SweepSpec, bounds_report, dof_estimate, find_crossover
 from triway.model import ChannelConfig, ChannelGains, canonicalize
 from triway.region import build_region, max_weighted_sum
 from triway.sim import (
@@ -186,6 +186,10 @@ def test_criterion_8_crossover_power():
 def test_criterion_9_scale_invariance():
     fields = ("lemma1", "lemma2", "theorem2_upper", "tightened_upper",
               "achievable_lower", "gap", "relay_lattice_rate", "relay_direct_rate")
+
+    def cut(report):  # the cut-sets of the `bounds` JSON report
+        return bounds_report(report, (1, 2, 3), "json")["cutset"]
+
     violations = 0
     for t in range(1_000):
         rng = np.random.default_rng([109, t])
@@ -200,8 +204,7 @@ def test_criterion_9_scale_invariance():
             math.isclose(getattr(base, f), getattr(scaled, f), rel_tol=1e-12, abs_tol=1e-12)
             for f in fields)
         same = same and all(
-            math.isclose(base.as_dict()["cutset"][f], scaled.as_dict()["cutset"][f],
-                         rel_tol=1e-12, abs_tol=1e-12)
+            math.isclose(cut(base)[f], cut(scaled)[f], rel_tol=1e-12, abs_tol=1e-12)
             for f in ("out1", "in1", "out2", "in2", "out3", "in3"))
         same = same and base.relay_improves == scaled.relay_improves
         if not same:

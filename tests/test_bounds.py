@@ -7,10 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import cap, reference_bound_terms, reference_dof_estimate
+from helpers import BOUNDS_CSV_HEADER, cap, reference_bound_terms, reference_dof_estimate
 from triway import bounds
-from triway.bounds import REPORT_CSV_HEADER, evaluate, sum_capacity_interval
-from triway.experiments import DOF_FIELDS, SweepSpec, dof_estimate, export_report, power_grid
+from triway.bounds import evaluate, sum_capacity_interval
+from triway.experiments import DOF_FIELDS, SweepSpec, bounds_report, dof_estimate, export_report, power_grid
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 from triway.region import build_region
 
@@ -19,6 +19,11 @@ mp.mp.dps = 50
 
 def _cfg(h1, h2, h3, power):
     return ChannelConfig(gains=ChannelGains(h1=h1, h2=h2, h3=h3), power=power)
+
+
+def _cutset(report):
+    """The `cutset` object of report's `bounds` JSON report."""
+    return bounds_report(report, (1, 2, 3), "json")["cutset"]
 
 
 def _mp_cap(x):
@@ -58,19 +63,19 @@ def test_cap_monotone():
 
 
 def test_cutset_symmetric_case():
-    cs = evaluate(_cfg(1.0, 1.0, 1.0, 1.0)).as_dict()["cutset"]
+    cs = _cutset(evaluate(_cfg(1.0, 1.0, 1.0, 1.0)))
     for v in cs.values():
         assert v == pytest.approx(0.792481250360578, rel=1e-12)
 
 
 def test_cutset_degenerate_links():
-    cs = evaluate(_cfg(0.0, 0.0, 1.0, 1.0)).as_dict()["cutset"]
+    cs = _cutset(evaluate(_cfg(0.0, 0.0, 1.0, 1.0)))
     assert cs["out1"] == pytest.approx(0.5, abs=1e-15)
     assert cs["out3"] == 0.0
 
 
 def test_cutset_321():
-    cs = evaluate(_cfg(1.0, 2.0, 3.0, 1.0)).as_dict()["cutset"]
+    cs = _cutset(evaluate(_cfg(1.0, 2.0, 3.0, 1.0)))
     assert cs["out1"] == pytest.approx(1.903677461028802, rel=1e-12)  # cap(13)
     assert cs["out2"] == pytest.approx(_mp_cap(10), rel=1e-12)
     assert cs["out3"] == pytest.approx(_mp_cap(5), rel=1e-12)
@@ -80,11 +85,11 @@ def test_cutset_reciprocity():
     rng = np.random.default_rng(11)
     for _ in range(200):
         cfg = _random_cfg(rng)
-        cs = evaluate(cfg).as_dict()["cutset"]
+        cs = _cutset(evaluate(cfg))
         assert list(cs) == ["out1", "in1", "out2", "in2", "out3", "in3"]
         assert cs["out1"] == cs["in1"] and cs["out2"] == cs["in2"] and cs["out3"] == cs["in3"]
         # the region's cut-set rows carry the same values, in the same order
-        assert list(build_region(cfg).rhs.items())[:6] == \
+        assert list(build_region(cfg).items())[:6] == \
             [(f"cutset.{name}", value) for name, value in cs.items()]
 
 
@@ -279,8 +284,15 @@ def test_relay_example():
 
 
 def test_relay_equal_gains_never_improve():
-    for P in (0.1, 1.0, 10.0, 1e4):
+    # also where 0.5/P falls below the last bit of h2^2 = 1 (from P ~ 1e16), in the float and
+    # the array kernel: h2^2 >= h1^2 + 0.5/P rounds to true there
+    powers = (0.1, 1.0, 10.0, 1e4, 1e15, 1e16, 1e308)
+    for P in powers:
         assert not evaluate(_cfg(1.0, 1.0, 2.0, P)).relay_improves
+    with np.errstate(over="ignore"):
+        improves = bounds._bound_terms(*_cfg(1.0, 1.0, 2.0, 1.0).gains.bound_inputs(), np.array(powers),
+                                       bounds._cap_array, np.minimum, np.maximum)[-1]
+    assert not improves.any()
 
 
 def test_relay_clamps_at_zero():
@@ -346,7 +358,7 @@ def test_bounds_monotone_in_power():
         p2 = p1 * (1.0 + rng.uniform(0.01, 10.0))
         b1 = evaluate(ChannelConfig(gains=gains, power=p1))
         b2 = evaluate(ChannelConfig(gains=gains, power=p2))
-        assert sum(b2.as_dict()["cutset"].values()) >= sum(b1.as_dict()["cutset"].values()) - 1e-12
+        assert sum(_cutset(b2).values()) >= sum(_cutset(b1).values()) - 1e-12
         for f in fields:
             assert getattr(b2, f) >= getattr(b1, f) - 1e-12
 
@@ -401,7 +413,7 @@ def test_scale_invariance():
         b, b2 = evaluate(cfg), evaluate(scaled)
         for f in fields:
             assert getattr(b2, f) == pytest.approx(getattr(b, f), rel=1e-12, abs=1e-12)
-        cs, cs2 = b.as_dict()["cutset"], b2.as_dict()["cutset"]
+        cs, cs2 = _cutset(b), _cutset(b2)
         for k, v in cs.items():
             assert cs2[k] == pytest.approx(v, rel=1e-12, abs=1e-12)
 
@@ -411,18 +423,19 @@ def test_report_invariants_and_serialization():
     assert report.achievable_lower <= min(report.theorem2_upper, report.tightened_upper)
     assert 0.0 <= report.gap <= 2.0
 
-    csv_text = export_report(report.as_table(), "csv")
+    csv_text = export_report(bounds_report(report, (1, 2, 3), "csv"), "csv")
     lines = csv_text.strip().split("\n")
-    assert lines[0] == REPORT_CSV_HEADER
+    assert lines[0] == BOUNDS_CSV_HEADER
     cells = lines[1].split(",")
-    assert len(cells) == len(REPORT_CSV_HEADER.split(","))
+    assert len(cells) == len(BOUNDS_CSV_HEADER.split(","))
     assert cells[-1] in ("0", "1")
     # fixed 6-decimal formatting
     assert all("." in c and len(c.split(".")[1]) == 6 for c in cells[:-1])
     assert float(cells[4]) == pytest.approx(report.out1, abs=5e-7)
 
-    obj = __import__("json").loads(export_report(report.as_dict(), "json"))
+    obj = __import__("json").loads(export_report(bounds_report(report, (3, 2, 1), "json"), "json"))
     assert obj["gap"] == report.gap  # JSON keeps full precision
     assert obj["cutset"]["out1"] == report.out1
     assert obj["config"]["g12"] == 1.5
     assert obj["relay_improves"] == report.relay_improves
+    assert obj["permutation"] == [3, 2, 1]

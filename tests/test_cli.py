@@ -21,12 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_corpus import _read as _read_corpus
 
+from helpers import BOUNDS_CSV_HEADER, TRACE_CSV_HEADER
 from triway import bounds, experiments, sim
-from triway.bounds import REPORT_CSV_HEADER, evaluate
+from triway.bounds import evaluate
 from triway.cli import _parse, build_parser, main
-from triway.experiments import export_report
+from triway.experiments import bounds_report, export_report
 from triway.model import canonicalize, make_config
-from triway.sim import TRACE_CSV_HEADER
 
 
 def _run(capsys, *argv):
@@ -59,10 +59,10 @@ def test_bounds_csv_matches_library(capsys):
     code, out, _ = _run(capsys, "bounds", *args, "--format", "csv")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == REPORT_CSV_HEADER
+    assert lines[0] == BOUNDS_CSV_HEADER
     assert len(lines) == 2
     cfg, _ = make_config(1.5, 1.0, 0.5, 2.0)
-    assert out == export_report(evaluate(cfg).as_table(), "csv")
+    assert out == export_report(bounds_report(evaluate(cfg), (1, 2, 3), "csv"), "csv")
 
 
 def test_bounds_rejects_bad_power(capsys):
@@ -531,7 +531,7 @@ def test_back_to_back_calls_share_no_state(capsys, monkeypatch):
     assert _run(capsys, "simulate", "--n", "5") == (0, seed3, "")  # TRIWAY_SEED, not --seed 0
 
     code, csv_text, _ = _run(capsys, "bounds", "--format", "csv")
-    assert code == 0 and csv_text.startswith(REPORT_CSV_HEADER)
+    assert code == 0 and csv_text.startswith(BOUNDS_CSV_HEADER)
     code, json_text, _ = _run(capsys, "bounds")
     assert code == 0 and json.loads(json_text)["permutation"] == [1, 2, 3]
 
@@ -679,7 +679,7 @@ def test_a_non_finite_gain_is_named_in_argument_order(capsys):
         else:
             cfg, mapping = make_config(*g, 1.0)
             assert (code, err) == (0, "")
-            assert out == export_report({**evaluate(cfg).as_dict(), "permutation": list(mapping)}, "json")
+            assert out == export_report(bounds_report(evaluate(cfg), mapping, "json"), "json")
 
 
 def test_module_entry_point():

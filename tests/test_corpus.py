@@ -229,9 +229,9 @@ def test_corpus_lines_keep_their_exit_code_and_bytes(monkeypatch):
     lines = _read()
     calls = [(want, *_call(shlex.split(want.split("\t")[0]))) for want in lines]
     changed = [want.split("\t")[0] for want, got, _ in calls if got != want]
-    assert not changed, f"{len(changed)} of {len(lines)} corpus lines differ: {changed}"
     faults = [(want.split("\t")[0], fault) for want, _, fault in calls if fault]
-    assert not faults, f"{len(faults)} of {len(lines)} corpus lines fail their check: {faults}"
+    assert not changed and not faults, (f"{len(changed)} of {len(lines)} corpus lines differ: {changed}; "
+                                        f"{len(faults)} fail their check: {faults}")
 
 
 def _regenerate() -> None:

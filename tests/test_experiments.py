@@ -55,6 +55,11 @@ from triway.model import ChannelConfig, ChannelGains, ValidationError, canonical
 SYM = ChannelGains(1.0, 1.0, 1.0)
 
 
+def _csv(header, columns) -> str:
+    """export_report's CSV text of a table with these header and columns."""
+    return export_report(ReportTable(kind="t", header=header, columns=columns, meta={}), "csv")
+
+
 def _col(table, name):
     return table.columns[table.header.index(name)]
 
@@ -479,7 +484,7 @@ def test_export_and_load_files(tmp_path):
     path.write_text(export_report(table, "json"))
     assert _same_table(load_report_json(path), table)
     csv_text = export_report(table, "csv")
-    assert csv_text == export_report((table.header, table.columns), "csv")
+    assert csv_text == reference_csv(table.header, table.columns)
 
 
 def test_export_error_paths(tmp_path):
@@ -508,7 +513,7 @@ def test_csv_rows_match_the_per_cell_rule():
     for table in (columns, tuple(c[::-1] for c in columns)):  # reversed: strided views
         rows = zip(*(c.tolist() for c in table))
         want = "\n".join([",".join(header), *(",".join(map(csv_cell, row)) for row in rows)]) + "\n"
-        assert export_report((header, table), "csv") == want
+        assert _csv(header, table) == want
 
 
 _JSON_LEAVES = (st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.7e308,
@@ -598,7 +603,7 @@ def _csv_tables(draw):
 @example((("k", "v"), (np.arange(4097), np.arange(4097) / 3)))
 def test_csv_writer_matches_the_per_row_format(table):
     header, columns = table
-    assert export_report((header, columns), "csv") == reference_csv(header, columns)
+    assert _csv(header, columns) == reference_csv(header, columns)
 
 
 def _kernel_values() -> np.ndarray:
@@ -647,7 +652,7 @@ def test_out_of_range_cells_take_the_percent_path(cell):
     column = np.array([1.25, cell, -0.5])
     assert _exact_block([column], [False]) is None
     want = "x\n" + "".join("%.6f\n" % v for v in column.tolist())
-    assert export_report((("x",), (column,)), "csv") == want
+    assert _csv(("x",), (column,)) == want
 
 
 def _random_column(rng, dtype: str, n: int) -> np.ndarray:
@@ -677,7 +682,7 @@ def test_columns_and_rows_print_alike():
                     with np.errstate(over="ignore"):  # 2**40 is inf as float16
                         c[rng.integers(0, n, 3)] = [values[k] for k in rng.integers(0, len(values), 3)]
             header = tuple(f"c{k}" for k in range(len(columns)))
-            assert export_report((header, columns), "csv") == reference_csv(header, columns), (n, dtypes)
+            assert _csv(header, columns) == reference_csv(header, columns), (n, dtypes)
 
 
 def test_empty_rows_yield_header_only_csv():

@@ -232,16 +232,17 @@ def test_canonical_rows_is_canonicalize_row_by_row():
 _PUBLIC_NAMES = {
     "model": ["ChannelConfig", "ChannelGains", "PropertyViolationError", "ValidationError",
               "canonicalize", "make_config"],
-    "bounds": ["BoundReport", "REPORT_CSV_HEADER", "evaluate", "sum_capacity_interval"],
-    "region": ["RATE_ORDER", "RateRegion", "TOL", "build_region", "max_weighted_sum"],
-    "sim": ["CausalEncoder", "TRACE_CSV_HEADER", "TransmissionTrace",
+    "bounds": ["BoundReport", "evaluate", "sum_capacity_interval"],
+    "region": ["RATE_ORDER", "TOL", "build_region", "max_weighted_sum"],
+    "sim": ["CausalEncoder", "TransmissionTrace",
             "estimate_p2p_mi", "expected_block_power",
             "genie_reconstruct_lemma1", "genie_reconstruct_lemma2", "genie_verdict",
             "normalize_power", "random_encoders", "reconstruction_error",
             "simulate_network", "simulate_pnc_relay"],
     "experiments": ["BOUND_COLUMNS", "CrossoverResult", "DOF_FIELDS", "GapStatistics", "ReportTable", "SweepSpec",
-                    "crossover_table", "dof_estimate", "dof_table", "export_report", "find_crossover",
-                    "gap_ensemble", "gap_statistics_table", "power_grid", "sweep_snr"],
+                    "bounds_report", "crossover_table", "dof_estimate", "dof_table", "export_report",
+                    "find_crossover", "gap_ensemble", "gap_statistics_table", "power_grid", "region_report",
+                    "sweep_snr", "trace_table"],
     "cli": ["build_parser", "main"],
 }
 

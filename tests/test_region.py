@@ -11,9 +11,9 @@ from scipy.optimize import linprog
 
 from helpers import cap, is_feasible, oracle_max_sum, sub_region
 from triway.bounds import evaluate
-from triway.experiments import export_report
+from triway.experiments import export_report, region_report
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
-from triway.region import _SUPPORTS, RATE_ORDER, RateRegion, build_region, max_weighted_sum
+from triway.region import _SUPPORTS, RATE_ORDER, build_region, max_weighted_sum
 
 ONES = np.ones(6)  # the sum rate's weights
 
@@ -29,8 +29,8 @@ def _random_cfg(rng, p_lo=0.1, p_hi=100.0):
 
 
 def _arrays(region):
-    A = np.array([[float(j in _SUPPORTS[label]) for j in range(6)] for label in region.rhs]).reshape(-1, 6)
-    b = np.array(list(region.rhs.values()), dtype=float)
+    A = np.array([[float(j in _SUPPORTS[label]) for j in range(6)] for label in region]).reshape(-1, 6)
+    b = np.array(list(region.values()), dtype=float)
     return A, b
 
 
@@ -49,7 +49,7 @@ def _naive_grid_max(region, step):
     A, b = _arrays(region)
     axes = []
     for j in range(6):
-        limit = min(rhs for label, rhs in region.rhs.items() if j in _SUPPORTS[label])
+        limit = min(rhs for label, rhs in region.items() if j in _SUPPORTS[label])
         axes.append(np.arange(int(np.floor((limit + 1e-9) / step)) + 1) * step)
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -84,20 +84,21 @@ def _dual_vertex_min(region, w, tol=1e-9):
 def test_build_region_structure():
     cfg = _cfg(1.0, 1.0, 1.0, 1.0)
     cut = sub_region(cfg, "cutset")
-    assert len(cut.rhs) == 6
-    for c in cut.as_dict()["constraints"]:
+    assert len(cut) == 6
+    for c in region_report(cut, (1, 2, 3))["region"]["constraints"]:
         assert sum(c["coeffs"]) == 2 and set(c["coeffs"]) <= {0.0, 1.0}
         assert c["label"].startswith("cutset.")
 
     lem = sub_region(cfg, "lemma1", "lemma2")
-    assert list(lem.rhs) == ["lemma1", "lemma2"]
-    supports = [tuple(j for j, v in enumerate(c["coeffs"]) if v) for c in lem.as_dict()["constraints"]]
+    assert list(lem) == ["lemma1", "lemma2"]
+    supports = [tuple(j for j, v in enumerate(c["coeffs"]) if v)
+                for c in region_report(lem, (1, 2, 3))["region"]["constraints"]]
     assert sorted(supports[0] + supports[1]) == list(range(6))  # disjoint partition
-    for rhs in lem.rhs.values():
+    for rhs in lem.values():
         assert rhs == pytest.approx(1.292481250360578, rel=1e-12)
 
     full = build_region(cfg)
-    assert list(full.rhs) == list(_SUPPORTS) == [
+    assert list(full) == list(_SUPPORTS) == [
         "cutset.out1", "cutset.in1", "cutset.out2", "cutset.in2",
         "cutset.out3", "cutset.in3", "lemma1", "lemma2",
     ]
@@ -145,7 +146,7 @@ def test_origin_feasible_tolerance_validation():
 
 def test_empty_region_is_unbounded():
     # the grid oracle rejects a region in which some rate appears in no constraint
-    for reg in (RateRegion({}), sub_region(_cfg(1.0, 1.0, 1.0, 1.0), "lemma1")):
+    for reg in ({}, sub_region(_cfg(1.0, 1.0, 1.0, 1.0), "lemma1")):
         with pytest.raises(ValidationError, match="unbounded"):
             oracle_max_sum(reg, 0.1)
 
@@ -237,12 +238,16 @@ def test_json_exports():
     import json
     cfg = _cfg(0.5, 1.0, 1.5, 2.0)
     reg = build_region(cfg)
-    obj = json.loads(export_report(reg.as_dict(), "json"))
+    report = json.loads(export_report(region_report(reg, (2, 1, 3)), "json"))
+    assert report["permutation"] == [2, 1, 3]
+    obj = report["region"]
     assert obj["rate_order"] == ["r12", "r13", "r21", "r23", "r31", "r32"]
     assert len(obj["constraints"]) == 8
     assert obj["constraints"][0]["label"] == "cutset.out1"
+    assert [c["rhs"] for c in obj["constraints"]] == list(reg.values())
 
     sol = max_weighted_sum(reg)
+    assert report["sum_rate_lp"] == sol
     sobj = json.loads(export_report(sol, "json"))
     assert sobj["status"] == "optimal"
     assert set(sobj["optimizer"]) == {"r12", "r13", "r21", "r23", "r31", "r32"}

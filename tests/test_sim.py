@@ -25,10 +25,9 @@ from helpers import (
     verify_trace,
 )
 from triway import sim
-from triway.experiments import _CSV_BLOCK, export_report
+from triway.experiments import _CSV_BLOCK, export_report, trace_table
 from triway.model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError
 from triway.sim import (
-    TRACE_CSV_HEADER,
     CausalEncoder,
     TransmissionTrace,
     _pnc_exchange,
@@ -437,9 +436,9 @@ def test_pnc_deterministic():
 def test_trace_csv_layout():
     enc = _ready_encoders(CFG, 12, 3)
     trace = simulate_network(enc, CFG, 12, 3)
-    text = export_report(trace.as_table(), "csv")
+    text = export_report(trace_table(trace), "csv")
     lines = text.strip().split("\n")
-    assert lines[0] == TRACE_CSV_HEADER == "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
+    assert lines[0] == "i,x1,x2,x3,y1,y2,y3,z1,z2,z3"
     assert len(lines) == 13
     first = lines[1].split(",")
     assert first[0] == "1"
@@ -452,9 +451,9 @@ def test_trace_csv_layout():
                                       4095, 4096, 4097, 3 * 4096 + 1}))
 def test_trace_csv_blocks_match_the_per_row_format(n):
     _, trace = sim.simulate_network(CFG, n, 11)
-    header, columns = trace.as_table()
-    assert columns[0].dtype == np.int64 and all(c.dtype == np.float64 for c in columns[1:])
-    assert export_report((header, columns), "csv") == reference_csv(header, columns)
+    table = trace_table(trace)
+    assert table.columns[0].dtype == np.int64 and all(c.dtype == np.float64 for c in table.columns[1:])
+    assert export_report(table, "csv") == reference_csv(table.header, table.columns)
 
 
 def test_trace_csv_memory_is_bounded_by_its_text():
@@ -464,7 +463,7 @@ def test_trace_csv_memory_is_bounded_by_its_text():
     trace = TransmissionTrace(*arrays, messages=np.zeros(6))
     tracemalloc.start()
     try:
-        text = export_report(trace.as_table(), "csv")
+        text = export_report(trace_table(trace), "csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -483,7 +482,7 @@ def test_a_simulated_block_holds_its_steps_in_typed_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.n == n
+    assert len(trace.x1) == n
     assert peak < 180 * n
 
 
