@@ -150,7 +150,7 @@ def _cmd_region(args, cfg, mapping) -> None:
 def _cmd_dof(args, cfg, _) -> None:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  gains=cfg.gains)
-    _emit(experiments.dof_table(experiments.dof_estimate(spec), spec), args, args.format)
+    _emit(experiments.dof_estimate(spec), args, args.format)
 
 
 def _cmd_genie(args, cfg, _) -> None:
@@ -191,15 +191,15 @@ def _cmd_sweep(args, cfg, _) -> None:
 def _cmd_gap_ensemble(args, cfg, _) -> None:
     spec = experiments.SweepSpec(p_lo=args.p_lo, p_hi=args.p_hi, points=args.points,
                                  ensemble=args.ensemble, seed=args.seed)
-    stats = experiments.gap_ensemble(spec)
-    _emit(experiments.gap_statistics_table(stats, spec), args, args.format)
-    if stats.violations > 0:
-        raise PropertyViolationError(f"{stats.violations} gap values fell outside [0, 2]")
+    table = experiments.gap_ensemble(spec)
+    _emit(table, args, args.format)
+    violations = int(table.columns[table.header.index("violations")][0])
+    if violations > 0:
+        raise PropertyViolationError(f"{violations} gap values fell outside [0, 2]")
 
 
 def _cmd_crossover(args, cfg, _) -> None:
-    result = experiments.find_crossover(cfg.gains, args.p_lo, args.p_hi)
-    _emit(experiments.crossover_table(result, cfg.gains, args.p_lo, args.p_hi), args, args.format)
+    _emit(experiments.find_crossover(cfg.gains, args.p_lo, args.p_hi), args, args.format)
 
 
 def _grid(p_lo: float, p_hi: float, points: int | None = None) -> tuple:

@@ -1,7 +1,7 @@
 """Batch drivers: SNR sweeps, DoF fits (pre-log slopes), gap statistics over
-random channels and the cut-set/genie crossover search; the report of each, and
-of a bound evaluation, a rate region and a trace; and `export_report`, the one
-writer that turns every report into text.
+random channels and the cut-set/genie crossover search, each of which returns
+its report table; the reports of a bound evaluation, a rate region and a trace;
+and `export_report`, the one writer that turns every report into text.
 
 Every driver is a pure function of (spec, seed).  Ensemble trial t draws from
 its own stream default_rng([seed, t]), so statistics are identical whether
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, region, sim
 from ._version import __version__
-from .model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, _bound_inputs, _canonical_rows
+from .model import _MAX_LENGTH, ChannelGains, ValidationError, _bound_inputs, _canonical_rows
 
 # sweep table columns, in emission order: the fields of bounds.BoundReport before the gap
 BOUND_COLUMNS = bounds._BOUND_FIELDS[:bounds._BOUND_FIELDS.index("gap")]
@@ -79,22 +79,6 @@ class SweepSpec:
             raise ValidationError("ensemble size must be >= 1")
         if self.seed < 0:  # numpy seeds with no negative entropy, and its seed words would never end
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclasses.dataclass(frozen=True)
-class GapStatistics:
-    ensemble: int
-    min_gap: float
-    max_gap: float
-    mean_gap: float
-    violations: int  # count of gaps outside [0, 2]; must stay 0
-    worst_config: ChannelConfig
-
-
-@dataclasses.dataclass(frozen=True)
-class CrossoverResult:
-    p_star: float | None
-    status: str  # found | already-crossed | none
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,8 +173,9 @@ def sweep_snr(spec: SweepSpec) -> ReportTable:
                        meta=_meta(spec, seed=spec.seed))
 
 
-def dof_estimate(spec: SweepSpec) -> tuple[float, float, float]:
-    """Least-squares slope of each bound in DOF_FIELDS against 0.5*log2(P).
+def dof_estimate(spec: SweepSpec) -> ReportTable:
+    """Least-squares slope of each bound in DOF_FIELDS against 0.5*log2(P), as a one-row
+    table in that order; its meta echoes spec, with no seed of its own.
 
     Fits only the last half of spec's grid: the low-SNR transient is not the
     asymptote the slope is meant to expose.  Requires 8 to 10**5 strictly
@@ -207,11 +192,7 @@ def dof_estimate(spec: SweepSpec) -> tuple[float, float, float]:
         raise ValidationError("power grid must span at least 4 decades")
     top = grid[len(grid) // 2:]
     xs = [0.5 * math.log2(P) for P in top]
-    return tuple(float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, np.array(top), DOF_FIELDS))
-
-
-def dof_table(slopes: tuple[float, float, float], spec: SweepSpec) -> ReportTable:
-    """dof_estimate's slopes as a one-row table; its meta echoes spec, with no seed of its own."""
+    slopes = [float(np.polyfit(xs, ys, 1)[0]) for ys in _kernel_columns(spec, np.array(top), DOF_FIELDS)]
     return _row_table("dof", DOF_FIELDS, slopes, _meta(spec))
 
 
@@ -298,8 +279,11 @@ def _seed_class() -> type:
     return _SeedState
 
 
-def gap_ensemble(spec: SweepSpec) -> GapStatistics:
-    """Sample configurations, evaluate the sum-capacity interval, aggregate gaps.
+def gap_ensemble(spec: SweepSpec) -> ReportTable:
+    """Sample configurations, evaluate the sum-capacity interval, aggregate gaps: a one-row
+    table of the ensemble size, min, max and mean gap, the count of gaps outside [0, 2]
+    (violations, which must stay 0), and the worst config's canonical gains, in pair-gain
+    names, and power.
 
     Trial t uses gains drawn from default_rng([seed, t]), canonicalized, and
     the grid power at index t mod points, so a large ensemble covers every
@@ -340,27 +324,23 @@ def gap_ensemble(spec: SweepSpec) -> GapStatistics:
         if top > gaps_max:  # the block's first trial at its max; always so in block one: gaps are finite
             k = gaps.index(top)
             gaps_max, worst = top, (gains[k].tolist(), block_powers[k])
-    return GapStatistics(ensemble=spec.ensemble, min_gap=gaps_min, max_gap=gaps_max,
-                         mean_gap=total / spec.ensemble, violations=violations,
-                         worst_config=ChannelConfig(gains=ChannelGains(*worst[0]), power=worst[1]))
-
-
-def gap_statistics_table(stats: GapStatistics, spec: SweepSpec) -> ReportTable:
-    cfg = stats.worst_config
+    (h1, h2, h3), power = worst
     header = ("ensemble", "min_gap", "max_gap", "mean_gap", "violations",
               "worst_g12", "worst_g13", "worst_g23", "worst_power")
-    row = (float(stats.ensemble), stats.min_gap, stats.max_gap, stats.mean_gap,
-           float(stats.violations), cfg.gains.h3, cfg.gains.h2, cfg.gains.h1, cfg.power)
+    row = (float(spec.ensemble), gaps_min, gaps_max, total / spec.ensemble, float(violations), h3, h2, h1, power)
     return _row_table("gap-ensemble", header, row, _meta(spec, seed=spec.seed))
 
 
-def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverResult:
-    """Smallest P in [p_lo, p_hi] where the lemma sum beats the outgoing cut-set sum.
+def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> ReportTable:
+    """Smallest P in [p_lo, p_hi] where the lemma sum beats the outgoing cut-set sum: a
+    one-row table of that P (p_star), the status code, gains in pair-gain names and the
+    bracket, with the status (found, already-crossed or none) in its meta.
 
     Bisection on d(P) = outgoing cut-set sum - tightened upper, down to a
     bracket 1e-6 wide relative to its top.  d > 0 already at p_lo reports the
-    bracket as already crossed; no sign change reports none.  d at each probe
-    is one call of the bound kernel `bounds._bound_terms`.
+    bracket as already crossed, with p_star = p_lo; no sign change reports
+    none, with p_star NaN.  d at each probe is one call of the bound kernel
+    `bounds._bound_terms`.
 
     d has at most one sign change on P > 0, so bisection finds the only one.
     The out1 terms cancel, and with r = h1^2/h2^2, a = h3^2 + h1^2,
@@ -381,27 +361,22 @@ def find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverRe
         return terms[_CUTSET_SUM] - terms[_TIGHTENED]
 
     if margin(lo) > 0:
-        return CrossoverResult(p_star=lo, status="already-crossed")
-    if margin(hi) <= 0:
-        return CrossoverResult(p_star=None, status="none")
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if mid == math.inf:  # lo + hi overflowed; both are >= 2^970 here, so halving each is exact
-            mid = 0.5 * lo + 0.5 * hi
-        if margin(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return CrossoverResult(p_star=hi, status="found")
-
-
-def crossover_table(result: CrossoverResult, gains: ChannelGains,
-                    p_lo: float, p_hi: float) -> ReportTable:
+        p_star, code, status = lo, 1.0, "already-crossed"
+    elif margin(hi) <= 0:
+        p_star, code, status = math.nan, 2.0, "none"
+    else:
+        while hi - lo > 1e-6 * hi:
+            mid = 0.5 * (lo + hi)
+            if mid == math.inf:  # lo + hi overflowed; both are >= 2^970 here, so halving each is exact
+                mid = 0.5 * lo + 0.5 * hi
+            if margin(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        p_star, code, status = hi, 0.0, "found"
     header = ("p_star", "status_code", "g12", "g13", "g23", "p_lo", "p_hi")
-    code = {"found": 0.0, "already-crossed": 1.0, "none": 2.0}[result.status]
-    p_star = math.nan if result.p_star is None else result.p_star
     row = (p_star, code, gains.h3, gains.h2, gains.h1, float(p_lo), float(p_hi))
-    return _row_table("crossover", header, row, {"status": result.status, "version": __version__})
+    return _row_table("crossover", header, row, {"status": status, "version": __version__})
 
 
 def _round6(a: np.ndarray) -> np.ndarray:

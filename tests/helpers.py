@@ -4,8 +4,11 @@ The grid oracle and the feasibility test cross-check the simplex, and
 `sub_region` gives them regions of one or two constraint families; rates
 are tuples of six floats in region.RATE_ORDER, and the permutation helpers
 check that canonicalize's mapping tuple relabels them as a bijection; the
-report readers invert the JSON the report writer produces, and `csv_cell` is
-the per-cell rule its CSV must match; `emit`, one encoder symbol at a time,
+report readers invert the JSON the report writer produces (`table_row` reads a
+one-row table as Python floats by column name), and `csv_cell` is the
+per-cell rule its CSV must match; `mp_bounds`, every closed form of the
+`bounds` report at 50 digits, is the reference the bound tests and the judged
+corpus share; `emit`, one encoder symbol at a time,
 drives the step loop, trace verification and genie rebuild that are the
 references for the simulator's loops;
 `simulate_network` runs given encoders through a full power pass with the
@@ -36,10 +39,11 @@ import itertools
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 
 from triway.bounds import evaluate
-from triway.experiments import BOUND_COLUMNS, CrossoverResult, GapStatistics, ReportTable, SweepSpec, power_grid
+from triway.experiments import BOUND_COLUMNS, ReportTable, SweepSpec, power_grid
 from triway.model import _MAX_LENGTH, ChannelConfig, ChannelGains, ValidationError, make_config
 from triway.region import _SUPPORTS, RATE_ORDER, TOL, build_region
 from triway.sim import (
@@ -90,9 +94,10 @@ def reference_canonicalize(g12, g13, g23) -> tuple[ChannelGains, tuple[int, int,
     raise AssertionError("three finite reals always have an order")
 
 
-def reference_gap_ensemble(spec: SweepSpec) -> GapStatistics:
-    """experiments.gap_ensemble trial by trial on numpy scalars, through
-    reference_canonicalize and the gap field of bounds.evaluate."""
+def reference_gap_ensemble(spec: SweepSpec) -> tuple[float, ...]:
+    """experiments.gap_ensemble's row, trial by trial on numpy scalars, through
+    reference_canonicalize and the gap field of bounds.evaluate: the ensemble size, min,
+    max and mean gap, the violations, and the worst config's gains h3, h2, h1 and power."""
     grid = power_grid(spec)
     worst = None
     gaps_min, gaps_max, total, violations = math.inf, -math.inf, 0.0, 0
@@ -107,9 +112,8 @@ def reference_gap_ensemble(spec: SweepSpec) -> GapStatistics:
         gaps_min = min(gaps_min, gap)
         if gap > gaps_max:
             gaps_max, worst = gap, cfg
-    return GapStatistics(ensemble=spec.ensemble, min_gap=gaps_min, max_gap=gaps_max,
-                         mean_gap=total / spec.ensemble, violations=violations,
-                         worst_config=worst)
+    return (float(spec.ensemble), gaps_min, gaps_max, total / spec.ensemble, float(violations),
+            worst.gains.h3, worst.gains.h2, worst.gains.h1, worst.power)
 
 
 def cap(x: float) -> float:
@@ -121,6 +125,30 @@ def cap(x: float) -> float:
     if math.isnan(x) or x < 0:
         raise ValidationError(f"cap argument must be >= 0, got {x!r}")
     return 0.5 * math.log1p(x) / _LN2
+
+
+def mp_bounds(h1: float, h2: float, h3: float, P: float) -> dict:
+    """Every closed form of the `bounds` report at 50 digits, from the float inputs of
+    canonical gains (|h3| >= |h2| >= |h1|): each rate as a float, relay_improves as a bool,
+    and `margin`, the crossover margin outgoing_cutset_sum - tightened_upper rounded once,
+    so that its sign is the exact one."""
+    with mp.workdps(50):
+        s1, s2, s3, P = (mp.mpf(h1) ** 2, mp.mpf(h2) ** 2, mp.mpf(h3) ** 2, mp.mpf(P))
+
+        def C(x):
+            return mp.log(1 + x, 2) / 2
+
+        ratio = s1 / s2 if s2 else mp.mpf(0)
+        cut = {"out1": C((s3 + s2) * P), "out2": C((s3 + s1) * P), "out3": C((s2 + s1) * P)}
+        lemma1 = cut["out1"] + C(ratio)
+        lemma2 = C(s3 * P * (1 + ratio)) + mp.mpf(1) / 2
+        lower = 2 * C(s3 * P)
+        vals = {**cut, "outgoing_cutset_sum": sum(cut.values()), "lemma1": lemma1,
+                "lemma2": lemma2, "theorem2_upper": lower + 2, "tightened_upper": lemma1 + lemma2,
+                "achievable_lower": lower, "gap": min(2, lemma1 + lemma2 - lower),
+                "relay_lattice_rate": C(max(0, s2 * P - mp.mpf(1) / 2)),
+                "relay_direct_rate": C(s1 * P), "margin": sum(cut.values()) - lemma1 - lemma2}
+        return {**{k: float(v) for k, v in vals.items()}, "relay_improves": s2 - s1 >= 1 / (2 * P)}
 
 
 def reference_bound_terms(s1: float, s2: float, s3: float, ratio: float, P: float) -> tuple:
@@ -161,8 +189,9 @@ def reference_dof_estimate(gains: ChannelGains, grid, field: str) -> float:
     return float(np.polyfit(xs[half:], ys[half:], 1)[0])
 
 
-def reference_find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> CrossoverResult:
-    """experiments.find_crossover on a valid bracket, with bounds.evaluate at every probe."""
+def reference_find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> tuple[float, str]:
+    """experiments.find_crossover's (p_star, status) on a valid bracket, with bounds.evaluate
+    at every probe."""
 
     def margin(P: float) -> float:
         b = evaluate(ChannelConfig(gains=gains, power=P))
@@ -170,16 +199,16 @@ def reference_find_crossover(gains: ChannelGains, p_lo: float, p_hi: float) -> C
 
     lo, hi = float(p_lo), float(p_hi)
     if margin(lo) > 0:
-        return CrossoverResult(p_star=lo, status="already-crossed")
+        return lo, "already-crossed"
     if margin(hi) <= 0:
-        return CrossoverResult(p_star=None, status="none")
+        return math.nan, "none"
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         if margin(mid) > 0:
             hi = mid
         else:
             lo = mid
-    return CrossoverResult(p_star=hi, status="found")
+    return hi, "found"
 
 
 def crossover_root(gains: ChannelGains) -> float | None:
@@ -295,6 +324,13 @@ def reference_csv(header, columns) -> str:
 def table_rows(table: ReportTable) -> tuple[tuple, ...]:
     """A ReportTable's rows, as its JSON writes them: the columns' cells zipped."""
     return tuple(zip(*(c.tolist() for c in table.columns)))
+
+
+def table_row(table: ReportTable) -> dict[str, float]:
+    """A one-row table's cells by header name, as Python floats: an np.float64 cell would
+    print as np.float64(...) under numpy 2."""
+    (row,) = table_rows(table)
+    return dict(zip(table.header, row))
 
 
 def table_from_json(text: str) -> ReportTable:

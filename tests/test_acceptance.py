@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from helpers import cap, is_feasible, oracle_max_sum, simulate_network
+from helpers import cap, is_feasible, oracle_max_sum, simulate_network, table_row
 from triway.bounds import evaluate, sum_capacity_interval
 from triway.experiments import SweepSpec, bounds_report, dof_estimate, find_crossover
 from triway.model import ChannelConfig, ChannelGains, canonicalize
@@ -63,7 +63,7 @@ def test_criterion_1_interval_gap_bounded():
 def test_criterion_2_pre_log_slopes():
     start = time.perf_counter()
     spec = SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM)  # the grid np.logspace(2, 8, 9)
-    slope_lower, slope_cut, slope_upper = dof_estimate(spec)
+    slope_lower, slope_cut, slope_upper = table_row(dof_estimate(spec)).values()
     elapsed = time.perf_counter() - start
     ok = (abs(slope_lower - 2.0) <= 0.05 and abs(slope_upper - 2.0) <= 0.05
           and abs(slope_cut - 3.0) <= 0.05 and elapsed < 1.0)
@@ -176,11 +176,12 @@ def test_criterion_7_relay_dominance_and_noise_free_pnc():
 
 def test_criterion_8_crossover_power():
     # oracle: the margin is cap(2P) - 1, so the root solves 1 + 2P = 4, P = 1.5
-    res = find_crossover(SYM, 0.1, 100.0)
-    rel_err = abs(res.p_star - 1.5) / 1.5 if res.p_star is not None else math.inf
-    ok = res.status == "found" and rel_err <= 1e-6
+    table = find_crossover(SYM, 0.1, 100.0)
+    p_star, status = table_row(table)["p_star"], table.meta["status"]
+    rel_err = abs(p_star - 1.5) / 1.5 if status == "found" else math.inf
+    ok = status == "found" and rel_err <= 1e-6
     _report(8, "equal-gain crossover power equals 1.5 within 1e-6 relative",
-            ok, f"status={res.status}, p_star={res.p_star}, rel err={rel_err:.2e}")
+            ok, f"status={status}, p_star={p_star}, rel err={rel_err:.2e}")
 
 
 def test_criterion_9_scale_invariance():

@@ -7,7 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import BOUNDS_CSV_HEADER, cap, reference_bound_terms, reference_dof_estimate
+from helpers import (BOUNDS_CSV_HEADER, cap, mp_bounds, reference_bound_terms, reference_dof_estimate, table_row,
+                     table_rows)
 from triway import bounds
 from triway.bounds import evaluate, sum_capacity_interval
 from triway.experiments import DOF_FIELDS, SweepSpec, bounds_report, dof_estimate, export_report, power_grid
@@ -238,19 +239,6 @@ def test_lemma1_keeps_the_unit_ratio_of_equal_tiny_gains():
             assert b.lemma1 == b.out1 + 0.5, (k, P)
 
 
-def _mp_sum_bounds(h1, h2, h3, P):
-    """lemma1, lemma2, tightened_upper and gap at 50 digits from the float inputs."""
-    def C(x):
-        return mp.log(1 + x, 2) / 2
-
-    s1, s2, s3, P = (mp.mpf(h1) ** 2, mp.mpf(h2) ** 2, mp.mpf(h3) ** 2, mp.mpf(P))
-    ratio = s1 / s2 if s2 else mp.mpf(0)
-    lemma1 = C((s3 + s2) * P) + C(ratio)
-    lemma2 = C(s3 * P * (1 + ratio)) + mp.mpf(1) / 2
-    upper = lemma1 + lemma2
-    return tuple(map(float, (lemma1, lemma2, upper, min(2, upper - 2 * C(s3 * P)))))
-
-
 def test_sum_bounds_match_mpmath_where_squared_gains_underflow():
     # gain magnitudes over 10^-300..10^0, half of them with h1/h2 in [0.1, 1]; squares
     # below ~1e-154 leave the normal range, the ratio h1^2/h2^2 must not
@@ -265,7 +253,9 @@ def test_sum_bounds_match_mpmath_where_squared_gains_underflow():
     for h1, h2, h3, P in cases:
         b = evaluate(_cfg(h1, h2, h3, P))
         got = (b.lemma1, b.lemma2, b.tightened_upper, b.gap)
-        assert got == pytest.approx(_mp_sum_bounds(h1, h2, h3, P), rel=1e-12, abs=1e-12), (h1, h2, h3, P)
+        want = mp_bounds(h1, h2, h3, P)
+        want = tuple(want[k] for k in ("lemma1", "lemma2", "tightened_upper", "gap"))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (h1, h2, h3, P)
 
 
 def test_interval_gap_never_exceeds_two_high_snr():
@@ -316,7 +306,7 @@ def _dof_spec(p_lo=1e2, p_hi=1e8, points=9):
 
 
 def test_dof_slopes():
-    lower, cut, upper = dof_estimate(_dof_spec())
+    lower, cut, upper = table_row(dof_estimate(_dof_spec())).values()
     assert upper == pytest.approx(2.0, abs=0.05)
     assert lower == pytest.approx(2.0, abs=0.05)
     assert cut == pytest.approx(3.0, abs=0.05)
@@ -328,8 +318,10 @@ def test_dof_returns_the_slopes_in_dof_fields_order():
     for gains in (ChannelGains(h1=1.0, h2=1.0, h3=1.0), ChannelGains(h1=0.25, h2=0.5, h3=2.0)):
         spec = SweepSpec(p_lo=1e2, p_hi=1e12, points=21, gains=gains)
         grid = power_grid(spec)
-        assert dof_estimate(spec) == tuple(reference_dof_estimate(gains, grid, f) for f in DOF_FIELDS)
-        assert [round(s) for s in dof_estimate(spec)] == [2, 3, 2]
+        table = dof_estimate(spec)
+        assert table.header == DOF_FIELDS
+        assert table_rows(table) == (tuple(reference_dof_estimate(gains, grid, f) for f in DOF_FIELDS),)
+        assert [round(s) for s in table_rows(table)[0]] == [2, 3, 2]
 
 
 def test_dof_rejects_degenerate_grids():

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_corpus import _read as _read_corpus
 
-from helpers import BOUNDS_CSV_HEADER, TRACE_CSV_HEADER
+from helpers import BOUNDS_CSV_HEADER, TRACE_CSV_HEADER, mp_bounds, table_from_json, table_row
 from triway import bounds, experiments, sim
 from triway.bounds import evaluate
 from triway.cli import _parse, build_parser, main
@@ -580,8 +580,7 @@ def test_sweep_csv_row_count(capsys):
 def test_gap_ensemble_exit_zero(capsys):
     code, out, _ = _run(capsys, "gap-ensemble", "--ensemble", "50", "--seed", "0")
     assert code == 0
-    obj = json.loads(out)
-    row = dict(zip(obj["header"], obj["rows"][0]))
+    row = table_row(table_from_json(out))
     assert row["violations"] == 0.0
     assert 0.0 <= row["min_gap"] <= row["max_gap"] <= 2.0
 
@@ -610,7 +609,7 @@ def test_property_violation_prints_the_report_then_exits_two(capsys, monkeypatch
         report = dict(zip(header.split(","), map(float, row.split(","))))
     else:
         obj = json.loads(out)
-        report = dict(zip(obj["header"], obj["rows"][0])) if "rows" in obj else obj
+        report = table_row(table_from_json(out)) if "rows" in obj else obj
     if target == "evaluate":
         assert report["gap"] == value
     else:
@@ -621,10 +620,9 @@ def test_property_violation_prints_the_report_then_exits_two(capsys, monkeypatch
 def test_crossover_symmetric(capsys):
     code, out, _ = _run(capsys, "crossover", "--g12", "1", "--g13", "1", "--g23", "1")
     assert code == 0
-    obj = json.loads(out)
-    row = dict(zip(obj["header"], obj["rows"][0]))
-    assert obj["meta"]["status"] == "found"
-    assert abs(row["p_star"] - 1.5) / 1.5 <= 1e-6
+    table = table_from_json(out)
+    assert table.meta["status"] == "found"
+    assert abs(table_row(table)["p_star"] - 1.5) / 1.5 <= 1e-6
 
 
 def test_crossover_near_the_top_of_the_float_range_is_the_smallest_crossing(capsys):
@@ -662,8 +660,7 @@ def test_dof_slopes(capsys, monkeypatch):
                         lambda *args, _fit=experiments.dof_estimate: calls.append(args) or _fit(*args))
     code, out, _ = _run(capsys, "dof", "--g12", "1", "--g13", "1", "--g23", "1")
     assert code == 0 and len(calls) == 1  # one fit gives all three slopes
-    obj = json.loads(out)
-    slopes = dict(zip(obj["header"], obj["rows"][0]))
+    slopes = table_row(table_from_json(out))
     assert slopes["theorem2_upper"] == pytest.approx(2.0, abs=0.05)
     assert slopes["achievable_lower"] == pytest.approx(2.0, abs=0.05)
     assert slopes["outgoing_cutset_sum"] == pytest.approx(3.0, abs=0.05)
@@ -742,35 +739,12 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def _mp_bounds(h1, h2, h3, P):
-    """Every closed form of the bounds report at 50 digits, from the float inputs."""
-    import mpmath as mp
-
-    with mp.workdps(50):
-        s1, s2, s3, P = (mp.mpf(h1) ** 2, mp.mpf(h2) ** 2, mp.mpf(h3) ** 2, mp.mpf(P))
-
-        def C(x):
-            return mp.log(1 + x, 2) / 2
-
-        ratio = s1 / s2 if s2 else mp.mpf(0)
-        cut = {"out1": C((s3 + s2) * P), "out2": C((s3 + s1) * P), "out3": C((s2 + s1) * P)}
-        lemma1 = cut["out1"] + C(ratio)
-        lemma2 = C(s3 * P * (1 + ratio)) + mp.mpf(1) / 2
-        lower = 2 * C(s3 * P)
-        vals = {**cut, "outgoing_cutset_sum": sum(cut.values()), "lemma1": lemma1,
-                "lemma2": lemma2, "theorem2_upper": lower + 2, "tightened_upper": lemma1 + lemma2,
-                "achievable_lower": lower, "gap": min(2, lemma1 + lemma2 - lower),
-                "relay_lattice_rate": C(max(0, s2 * P - mp.mpf(1) / 2)),
-                "relay_direct_rate": C(s1 * P)}
-        return {k: float(v) for k, v in vals.items()}
-
-
 def test_bounds_stay_finite_where_h2p_overflows(capsys):
     # h3^2 P = 1e320 overflows a double; every field must still be finite and exact
     code, out, err = _run(capsys, "bounds", "--g12", "1e10", "--power", "1e300")
     assert code == 0 and err == ""
     obj = _strict_json(out)
-    want = _mp_bounds(0.5, 1.0, 1e10, 1e300)
+    want = mp_bounds(0.5, 1.0, 1e10, 1e300)
     got = {**obj["cutset"], **{k: v for k, v in obj.items() if k in want}}
     for key, value in want.items():
         if key in got:
@@ -787,7 +761,7 @@ def test_bounds_keep_the_gain_ratio_where_squares_underflow(capsys):
     assert code == 0 and err == ""
     obj = _strict_json(out)
     assert (obj["lemma1"], obj["tightened_upper"], obj["gap"]) == (1.0, 2.292481250360578, 1.292481250360578)
-    want = _mp_bounds(1e-170, 1e-170, 1.0, 1.0)
+    want = mp_bounds(1e-170, 1e-170, 1.0, 1.0)
     for key in ("lemma1", "lemma2", "tightened_upper", "gap"):
         assert obj[key] == pytest.approx(want[key], rel=1e-12), key
     code, out, _ = _run(capsys, "region", *args)
@@ -805,7 +779,7 @@ def test_sweep_stays_finite_where_h2p_overflows(capsys):
     code, out, _ = _run(capsys, "sweep", "--g12", "1e10", "--p-hi", "1e300", "--format", "json")
     obj = _strict_json(out)
     for row in obj["rows"]:
-        want = _mp_bounds(0.5, 1.0, 1e10, row[0])
+        want = mp_bounds(0.5, 1.0, 1e10, row[0])
         for key, value in zip(obj["header"][1:], row[1:]):
             assert value == pytest.approx(want[key], rel=1e-12), (row[0], key)
 

@@ -15,8 +15,11 @@ width it reads from COLUMNS.
 
 Each call's output is also judged on its own (`_judge`): an exit-1 call prints nothing on
 stdout and one error line on stderr, after argparse's usage lines if it is a usage error,
-and an exit-0 JSON report is strict JSON.  The test fails on a line whose output fails its
-check, and the regeneration writes nothing while one does.
+and an exit-0 JSON report is strict JSON.  The values of the `bounds`, `crossover` and
+`gap-ensemble` reports are checked against oracles that read the call's argv, not the
+program: the mpmath closed forms of `helpers.mp_bounds`, and `helpers.reference_gap_ensemble`.
+The test fails on a line whose output fails its check, and the regeneration writes nothing
+while one does.
 """
 
 import contextlib
@@ -30,7 +33,9 @@ import shlex
 import sys
 from pathlib import Path
 
+from helpers import mp_bounds, reference_gap_ensemble
 from triway.cli import main
+from triway.experiments import SweepSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "golden" / "corpus.tsv"
@@ -171,6 +176,102 @@ def _corpus_argvs() -> list[list[str]]:
 
 # argparse's error line, after its usage lines: the prog of the parser that failed, then the message
 _USAGE_ERROR = re.compile(r"triway( [a-z-]+)?: error: .+")
+# the value flags of the judged reports and their defaults, as the CLI documents them
+_DEFAULTS = {"g12": "1.5", "g13": "1.0", "g23": "0.5", "power": "1.0", "config": None, "format": "json",
+             "p-lo": None, "p-hi": None, "points": "6", "ensemble": "10000", "seed": "0"}
+
+
+def _flags(argv: list[str]) -> dict[str, str | None]:
+    """The flag values of an exit-0 call of a judged report, by flag name: each "--flag value"
+    or "--flag=value", a unique prefix standing for its flag and the last value winning, over
+    `_DEFAULTS`; the gains and power as the --config file states them, where it does and no
+    inline flag overrides them."""
+    flags, given = dict(_DEFAULTS), {}
+    args = iter(argv[1:])
+    for arg in args:
+        key, eq, value = arg[2:].partition("=")
+        name = key if key in flags else next(name for name in flags if name.startswith(key))
+        given[name] = value if eq else next(args)
+    if "config" in given:  # a JSON integer is a float there too
+        flags.update((k, repr(v)) for k, v in json.loads(Path(given["config"]).read_text(), parse_int=float).items())
+    return {**flags, **given}
+
+
+def _close(got: float, want: float, slack: float = 0.0) -> bool:
+    """got is want at tests/test_bounds.py's tolerances, rel and abs 1e-12, plus slack."""
+    return abs(got - want) <= slack + max(1e-12 * abs(want), 1e-12)
+
+
+def _judge_bounds(argv: list[str], out: str) -> str | None:
+    """Every value of a `bounds` report against the mpmath closed forms at the call's gains and
+    power; a CSV cell within its six-decimal rounding, 5e-7, more.  The JSON config echo is the
+    call's gains relabelled by its permutation."""
+    flags = _flags(argv)
+    gains = {pair: float(flags[pair]) for pair in ("g12", "g13", "g23")}
+    power, h = float(flags["power"]), sorted(map(abs, gains.values()))
+    want = mp_bounds(*h, power)
+    want.update({"in" + k[-1]: want[k] for k in ("out1", "out2", "out3")})
+    del want["margin"], want["outgoing_cutset_sum"]  # not in the report
+    if flags["format"] == "csv":
+        header, row = out.splitlines()
+        got, slack = dict(zip(header.split(","), map(float, row.split(",")))), 5e-7
+        echo = [abs(got[pair]) for pair in ("g12", "g13", "g23", "power")]
+        if not all(map(_close, echo, [*h[::-1], power], [slack] * 4)):
+            return f"config echo {echo} is not the call's gains and power"
+    else:
+        obj = json.loads(out)
+        got, slack, m = {**obj["cutset"], **obj}, 0.0, obj["permutation"]
+        relabelled = {f"g{min(m[a - 1], m[b - 1])}{max(m[a - 1], m[b - 1])}": gains[f"g{a}{b}"]
+                      for a, b in ((1, 2), (1, 3), (2, 3))}
+        if sorted(m) != [1, 2, 3] or obj["config"] != {**relabelled, "power": power}:
+            return f"config echo {obj['config']} is not the call's gains under permutation {m}"
+    wrong = [key for key, value in want.items() if not _close(got.get(key, math.nan), value, slack)]
+    return f"{wrong} differ from the mpmath closed forms" if wrong else None
+
+
+def _judge_crossover(argv: list[str], out: str) -> str | None:
+    """A JSON crossover report by the sign of the mpmath margin (outgoing cut-set sum minus
+    tightened upper) at the call's gains: positive at p_star and not at p_star (1 - 2e-6) when
+    found, positive at p_lo when already crossed, not positive at p_hi when none."""
+    flags = _flags(argv)
+    if flags["format"] == "csv":
+        return None
+    obj = json.loads(out)
+    p_star, code, *echo = obj["rows"][0]
+    status = obj["meta"]["status"]
+    h = sorted(abs(float(flags[pair])) for pair in ("g12", "g13", "g23"))
+    p_lo, p_hi = float(flags["p-lo"] or 0.1), float(flags["p-hi"] or 100.0)
+    if [*map(abs, echo[:3]), *echo[3:]] != [*h[::-1], p_lo, p_hi]:
+        return f"echo {echo} is not the call's gains and bracket"
+
+    def margin(P: float) -> float:
+        return mp_bounds(*h, P)["margin"]
+
+    if status == "found":
+        ok = code == 0.0 and p_lo < p_star <= p_hi and margin(p_star) > 0 >= margin(p_star * (1 - 2e-6))
+    elif status == "already-crossed":
+        ok = code == 1.0 and p_star == p_lo and margin(p_lo) > 0
+    else:
+        ok = status == "none" and code == 2.0 and math.isnan(p_star) and margin(p_hi) <= 0
+    return None if ok else f"status {status!r} at p_star {p_star} fails the mpmath margin"
+
+
+def _judge_gap_ensemble(argv: list[str], out: str) -> str | None:
+    """A gap-ensemble row bit for bit as helpers.reference_gap_ensemble's, trial by trial; a CSV
+    row as its cells print with six decimals."""
+    flags = _flags(argv)
+    spec = SweepSpec(p_lo=float(flags["p-lo"] or 0.1), p_hi=float(flags["p-hi"] or 1e4),
+                     points=int(float(flags["points"])), ensemble=int(float(flags["ensemble"])),
+                     seed=int(flags["seed"]))
+    want = reference_gap_ensemble(spec)
+    if flags["format"] == "csv":
+        row, want = out.splitlines()[1], ",".join(f"{v:.6f}" for v in want)
+    else:
+        row, want = repr(tuple(json.loads(out)["rows"][0])), repr(want)
+    return None if row == want else f"row {row} is not the per-trial reference's {want}"
+
+
+_VALUE_JUDGES = {"bounds": _judge_bounds, "crossover": _judge_crossover, "gap-ensemble": _judge_gap_ensemble}
 
 
 def _judge(argv: list[str], code: int, out: str, err: str) -> str | None:
@@ -181,6 +282,7 @@ def _judge(argv: list[str], code: int, out: str, err: str) -> str | None:
     `triway...: error: ...`.  An exit-0 JSON report parses as strict JSON; the one exception
     is the crossover that finds no sign change, whose p_star prints NaN and is its only
     non-finite number (bench/test_bench.py pins that fault until the next benchmark change).
+    An exit-0 `bounds`, `crossover` or `gap-ensemble` report also passes its value judge.
     """
     if code == 1:
         lines = err.split("\n")
@@ -202,6 +304,8 @@ def _judge(argv: list[str], code: int, out: str, err: str) -> str | None:
         if constants and not (argv[0] == "crossover" and obj["meta"]["status"] == "none"
                               and constants == ["NaN"] and math.isnan(obj["rows"][0][0])):
             return f"stdout is not strict JSON: it holds {constants}"
+    if code == 0 and argv[0] in _VALUE_JUDGES:
+        return _VALUE_JUDGES[argv[0]](argv, out)
     return None
 
 

@@ -24,6 +24,7 @@ from helpers import (
     reference_json,
     reference_sweep_rows,
     table_from_json,
+    table_row,
     table_rows,
 )
 from triway import bounds, experiments
@@ -34,15 +35,12 @@ from triway.experiments import (
     _SEED_BATCH,
     BOUND_COLUMNS,
     DOF_FIELDS,
-    CrossoverResult,
     ReportTable,
     SweepSpec,
-    crossover_table,
     dof_estimate,
     export_report,
     find_crossover,
     gap_ensemble,
-    gap_statistics_table,
     power_grid,
     sweep_snr,
     _exact_block,
@@ -53,6 +51,12 @@ from triway.experiments import (
 from triway.model import ChannelConfig, ChannelGains, ValidationError, canonicalize
 
 SYM = ChannelGains(1.0, 1.0, 1.0)
+
+
+def _crossover(gains, p_lo, p_hi) -> tuple[float, str]:
+    """find_crossover's p_star and status."""
+    table = find_crossover(gains, p_lo, p_hi)
+    return table_row(table)["p_star"], table.meta["status"]
 
 
 def _csv(header, columns) -> str:
@@ -123,11 +127,11 @@ def test_drivers_match_their_evaluate_references_bit_for_bit(k, gains):
         spec = SweepSpec(p_lo=10.0 ** lo, p_hi=10.0 ** hi, points=int(rng.integers(8, 20)), gains=gains)
         grid = power_grid(spec)
         want = tuple(reference_dof_estimate(gains, grid, name) for name in DOF_FIELDS)
-        assert _bits(dof_estimate(spec)) == _bits(want)
+        assert _bits(table_rows(dof_estimate(spec))) == _bits((want,))
         s3 = gains.h3 * gains.h3  # the crossover sits near P = 1/h3^2
         p_lo = 10.0 ** rng.uniform(-3.0, 0.5) / (s3 if s3 > 0.0 else 1.0)
         p_hi = p_lo * 10.0 ** rng.uniform(0.5, 12.0)
-        assert _bits(find_crossover(gains, p_lo, p_hi)) == _bits(reference_find_crossover(gains, p_lo, p_hi))
+        assert _bits(_crossover(gains, p_lo, p_hi)) == _bits(reference_find_crossover(gains, p_lo, p_hi))
 
 
 def test_single_point_grid():
@@ -165,8 +169,8 @@ def test_dof_estimate_reads_the_grid_once_and_the_kernel_once_per_fitted_point(m
             return _call(*args)
         monkeypatch.setattr(module, name, counted)
     spec = SweepSpec(p_lo=1e2, p_hi=1e8, points=9, gains=SYM)
-    slopes = dof_estimate(spec)
-    assert len(slopes) == 3
+    table = dof_estimate(spec)
+    assert table.header == DOF_FIELDS and len(table_rows(table)) == 1
     assert len(calls["power_grid"]) == 1 and len(calls["_bound_terms"]) == 1
     powers = calls["_bound_terms"][0][4]  # the fit reads the last 5 of 9 points
     assert powers.tobytes() == power_grid(spec)[4:].tobytes()
@@ -200,7 +204,7 @@ def test_gap_ensemble_reads_only_the_grid_points_it_uses():
         tracemalloc.stop()
     assert peak < 10 ** 6  # the whole grid takes 80 MB
     small = dataclasses.replace(spec, points=10 ** 6)
-    assert gap_ensemble(small) == reference_gap_ensemble(small)  # the reference builds the whole grid
+    assert table_rows(gap_ensemble(small)) == (reference_gap_ensemble(small),)  # the reference builds the whole grid
 
 
 def test_sweep_deterministic_and_export_byte_stable():
@@ -214,12 +218,14 @@ def test_sweep_deterministic_and_export_byte_stable():
 
 def test_gap_ensemble_statistics():
     spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=2000, seed=0)
-    stats = gap_ensemble(spec)
-    assert stats.ensemble == 2000
-    assert stats.violations == 0
-    assert 0.0 <= stats.min_gap <= stats.mean_gap <= stats.max_gap <= 2.0
-    assert isinstance(stats.worst_config, ChannelConfig)
-    assert gap_ensemble(spec) == stats  # trial streams make reruns identical
+    table = gap_ensemble(spec)
+    row = table_row(table)
+    assert row["ensemble"] == 2000.0
+    assert row["violations"] == 0.0
+    assert 0.0 <= row["min_gap"] <= row["mean_gap"] <= row["max_gap"] <= 2.0
+    ChannelGains(row["worst_g23"], row["worst_g13"], row["worst_g12"])  # canonical gains check themselves
+    assert row["worst_power"] in power_grid(spec).tolist()
+    assert _same_table(gap_ensemble(spec), table)  # trial streams make reruns identical
 
 
 class _FixedDraw:
@@ -244,12 +250,12 @@ def test_gap_ensemble_fixed_gains_single_trial():
     # an ensemble draws its gains: a spec that fixes them is refused
     with pytest.raises(ValidationError, match="^gap ensembles draw their gains: need no fixed gain triple$"):
         gap_ensemble(SweepSpec(p_lo=9.0, p_hi=9.0, points=1, gains=SYM, ensemble=1, seed=5))
-    stats = gap_ensemble(SweepSpec(p_lo=9.0, p_hi=9.0, points=1, ensemble=1, seed=5))
+    row = table_row(gap_ensemble(SweepSpec(p_lo=9.0, p_hi=9.0, points=1, ensemble=1, seed=5)))
     gains, _ = canonicalize(*np.random.default_rng([5, 0]).standard_normal(3).tolist())
-    cfg = ChannelConfig(gains=gains, power=9.0)
-    gap = sum_capacity_interval(gains.bound_inputs(), cfg.power)[2]
-    assert stats.min_gap == stats.max_gap == stats.mean_gap == gap
-    assert stats.worst_config == cfg
+    gap = sum_capacity_interval(gains.bound_inputs(), 9.0)[2]
+    assert row["min_gap"] == row["max_gap"] == row["mean_gap"] == gap
+    assert (row["worst_g12"], row["worst_g13"], row["worst_g23"], row["worst_power"]) == (
+        gains.h3, gains.h2, gains.h1, 9.0)
 
 
 @pytest.mark.parametrize("spec, draw", [
@@ -264,10 +270,11 @@ def test_gap_ensemble_fixed_gains_single_trial():
 def test_gap_ensemble_matches_the_per_trial_reference(monkeypatch, spec, draw):
     if draw is not None:
         _fix_every_draw(monkeypatch, draw)
-    stats = gap_ensemble(spec)
-    assert stats == reference_gap_ensemble(spec)
+    table = gap_ensemble(spec)
+    assert table_rows(table) == (reference_gap_ensemble(spec),)
     if draw == (1.0, 1.0, -1.0):
-        assert stats.max_gap == 2.0 and stats.worst_config.power == power_grid(spec)[0]
+        row = table_row(table)
+        assert row["max_gap"] == 2.0 and row["worst_power"] == power_grid(spec)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**128 + 1])
@@ -313,7 +320,7 @@ def test_gap_ensemble_blocks_match_the_per_trial_reference(monkeypatch, ensemble
     if draw is not None:
         _fix_every_draw(monkeypatch, draw)
     spec = SweepSpec(p_lo=0.1, p_hi=1e4, points=7, ensemble=ensemble, seed=seed)
-    assert gap_ensemble(spec) == reference_gap_ensemble(spec)
+    assert table_rows(gap_ensemble(spec)) == (reference_gap_ensemble(spec),)
 
 
 @pytest.mark.parametrize("draws", [
@@ -358,12 +365,12 @@ def test_gap_ensemble_counts_every_gap_outside_zero_to_two(monkeypatch):
         return lower, upper, gaps[-1]
 
     monkeypatch.setattr(bounds, "sum_capacity_interval", stretched)
-    stats = gap_ensemble(SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=4 * _GAP_BLOCK + 3, seed=2))
+    row = table_row(gap_ensemble(SweepSpec(p_lo=0.1, p_hi=1e4, points=6, ensemble=4 * _GAP_BLOCK + 3, seed=2)))
     want = sum(g < 0.0 or g > 2.0 for g in gaps)
     assert 0 < want < len(gaps) and any(g < 0.0 for g in gaps) and any(g > 2.0 for g in gaps)
     assert not any(g < 0.0 or g > 2.0 for g in gaps[_GAP_BLOCK:3 * _GAP_BLOCK])
-    assert stats.violations == want
-    assert (stats.min_gap, stats.max_gap) == (min(gaps), max(gaps))
+    assert row["violations"] == want
+    assert (row["min_gap"], row["max_gap"]) == (min(gaps), max(gaps))
 
 
 def test_gap_ensemble_memory_stays_bounded():
@@ -386,28 +393,28 @@ def test_gap_approaches_two_for_symmetric_gains():
 
 def test_gap_statistics_table_layout():
     spec = SweepSpec(p_lo=1.0, p_hi=10.0, points=2, ensemble=50, seed=1)
-    stats = gap_ensemble(spec)
-    table = gap_statistics_table(stats, spec)
+    table = gap_ensemble(spec)
     assert table.kind == "gap-ensemble"
     assert table.header == ("ensemble", "min_gap", "max_gap", "mean_gap", "violations",
                             "worst_g12", "worst_g13", "worst_g23", "worst_power")
+    assert table.meta == {"spec": {**dataclasses.asdict(spec), "bounds": list(BOUND_COLUMNS)},
+                          "seed": 1, "version": table.meta["version"]}
     (row,) = table_rows(table)
     assert row[0] == 50.0 and row[4] == 0.0
-    cfg = stats.worst_config
-    assert row[5:] == (cfg.gains.h3, cfg.gains.h2, cfg.gains.h1, cfg.power)
+    assert row == reference_gap_ensemble(spec)
 
 
 def test_crossover_symmetric_gains():
-    res = find_crossover(SYM, 0.1, 100.0)
-    assert res.status == "found"
-    assert abs(res.p_star - 1.5) / 1.5 <= 1e-6
+    p_star, status = _crossover(SYM, 0.1, 100.0)
+    assert status == "found"
+    assert abs(p_star - 1.5) / 1.5 <= 1e-6
 
 
 def test_crossover_analytic_second_family():
     # h = (0, 1, 1): outgoing sum minus lemma total is cap(P) - 1/2, zero at P = 1
-    res = find_crossover(ChannelGains(0.0, 1.0, 1.0), 0.5, 50.0)
-    assert res.status == "found"
-    assert abs(res.p_star - 1.0) <= 1e-6
+    p_star, status = _crossover(ChannelGains(0.0, 1.0, 1.0), 0.5, 50.0)
+    assert status == "found"
+    assert abs(p_star - 1.0) <= 1e-6
 
 
 def test_crossover_matches_the_closed_form_root():
@@ -417,27 +424,28 @@ def test_crossover_matches_the_closed_form_root():
         gains, _ = canonicalize(*(rng.standard_normal(3) * 10.0 ** rng.uniform(-4, 4, 3)).tolist())
         root = crossover_root(gains)
         lo, hi = root / 10.0 ** rng.uniform(0.1, 3), root * 10.0 ** rng.uniform(0.1, 3)
-        res = find_crossover(gains, lo, hi)
-        assert res.status == "found", (gains, lo, hi)
-        assert abs(res.p_star - root) <= 1e-6 * root, (gains, res.p_star, root)
+        p_star, status = _crossover(gains, lo, hi)
+        assert status == "found", (gains, lo, hi)
+        assert abs(p_star - root) <= 1e-6 * root, (gains, p_star, root)
     assert crossover_root(ChannelGains(0.0, 0.0, 1.0)) is None
 
 
 def test_crossover_bracket_edges():
-    assert find_crossover(SYM, 2.0, 10.0) == CrossoverResult(p_star=2.0, status="already-crossed")
-    assert find_crossover(SYM, 1e-4, 1e-3) == CrossoverResult(p_star=None, status="none")
+    assert _crossover(SYM, 2.0, 10.0) == (2.0, "already-crossed")
+    p_star, status = _crossover(SYM, 1e-4, 1e-3)
+    assert math.isnan(p_star) and status == "none"
 
 
 def test_crossover_margin_brackets_the_root():
-    res = find_crossover(SYM, 0.1, 100.0)
+    p_star, _ = _crossover(SYM, 0.1, 100.0)
 
     def margin(P):
         cfg = ChannelConfig(gains=SYM, power=P)
         b = evaluate(cfg)
         return b.outgoing_cutset_sum - b.tightened_upper
 
-    assert margin(res.p_star) > 0.0
-    assert margin(res.p_star * (1.0 - 1e-5)) < 0.0
+    assert margin(p_star) > 0.0
+    assert margin(p_star * (1.0 - 1e-5)) < 0.0
 
 
 def test_crossover_bracket_validation():
@@ -447,17 +455,16 @@ def test_crossover_bracket_validation():
 
 
 def test_crossover_table_encodes_status():
-    res = find_crossover(SYM, 0.1, 100.0)
-    table = crossover_table(res, SYM, 0.1, 100.0)
+    table = find_crossover(SYM, 0.1, 100.0)
     assert table.header == ("p_star", "status_code", "g12", "g13", "g23", "p_lo", "p_hi")
     assert table_rows(table)[0][1] == 0.0 and table.meta["status"] == "found"
-    none_res = CrossoverResult(p_star=None, status="none")
-    none_table = crossover_table(none_res, SYM, 1.0, 2.0)
+    assert table_row(find_crossover(SYM, 2.0, 10.0))["status_code"] == 1.0
+    none_table = find_crossover(SYM, 1.0, 1.2)
     (row,) = table_rows(none_table)
-    assert math.isnan(row[0]) and row[1] == 2.0
+    assert math.isnan(row[0]) and row[1] == 2.0 and none_table.meta["status"] == "none"
     # status none prints p_star as nan in CSV and as the non-strict NaN token in JSON
     assert export_report(none_table, "csv").split("\n")[1] == ("nan,2.000000,1.000000,1.000000,"
-                                                             "1.000000,1.000000,2.000000")
+                                                             "1.000000,1.000000,1.200000")
     assert "\n      NaN,\n" in export_report(none_table, "json")
 
 

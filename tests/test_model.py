@@ -239,10 +239,9 @@ _PUBLIC_NAMES = {
             "genie_reconstruct_lemma1", "genie_reconstruct_lemma2", "genie_verdict",
             "normalize_power", "random_encoders", "reconstruction_error",
             "simulate_network", "simulate_pnc_relay"],
-    "experiments": ["BOUND_COLUMNS", "CrossoverResult", "DOF_FIELDS", "GapStatistics", "ReportTable", "SweepSpec",
-                    "bounds_report", "crossover_table", "dof_estimate", "dof_table", "export_report",
-                    "find_crossover", "gap_ensemble", "gap_statistics_table", "power_grid", "region_report",
-                    "sweep_snr", "trace_table"],
+    "experiments": ["BOUND_COLUMNS", "DOF_FIELDS", "ReportTable", "SweepSpec", "bounds_report",
+                    "dof_estimate", "export_report", "find_crossover", "gap_ensemble", "power_grid",
+                    "region_report", "sweep_snr", "trace_table"],
     "cli": ["build_parser", "main"],
 }
 
